@@ -8,12 +8,10 @@ studies) used to verify the parameter-robust stability of the formulation.
 """
 
 from .assembly import (BlockSystem, DGConfig, FormOperators,
-                       IncompatibleSpaces, NormBlocks, assemble_ah,
-                       assemble_block_system, assemble_norms, assemble_rhs)
+                       IncompatibleSpaces, NormBlocks, assemble_ah)
 from .analysis import (ConvergenceTable, InfSupResult, ManufacturedCase,
                        conservation_audit, convergence_study, error_norms,
-                       infsup_constant, manufactured_case,
-                       natural_norm_blocks)
+                       infsup_constant, manufactured_case)
 from .elements import (FESpace, QuadRule, RefBasis, DegenerateCell,
                        interpolate_pi_div, piola_map, project_qh,
                        ref_basis, triangle_rule)

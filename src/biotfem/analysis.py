@@ -15,7 +15,7 @@ import numpy as np
 
 from .assembly import BlockSystem, DGConfig, FormOperators, NormBlocks
 from .elements import edge_rule, project_qh, triangle_rule
-from .meshing import TriMesh, structured_mesh
+from .meshing import BOUNDARY, TriMesh, structured_mesh
 from .params import ReducedParams
 from .solver import (EigFailure, SingularNormMatrix, build_preconditioner,
                      minres_solve, reduce_pressure_pencil, solve_direct)
@@ -114,13 +114,6 @@ def infsup_constant(system: BlockSystem, norms: NormBlocks,
     )
 
 
-def natural_norm_blocks(mesh: TriMesh, params: ReducedParams,
-                        families=("bdm1", "rt0", "p0"),
-                        cfg: DGConfig | None = None) -> NormBlocks:
-    """Norm Gram matrices without the reweighting (negative experiment)."""
-    return FormOperators(mesh, families, cfg).natural_norm_blocks(params)
-
-
 def manufactured_case(params: ReducedParams) -> ManufacturedCase:
     """Trigonometric exact solution compatible with the homogeneous
     essential boundary conditions."""
@@ -201,8 +194,7 @@ def triple_error_norms(uspace, vspace, cu, cv, p_cells,
     params = case.params
     mesh = uspace.mesh
     rule = triangle_rule(8)
-    xy = np.einsum("kab,qb->kqa", uspace.J, rule.points) \
-        + uspace.x0[:, None, :]
+    xy = mesh.cell_points(rule.points)
     wK = rule.weights[None, :] * uspace.detJ[:, None]
     X, Y = xy[..., 0], xy[..., 1]
 
@@ -231,27 +223,16 @@ def _error_jump_seminorm(space, coeffs, u_exact):
     the exact field is continuous, so interior jumps come from u_h alone."""
     mesh = space.mesh
     snodes, sweights = edge_rule(4)
-    total = 0.0
-    for e in range(mesh.num_edges):
-        k1, k2 = mesh.edge_cells[e]
-        a, b = mesh.edge_vertices[e]
-        xa, xb = mesh.vertices[a], mesh.vertices[b]
-        pts = 0.5 * (xa + xb) + 0.5 * np.outer(snodes, xb - xa)
-        n = mesh.edge_normal[e]
-        sides = [k1] if k2 < 0 else [k1, k2]
-        tr = space.tabulate_at(
-            np.asarray(sides),
-            np.broadcast_to(pts, (len(sides),) + pts.shape),
-            what=("val",))["val"]
-        vals = [np.einsum("i,iqa->qa", coeffs[space.cell_dofs[k]], tr[s])
-                for s, k in enumerate(sides)]
-        if k2 < 0:
-            err = u_exact(pts[:, 0], pts[:, 1]) - vals[0]
-        else:
-            err = vals[1] - vals[0]
-        err_t = err - np.einsum("qa,a->q", err, n)[:, None] * n
-        total += 0.5 * np.einsum("q,qa->", sweights, err_t**2)
-    return total
+    pts = mesh.edge_points(snodes)
+    cells, tab = space.edge_traces(np.arange(mesh.num_edges), pts)
+    uh = np.einsum("sei,seiqa->seqa", coeffs[space.cell_dofs[cells]],
+                   tab["val"])
+    boundary = (mesh.edge_cells[:, 1] == BOUNDARY)[:, None, None]
+    err = np.where(boundary, u_exact(pts[..., 0], pts[..., 1]) - uh[0],
+                   uh[1] - uh[0])
+    n = mesh.edge_normal[:, None, :]
+    err_t = err - np.sum(err * n, axis=-1, keepdims=True) * n
+    return 0.5 * np.einsum("q,eqa->", sweights, err_t**2)
 
 
 def error_norms(system: BlockSystem, x: np.ndarray,

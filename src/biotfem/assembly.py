@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .elements import FESpace, edge_rule, project_qh, triangle_rule
-from .meshing import TriMesh
+from .meshing import BOUNDARY, TriMesh
 from .params import ReducedParams
 
 
@@ -96,9 +96,13 @@ class NormBlocks:
         return sps.block_diag((self.N_U, self.N_V, self.N_P), format="csr")
 
 
-def _scatter(space: FESpace, elem: np.ndarray) -> sps.csr_matrix:
-    rows = np.repeat(space.cell_dofs, space.cell_dofs.shape[1], axis=1)
-    cols = np.tile(space.cell_dofs, (1, space.cell_dofs.shape[1]))
+def _scatter(space: FESpace, elem: np.ndarray,
+             dofs: np.ndarray | None = None) -> sps.csr_matrix:
+    """Sum local matrices elem (m, d, d) into a global one; row r of `dofs`
+    (default: the cell dofs) maps local indices to global ones."""
+    dofs = space.cell_dofs if dofs is None else dofs
+    rows = np.repeat(dofs, dofs.shape[1], axis=1)
+    cols = np.tile(dofs, (1, dofs.shape[1]))
     mat = sps.coo_matrix((elem.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(space.ndof, space.ndof))
     return _mirror_lower(mat.tocsr())
@@ -189,65 +193,39 @@ class FormOperators:
     def _build_faces(self):
         mesh, space = self.mesh, self.uspace
         snodes, sweights = edge_rule(4)
-        ndof = space.ndof
-        rows, cols, pen_vals, cons_vals = [], [], [], []
-        interior_jumps = space.family != "p1cvec"
+        # a continuous family has no interior jumps
+        edges = (mesh.boundary_edges() if space.family == "p1cvec"
+                 else np.arange(mesh.num_edges))
+        cells, tab = space.edge_traces(edges, mesh.edge_points(snodes)[edges],
+                                       what=("val", "grad"))
+        n = mesh.edge_normal[edges]
+        # per (side, edge) weights: [v] = v1 - v2, {w} = (w1 + w2)/2 on
+        # interior edges; [v] = v1, {w} = w1 on the boundary, whose second
+        # side repeats K1
+        inner = (mesh.edge_cells[edges, 1] != BOUNDARY).astype(float)
+        jump_w = np.stack((np.ones_like(inner), -inner))
+        avg_w = np.stack((1.0 - 0.5 * inner, 0.5 * inner))
+        val, grad = tab["val"], tab["grad"]
+        epsn = 0.5 * np.einsum("seiqab,eb->seiqa",
+                               grad + np.swapaxes(grad, -2, -1), n)
+        vt = val - np.einsum("seiqa,ea->seiq", val, n)[..., None] \
+            * n[:, None, None, :]
 
-        for e in range(mesh.num_edges):
-            k1, k2 = mesh.edge_cells[e]
-            boundary = k2 < 0
-            if boundary:
-                sides = [k1]
-            elif interior_jumps:
-                sides = [k1, k2]
-            else:
-                continue  # continuous family: interior jumps vanish
-            n = mesh.edge_normal[e]
-            a, b = mesh.edge_vertices[e]
-            xa, xb = mesh.vertices[a], mesh.vertices[b]
-            pts = 0.5 * (xa + xb) + 0.5 * np.outer(snodes, xb - xa)
-            tab = space.tabulate_at(
-                np.asarray(sides), np.broadcast_to(pts, (len(sides),) +
-                                                   pts.shape),
-                what=("val", "grad"))
-            nloc = space.cell_dofs.shape[1]
-            nq = len(snodes)
-            jump_t = np.empty((len(sides) * nloc, nq, 2))
-            avg_en = np.empty((len(sides) * nloc, nq, 2))
-            for s, k in enumerate(sides):
-                sign = 1.0 if s == 0 else -1.0
-                val = tab["val"][s]
-                grad = tab["grad"][s]
-                epsn = 0.5 * np.einsum(
-                    "iqab,b->iqa", grad + np.swapaxes(grad, -2, -1), n)
-                vt = val - np.einsum("iqa,a->iq", val, n)[..., None] * n
-                sl = slice(s * nloc, (s + 1) * nloc)
-                jump_t[sl] = sign * vt
-                avg_en[sl] = epsn if boundary else 0.5 * epsn
-            dofs = np.concatenate([space.cell_dofs[k] for k in sides])
-            # int_e f ds = (h_e/2) sum w f ; penalty carries 1/h_e
-            pen_elem = 0.5 * np.einsum("q,iqa,jqa->ij", sweights, jump_t,
-                                       jump_t)
-            he = mesh.edge_length[e]
-            c = 0.5 * he * np.einsum("q,iqa,jqa->ij", sweights, avg_en,
-                                     jump_t)
-            cons_elem = c.T + c
-            rows.append(np.repeat(dofs, len(dofs)))
-            cols.append(np.tile(dofs, len(dofs)))
-            pen_vals.append(pen_elem.ravel())
-            cons_vals.append(cons_elem.ravel())
-        if rows:
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            self.PEN = _mirror_lower(sps.coo_matrix(
-                (np.concatenate(pen_vals), (rows, cols)),
-                shape=(ndof, ndof)).tocsr())
-            self.CONS = _mirror_lower(sps.coo_matrix(
-                (np.concatenate(cons_vals), (rows, cols)),
-                shape=(ndof, ndof)).tocsr())
-        else:
-            self.PEN = sps.csr_matrix((ndof, ndof))
-            self.CONS = sps.csr_matrix((ndof, ndof))
+        def by_edge(w, x):
+            # (side, edge, i, q, a) -> (edge, side * nloc + i, q, a)
+            x = w[:, :, None, None, None] * x
+            return np.swapaxes(x, 0, 1).reshape((len(edges), -1)
+                                                + x.shape[3:])
+
+        jump_t, avg_en = by_edge(jump_w, vt), by_edge(avg_w, epsn)
+        dofs = np.swapaxes(space.cell_dofs[cells], 0, 1).reshape(len(edges),
+                                                                 -1)
+        # int_e f ds = (h_e/2) sum w f ; penalty carries 1/h_e
+        pen = 0.5 * np.einsum("q,eiqa,ejqa->eij", sweights, jump_t, jump_t)
+        c = 0.5 * mesh.edge_length[edges][:, None, None] * np.einsum(
+            "q,eiqa,ejqa->eij", sweights, avg_en, jump_t)
+        self.PEN = _scatter(space, pen, dofs)
+        self.CONS = _scatter(space, c + np.swapaxes(c, 1, 2), dofs)
 
     # -- combinations ------------------------------------------------------------
 
@@ -312,8 +290,7 @@ class FormOperators:
         rhs_p = np.zeros(self.mesh.num_cells)
         if f is not None:
             wK = rule.weights[None, :] * self.uspace.detJ[:, None]
-            xy = np.einsum("kab,qb->kqa", self.uspace.J, rule.points) \
-                + self.uspace.x0[:, None, :]
+            xy = self.mesh.cell_points(rule.points)
             fv = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
             ut = self.uspace.tabulate(rule.points, what=("val",))
             elem = np.einsum("kq,kqa,kiqa->ki", wK, fv, ut["val"])
@@ -349,12 +326,13 @@ def _check_div_compatibility(space: FESpace, name: str):
     rule = triangle_rule(4)
     div = space.tabulate(rule.points, what=("div",))["div"]
     scale = np.abs(div).max() or 1.0
-    for k in range(space.mesh.num_cells):
-        rank = np.linalg.matrix_rank(div[k].T, tol=1e-10 * scale)
-        if rank != 1:
-            raise IncompatibleSpaces(
-                f"family {name!r}: divergence span on cell {k} has rank "
-                f"{rank}, pressure space expects cellwise constants")
+    rank = np.linalg.matrix_rank(np.swapaxes(div, 1, 2), tol=1e-10 * scale)
+    bad = np.flatnonzero(rank != 1)
+    if bad.size:
+        k = bad[0]
+        raise IncompatibleSpaces(
+            f"family {name!r}: divergence span on cell {k} has rank "
+            f"{rank[k]}, pressure space expects cellwise constants")
 
 
 # -- spec-facing convenience wrappers -----------------------------------------
@@ -364,26 +342,6 @@ def assemble_ah(mesh: TriMesh, family: str, cfg: DGConfig | None = None,
     """Interior-penalty elasticity form over all edges (boundary included)."""
     ops = FormOperators(mesh, (family, "rt0", "p0"), cfg, check_compat=False)
     return ops.ah_matrix() if constrained else ops.ah_full()
-
-
-def assemble_block_system(mesh: TriMesh, params: ReducedParams,
-                          cfg: DGConfig | None = None,
-                          families=("bdm1", "rt0", "p0"),
-                          f=None, g=None) -> BlockSystem:
-    return FormOperators(mesh, families, cfg).block_system(params, f=f, g=g)
-
-
-def assemble_norms(mesh: TriMesh, params: ReducedParams,
-                   cfg: DGConfig | None = None,
-                   families=("bdm1", "rt0", "p0")) -> NormBlocks:
-    return FormOperators(mesh, families, cfg).norm_blocks(params)
-
-
-def assemble_rhs(mesh: TriMesh, f, g, families=("bdm1", "rt0", "p0"),
-                 cfg: DGConfig | None = None):
-    ops = FormOperators(mesh, families, cfg)
-    rhs_u, rhs_v, rhs_p = ops.rhs(f=f, g=g)
-    return rhs_u[ops.uspace.free_dofs], rhs_v[ops.vspace.free_dofs], rhs_p
 
 
 def export_matrix_market(path, matrix):

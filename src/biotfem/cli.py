@@ -143,55 +143,87 @@ def _ints(text) -> list[int]:
     return [int(t) for t in str(text).split(",") if t.strip()]
 
 
+def _positive(v) -> bool:
+    return bool(np.isfinite(v) and v > 0)
+
+
+def _one_of(*choices):
+    return lambda v: v in choices
+
+
+# Run settings: config-file key -> (argparse dest, cast, RunConfig attribute,
+# check, requirement).  A flag overrides the file; the RunConfig default
+# applies only when neither gives a value.
+_SETTINGS = {
+    "n": ("n", int, "mesh_n", lambda v: v >= 1, ">= 1"),
+    "n_list": ("n_list", _ints, "n_list", lambda v: v and min(v) >= 1,
+               "a non-empty list of sizes >= 1"),
+    "triple": ("triple", str, "triple", None, ""),
+    "norms": ("norms", str, "norms", _one_of("paper", "natural"),
+              "paper or natural"),
+    "eta": ("eta", float, "eta", _positive, "finite and > 0"),
+    "tol": ("tol", float, "tol", _positive, "finite and > 0"),
+    "max_iter": ("max_iter", int, "max_iter", lambda v: v >= 1, ">= 1"),
+    "method": ("method", str, "method", _one_of("direct", "minres"),
+               "direct or minres"),
+    "source": ("source", str, "source", _one_of("zero", "manufactured"),
+               "zero or manufactured"),
+    "steps": ("steps", int, "steps", lambda v: v >= 1, ">= 1"),
+    "g_mode": ("g_mode", str, "g_mode", _one_of("zero", "cosine"),
+               "zero or cosine"),
+    "output_dir": ("out", str, "output_dir", None, ""),
+}
+# parameter keys -> argparse dest; list keys (also their argparse dest) ->
+# RunConfig attribute
+_PHYSICAL_FLAGS = {"mu": "mu", "lambda": "lambda_phys", "alpha": "alpha",
+                   "K": "K", "tau": "tau", "c_pp": "c_pp"}
+_REDUCED_FLAGS = {"lambda_red": "lam", "rp_inv": "rp_inv",
+                  "alpha_p": "alpha_p"}
+_LISTS = {"lambda_list": "lam_list", "rp_inv_list": "rp_list",
+          "alpha_p_list": "ap_list"}
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_vals = parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_vals) - set(_SETTINGS) - set(_PHYSICAL_FLAGS)
+                     - set(_REDUCED_FLAGS) - set(_LISTS))
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown keys {unknown}")
 
-    def pick(key, flag_val, cast):
+    def pick(key, dest, cast):
+        flag_val = getattr(args, dest, None)
         if flag_val is not None:
             return flag_val
-        if key in file_vals:
+        if key not in file_vals:
+            return None
+        try:
             return cast(file_vals[key])
-        return None
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: bad value for {key}: "
+                              f"{exc}") from exc
 
     cfg = RunConfig(command=args.command)
-    cfg.mesh_n = pick("n", getattr(args, "n", None), int) or cfg.mesh_n
-    nl = pick("n_list", getattr(args, "n_list", None), _ints)
-    if nl:
-        cfg.n_list = nl
-    cfg.triple = pick("triple", getattr(args, "triple", None), str) \
-        or cfg.triple
-    cfg.norms = pick("norms", getattr(args, "norms", None), str) or cfg.norms
-    cfg.eta = pick("eta", getattr(args, "eta", None), float) or cfg.eta
-    cfg.tol = pick("tol", getattr(args, "tol", None), float) or cfg.tol
-    cfg.max_iter = pick("max_iter", getattr(args, "max_iter", None), int) \
-        or cfg.max_iter
-    cfg.method = pick("method", getattr(args, "method", None), str) \
-        or cfg.method
-    cfg.source = pick("source", getattr(args, "source", None), str) \
-        or cfg.source
-    cfg.steps = pick("steps", getattr(args, "steps", None), int) or cfg.steps
-    cfg.g_mode = pick("g_mode", getattr(args, "g_mode", None), str) \
-        or cfg.g_mode
-    cfg.output_dir = getattr(args, "out", None) or file_vals.get("output_dir",
-                                                                 "out")
+    for key, (dest, cast, attr, check, need) in _SETTINGS.items():
+        val = pick(key, dest, cast)
+        if val is None:
+            continue
+        if check is not None and not check(val):
+            raise ConfigError(f"{key} must be {need}, got {val!r}")
+        setattr(cfg, attr, val)
+    for key, attr in _LISTS.items():
+        vals = pick(key, key, _floats)
+        if vals is not None:
+            setattr(cfg, attr, vals)
     cfg.dump_mesh = bool(getattr(args, "dump_mesh", False))
     cfg.export_blocks = bool(getattr(args, "export_blocks", False))
     cfg.with_condition = bool(getattr(args, "with_condition", False))
 
     # parameter sets: flags override file values key by key
-    phys = {}
-    for key, flag in (("mu", "mu"), ("lambda", "lambda_phys"),
-                      ("alpha", "alpha"), ("K", "K"), ("tau", "tau"),
-                      ("c_pp", "c_pp")):
-        val = pick(key, getattr(args, flag, None), float)
-        if val is not None:
-            phys[key] = val
-    red = {}
-    for key, flag in (("lambda_red", "lam"), ("rp_inv", "rp_inv"),
-                      ("alpha_p", "alpha_p")):
-        val = pick(key, getattr(args, flag, None), float)
-        if val is not None:
-            red[key] = val
+    def picked(flags):
+        vals = {key: pick(key, dest, float) for key, dest in flags.items()}
+        return {key: v for key, v in vals.items() if v is not None}
+
+    phys, red = picked(_PHYSICAL_FLAGS), picked(_REDUCED_FLAGS)
     if phys and red:
         raise ConfigError("pass either physical or reduced parameters, "
                           "never both")
@@ -208,15 +240,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                               f"{missing}")
         cfg.reduced = red
 
-    for name, attr in (("lam_list", "lambda_list"), ("rp_list",
-                                                     "rp_inv_list"),
-                       ("ap_list", "alpha_p_list")):
-        text = pick(attr, getattr(args, attr, None), str)
-        if text:
-            setattr(cfg, name, _floats(text))
-
-    if cfg.norms not in ("paper", "natural"):
-        raise ConfigError(f"norms must be paper or natural, got {cfg.norms!r}")
     if cfg.norms == "natural" and cfg.command != "infsup":
         raise ConfigError("natural norms are only valid with the infsup "
                           "command")
@@ -366,14 +389,13 @@ def timestep_drive(cfg: RunConfig, n_steps: int | None = None,
         raise ConfigError(f"unknown g_mode {cfg.g_mode!r}")
 
     rule = triangle_rule(8)
+    xy = ops.mesh.cell_points(rule.points)
     areas = ops.areas
     steps = n_steps if n_steps is not None else cfg.steps
     records = []
     for k in range(1, steps + 1):
         t_k = k * phys.tau
         g_fn = g_of_t(t_k)
-        xy = np.einsum("kab,qb->kqa", ops.uspace.J, rule.points) \
-            + ops.uspace.x0[:, None, :]
         g_cells = np.einsum("kq,q->k", g_fn(xy[..., 0], xy[..., 1]),
                             rule.weights) * ops.uspace.detJ / areas
         gk_red = compose_timestep_rhs(g_cells, state.u_prev, state.p_prev,
@@ -446,17 +468,17 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infsup", help="discrete inf-sup constants")
     common(p)
     p.add_argument("--norms", choices=["paper", "natural"])
-    p.add_argument("--lambda-list", dest="lambda_list")
-    p.add_argument("--rp-inv-list", dest="rp_inv_list")
-    p.add_argument("--alpha-p-list", dest="alpha_p_list")
+    p.add_argument("--lambda-list", dest="lambda_list", type=_floats)
+    p.add_argument("--rp-inv-list", dest="rp_inv_list", type=_floats)
+    p.add_argument("--alpha-p-list", dest="alpha_p_list", type=_floats)
 
     p = sub.add_parser("sweep", help="MINRES robustness sweep")
     common(p)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--lambda-list", dest="lambda_list")
-    p.add_argument("--rp-inv-list", dest="rp_inv_list")
-    p.add_argument("--alpha-p-list", dest="alpha_p_list")
+    p.add_argument("--lambda-list", dest="lambda_list", type=_floats)
+    p.add_argument("--rp-inv-list", dest="rp_inv_list", type=_floats)
+    p.add_argument("--alpha-p-list", dest="alpha_p_list", type=_floats)
     p.add_argument("--with-condition", action="store_true",
                    help="also estimate kappa (dense, small meshes only)")
 

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .meshing import TriMesh
+from .meshing import BOUNDARY, TriMesh, from_arrays
 
 VECTOR_FAMILIES = ("bdm1", "rt0", "rt1", "p1cvec")
 HDIV_FAMILIES = ("bdm1", "rt0", "rt1")
@@ -37,13 +37,8 @@ HDIV_FAMILIES = ("bdm1", "rt0", "rt1")
 _EDGE_DOF_COUNT = {"bdm1": 2, "rt0": 1, "rt1": 2}
 _CELL_DOF_COUNT = {"bdm1": 0, "rt0": 0, "rt1": 2}
 
-# reference triangle (0,0)-(1,0)-(0,1); local edges in (01, 12, 20) slot
-# order but each oriented lower local vertex -> higher
+# reference triangle (0,0)-(1,0)-(0,1)
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_REF_EDGES = ((0, 1), (1, 2), (0, 2))
-_REF_NORMALS = np.array([[0.0, -1.0],
-                         [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
-                         [-1.0, 0.0]])
 
 
 class DegenerateCell(ValueError):
@@ -190,17 +185,43 @@ def _gen_hess(family, pts):
 # reference basis (nodal with respect to the reference dof functionals)
 # ---------------------------------------------------------------------------
 
-def _apply_edge_dofs(values, normal, snodes, sweights, nmom):
-    """Moments (1/|e|) int (v.n) P_k over one edge, for P_0 = 1, P_1 = s.
+def _edge_moments(vn, nmom):
+    """Moments (1/|e|) int (v.n) P_m over edges, for P_0 = 1, P_1 = s.
 
-    `values` has shape (nfun, nq, 2) at the edge quadrature points; the 1/|e|
+    `vn` holds normal components at the 10 Gauss nodes of `edge_rule(10)` in
+    its last axis, which the moments (m = 0..nmom-1) replace.  The 1/|e|
     normalization cancels against the arclength element, leaving weights /2.
     """
-    vn = values @ normal
-    mom = [0.5 * vn @ sweights]
-    if nmom > 1:
-        mom.append(0.5 * vn @ (sweights * snodes))
-    return mom
+    snodes, sweights = edge_rule(10)
+    return np.stack([0.5 * vn @ (sweights * snodes**m) for m in range(nmom)],
+                    axis=-1)
+
+
+def _dof_matrices(family, mesh: TriMesh) -> np.ndarray:
+    """Dof functionals applied to the Piola-mapped generators on every cell,
+    shape (nc, ndof, ngen)."""
+    J = mesh.jacobians()
+    Jinv = np.linalg.inv(J)
+    detJ = 2.0 * mesh.signed_areas()
+    x0 = mesh.vertices[mesh.cells[:, 0]]
+    snodes, _ = edge_rule(10)
+    edges = mesh.cell_edges
+    pts = mesh.edge_points(snodes)[edges]  # (nc, 3, nq, 2)
+    ref = np.einsum("kab,kjqb->kjqa", Jinv, pts - x0[:, None, None, :])
+    gv = _gen_eval(family, ref.reshape(-1, 2))
+    gv = gv.reshape(gv.shape[:1] + ref.shape)  # (ngen, nc, 3, nq, 2)
+    vals = np.einsum("kab,gkjqb->kjgqa", J, gv) / detJ[:, None, None, None,
+                                                       None]
+    vn = np.einsum("kjgqa,kja->kjgq", vals, mesh.edge_normal[edges])
+    mom = _edge_moments(vn, _EDGE_DOF_COUNT[family])  # (nc, 3, ngen, nmom)
+    rows = np.swapaxes(mom, 2, 3).reshape(len(J), -1, gv.shape[0])
+    if _CELL_DOF_COUNT[family]:
+        rule = triangle_rule(4)
+        vals = np.einsum("kab,gqb->kgqa", J, _gen_eval(
+            family, rule.points)) / detJ[:, None, None, None]
+        cell_rows = 2.0 * np.einsum("kgqc,q->kcg", vals, rule.weights)
+        rows = np.concatenate((rows, cell_rows), axis=1)
+    return rows
 
 
 class RefBasis:
@@ -222,21 +243,8 @@ class RefBasis:
             self._coeff = np.linalg.inv(self._ref_dof_matrix())
 
     def _ref_dof_matrix(self) -> np.ndarray:
-        fam = self.family
-        snodes, sweights = edge_rule(10)
-        rows = []
-        for (a, b), normal in zip(_REF_EDGES, _REF_NORMALS):
-            xa, xb = _REF_VERTS[a], _REF_VERTS[b]
-            pts = 0.5 * (xa + xb) + 0.5 * np.outer(snodes, xb - xa)
-            vals = _gen_eval(fam, pts)
-            rows.extend(_apply_edge_dofs(vals, normal, snodes, sweights,
-                                         _EDGE_DOF_COUNT[fam]))
-        if _CELL_DOF_COUNT[fam]:
-            rule = triangle_rule(4)
-            vals = _gen_eval(fam, rule.points)
-            for comp in range(2):
-                rows.append(2.0 * vals[:, :, comp] @ rule.weights)
-        return np.column_stack(rows).T  # (ndof, ngen) -> functionals x gens
+        ref_cell = from_arrays(_REF_VERTS, [[0, 1, 2]])
+        return _dof_matrices(self.family, ref_cell)[0]
 
     def eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -299,15 +307,13 @@ class FESpace:
         self.ref = ref_basis(family)
         self._tab_cache: dict = {}
 
-        verts = mesh.vertices[mesh.cells]
-        self.J = np.stack((verts[:, 1] - verts[:, 0],
-                           verts[:, 2] - verts[:, 0]), axis=-1)
+        self.J = mesh.jacobians()
         self.detJ = (self.J[:, 0, 0] * self.J[:, 1, 1]
                      - self.J[:, 0, 1] * self.J[:, 1, 0])
         if np.any(self.detJ <= 0):
             raise DegenerateCell("mesh contains a degenerate or flipped cell")
         self.Jinv = np.linalg.inv(self.J)
-        self.x0 = verts[:, 0]
+        self.x0 = mesh.vertices[mesh.cells[:, 0]]
 
         self._build_dof_layout()
         self._build_cell_coeff()
@@ -360,36 +366,12 @@ class FESpace:
     # -- physical nodal coefficients ----------------------------------------
 
     def _build_cell_coeff(self):
-        fam = self.family
         nloc = self.ref.dofs_per_cell
-        nc = self.mesh.num_cells
-        if fam in ("p0", "p1cvec"):
-            self.coeff = np.broadcast_to(np.eye(nloc), (nc, nloc, nloc))
+        if self.family in ("p0", "p1cvec"):
+            self.coeff = np.broadcast_to(np.eye(nloc),
+                                         (self.mesh.num_cells, nloc, nloc))
             return
-        mesh = self.mesh
-        snodes, sweights = edge_rule(10)
-        nde = _EDGE_DOF_COUNT[fam]
-        M = np.empty((nc, nloc, nloc))
-        for k in range(nc):
-            rows = []
-            for j in range(3):
-                e = mesh.cell_edges[k, j]
-                a, b = mesh.edge_vertices[e]
-                xa, xb = mesh.vertices[a], mesh.vertices[b]
-                pts = 0.5 * (xa + xb) + 0.5 * np.outer(snodes, xb - xa)
-                ref_pts = (pts - self.x0[k]) @ self.Jinv[k].T
-                vals = np.einsum("ab,gqb->gqa", self.J[k],
-                                 _gen_eval(fam, ref_pts)) / self.detJ[k]
-                rows.extend(_apply_edge_dofs(vals, mesh.edge_normal[e],
-                                             snodes, sweights, nde))
-            if _CELL_DOF_COUNT[fam]:
-                rule = triangle_rule(4)
-                vals = np.einsum("ab,gqb->gqa", self.J[k],
-                                 _gen_eval(fam, rule.points)) / self.detJ[k]
-                for comp in range(2):
-                    rows.append(2.0 * vals[:, :, comp] @ rule.weights)
-            M[k] = np.column_stack(rows).T
-        self.coeff = np.linalg.inv(M)
+        self.coeff = np.linalg.inv(_dof_matrices(self.family, self.mesh))
 
     # -- tabulation ----------------------------------------------------------
 
@@ -405,7 +387,7 @@ class FESpace:
         key = (ref_pts.tobytes(), tuple(sorted(what)))
         if key in self._tab_cache:
             return self._tab_cache[key]
-        out = self._tabulate_for(slice(None), ref_pts, what)
+        out = self._tabulate_for(slice(None), ref_pts[None], what)
         self._tab_cache[key] = out
         return out
 
@@ -418,21 +400,38 @@ class FESpace:
         cells = np.asarray(cells, dtype=int)
         ref = np.einsum("kab,kqb->kqa", self.Jinv[cells],
                         phys_pts - self.x0[cells][:, None, :])
-        return self._tabulate_for(cells, ref, what, per_cell_pts=True)
+        return self._tabulate_for(cells, ref, what)
 
-    def _tabulate_for(self, cells, ref_pts, what, per_cell_pts=False):
+    def edge_traces(self, edges, pts, what=("val",)):
+        """Basis traces from both sides of the given edges.
+
+        pts (len(edges), nq, 2) are physical points on the edges.  Returns
+        (cells, tab): cells (2, len(edges)) holds (K1, K2) per edge, with K2
+        replaced by K1 on boundary edges (callers give that side zero
+        weight), and each tab array has shape (2, len(edges), nloc, nq, ...).
+        """
+        k1, k2 = self.mesh.edge_cells[edges].T
+        cells = np.stack((k1, np.where(k2 == BOUNDARY, k1, k2)))
+        tab = self.tabulate_at(cells.ravel(), np.concatenate((pts, pts)),
+                               what)
+        return cells, {name: arr.reshape(cells.shape + arr.shape[1:])
+                       for name, arr in tab.items()}
+
+    def _tabulate_for(self, cells, ref_pts, what):
+        """Basis data of `cells` at reference points ref_pts (m, nq, 2),
+        where m is len(cells) or 1 for points shared by every cell."""
         fam = self.family
         C = self.coeff[cells]
         J, det, Jinv = self.J[cells], self.detJ[cells], self.Jinv[cells]
         out = {}
 
         def gen(fn):
-            if per_cell_pts:
-                return np.stack([fn(fam, ref_pts[k])
-                                 for k in range(ref_pts.shape[0])])
-            arr = fn(fam, ref_pts)
-            reps = C.shape[0]
-            return np.broadcast_to(arr, (reps,) + arr.shape)
+            # generators on the flattened points, then (cell, gen, point, ...)
+            arr = fn(fam, ref_pts.reshape(-1, 2))
+            arr = arr.reshape(arr.shape[:1] + ref_pts.shape[:2]
+                              + arr.shape[2:])
+            return np.broadcast_to(np.moveaxis(arr, 1, 0),
+                                   (len(C),) + arr.shape[:1] + arr.shape[2:])
 
         if fam == "p0":
             if "val" in what:
@@ -513,24 +512,16 @@ class FESpace:
             dofs[0::2] = vals[..., 0]
             dofs[1::2] = vals[..., 1]
             return dofs
-        snodes, sweights = edge_rule(10)
         nde = _EDGE_DOF_COUNT[fam]
-        va = mesh.vertices[mesh.edge_vertices[:, 0]]
-        vb = mesh.vertices[mesh.edge_vertices[:, 1]]
-        mid, half = 0.5 * (va + vb), 0.5 * (vb - va)
-        pts = mid[:, None, :] + snodes[None, :, None] * half[:, None, :]
+        pts = mesh.edge_points(edge_rule(10)[0])
         fv = func(pts[..., 0], pts[..., 1])
         vn = np.einsum("eqa,ea->eq", fv, mesh.edge_normal)
-        eidx = nde * np.arange(mesh.num_edges)
-        dofs[eidx] = 0.5 * vn @ sweights
-        if nde > 1:
-            dofs[eidx + 1] = 0.5 * vn @ (sweights * snodes)
+        base = nde * mesh.num_edges
+        dofs[:base] = _edge_moments(vn, nde).ravel()
         if _CELL_DOF_COUNT[fam]:
             rule = triangle_rule(12)
-            xy = np.einsum("kab,qb->kqa", self.J, rule.points) \
-                + self.x0[:, None, :]
+            xy = mesh.cell_points(rule.points)
             fv = func(xy[..., 0], xy[..., 1])
-            base = nde * mesh.num_edges
             cidx = base + 2 * np.arange(mesh.num_cells)
             for comp in range(2):
                 dofs[cidx + comp] = 2.0 * fv[..., comp] @ rule.weights
@@ -552,14 +543,10 @@ def project_qh(func, mesh: TriMesh, zero_mean: bool = False) -> np.ndarray:
     shift the result into the mean-zero pressure space.
     """
     rule = triangle_rule(12)
-    verts = mesh.vertices[mesh.cells]
-    J = np.stack((verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]),
-                 axis=-1)
-    xy = np.einsum("kab,qb->kqa", J, rule.points) + verts[:, 0][:, None, :]
+    xy = mesh.cell_points(rule.points)
     fv = np.asarray(func(xy[..., 0], xy[..., 1]), dtype=float)
     means = 2.0 * fv @ rule.weights  # cell mean: (1/|K|) int = 2 sum(w f)
     if zero_mean:
-        areas = 0.5 * np.abs(
-            J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
+        areas = mesh.signed_areas()
         means = means - np.dot(areas, means) / areas.sum()
     return means

@@ -86,10 +86,27 @@ class TriMesh:
         return self.vertices[self.cells[k]]
 
     def signed_areas(self) -> np.ndarray:
+        J = self.jacobians()
+        return 0.5 * (J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1])
+
+    def jacobians(self) -> np.ndarray:
+        """Affine cell-map Jacobians J = [x1 - x0, x2 - x0], (nc, 2, 2)."""
         p = self.vertices[self.cells]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return np.stack((p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=-1)
+
+    def cell_points(self, ref_pts) -> np.ndarray:
+        """Images x0 + J xi of reference points xi in every cell,
+        (nc, nq, 2)."""
+        x0 = self.vertices[self.cells[:, 0]]
+        return (np.einsum("kab,qb->kqa", self.jacobians(), ref_pts)
+                + x0[:, None, :])
+
+    def edge_points(self, s) -> np.ndarray:
+        """Points at nodes s in [-1, 1] on every edge, running from the lower
+        vertex index to the higher, (ne, ns, 2)."""
+        xa, xb = np.swapaxes(self.vertices[self.edge_vertices], 0, 1)
+        return (0.5 * (xa + xb)[:, None, :]
+                + 0.5 * np.asarray(s)[None, :, None] * (xb - xa)[:, None, :])
 
     def dump(self) -> str:
         """Plain-text node/element/edge listing (debugging aid)."""

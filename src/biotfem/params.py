@@ -12,7 +12,7 @@ which drive every norm and preconditioner block downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,13 @@ class RangeViolation(ValueError):
 
 class DimensionMismatch(ValueError):
     """Fields passed to an operation do not live on the same mesh/space."""
+
+
+def _require_finite(params):
+    for f in fields(params):
+        val = getattr(params, f.name)
+        if not np.isfinite(val):
+            raise RangeViolation(f"{f.name} must be finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,7 @@ class PhysicalParams:
     c_pp: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.mu > 0):
             raise RangeViolation(f"mu must be positive, got {self.mu}")
         if not (self.lam >= 0):
@@ -69,6 +77,7 @@ class ReducedParams:
     alpha_p: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.lam >= 1):
             raise RangeViolation(
                 f"reduced lambda must be >= 1, got {self.lam}"

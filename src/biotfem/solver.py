@@ -126,17 +126,29 @@ def build_preconditioner(norms: NormBlocks,
     return BlockPreconditioner(system.A_uu, norms.N_V, norms.N_P)
 
 
-def _mean_zero_projector(system: BlockSystem):
+def _mean_zero_projectors(system: BlockSystem):
+    """In-place pressure projectors (dual, primal) for the mean-zero
+    constraint areas . p = 0.
+
+    Dual vectors (right-hand side, Lanczos vectors) lose their plain-sum
+    component along the area vector; primal vectors (iterates, preconditioned
+    vectors) lose their area-weighted mean.  The two are adjoint, so the
+    projected preconditioner stays symmetric; they coincide only on meshes
+    whose cells all have the same area.
+    """
     nu, nv, _ = system.block_sizes
     areas = system.mesh.signed_areas()
-    c = areas / np.linalg.norm(areas)
+    total = areas.sum()
 
-    def project(x):
-        xp = x[nu + nv:]
-        xp -= c * (c @ xp)
+    def dual(r):
+        r[nu + nv:] -= areas * (r[nu + nv:].sum() / total)
+        return r
+
+    def primal(x):
+        x[nu + nv:] -= (areas @ x[nu + nv:]) / total
         return x
 
-    return project
+    return dual, primal
 
 
 def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
@@ -146,8 +158,9 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
 
     Convergence is measured by the preconditioner-norm of the preconditioned
     residual, relative to the right-hand side in the same norm.  The pressure
-    mean-zero constraint is maintained by projecting the constant direction
-    out of the preconditioned vectors.
+    mean-zero constraint is maintained by projecting the right-hand side
+    onto the compatible loads and the preconditioned vectors onto mean-zero
+    pressures.
 
     Returns (solution vector, SolveReport); on reaching max_iter the best
     iterate is returned with converged=False.
@@ -155,8 +168,11 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
     t0 = time.perf_counter()
     A = system.monolithic()
     b = system.rhs.copy()
-    project = _mean_zero_projector(system) if project_mean else (lambda x: x)
-    b = project(b)
+    if project_mean:
+        project_dual, project = _mean_zero_projectors(system)
+    else:
+        project_dual = project = (lambda x: x)
+    b = project_dual(b)
     n = b.size
     x = np.zeros(n)
 

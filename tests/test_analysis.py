@@ -4,8 +4,7 @@ import pytest
 from biotfem.analysis import (best_approximation_errors, conservation_audit,
                               convergence_study, error_norms,
                               infsup_constant, manufactured_case,
-                              natural_norm_blocks, solve_manufactured,
-                              triple_error_norms)
+                              solve_manufactured, triple_error_norms)
 from biotfem.elements import project_qh
 from biotfem.meshing import structured_mesh
 from biotfem.params import ReducedParams
@@ -72,7 +71,7 @@ def test_infsup_mesh_stability_at_stressed_corner(ops_bdm):
 
 def test_natural_norms_match_paper_norms_at_unit_parameters(ops_bdm):
     pr = ReducedParams(1.0, 1.0, 0.0)
-    nat = natural_norm_blocks(structured_mesh(2), pr)
+    nat = ops_bdm[2].natural_norm_blocks(pr)
     pap = ops_bdm[2].norm_blocks(pr)
     assert abs(nat.N_V - pap.N_V).max() <= 1e-14
     assert abs(nat.N_P - pap.N_P).max() <= 1e-15

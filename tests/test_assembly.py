@@ -4,18 +4,21 @@ import scipy.sparse as sps
 import sympy as sy
 
 from biotfem.assembly import (DGConfig, FormOperators, IncompatibleSpaces,
-                              assemble_ah, assemble_block_system,
-                              assemble_norms, assemble_rhs,
-                              export_matrix_market)
-from biotfem.elements import triangle_rule
+                              assemble_ah, export_matrix_market)
+from biotfem.analysis import _error_jump_seminorm
+from biotfem.elements import edge_rule, triangle_rule
 from biotfem.meshing import from_arrays, structured_mesh
 from biotfem.params import ReducedParams
 
 
 def test_block_sizes_n2(ops_bdm):
     # 16 edges, 8 boundary: displacement 2*16 - 2*8, flux 16 - 8, pressure 8
-    bs = ops_bdm[2].block_system(ReducedParams(1, 1, 0))
+    pr = ReducedParams(1, 1, 0)
+    bs = ops_bdm[2].block_system(pr)
     assert bs.block_sizes == (16, 8, 8)
+    assert ops_bdm[2].norm_blocks(pr).N_U.shape == (16, 16)
+    ah = assemble_ah(ops_bdm[2].mesh, "bdm1", constrained=True)
+    assert ah.shape == (16, 16)
 
 
 @pytest.mark.parametrize("lam,rp,ap", [(1, 1, 0), (1e8, 1e-8, 1.0)])
@@ -143,6 +146,70 @@ def test_continuous_interior_field_pure_strain_energy(rng):
     assert a_val == pytest.approx(strain, rel=1e-13)
 
 
+def _face_terms_per_edge(ops, coeffs, u_exact):
+    """Reference for the batched face kernels: a plain loop over edges with
+    one `tabulate_at` call per edge.  Returns dense PEN, CONS and the
+    tangential-jump error seminorm of (u_exact - coeffs)."""
+    mesh, space = ops.mesh, ops.uspace
+    snodes, sweights = edge_rule(4)
+    PEN = np.zeros((space.ndof, space.ndof))
+    CONS = np.zeros((space.ndof, space.ndof))
+    seminorm = 0.0
+    for e in range(mesh.num_edges):
+        k1, k2 = mesh.edge_cells[e]
+        sides = [k1] if k2 < 0 else [k1, k2]
+        n = mesh.edge_normal[e]
+        xa, xb = mesh.vertices[mesh.edge_vertices[e]]
+        pts = 0.5 * (xa + xb) + 0.5 * np.outer(snodes, xb - xa)
+        tab = space.tabulate_at(np.array(sides), np.stack([pts] * len(sides)),
+                                what=("val", "grad"))
+        jump, avg, uh = [], [], []
+        for s, k in enumerate(sides):
+            val, grad = tab["val"][s], tab["grad"][s]
+            vt = val - np.einsum("iqa,a->iq", val, n)[..., None] * n
+            epsn = 0.5 * np.einsum("iqab,b->iqa",
+                                   grad + np.swapaxes(grad, -2, -1), n)
+            jump.append(vt if s == 0 else -vt)
+            avg.append(epsn / len(sides))
+            uh.append(np.einsum("i,iqa->qa", coeffs[space.cell_dofs[k]], val))
+        err = (u_exact(pts[:, 0], pts[:, 1]) - uh[0] if k2 < 0
+               else uh[1] - uh[0])
+        err_t = err - np.einsum("qa,a->q", err, n)[:, None] * n
+        seminorm += 0.5 * np.einsum("q,qa->", sweights, err_t**2)
+        if k2 >= 0 and space.family == "p1cvec":
+            continue  # continuous family: the operators skip interior jumps
+        jump, avg = np.concatenate(jump), np.concatenate(avg)
+        dofs = np.concatenate([space.cell_dofs[k] for k in sides])
+        idx = np.ix_(dofs, dofs)
+        np.add.at(PEN, idx, 0.5 * np.einsum("q,iqa,jqa->ij", sweights, jump,
+                                            jump))
+        c = 0.5 * mesh.edge_length[e] * np.einsum("q,iqa,jqa->ij", sweights,
+                                                  avg, jump)
+        np.add.at(CONS, idx, c + c.T)
+    return PEN, CONS, seminorm
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_face_terms_match_per_edge_reference(family, perturbed_mesh, rng):
+    """The batched face Grams and jump seminorm equal the per-edge loop on a
+    perturbed mesh, where a kernel that mixes up cells cannot hide."""
+    ops = FormOperators(perturbed_mesh[4], (family, "rt0", "p0"))
+    coeffs = rng.standard_normal(ops.uspace.ndof)
+
+    def u(x, y):
+        return np.stack([np.sin(3 * x + y), np.cos(x - 2 * y)], axis=-1)
+
+    PEN, CONS, seminorm = _face_terms_per_edge(ops, coeffs, u)
+    # rt0 strains are multiples of the identity, so CONS vanishes exactly
+    # and is compared on the scale of the strain Gram
+    cons_scale = np.abs(ops.EPS).max() if family == "rt0" else \
+        np.abs(CONS).max()
+    assert np.abs(ops.PEN.toarray() - PEN).max() <= 1e-14 * np.abs(PEN).max()
+    assert np.abs(ops.CONS.toarray() - CONS).max() <= 1e-14 * cons_scale
+    assert _error_jump_seminorm(ops.uspace, coeffs, u) == pytest.approx(
+        seminorm, rel=1e-14)
+
+
 def test_rt1_with_p0_pressure_rejected():
     with pytest.raises(IncompatibleSpaces):
         FormOperators(structured_mesh(2), ("rt1", "rt0", "p0"))
@@ -202,7 +269,7 @@ def test_rhs_zero_sources(ops_bdm):
 
 def test_rhs_unit_source_gives_cell_areas():
     mesh = structured_mesh(2)
-    _, _, rhs_p = assemble_rhs(mesh, None, lambda x, y: np.ones_like(x))
+    _, _, rhs_p = FormOperators(mesh).rhs(g=lambda x, y: np.ones_like(x))
     assert np.abs(rhs_p - mesh.signed_areas()).max() <= 1e-15
 
 
@@ -290,14 +357,3 @@ def test_matrix_market_roundtrip(tmp_path, ops_bdm):
     export_matrix_market(path, bs.A_uu)
     back = mmread(path).tocsr()
     assert abs(back - bs.A_uu).max() <= 1e-15
-
-
-def test_module_level_wrappers():
-    mesh = structured_mesh(2)
-    pr = ReducedParams(1, 1, 0)
-    bs = assemble_block_system(mesh, pr)
-    nb = assemble_norms(mesh, pr)
-    assert bs.block_sizes == (16, 8, 8)
-    assert nb.N_U.shape == (16, 16)
-    ah = assemble_ah(mesh, "bdm1", constrained=True)
-    assert ah.shape == (16, 16)

@@ -41,6 +41,31 @@ def test_incomplete_reduced_set_rejected():
         _cfg(["infsup", "--lambda", "1"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["timestep", "--n", "0"],
+    ["timestep", "--steps", "0"],
+    ["timestep", "--eta", "0"],
+    ["solve", "--tol", "0"],
+    ["solve", "--tol", "nan"],
+    ["solve", "--max-iter", "0"],
+    ["convergence", "--n-list", "0,4"],
+])
+def test_out_of_range_settings_rejected(argv):
+    """Zero or non-finite settings fail instead of becoming the defaults."""
+    with pytest.raises(ConfigError):
+        _cfg(argv + ["--lambda", "1", "--rp-inv", "1", "--alpha-p", "0"])
+
+
+@pytest.mark.parametrize("line", ["n = 0", "steps = 0", "eta = 0",
+                                  "max_iter = 0", "tol = -1", "n = four",
+                                  "method = cholesky", "mesh_size = 4"])
+def test_bad_config_file_values_rejected(tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"lambda_red = 1\nrp_inv = 1\nalpha_p = 0\n{line}\n")
+    with pytest.raises(ConfigError):
+        _cfg(["solve", "--config", str(path)])
+
+
 def test_natural_norms_only_for_infsup():
     ok = _cfg(["infsup", "--lambda", "1", "--rp-inv", "1", "--alpha-p", "0",
                "--norms", "natural"])

@@ -73,43 +73,46 @@ def test_piola_degenerate_cell():
         piola_map([[0, 0], [1, 0], [2, 0]], rb.eval(pts), rb.div_eval(pts))
 
 
-def test_rt0_edge_flux_equals_dof(rng):
-    """On a random affine cell each basis function carries unit mean normal
-    flux on its own edge and zero on the others (1D quadrature oracle)."""
+def test_rt0_edge_flux_equals_dof(rng, perturbed_mesh):
+    """On a random affine cell, and on every cell of a perturbed mesh, each
+    basis function carries unit mean normal flux on its own edge and zero on
+    the others (1D quadrature oracle)."""
     verts = np.array([[0.1, -0.2], [1.3, 0.15], [0.4, 1.1]])
-    mesh = from_arrays(verts, [[0, 1, 2]])
-    sp = FESpace(mesh, "rt0")
     snod, swts = leggauss(6)
-    for j in range(3):
-        e = mesh.cell_edges[0, j]
-        a, b = mesh.edge_vertices[e]
-        xa, xb = mesh.vertices[a], mesh.vertices[b]
-        pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
-        tr = sp.tabulate_at(np.array([0]), pts[None], what=("val",))["val"][0]
-        for i in range(3):
-            mean_flux = 0.5 * np.einsum("q,qa,a->", swts, tr[i],
-                                        mesh.edge_normal[e])
-            expected = 1.0 if sp.cell_dofs[0, i] == e else 0.0
-            assert mean_flux == pytest.approx(expected, abs=1e-13)
+    for mesh in (from_arrays(verts, [[0, 1, 2]]), perturbed_mesh[4]):
+        sp = FESpace(mesh, "rt0")
+        for k in range(mesh.num_cells):
+            for j in range(3):
+                e = mesh.cell_edges[k, j]
+                a, b = mesh.edge_vertices[e]
+                xa, xb = mesh.vertices[a], mesh.vertices[b]
+                pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
+                tr = sp.tabulate_at(np.array([k]), pts[None],
+                                    what=("val",))["val"][0]
+                for i in range(3):
+                    mean_flux = 0.5 * np.einsum("q,qa,a->", swts, tr[i],
+                                                mesh.edge_normal[e])
+                    expected = 1.0 if sp.cell_dofs[k, i] == e else 0.0
+                    assert mean_flux == pytest.approx(expected, abs=1e-13)
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "rt1"])
-def test_normal_trace_continuity(family, rng):
-    mesh = structured_mesh(3)
-    sp = FESpace(mesh, family)
-    coeffs = rng.standard_normal(sp.ndof)
+def test_normal_trace_continuity(family, rng, perturbed_mesh):
     snod, _ = leggauss(5)
-    worst = 0.0
-    for e in mesh.interior_edges():
-        k1, k2 = mesh.edge_cells[e]
-        xa, xb = mesh.vertices[mesh.edge_vertices[e]]
-        pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
-        tr = sp.tabulate_at(np.array([k1, k2]), np.stack([pts, pts]),
-                            what=("val",))["val"]
-        v1 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k1]], tr[0])
-        v2 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k2]], tr[1])
-        worst = max(worst, np.abs((v1 - v2) @ mesh.edge_normal[e]).max())
-    assert worst <= 1e-12
+    for mesh in (structured_mesh(3), perturbed_mesh[4]):
+        sp = FESpace(mesh, family)
+        coeffs = rng.standard_normal(sp.ndof)
+        worst = 0.0
+        for e in mesh.interior_edges():
+            k1, k2 = mesh.edge_cells[e]
+            xa, xb = mesh.vertices[mesh.edge_vertices[e]]
+            pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
+            tr = sp.tabulate_at(np.array([k1, k2]), np.stack([pts, pts]),
+                                what=("val",))["val"]
+            v1 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k1]], tr[0])
+            v2 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k2]], tr[1])
+            worst = max(worst, np.abs((v1 - v2) @ mesh.edge_normal[e]).max())
+        assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "rt1"])

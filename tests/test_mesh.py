@@ -92,10 +92,15 @@ def _edge_points(m, e, snod):
     return 0.5 * (va + vb) + 0.5 * np.outer(snod, vb - va)
 
 
-def test_trace_identity_hdiv_scalar(rng):
+def test_trace_identity_hdiv_scalar(rng, perturbed_mesh):
     """Cellwise boundary fluxes equal the edgewise {v}[q] pairing for
-    H(div) fields and discontinuous piecewise-linear q."""
-    m = structured_mesh(3)
+    H(div) fields and discontinuous piecewise-linear q, on a structured
+    and a perturbed mesh."""
+    for m in (structured_mesh(3), perturbed_mesh[4]):
+        _check_trace_identity(m, rng)
+
+
+def _check_trace_identity(m, rng):
     for family in ("rt0", "bdm1"):
         sp = FESpace(m, family)
         cv = rng.standard_normal(sp.ndof)

@@ -85,6 +85,20 @@ def test_rp_inv_zero_rejected():
     ReducedParams(1.0, 1e-8, 0.0)
 
 
+@pytest.mark.parametrize("triple", [(np.inf, 1.0, 0.0), (1.0, np.inf, 0.0),
+                                    (1.0, 1.0, np.inf), (np.nan, 1.0, 0.0)])
+def test_non_finite_reduced_params_rejected(triple):
+    with pytest.raises(RangeViolation, match="finite"):
+        ReducedParams(*triple)
+
+
+@pytest.mark.parametrize("name", ["mu", "lam", "alpha", "K", "tau", "c_pp"])
+def test_non_finite_physical_params_rejected(name):
+    base = dict(mu=0.5, lam=1.0, alpha=1.0, K=1.0, tau=1.0, c_pp=0.0)
+    with pytest.raises(RangeViolation, match="finite"):
+        PhysicalParams(**{**base, name: np.inf})
+
+
 def test_rho_gamma_inequalities(rng):
     for _ in range(50):
         lam = float(10 ** rng.uniform(0, 8))
