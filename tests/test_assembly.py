@@ -13,12 +13,8 @@ from biotfem.params import ReducedParams
 
 def test_block_sizes_n2(ops_bdm):
     # 16 edges, 8 boundary: displacement 2*16 - 2*8, flux 16 - 8, pressure 8
-    pr = ReducedParams(1, 1, 0)
-    bs = ops_bdm[2].block_system(pr)
+    bs = ops_bdm[2].block_system(ReducedParams(1, 1, 0))
     assert bs.block_sizes == (16, 8, 8)
-    assert ops_bdm[2].norm_blocks(pr).N_U.shape == (16, 16)
-    ah = assemble_ah(ops_bdm[2].mesh, "bdm1", constrained=True)
-    assert ah.shape == (16, 16)
 
 
 @pytest.mark.parametrize("lam,rp,ap", [(1, 1, 0), (1e8, 1e-8, 1.0)])
@@ -347,6 +343,20 @@ def test_sampled_continuity_bound(ops_bdm, rng):
             num = abs(u @ (A @ w))
             den = np.sqrt(u @ (D @ u)) * np.sqrt(w @ (D @ w))
             assert num <= 10.5 * den
+
+
+def test_module_level_wrappers(ops_bdm):
+    """assemble_ah on a fresh mesh agrees with the FormOperators forms."""
+    mesh = structured_mesh(2)
+    pr = ReducedParams(1, 1, 0)
+    ops = FormOperators(mesh)
+    assert ops.block_system(pr).block_sizes == (16, 8, 8)
+    assert ops.norm_blocks(pr).N_U.shape == (16, 16)
+    ah = assemble_ah(mesh, "bdm1", constrained=True)
+    assert ah.shape == (16, 16)
+    assert abs(ah - ops_bdm[2].ah_matrix()).max() == 0.0
+    ah_full = assemble_ah(mesh, "bdm1")
+    assert abs(ah_full - ops_bdm[2].ah_full()).max() == 0.0
 
 
 def test_matrix_market_roundtrip(tmp_path, ops_bdm):
