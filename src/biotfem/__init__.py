@@ -19,10 +19,10 @@ from .meshing import TriMesh, jump_average_frames, structured_mesh
 from .params import (FieldScaling, PhysicalParams, RangeViolation,
                      ReducedParams, DimensionMismatch, compose_timestep_rhs,
                      reduce)
-from .solver import (BlockPreconditioner, BreakdownDetected, EigFailure,
-                     FactorizationFailure, SingularNormMatrix, SolveReport,
-                     build_preconditioner, estimate_condition, minres_solve,
-                     solve_direct)
+from .solver import (BlockPreconditioner, BreakdownDetected, DirectSolver,
+                     EigFailure, FactorizationFailure, SingularNormMatrix,
+                     SolveReport, build_preconditioner, estimate_condition,
+                     minres_solve, solve_direct)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ class SolveReport:
     iterations: int
     residual_history: list[float]
     converged: bool
-    tol: float
+    tol: float | None
     wall_time: float
     cond_estimate: float | None = None
     method: str = "minres"
@@ -243,42 +243,60 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
     return x, report
 
 
-def solve_direct(system: BlockSystem, refine_steps: int = 2):
-    """Sparse direct solve with a scalar multiplier pinning the pressure
-    mean to zero.
+class DirectSolver:
+    """Sparse LU of the system matrix bordered by a scalar multiplier that
+    pins the pressure mean to zero; factorized once, reusable for any
+    number of right-hand sides.
 
     The bordered matrix is symmetrically equilibrated before factorization
-    and the solution polished with a few refinement steps; without this the
-    backward error of the mass-balance rows grows with the extreme
+    and each solution polished with a few refinement steps; without this
+    the backward error of the mass-balance rows grows with the extreme
     coefficient scales and spoils the cellwise conservation identity.
-
-    Returns (x, multiplier); for a source with vanishing mean the multiplier
-    is zero up to solver roundoff.
     """
-    A = system.monolithic()
-    nu, nv, npp = system.block_sizes
-    areas = system.mesh.signed_areas()
-    col = np.concatenate([np.zeros(nu + nv), areas])
-    K = sps.bmat([[A, col[:, None]], [col[None, :], None]], format="csr")
-    rhs = np.concatenate([system.rhs, [0.0]])
 
-    rowmax = np.asarray(abs(K).max(axis=1).todense()).ravel()
-    d = 1.0 / np.sqrt(rowmax)
-    D = sps.diags(d)
-    solve = spla.factorized((D @ K @ D).tocsc())
+    def __init__(self, system: BlockSystem):
+        A = system.monolithic()
+        nu, nv, npp = system.block_sizes
+        areas = system.mesh.signed_areas()
+        col = np.concatenate([np.zeros(nu + nv), areas])
+        self.K = sps.bmat([[A, col[:, None]], [col[None, :], None]],
+                          format="csr")
+        rowmax = np.asarray(abs(self.K).max(axis=1).todense()).ravel()
+        self.d = 1.0 / np.sqrt(rowmax)
+        D = sps.diags(self.d)
+        self.lu = spla.splu((D @ self.K @ D).tocsc())
 
-    x = d * solve(d * rhs)
-    best = x
-    best_res = np.inf
-    for _ in range(refine_steps + 1):
-        r = rhs - K @ x
-        res = np.linalg.norm(r)
-        if res < best_res:
-            best, best_res = x, res
-        if res == 0.0:
-            break
-        x = x + d * solve(d * r)
-    return best[:-1], float(best[-1])
+    @property
+    def lu_fill(self) -> int:
+        """Stored entries of the L and U factors."""
+        return int(self.lu.L.nnz + self.lu.U.nnz)
+
+    def solve(self, rhs: np.ndarray, refine_steps: int = 2):
+        """Returns (x, multiplier) for the stacked free-dof load rhs; for a
+        source with vanishing mean the multiplier is zero up to solver
+        roundoff."""
+        K, d = self.K, self.d
+        b = np.concatenate([rhs, [0.0]])
+        x = d * self.lu.solve(d * b)
+        best = x
+        best_res = np.inf
+        for _ in range(refine_steps + 1):
+            r = b - K @ x
+            res = np.linalg.norm(r)
+            if res < best_res:
+                best, best_res = x, res
+            if res == 0.0:
+                break
+            x = x + d * self.lu.solve(d * r)
+        return best[:-1], float(best[-1])
+
+
+def solve_direct(system: BlockSystem, refine_steps: int = 2):
+    """One-off direct solve of the assembled system (see DirectSolver).
+
+    Returns (x, multiplier).
+    """
+    return DirectSolver(system).solve(system.rhs, refine_steps)
 
 
 def estimate_condition(system: BlockSystem, precond: BlockPreconditioner,

@@ -7,6 +7,10 @@ from biotfem.cli import (ConfigError, build_config, main, make_parser,
                          parse_config_file, timestep_drive)
 
 
+TIMESTEP_ARGV = ["timestep", "--n", "2", "--mu", "0.5", "--lambda-phys", "1",
+                 "--alpha", "1", "--K", "1", "--tau", "0.5", "--c-pp", "0.1"]
+
+
 def _cfg(argv):
     return build_config(make_parser().parse_args(argv))
 
@@ -98,6 +102,10 @@ def test_solve_zero_sources_gives_zero_solution(tmp_path):
     assert rc == 0
     rec = json.loads((out / "report.json").read_text())
     assert rec["conservation_max"] <= 1e-14
+    # measured factor + solve time and LU fill; no stopping tolerance
+    assert rec["method"] == "direct" and rec["tol"] is None
+    assert rec["wall_time"] > 0
+    assert isinstance(rec["lu_fill"], int) and rec["lu_fill"] > 0
 
 
 def test_solve_minres_writes_history(tmp_path):
@@ -137,14 +145,16 @@ def test_convergence_command_orders(tmp_path):
     assert all(o >= 0.9 for o in orders)
 
 
-def test_byte_identical_reruns(tmp_path):
-    argv = ["convergence", "--n-list", "2,4", "--lambda", "1", "--rp-inv",
-            "1", "--alpha-p", "0"]
+@pytest.mark.parametrize("argv,csv", [
+    (["convergence", "--n-list", "2,4", "--lambda", "1", "--rp-inv", "1",
+      "--alpha-p", "0"], "convergence.csv"),
+    (TIMESTEP_ARGV + ["--steps", "3"], "timestep_conservation.csv"),
+], ids=["convergence", "timestep"])
+def test_byte_identical_reruns(tmp_path, argv, csv):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
-    assert (out1 / "convergence.csv").read_bytes() == \
-        (out2 / "convergence.csv").read_bytes()
+    assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
 
 def test_sweep_command(tmp_path):
@@ -176,8 +186,7 @@ def test_error_record_on_runtime_failure(capsys):
 
 
 class TestTimestep:
-    argv = ["timestep", "--n", "2", "--mu", "0.5", "--lambda-phys", "1",
-            "--alpha", "1", "--K", "1", "--tau", "0.5", "--c-pp", "0.1"]
+    argv = TIMESTEP_ARGV
 
     def test_requires_physical_parameters(self):
         with pytest.raises(ConfigError):
@@ -190,6 +199,22 @@ class TestTimestep:
         records, state = timestep_drive(cfg, n_steps=3)
         assert len(records) == 3
         assert all(r["u_norm"] == 0 and r["p_norm"] == 0 for r in records)
+
+    def test_step_matrix_factorized_once(self, monkeypatch):
+        """The step matrix does not change between steps, so a multi-step
+        run makes one LU factorization, through either scipy entry point."""
+        import scipy.sparse.linalg as spla
+
+        shapes = []
+        for name in ("splu", "factorized"):
+            def counted(A, *args, _lu=getattr(spla, name), **kwargs):
+                shapes.append(A.shape)
+                return _lu(A, *args, **kwargs)
+            monkeypatch.setattr(spla, name, counted)
+        cfg = _cfg(self.argv + ["--g-mode", "cosine"])
+        records, _ = timestep_drive(cfg, n_steps=3)
+        assert len(records) == 3
+        assert len(shapes) == 1
 
     def test_single_step_equals_static_solve(self):
         from biotfem.analysis import expand_solution
@@ -206,8 +231,7 @@ class TestTimestep:
         red, scal = reduce(phys)
         ops = FormOperators(structured_mesh(2), ("bdm1", "rt0", "p0"))
         rule = triangle_rule(8)
-        xy = np.einsum("kab,qb->kqa", ops.uspace.J, rule.points) \
-            + ops.uspace.x0[:, None, :]
+        xy = ops.mesh.cell_points(rule.points)
         g_cells = np.einsum("kq,q->k",
                             np.cos(np.pi * xy[..., 0])
                             * np.cos(np.pi * xy[..., 1]), rule.weights) \
@@ -241,8 +265,7 @@ class TestTimestep:
         red, scal = reduce(phys)
         ops = FormOperators(structured_mesh(2), ("bdm1", "rt0", "p0"))
         rule = triangle_rule(8)
-        xy = np.einsum("kab,qb->kqa", ops.uspace.J, rule.points) \
-            + ops.uspace.x0[:, None, :]
+        xy = ops.mesh.cell_points(rule.points)
         g_cells = np.einsum("kq,q->k",
                             np.cos(np.pi * xy[..., 0])
                             * np.cos(np.pi * xy[..., 1]), rule.weights) \

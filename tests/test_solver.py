@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -5,9 +7,10 @@ import scipy.sparse as sps
 from biotfem.analysis import manufactured_case
 from biotfem.assembly import FormOperators, NormBlocks
 from biotfem.params import ReducedParams
-from biotfem.solver import (FactorizationFailure, build_preconditioner,
-                            estimate_condition, minres_solve,
-                            pressure_reduction_basis, solve_direct)
+from biotfem.solver import (DirectSolver, FactorizationFailure,
+                            build_preconditioner, estimate_condition,
+                            minres_solve, pressure_reduction_basis,
+                            solve_direct)
 
 
 def _system(ops, lam, rp, ap, with_rhs=True):
@@ -207,6 +210,29 @@ def test_direct_solve_multiplier_zero_for_compatible_source(ops_bdm):
     assert abs(mult) <= 1e-9
     _, _, xp = bs.split(x)
     assert abs(np.dot(ops_bdm[4].areas, xp)) <= 1e-12
+
+
+@pytest.mark.parametrize("mesh", ["structured4", "perturbed8"])
+def test_direct_solver_reuse_matches_solve_direct(ops_bdm, perturbed_mesh,
+                                                  rng, mesh):
+    """One factorization reused for several loads returns, bit for bit,
+    the one-off direct solve of each load."""
+    ops = (ops_bdm[4] if mesh == "structured4"
+           else FormOperators(perturbed_mesh[8]))
+    pr = ReducedParams(1e4, 1e-4, 1.0)
+    bs = ops.block_system(pr)
+    loads = [ops.block_system(pr, f=case.f, g=case.g) for case in
+             (manufactured_case(ReducedParams(*pt))
+              for pt in [(1, 1, 0), (1e4, 1e-4, 1), (1e8, 1e-8, 0)])]
+    nu, nv, npp = bs.block_sizes
+    loads.append(dataclasses.replace(bs, rhs_u=rng.standard_normal(nu),
+                                     rhs_v=rng.standard_normal(nv),
+                                     rhs_p=rng.standard_normal(npp)))
+    solver = DirectSolver(bs)
+    for load in loads:
+        x, mult = solver.solve(load.rhs)
+        xd, mult_d = solve_direct(load)
+        assert np.array_equal(x, xd) and mult == mult_d
 
 
 def test_condition_identity_pencil(ops_bdm):
