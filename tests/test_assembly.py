@@ -322,27 +322,6 @@ def test_korn_bounds_within_fixed_interval(ops_bdm):
             assert 0.25 <= lo <= hi <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("family", ["bdm1", "rt1"])
-def test_korn_bounds_match_all_three_pencils(family):
-    """The bounds equal the three dense pencils solved one by one, also for
-    affine families, whose zero Hessian term skips two of the solves."""
-    from scipy.linalg import eigh
-
-    from biotfem.analysis import korn_equivalence_bounds
-
-    ops = FormOperators(structured_mesh(2), (family, "rt0", "p0"),
-                        check_compat=False)
-    H, G, D = (m.toarray() for m in (ops.h_norm_gram(),
-                                     ops.grad_norm_gram(),
-                                     ops.dg_norm_gram()))
-    bounds = korn_equivalence_bounds(ops)
-    for name, (X, Y) in {"h_vs_1h": (H, G), "dg_vs_1h": (D, G),
-                         "h_vs_dg": (H, D)}.items():
-        th = eigh(X, Y, eigvals_only=True)
-        assert np.allclose(bounds[name], (th.min(), th.max()),
-                           rtol=1e-12, atol=0), name
-
-
 def test_ah_constants_stable(ops_bdm):
     from biotfem.analysis import ah_constants
 
