@@ -200,20 +200,24 @@ def triple_error_norms(uspace, vspace, cu, cv, p_cells,
 
     uh = uspace.eval_field(cu, rule.points,
                            what=("grad", "div", "hess"))
-    e_grad = np.einsum("kq,kqab->", wK, (case.grad_u(X, Y) - uh["grad"])**2)
+    e_grad = np.einsum("kq,kqab->", wK, (case.grad_u(X, Y) - uh["grad"])**2,
+                       optimize=True)
     e_hess = np.einsum("k,kq,kqabc->", mesh.h_cell**2, wK,
-                       (case.hess_u(X, Y) - uh["hess"])**2)
-    e_div = np.einsum("kq,kq->", wK, (case.div_u(X, Y) - uh["div"])**2)
+                       (case.hess_u(X, Y) - uh["hess"])**2, optimize=True)
+    e_div = np.einsum("kq,kq->", wK, (case.div_u(X, Y) - uh["div"])**2,
+                      optimize=True)
     e_jump = _error_jump_seminorm(uspace, cu, case.u)
     err_U = np.sqrt(e_grad + e_jump + e_hess + params.lam * e_div)
 
     vh = vspace.eval_field(cv, rule.points, what=("val", "div"))
-    e_v = np.einsum("kq,kqa->", wK, (case.v(X, Y) - vh["val"])**2)
-    e_dv = np.einsum("kq,kq->", wK, (case.div_v(X, Y) - vh["div"])**2)
+    e_v = np.einsum("kq,kqa->", wK, (case.v(X, Y) - vh["val"])**2,
+                    optimize=True)
+    e_dv = np.einsum("kq,kq->", wK, (case.div_v(X, Y) - vh["div"])**2,
+                     optimize=True)
     err_V = np.sqrt(params.rp_inv * e_v + e_dv / params.gamma)
 
     ph = np.asarray(p_cells)[:, None] * np.ones_like(wK)
-    e_p = np.einsum("kq,kq->", wK, (case.p(X, Y) - ph)**2)
+    e_p = np.einsum("kq,kq->", wK, (case.p(X, Y) - ph)**2, optimize=True)
     err_P = np.sqrt(params.gamma * e_p)
     return err_U, err_V, err_P
 
@@ -226,13 +230,13 @@ def _error_jump_seminorm(space, coeffs, u_exact):
     pts = mesh.edge_points(snodes)
     cells, tab = space.edge_traces(np.arange(mesh.num_edges), pts)
     uh = np.einsum("sei,seiqa->seqa", coeffs[space.cell_dofs[cells]],
-                   tab["val"])
+                   tab["val"], optimize=True)
     boundary = (mesh.edge_cells[:, 1] == BOUNDARY)[:, None, None]
     err = np.where(boundary, u_exact(pts[..., 0], pts[..., 1]) - uh[0],
                    uh[1] - uh[0])
     n = mesh.edge_normal[:, None, :]
     err_t = err - np.sum(err * n, axis=-1, keepdims=True) * n
-    return 0.5 * np.einsum("q,eqa->", sweights, err_t**2)
+    return 0.5 * np.einsum("q,eqa->", sweights, err_t**2, optimize=True)
 
 
 def error_norms(system: BlockSystem, x: np.ndarray,
@@ -345,6 +349,8 @@ def infsup_sweep(n_list, lam_list, rp_list, ap_list,
                  families=("bdm1", "rt0", "p0"), norms="paper",
                  cfg: DGConfig | None = None):
     """Inf-sup constants over a parameter/mesh grid (deterministic order)."""
+    if norms not in ("paper", "natural"):
+        raise ValueError(f"norms must be 'paper' or 'natural', got {norms!r}")
     records = []
     for n in n_list:
         ops = FormOperators(structured_mesh(n), families, cfg)

@@ -156,31 +156,33 @@ class FormOperators:
         grad = ut["grad"]
         eps = 0.5 * (grad + np.swapaxes(grad, -2, -1))
         self.EPS = _scatter(self.uspace,
-                            np.einsum("kq,kiqab,kjqab->kij", wK, eps, eps))
+                            np.einsum("kq,kiqab,kjqab->kij", wK, eps, eps,
+                                      optimize=True))
         self.GRAD = _scatter(self.uspace,
-                             np.einsum("kq,kiqab,kjqab->kij", wK, grad, grad))
+                             np.einsum("kq,kiqab,kjqab->kij", wK, grad, grad,
+                                       optimize=True))
         self.DD_u = _scatter(self.uspace,
                              np.einsum("kq,kiq,kjq->kij", wK, ut["div"],
-                                       ut["div"]))
+                                       ut["div"], optimize=True))
         h2 = self.mesh.h_cell ** 2
         self.HESS = _scatter(self.uspace,
                              np.einsum("k,kq,kiqabc,kjqabc->kij", h2, wK,
-                                       ut["hess"], ut["hess"]))
+                                       ut["hess"], ut["hess"], optimize=True))
         self.B_up = self._coupling(self.uspace, ut["div"], wK)
 
         vt = self.vspace.tabulate(rule.points, what=("val", "div"))
         self.M_v = _scatter(self.vspace,
                             np.einsum("kq,kiqa,kjqa->kij", wK, vt["val"],
-                                      vt["val"]))
+                                      vt["val"], optimize=True))
         self.DD_v = _scatter(self.vspace,
                              np.einsum("kq,kiq,kjq->kij", wK, vt["div"],
-                                       vt["div"]))
+                                       vt["div"], optimize=True))
         self.B_vp = self._coupling(self.vspace, vt["div"], wK)
         self.M_p = sps.diags(self.areas).tocsr()
 
     def _coupling(self, space: FESpace, div_tab, wK) -> sps.csr_matrix:
         # -(p, div w) with cellwise-constant p: column k gets -int_K div w_i
-        vals = -np.einsum("kq,kiq->ki", wK, div_tab)
+        vals = -np.einsum("kq,kiq->ki", wK, div_tab, optimize=True)
         rows = space.cell_dofs.ravel()
         cols = np.repeat(np.arange(self.mesh.num_cells),
                          space.cell_dofs.shape[1])
@@ -207,8 +209,10 @@ class FormOperators:
         avg_w = np.stack((1.0 - 0.5 * inner, 0.5 * inner))
         val, grad = tab["val"], tab["grad"]
         epsn = 0.5 * np.einsum("seiqab,eb->seiqa",
-                               grad + np.swapaxes(grad, -2, -1), n)
-        vt = val - np.einsum("seiqa,ea->seiq", val, n)[..., None] \
+                               grad + np.swapaxes(grad, -2, -1), n,
+                               optimize=True)
+        vt = val - np.einsum("seiqa,ea->seiq", val, n,
+                             optimize=True)[..., None] \
             * n[:, None, None, :]
 
         def by_edge(w, x):
@@ -221,9 +225,10 @@ class FormOperators:
         dofs = np.swapaxes(space.cell_dofs[cells], 0, 1).reshape(len(edges),
                                                                  -1)
         # int_e f ds = (h_e/2) sum w f ; penalty carries 1/h_e
-        pen = 0.5 * np.einsum("q,eiqa,ejqa->eij", sweights, jump_t, jump_t)
+        pen = 0.5 * np.einsum("q,eiqa,ejqa->eij", sweights, jump_t, jump_t,
+                              optimize=True)
         c = 0.5 * mesh.edge_length[edges][:, None, None] * np.einsum(
-            "q,eiqa,ejqa->eij", sweights, avg_en, jump_t)
+            "q,eiqa,ejqa->eij", sweights, avg_en, jump_t, optimize=True)
         self.PEN = _scatter(space, pen, dofs)
         self.CONS = _scatter(space, c + np.swapaxes(c, 1, 2), dofs)
 
@@ -293,7 +298,8 @@ class FormOperators:
             xy = self.mesh.cell_points(rule.points)
             fv = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
             ut = self.uspace.tabulate(rule.points, what=("val",))
-            elem = np.einsum("kq,kqa,kiqa->ki", wK, fv, ut["val"])
+            elem = np.einsum("kq,kqa,kiqa->ki", wK, fv, ut["val"],
+                             optimize=True)
             np.add.at(rhs_u, self.uspace.cell_dofs.ravel(), elem.ravel())
         if g is not None and g_cells is not None:
             raise ValueError("pass either g or g_cells, not both")

@@ -408,7 +408,8 @@ def timestep_drive(cfg: RunConfig, n_steps: int | None = None,
         t_k = k * phys.tau
         g_fn = g_of_t(t_k)
         g_cells = np.einsum("kq,q->k", g_fn(xy[..., 0], xy[..., 1]),
-                            rule.weights) * ops.uspace.detJ / areas
+                            rule.weights, optimize=True) \
+            * ops.uspace.detJ / areas
         gk_red = compose_timestep_rhs(g_cells, state.u_prev, state.p_prev,
                                       phys, ops.uspace)
         system = replace(system, rhs_p=ops.rhs(g_cells=gk_red)[2])

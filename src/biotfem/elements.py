@@ -207,19 +207,22 @@ def _dof_matrices(family, mesh: TriMesh) -> np.ndarray:
     snodes, _ = edge_rule(10)
     edges = mesh.cell_edges
     pts = mesh.edge_points(snodes)[edges]  # (nc, 3, nq, 2)
-    ref = np.einsum("kab,kjqb->kjqa", Jinv, pts - x0[:, None, None, :])
+    ref = np.einsum("kab,kjqb->kjqa", Jinv, pts - x0[:, None, None, :],
+                    optimize=True)
     gv = _gen_eval(family, ref.reshape(-1, 2))
     gv = gv.reshape(gv.shape[:1] + ref.shape)  # (ngen, nc, 3, nq, 2)
-    vals = np.einsum("kab,gkjqb->kjgqa", J, gv) / detJ[:, None, None, None,
-                                                       None]
-    vn = np.einsum("kjgqa,kja->kjgq", vals, mesh.edge_normal[edges])
+    vals = np.einsum("kab,gkjqb->kjgqa", J, gv,
+                     optimize=True) / detJ[:, None, None, None, None]
+    vn = np.einsum("kjgqa,kja->kjgq", vals, mesh.edge_normal[edges],
+                   optimize=True)
     mom = _edge_moments(vn, _EDGE_DOF_COUNT[family])  # (nc, 3, ngen, nmom)
     rows = np.swapaxes(mom, 2, 3).reshape(len(J), -1, gv.shape[0])
     if _CELL_DOF_COUNT[family]:
         rule = triangle_rule(4)
         vals = np.einsum("kab,gqb->kgqa", J, _gen_eval(
-            family, rule.points)) / detJ[:, None, None, None]
-        cell_rows = 2.0 * np.einsum("kgqc,q->kcg", vals, rule.weights)
+            family, rule.points), optimize=True) / detJ[:, None, None, None]
+        cell_rows = 2.0 * np.einsum("kgqc,q->kcg", vals, rule.weights,
+                                    optimize=True)
         rows = np.concatenate((rows, cell_rows), axis=1)
     return rows
 
@@ -249,22 +252,22 @@ class RefBasis:
     def eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return np.einsum("gi,gq...->iq...", self._coeff,
-                         _gen_eval(self.family, pts))
+                         _gen_eval(self.family, pts), optimize=True)
 
     def div_eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return np.einsum("gi,gq->iq", self._coeff,
-                         _gen_div(self.family, pts))
+                         _gen_div(self.family, pts), optimize=True)
 
     def grad_eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return np.einsum("gi,gqab->iqab", self._coeff,
-                         _gen_grad(self.family, pts))
+                         _gen_grad(self.family, pts), optimize=True)
 
     def hess_eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return np.einsum("gi,gqabc->iqabc", self._coeff,
-                         _gen_hess(self.family, pts))
+                         _gen_hess(self.family, pts), optimize=True)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +292,8 @@ def piola_map(cell_vertices, ref_values, ref_divs):
              for i, j in ((0, 1), (1, 2), (2, 0)))
     if abs(det) <= 1e-14 * h2:
         raise DegenerateCell(f"cell map has det J = {det}")
-    vals = np.einsum("ab,...b->...a", J, np.asarray(ref_values)) / det
+    vals = np.einsum("ab,...b->...a", J, np.asarray(ref_values),
+                     optimize=True) / det
     divs = np.asarray(ref_divs) / det
     return vals, divs
 
@@ -399,7 +403,7 @@ class FESpace:
         """
         cells = np.asarray(cells, dtype=int)
         ref = np.einsum("kab,kqb->kqa", self.Jinv[cells],
-                        phys_pts - self.x0[cells][:, None, :])
+                        phys_pts - self.x0[cells][:, None, :], optimize=True)
         return self._tabulate_for(cells, ref, what)
 
     def edge_traces(self, edges, pts, what=("val",)):
@@ -435,7 +439,8 @@ class FESpace:
 
         if fam == "p0":
             if "val" in what:
-                out["val"] = np.einsum("kgi,kgq->kiq", C, gen(_gen_eval))
+                out["val"] = np.einsum("kgi,kgq->kiq", C, gen(_gen_eval),
+                                       optimize=True)
             return out
 
         if "val" in what:
@@ -443,33 +448,34 @@ class FESpace:
             if fam == "p1cvec":
                 pv = gv
             else:
-                pv = np.einsum("kab,kgqb->kgqa", J, gv) / det[:, None, None,
-                                                               None]
-            out["val"] = np.einsum("kgi,kgqa->kiqa", C, pv)
+                pv = np.einsum("kab,kgqb->kgqa", J, gv,
+                               optimize=True) / det[:, None, None, None]
+            out["val"] = np.einsum("kgi,kgqa->kiqa", C, pv, optimize=True)
         if "div" in what:
             if fam == "p1cvec":
                 # divergence transforms through the chain rule: tr(G Jinv)
                 gg = gen(_gen_grad)
-                pd = np.einsum("kgqab,kba->kgq", gg, Jinv)
+                pd = np.einsum("kgqab,kba->kgq", gg, Jinv, optimize=True)
             else:
                 pd = gen(_gen_div) / det[:, None, None]
-            out["div"] = np.einsum("kgi,kgq->kiq", C, pd)
+            out["div"] = np.einsum("kgi,kgq->kiq", C, pd, optimize=True)
         if "grad" in what:
             gg = gen(_gen_grad)
             if fam == "p1cvec":
-                pg = np.einsum("kgqac,kcb->kgqab", gg, Jinv)
+                pg = np.einsum("kgqac,kcb->kgqab", gg, Jinv, optimize=True)
             else:
-                pg = np.einsum("kad,kgqdc,kcb->kgqab", J, gg,
-                               Jinv) / det[:, None, None, None, None]
-            out["grad"] = np.einsum("kgi,kgqab->kiqab", C, pg)
+                pg = np.einsum("kad,kgqdc,kcb->kgqab", J, gg, Jinv,
+                               optimize=True) / det[:, None, None, None, None]
+            out["grad"] = np.einsum("kgi,kgqab->kiqab", C, pg, optimize=True)
         if "hess" in what:
             gh = gen(_gen_hess)
             if fam == "p1cvec":
                 ph = np.zeros_like(gh)
             else:
                 ph = np.einsum("kad,kgqdce,kcb,kef->kgqabf", J, gh, Jinv,
-                               Jinv) / det[:, None, None, None, None, None]
-            out["hess"] = np.einsum("kgi,kgqabc->kiqabc", C, ph)
+                               Jinv, optimize=True) \
+                    / det[:, None, None, None, None, None]
+            out["hess"] = np.einsum("kgi,kgqabc->kiqabc", C, ph, optimize=True)
         return out
 
     # -- discrete field helpers ----------------------------------------------
@@ -481,7 +487,7 @@ class FESpace:
         centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
         tab = self.tabulate(centroid, what=("div",))
         local = coeffs[self.cell_dofs]
-        return np.einsum("ki,kiq->k", local, tab["div"])
+        return np.einsum("ki,kiq->k", local, tab["div"], optimize=True)
 
     def eval_field(self, coeffs, ref_pts, what=("val",)):
         """Evaluate a discrete field at reference points in every cell."""
@@ -490,7 +496,8 @@ class FESpace:
         local = coeffs[self.cell_dofs]
         out = {}
         for name, arr in tab.items():
-            out[name] = np.einsum("ki,kiq...->kq...", local, arr)
+            out[name] = np.einsum("ki,kiq...->kq...", local, arr,
+                                  optimize=True)
         return out
 
     # -- canonical interpolation ----------------------------------------------
@@ -515,7 +522,7 @@ class FESpace:
         nde = _EDGE_DOF_COUNT[fam]
         pts = mesh.edge_points(edge_rule(10)[0])
         fv = func(pts[..., 0], pts[..., 1])
-        vn = np.einsum("eqa,ea->eq", fv, mesh.edge_normal)
+        vn = np.einsum("eqa,ea->eq", fv, mesh.edge_normal, optimize=True)
         base = nde * mesh.num_edges
         dofs[:base] = _edge_moments(vn, nde).ravel()
         if _CELL_DOF_COUNT[fam]:

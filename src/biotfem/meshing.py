@@ -98,7 +98,8 @@ class TriMesh:
         """Images x0 + J xi of reference points xi in every cell,
         (nc, nq, 2)."""
         x0 = self.vertices[self.cells[:, 0]]
-        return (np.einsum("kab,qb->kqa", self.jacobians(), ref_pts)
+        return (np.einsum("kab,qb->kqa", self.jacobians(), ref_pts,
+                          optimize=True)
                 + x0[:, None, :])
 
     def edge_points(self, s) -> np.ndarray:

@@ -3,8 +3,9 @@ import pytest
 
 from biotfem.analysis import (best_approximation_errors, conservation_audit,
                               convergence_study, error_norms,
-                              infsup_constant, manufactured_case,
-                              solve_manufactured, triple_error_norms)
+                              infsup_constant, infsup_sweep,
+                              manufactured_case, solve_manufactured,
+                              triple_error_norms)
 from biotfem.elements import project_qh
 from biotfem.meshing import structured_mesh
 from biotfem.params import ReducedParams
@@ -262,6 +263,20 @@ def test_convergence_study_single_row():
 def test_convergence_study_rejects_unsorted():
     with pytest.raises(ValueError):
         convergence_study(ReducedParams(1.0, 1.0, 0.0), [4, 2])
+
+
+@pytest.mark.parametrize("norms", ["naturl", "Natural", "", None])
+def test_infsup_sweep_rejects_unknown_norms(norms):
+    # a typo must not run the paper norms in its place
+    with pytest.raises(ValueError, match="norms"):
+        infsup_sweep([2], [1.0], [1.0], [0.0], norms=norms)
+
+
+def test_infsup_sweep_accepts_both_norm_kinds():
+    recs = {norms: infsup_sweep([2], [1.0], [1e4], [0.0], norms=norms)
+            for norms in ("paper", "natural")}
+    assert all(len(r) == 1 for r in recs.values())
+    assert recs["paper"][0].beta0 != recs["natural"][0].beta0
 
 
 def test_best_approximation_positive(ops_bdm):

@@ -115,6 +115,46 @@ def test_normal_trace_continuity(family, rng, perturbed_mesh):
         assert worst <= 1e-12
 
 
+def _central_differences(sp, cells, pts, delta):
+    """grad[..., a, b] = d v_a / d x_b and hess[..., a, b, c] =
+    d^2 v_a / d x_b d x_c from physical values alone; both are exact for
+    basis functions of degree at most two, up to roundoff / delta^2."""
+    def val(shift):
+        return sp.tabulate_at(cells, pts + shift)["val"]
+
+    e = delta * np.eye(2)
+    grad = np.stack([(val(e[b]) - val(-e[b])) / (2.0 * delta)
+                     for b in range(2)], axis=-1)
+    hess = np.stack([np.stack([(val(e[b] + e[c]) - val(e[b] - e[c])
+                                - val(e[c] - e[b]) + val(-e[b] - e[c]))
+                               / (4.0 * delta**2) for c in range(2)],
+                              axis=-1) for b in range(2)], axis=-2)
+    return grad, hess
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "rt1", "p1cvec"])
+def test_physical_derivatives_match_finite_differences(family,
+                                                       perturbed_mesh):
+    """grad and hess of the physical basis agree with central differences of
+    its values at physical points, and div with the trace of grad, on
+    congruent and on perturbed cells (rt1 is the family whose Hessians are
+    not zero)."""
+    ref_pts = np.array([[1 / 3, 1 / 3], [0.2, 0.6], [0.6, 0.2], [0.2, 0.2]])
+    for mesh in (structured_mesh(3), perturbed_mesh[4]):
+        sp = FESpace(mesh, family)
+        cells = np.arange(mesh.num_cells)
+        pts = mesh.cell_points(ref_pts)
+        tab = sp.tabulate_at(cells, pts, what=("val", "div", "grad", "hess"))
+        delta = 0.05 * mesh.h_cell.min()
+        grad, hess = _central_differences(sp, cells, pts, delta)
+        vmax = np.abs(tab["val"]).max()
+        assert np.abs(tab["grad"] - grad).max() <= 1e-12 * vmax / delta
+        assert np.abs(tab["hess"] - hess).max() <= 1e-12 * vmax / delta**2
+        assert np.abs(tab["div"] - np.trace(tab["grad"], axis1=-2,
+                                            axis2=-1)).max() \
+            <= 1e-13 * np.abs(tab["grad"]).max()
+
+
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "rt1"])
 def test_interpolation_reproduces_space(family, rng):
     """Fields lying in the global space are reproduced exactly."""
