@@ -17,8 +17,8 @@ from .assembly import BlockSystem, DGConfig, FormOperators, NormBlocks
 from .elements import edge_rule, project_qh, triangle_rule
 from .meshing import BOUNDARY, TriMesh, structured_mesh
 from .params import ReducedParams
-from .solver import (EigFailure, SingularNormMatrix, build_preconditioner,
-                     minres_solve, reduce_pressure_pencil, solve_direct)
+from .solver import (_mean_zero_pencil, build_preconditioner, minres_solve,
+                     solve_direct)
 
 
 @dataclass
@@ -90,20 +90,8 @@ def infsup_constant(system: BlockSystem, norms: NormBlocks,
     returns min |theta|; by symmetry this equals the two-sided inf-sup
     constant of the block form in the given norms.
     """
-    from scipy.linalg import LinAlgError, cholesky, eigh
-
-    A = system.monolithic()
-    N = norms.monolithic()
-    Ar, Nr = reduce_pressure_pencil(system, A, N)
-    try:
-        cholesky(Nr)
-    except LinAlgError as exc:
-        raise SingularNormMatrix(
-            f"norm matrix not SPD ({norms.kind} norms): {exc}") from exc
-    try:
-        theta = eigh(Ar, Nr, eigvals_only=True)
-    except LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
+    theta = _mean_zero_pencil(system, norms.monolithic(),
+                              f"{norms.kind} norm matrix")
     return InfSupResult(
         beta0=float(np.abs(theta).min()),
         mesh_n=mesh_subdivisions(system.mesh),

@@ -9,6 +9,7 @@ nothing beyond the first assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -263,19 +264,48 @@ class FormOperators:
         identically for affine linear families and is retained for rt1."""
         return self._free_u(self.GRAD + self.PEN + self.HESS)
 
+    # -- free-dof restrictions, each built on first use and kept ----------------
+    # Only sums and copies of these leave the class, so no caller can
+    # mutate them.
+
+    @cached_property
+    def _ah_free(self):
+        return self.ah_matrix()
+
+    @cached_property
+    def _dg_free(self):
+        return self.dg_norm_gram()
+
+    @cached_property
+    def _DD_u_free(self):
+        return self._free_u(self.DD_u)
+
+    @cached_property
+    def _M_v_free(self):
+        return self._free_v(self.M_v)
+
+    @cached_property
+    def _DD_v_free(self):
+        return self._free_v(self.DD_v)
+
+    @cached_property
+    def _B_up_free(self):
+        return self.B_up[self.uspace.free_dofs].tocsr()
+
+    @cached_property
+    def _B_vp_free(self):
+        return self.B_vp[self.vspace.free_dofs].tocsr()
+
     def block_system(self, params: ReducedParams, f=None, g=None,
                      g_cells=None) -> BlockSystem:
-        fu = self.uspace.free_dofs
-        fv = self.vspace.free_dofs
-        A_uu = self._free_u(self.ah_full()) + params.lam * self._free_u(
-            self.DD_u)
-        B_up = self.B_up[fu]
-        A_vv = (params.rp_inv * self._free_v(self.M_v)).tocsr()
-        B_vp = self.B_vp[fv]
+        A_uu = self._ah_free + params.lam * self._DD_u_free
+        A_vv = params.rp_inv * self._M_v_free
         C_pp = (-params.alpha_p * self.M_p).tocsr()
         rhs_u, rhs_v, rhs_p = self.rhs(f=f, g=g, g_cells=g_cells)
-        return BlockSystem(A_uu.tocsr(), B_up.tocsr(), A_vv, B_vp.tocsr(),
-                           C_pp, rhs_u[fu], rhs_v[fv], rhs_p,
+        return BlockSystem(A_uu.tocsr(), self._B_up_free.copy(),
+                           A_vv.tocsr(), self._B_vp_free.copy(), C_pp,
+                           rhs_u[self.uspace.free_dofs],
+                           rhs_v[self.vspace.free_dofs], rhs_p,
                            self.uspace, self.vspace, params, self.cfg,
                            self.families)
 
@@ -310,18 +340,17 @@ class FormOperators:
         return rhs_u, rhs_v, rhs_p
 
     def norm_blocks(self, params: ReducedParams) -> NormBlocks:
-        N_U = self.dg_norm_gram() + params.lam * self._free_u(self.DD_u)
-        N_V = (params.rp_inv * self._free_v(self.M_v)
-               + (1.0 / params.gamma) * self._free_v(self.DD_v))
+        N_U = self._dg_free + params.lam * self._DD_u_free
+        N_V = (params.rp_inv * self._M_v_free
+               + (1.0 / params.gamma) * self._DD_v_free)
         N_P = (params.gamma * self.M_p).tocsr()
         return NormBlocks(N_U.tocsr(), N_V.tocsr(), N_P, kind="paper")
 
     def natural_norm_blocks(self, params: ReducedParams) -> NormBlocks:
         """Norms without the gamma reweighting: the flux div term carries
         rp_inv and the pressure mass is unweighted (negative experiment)."""
-        N_U = self.dg_norm_gram() + params.lam * self._free_u(self.DD_u)
-        N_V = params.rp_inv * (self._free_v(self.M_v)
-                               + self._free_v(self.DD_v))
+        N_U = self._dg_free + params.lam * self._DD_u_free
+        N_V = params.rp_inv * (self._M_v_free + self._DD_v_free)
         N_P = self.M_p.copy().tocsr()
         return NormBlocks(N_U.tocsr(), N_V.tocsr(), N_P, kind="natural")
 

@@ -298,6 +298,14 @@ def piola_map(cell_vertices, ref_values, ref_divs):
     return vals, divs
 
 
+def _cell_contract(local, tab):
+    """sum_i local[k, i] * tab[k, i, ...] in every cell k, as one batched
+    matmul; einsum would search a contraction path on every call."""
+    k, i = local.shape
+    out = np.matmul(local[:, None, :], tab.reshape(k, i, -1))
+    return out.reshape((k,) + tab.shape[2:])
+
+
 # ---------------------------------------------------------------------------
 # global finite element space
 # ---------------------------------------------------------------------------
@@ -486,19 +494,14 @@ class FESpace:
         coeffs = np.asarray(coeffs, dtype=float)
         centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
         tab = self.tabulate(centroid, what=("div",))
-        local = coeffs[self.cell_dofs]
-        return np.einsum("ki,kiq->k", local, tab["div"], optimize=True)
+        return _cell_contract(coeffs[self.cell_dofs], tab["div"])[:, 0]
 
     def eval_field(self, coeffs, ref_pts, what=("val",)):
         """Evaluate a discrete field at reference points in every cell."""
         coeffs = np.asarray(coeffs, dtype=float)
         tab = self.tabulate(np.atleast_2d(ref_pts), what=what)
         local = coeffs[self.cell_dofs]
-        out = {}
-        for name, arr in tab.items():
-            out[name] = np.einsum("ki,kiq...->kq...", local, arr,
-                                  optimize=True)
-        return out
+        return {name: _cell_contract(local, arr) for name, arr in tab.items()}
 
     # -- canonical interpolation ----------------------------------------------
 

@@ -304,43 +304,74 @@ def estimate_condition(system: BlockSystem, precond: BlockPreconditioner,
     """Spectral condition number of the preconditioned operator.
 
     Dense generalized eigenvalues of (A, N) with N the SPD matrix defining
-    the preconditioner; the pressure block is reduced to the mean-zero
-    subspace first.
+    the preconditioner, on the mean-zero pressure subspace.
     """
-    from scipy.linalg import cholesky, eigh, LinAlgError
-
-    A = system.monolithic()
-    if A.shape[0] > max_dofs:
+    ndof = sum(system.block_sizes)
+    if ndof > max_dofs:
         raise ValueError(f"dense condition estimate limited to {max_dofs} "
-                         f"dofs, got {A.shape[0]}")
-    N = precond.matrix()
-    Ar, Nr = reduce_pressure_pencil(system, A, N)
-    try:
-        cholesky(Nr)
-    except LinAlgError as exc:
-        raise SingularNormMatrix(
-            f"preconditioner matrix is not SPD: {exc}") from exc
-    try:
-        theta = eigh(Ar, Nr, eigvals_only=True)
-    except LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
-    theta = np.abs(theta)
+                         f"dofs, got {ndof}")
+    theta = np.abs(_mean_zero_pencil(system, precond.matrix(),
+                                     "preconditioner matrix"))
     return float(theta.max() / theta.min())
 
 
-def pressure_reduction_basis(areas: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the mean-zero pressure subspace."""
-    from scipy.linalg import null_space
+def _mean_zero_pencil(system: BlockSystem, N, label: str) -> np.ndarray:
+    """Eigenvalues theta of A x = theta N x on the mean-zero pressure
+    subspace, A the monolithic operator and N block diagonal.
 
-    return null_space(np.asarray(areas, dtype=float)[None, :])
+    A Cholesky test of each diagonal block of the reduced N names the block
+    that is not SPD; the dense solve factors the coupled N itself.
+    """
+    from scipy.linalg import LinAlgError, cholesky, eigh
+
+    Ar, Nr = reduce_pressure_pencil(system, system.monolithic(), N)
+    nu, nv, _ = system.block_sizes
+    edges = (0, nu, nu + nv, Nr.shape[0])
+    for name, lo, hi in zip(("displacement", "flux", "pressure"), edges,
+                            edges[1:]):
+        try:
+            cholesky(Nr[lo:hi, lo:hi])
+        except LinAlgError as exc:
+            raise SingularNormMatrix(
+                f"{label}: {name} block is not SPD: {exc}") from exc
+    try:
+        return eigh(Ar, Nr, eigvals_only=True)
+    except LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
+
+
+def _pressure_reflector(areas: np.ndarray) -> np.ndarray:
+    """Unit v such that the last column of H = I - 2 v v^T is a multiple
+    of areas; its other columns then span the mean-zero pressures."""
+    v = np.array(areas, dtype=float)
+    v /= np.linalg.norm(v)
+    # the sign keeps this sum free of cancellation
+    v[-1] += np.copysign(1.0, v[-1])
+    return v / np.linalg.norm(v)
+
+
+def pressure_reduction_basis(areas: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the mean-zero pressure subspace: the first
+    npp - 1 columns of the reflector of `_pressure_reflector`."""
+    v = _pressure_reflector(areas)
+    return (np.eye(v.size) - 2.0 * np.outer(v, v))[:, :-1]
 
 
 def reduce_pressure_pencil(system: BlockSystem, A, N):
-    """Congruently restrict monolithic (A, N) to mean-zero pressures."""
-    nu, nv, npp = system.block_sizes
-    Z_p = pressure_reduction_basis(system.mesh.signed_areas())
-    Z = sps.block_diag((sps.identity(nu + nv), sps.csr_matrix(Z_p)),
-                       format="csr")
-    Ar = (Z.T @ sps.csr_matrix(A) @ Z).toarray()
-    Nr = (Z.T @ sps.csr_matrix(N) @ Z).toarray()
-    return Ar, Nr
+    """Congruently restrict monolithic (A, N) to mean-zero pressures.
+
+    Returns dense (Z^T A Z, Z^T N Z) with Z = diag(I, H[:, :-1]): the
+    reflector H is applied to the pressure rows and columns as rank-1
+    updates, and the last row and column, along the area vector, dropped.
+    """
+    p0 = sum(system.block_sizes[:2])
+    v = _pressure_reflector(system.mesh.signed_areas())
+    out = []
+    for M in (A, N):
+        M = M.toarray()
+        cols = M[:, p0:]
+        cols -= 2.0 * np.outer(cols @ v, v)
+        rows = M[p0:]
+        rows -= 2.0 * np.outer(v, v @ rows)
+        out.append(M[:-1, :-1])
+    return tuple(out)

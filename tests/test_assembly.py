@@ -240,6 +240,25 @@ def test_pressure_norm_is_scaled_cell_areas(ops_bdm):
     assert (nb.N_P - sps.diags(nb.N_P.diagonal())).nnz == 0
 
 
+def test_returned_blocks_do_not_alias_cached_grams():
+    """The free-dof Grams are restricted once per FormOperators, on first
+    use; writing into a returned block must not reach the next point."""
+    ops = FormOperators(structured_mesh(2))
+    fresh = FormOperators(structured_mesh(2))
+    assert not [k for k in vars(fresh) if k.endswith("_free")]
+    pr = ReducedParams(1e4, 1e-4, 1.0)
+    makers = ("block_system", "norm_blocks", "natural_norm_blocks")
+    for name in makers:
+        for mat in vars(getattr(ops, name)(pr)).values():
+            if sps.issparse(mat):
+                mat.data[:] = np.nan
+    for name in makers:
+        got, want = (getattr(o, name)(pr) for o in (ops, fresh))
+        for key, mat in vars(want).items():
+            if sps.issparse(mat):
+                assert (getattr(got, key) != mat).nnz == 0, (name, key)
+
+
 def test_natural_norms_coincide_at_unit_weights(ops_bdm):
     pr = ReducedParams(1.0, 1.0, 0.0)  # gamma = 1 makes both weights agree
     paper = ops_bdm[2].norm_blocks(pr)

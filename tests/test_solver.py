@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from biotfem.analysis import manufactured_case
+from biotfem.analysis import infsup_constant, manufactured_case
 from biotfem.assembly import FormOperators, NormBlocks
 from biotfem.params import ReducedParams
-from biotfem.solver import (DirectSolver, FactorizationFailure,
+from biotfem.solver import (BlockPreconditioner, DirectSolver, EigFailure,
+                            FactorizationFailure, SingularNormMatrix,
                             build_preconditioner, estimate_condition,
                             minres_solve, pressure_reduction_basis,
                             solve_direct)
@@ -292,3 +293,103 @@ def test_pressure_reduction_basis(ops_bdm):
     assert Z.shape == (len(areas), len(areas) - 1)
     assert np.abs(areas @ Z).max() <= 1e-12
     assert np.abs(Z.T @ Z - np.eye(len(areas) - 1)).max() <= 1e-12
+
+
+def _null_space_pencil(system, N):
+    """Oracle: eigenvalues of the pencil reduced by the SVD null-space basis
+    of the area vector, a basis independent of the library's reflector."""
+    from scipy.linalg import block_diag, eigh, null_space
+
+    nu, nv, _ = system.block_sizes
+    Zp = null_space(system.mesh.signed_areas()[None, :])
+    Z = block_diag(np.eye(nu + nv), Zp)
+    A = system.monolithic().toarray()
+    N = N.toarray()
+    return eigh(Z.T @ A @ Z, Z.T @ N @ Z, eigvals_only=True)
+
+
+@pytest.mark.parametrize("lam,rp,ap", [(1, 1, 0), (1e8, 1e-8, 1),
+                                       (1, 1e8, 0)])
+def test_pencil_reduction_matches_null_space_oracle_on_perturbed_mesh(
+        perturbed_mesh, lam, rp, ap):
+    """Cells of different areas: the mean-zero constraint is areas . p = 0,
+    not the plain sum, and any orthonormal basis of it gives the same
+    pencil eigenvalues."""
+    ops = FormOperators(perturbed_mesh[4])
+    pr = ReducedParams(lam, rp, ap)
+    bs = ops.block_system(pr)
+    nb = ops.norm_blocks(pr)
+    want = np.abs(_null_space_pencil(bs, nb.monolithic())).min()
+    assert infsup_constant(bs, nb).beta0 == pytest.approx(want, rel=1e-12)
+    pc = build_preconditioner(nb, bs)
+    theta = np.abs(_null_space_pencil(bs, pc.matrix()))
+    assert estimate_condition(bs, pc) == pytest.approx(
+        theta.max() / theta.min(), rel=1e-12)
+
+
+def test_pressure_reduction_basis_on_perturbed_mesh(perturbed_mesh):
+    areas = perturbed_mesh[4].signed_areas()
+    assert np.ptp(areas) > 0.1 * areas.mean()
+    Z = pressure_reduction_basis(areas)
+    assert Z.shape == (len(areas), len(areas) - 1)
+    assert np.abs(areas @ Z).max() <= 1e-15
+    assert np.abs(Z.T @ Z - np.eye(len(areas) - 1)).max() <= 1e-14
+
+
+BLOCKS = {"displacement": 0, "flux": 1, "pressure": 2}
+
+
+def _spoil(mat, scale=10.0):
+    """Copy of mat whose first diagonal entry is -scale * max |diagonal|;
+    negative enough that the block stays indefinite on mean-zero
+    pressures too."""
+    diag = mat.diagonal()
+    shift = np.zeros_like(diag)
+    shift[0] = -diag[0] - scale * np.abs(diag).max()
+    return (mat + sps.diags(shift)).tocsr()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_infsup_names_the_indefinite_norm_block(ops_bdm, block):
+    pr = ReducedParams(1.0, 1.0, 0.0)
+    nb = ops_bdm[2].norm_blocks(pr)
+    mats = [nb.N_U, nb.N_V, nb.N_P]
+    mats[BLOCKS[block]] = _spoil(mats[BLOCKS[block]])
+    with pytest.raises(SingularNormMatrix, match=f"{block} block") as info:
+        infsup_constant(ops_bdm[2].block_system(pr), NormBlocks(*mats))
+    assert "paper norm" in str(info.value)
+    assert all(other not in str(info.value) for other in BLOCKS
+               if other != block)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_condition_names_the_indefinite_preconditioner_block(ops_bdm,
+                                                             block):
+    bs, pr = _system(ops_bdm[2], 1.0, 1.0, 0.0, with_rhs=False)
+    nb = ops_bdm[2].norm_blocks(pr)
+    mats = [bs.A_uu, nb.N_V, nb.N_P]
+    mats[BLOCKS[block]] = _spoil(mats[BLOCKS[block]])
+    with pytest.raises(SingularNormMatrix, match=f"{block} block") as info:
+        estimate_condition(bs, BlockPreconditioner(*mats))
+    assert all(other not in str(info.value) for other in BLOCKS
+               if other != block)
+
+
+def test_eig_failure_when_coupled_norm_matrix_is_indefinite(ops_bdm):
+    """Each diagonal block is SPD, so only the dense solve can see that the
+    whole matrix is not; its failure surfaces as EigFailure."""
+    pr = ReducedParams(1.0, 1.0, 0.0)
+    bs = ops_bdm[2].block_system(pr)
+    nb = ops_bdm[2].norm_blocks(pr)
+    nu = bs.block_sizes[0]
+    N = nb.monolithic().tolil()
+    N[0, nu] = N[nu, 0] = 10.0 * abs(N).max()
+
+    class _Coupled:
+        kind = "coupled"
+
+        def monolithic(self):
+            return N.tocsr()
+
+    with pytest.raises(EigFailure):
+        infsup_constant(bs, _Coupled())
