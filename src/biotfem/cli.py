@@ -287,6 +287,7 @@ def run_solve(cfg: RunConfig) -> int:
         x, report = minres_solve(system, precond, tol=cfg.tol,
                                  max_iter=cfg.max_iter)
         report.write_history_csv(out / "residuals.csv")
+        extra["lu_fill"] = precond.lu_fill
     else:
         # a direct solve has no stopping tolerance
         t0 = time.perf_counter()

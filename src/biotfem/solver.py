@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,13 @@ from .assembly import BlockSystem, NormBlocks
 
 
 class FactorizationFailure(RuntimeError):
-    """A preconditioner block could not be factorized (numerically
-    singular)."""
+    """A preconditioner block or the bordered system could not be
+    factorized (numerically singular)."""
+
+
+class SingularNormMatrix(FactorizationFailure):
+    """A norm or preconditioner block expected to be SPD is not: its
+    Cholesky or symmetric LU factorization met a non-positive pivot."""
 
 
 class BreakdownDetected(RuntimeError):
@@ -32,10 +38,6 @@ class BreakdownDetected(RuntimeError):
 
 class EigFailure(RuntimeError):
     """Dense generalized eigensolver did not converge."""
-
-
-class SingularNormMatrix(RuntimeError):
-    """A norm matrix expected to be SPD is not."""
 
 
 @dataclass
@@ -70,20 +72,50 @@ class SolveReport:
                 fh.write(f"{i},{format(float(r), '.17g')}\n")
 
 
-def _factorize(mat: sps.spmatrix, name: str):
+def _factor(mat, name: str, spd: bool):
+    """SuperLU factor of `mat`, the one place the package calls sparse LU.
+
+    An SPD block is factored in symmetric mode: minimum degree on A + A^T
+    and pivots taken from the diagonal.  Nothing then guards the pivots,
+    so a certificate replaces partial pivoting: the row and column orders
+    must agree and every pivot must be positive, which for a symmetric
+    matrix makes the factor a scaled Cholesky factor.  Any other matrix
+    keeps SuperLU's defaults (COLAMD, partial pivoting).
+    """
+    A = mat.tocsc()
     try:
-        solve = spla.factorized(mat.tocsc())
+        if spd:
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        else:
+            lu = spla.splu(A)
     except RuntimeError as exc:
         raise FactorizationFailure(f"{name} block: {exc}") from exc
+    if spd and not (np.array_equal(lu.perm_r, lu.perm_c)
+                    and np.all(lu.U.diagonal() > 0)):
+        raise SingularNormMatrix(
+            f"{name} block is not SPD: a non-positive or off-diagonal "
+            "pivot in its symmetric-mode factorization")
+    return lu
 
-    def wrapped(x):
-        y = solve(x)
-        if not np.all(np.isfinite(y)):
-            raise FactorizationFailure(f"{name} block produced non-finite "
-                                       "values (singular factorization)")
-        return y
 
-    return wrapped
+def _fill(lu) -> int:
+    """Stored entries of the L and U factors.  Each is copied out of the
+    factor to be counted, so the direct solver reads it only on demand."""
+    return int(lu.L.nnz) + int(lu.U.nnz)
+
+
+def _same_matrix(a: sps.csc_matrix, b: sps.csc_matrix) -> bool:
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+# Last SPD factor per block name, for the systems of one FormOperators:
+# they share its displacement FESpace, so each entry dies with them.
+_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class BlockPreconditioner:
@@ -91,21 +123,47 @@ class BlockPreconditioner:
 
     The displacement block is the assembled elasticity operator
     (a_h + lambda div-div); flux and pressure blocks are the norm matrices.
+    `memo` maps a block name to the last (matrix, factor, fill) factored
+    under it; a block bitwise equal to its entry reuses the factor, any
+    other replaces the entry.  `lu_fill` holds the fill of every factored
+    block.
     """
 
-    def __init__(self, A_uu, N_V, N_P):
+    def __init__(self, A_uu, N_V, N_P, memo: dict | None = None):
         self.blocks = (A_uu.tocsr(), N_V.tocsr(), N_P.tocsr())
         self.sizes = tuple(b.shape[0] for b in self.blocks)
-        self.inv_U = _factorize(A_uu, "displacement")
-        self.inv_V = _factorize(N_V, "flux")
+        self.lu_fill = {}
+        memo = {} if memo is None else memo
+        self.inv_U = self._inverse(A_uu, "displacement", memo)
+        self.inv_V = self._inverse(N_V, "flux", memo)
         diag = N_P.diagonal()
         if (N_P - sps.diags(diag)).nnz or np.any(diag <= 0):
             # cellwise-constant mass is diagonal; anything else means the
             # pressure block was assembled inconsistently
-            self.inv_P = _factorize(N_P, "pressure")
+            self.inv_P = self._inverse(N_P, "pressure", memo)
         else:
             inv = 1.0 / diag
             self.inv_P = lambda x: inv * x
+
+    def _inverse(self, mat, name: str, memo: dict):
+        A = mat.tocsc(copy=True)
+        last = memo.get(name)
+        if last is not None and _same_matrix(last[0], A):
+            _, lu, fill = last
+        else:
+            lu = _factor(A, name, spd=True)
+            fill = _fill(lu)
+            memo[name] = (A, lu, fill)
+        self.lu_fill[name] = fill
+
+        def solve(x):
+            y = lu.solve(x)
+            if not np.all(np.isfinite(y)):
+                raise FactorizationFailure(f"{name} block produced non-finite"
+                                           " values (singular factorization)")
+            return y
+
+        return solve
 
     def matrix(self) -> sps.csr_matrix:
         """The SPD matrix whose inverse this preconditioner applies."""
@@ -122,8 +180,14 @@ class BlockPreconditioner:
 
 def build_preconditioner(norms: NormBlocks,
                          system: BlockSystem) -> BlockPreconditioner:
-    """Canonical block-diagonal preconditioner for the assembled system."""
-    return BlockPreconditioner(system.A_uu, norms.N_V, norms.N_P)
+    """Canonical block-diagonal preconditioner for the assembled system.
+
+    Systems assembled by one FormOperators share a factor memo, so a sweep
+    factors `A_uu` once per lambda and a flux block once per distinct
+    norm instead of once per grid point.
+    """
+    return BlockPreconditioner(system.A_uu, norms.N_V, norms.N_P,
+                               _FACTORS.setdefault(system.uspace, {}))
 
 
 def _mean_zero_projectors(system: BlockSystem):
@@ -264,12 +328,13 @@ class DirectSolver:
         rowmax = np.asarray(abs(self.K).max(axis=1).todense()).ravel()
         self.d = 1.0 / np.sqrt(rowmax)
         D = sps.diags(self.d)
-        self.lu = spla.splu((D @ self.K @ D).tocsc())
+        self.lu = _factor(D @ self.K @ D, "bordered saddle-point",
+                          spd=False)
 
     @property
     def lu_fill(self) -> int:
         """Stored entries of the L and U factors."""
-        return int(self.lu.L.nnz + self.lu.U.nnz)
+        return _fill(self.lu)
 
     def solve(self, rhs: np.ndarray, refine_steps: int = 2):
         """Returns (x, multiplier) for the stacked free-dof load rhs; for a

@@ -115,6 +115,11 @@ def test_solve_minres_writes_history(tmp_path):
     assert rc == 0
     rec = json.loads((out / "report.json").read_text())
     assert rec["converged"] is True
+    # fill of each factored preconditioner block; the pressure block is a
+    # diagonal scaling
+    assert set(rec["lu_fill"]) == {"displacement", "flux"}
+    assert all(isinstance(fill, int) and fill > 0
+               for fill in rec["lu_fill"].values())
     lines = (out / "residuals.csv").read_text().splitlines()
     assert lines[0] == "iter,resnorm"
     assert len(lines) == rec["iterations"] + 2

@@ -1,17 +1,23 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from biotfem.analysis import infsup_constant, manufactured_case
+from biotfem import solver
+from biotfem.analysis import infsup_constant, manufactured_case, minres_sweep
 from biotfem.assembly import FormOperators, NormBlocks
+from biotfem.meshing import structured_mesh
 from biotfem.params import ReducedParams
 from biotfem.solver import (BlockPreconditioner, DirectSolver, EigFailure,
                             FactorizationFailure, SingularNormMatrix,
                             build_preconditioner, estimate_condition,
                             minres_solve, pressure_reduction_basis,
                             solve_direct)
+
+from conftest import AP_GRID, LAM_GRID, RP_GRID
 
 
 def _system(ops, lam, rp, ap, with_rhs=True):
@@ -68,6 +74,130 @@ def test_factorization_failure_on_singular_block(ops_bdm):
     with pytest.raises(FactorizationFailure):
         pc = build_preconditioner(singular, bs)
         pc.apply(np.ones(sum(pc.sizes)))
+
+
+def test_indefinite_flux_block_fails_the_pivot_certificate(ops_bdm):
+    """Symmetric-mode factorization takes its pivots from the diagonal
+    unchecked; the positive-pivot certificate must reject an indefinite
+    block and name it."""
+    bs, pr = _system(ops_bdm[2], 1.0, 1.0, 0.0, with_rhs=False)
+    nb = ops_bdm[2].norm_blocks(pr)
+    N_V = nb.N_V.copy()
+    N_V[0, 0] = -N_V[0, 0]
+    with pytest.raises(FactorizationFailure, match="flux block") as info:
+        build_preconditioner(dataclasses.replace(nb, N_V=N_V), bs)
+    assert "displacement" not in str(info.value)
+
+
+def _count_lu_calls(monkeypatch):
+    """Shapes of the matrices handed to either scipy sparse-LU entry point
+    from now on."""
+    import scipy.sparse.linalg as spla
+
+    shapes = []
+    for name in ("splu", "factorized"):
+        def counted(A, *args, _lu=getattr(spla, name), **kwargs):
+            shapes.append(A.shape)
+            return _lu(A, *args, **kwargs)
+        monkeypatch.setattr(spla, name, counted)
+    return shapes
+
+
+def test_minres_sweep_factors_each_displacement_block_once(ops_bdm,
+                                                           monkeypatch):
+    """A_uu depends on lambda alone, so a lambda-major sweep factors it once
+    per lambda instead of at every point."""
+    nu, nv, _ = ops_bdm[4].block_system(ReducedParams(1, 1, 0)).block_sizes
+    shapes = _count_lu_calls(monkeypatch)
+    records = minres_sweep(4, [1.0, 1e4], [1e-4, 1.0], [1.0])
+    assert all(r["converged"] for r in records)
+    assert shapes.count((nu, nu)) == 2
+    assert len(shapes) < 2 * len(records)
+
+
+def test_changed_block_is_refactored_not_reused(ops_bdm, monkeypatch, rng):
+    bs, pr = _system(ops_bdm[2], 1e2, 1.0, 0.0, with_rhs=False)
+    nb = ops_bdm[2].norm_blocks(pr)
+    build_preconditioner(nb, bs)
+    shapes = _count_lu_calls(monkeypatch)
+    same = build_preconditioner(nb, bs)
+    assert shapes == []
+    A = bs.A_uu.copy()
+    A[0, 0] *= 2.0
+    changed = build_preconditioner(nb, dataclasses.replace(bs, A_uu=A))
+    assert shapes == [A.shape]
+    r = rng.standard_normal(sum(same.sizes))
+    expect = BlockPreconditioner(A, nb.N_V, nb.N_P).apply(r)
+    assert np.array_equal(changed.apply(r), expect)
+    assert not np.array_equal(same.apply(r), expect)
+
+
+def test_factor_memo_dies_with_form_operators():
+    ops = FormOperators(structured_mesh(2))
+    bs, pr = _system(ops, 1.0, 1.0, 0.0, with_rhs=False)
+    pc = build_preconditioner(ops.norm_blocks(pr), bs)
+    assert set(solver._FACTORS[ops.uspace]) == {"displacement", "flux"}
+    assert pc.lu_fill == {name: entry[2] for name, entry in
+                          solver._FACTORS[ops.uspace].items()}
+    space = weakref.ref(ops.uspace)
+    entries = len(solver._FACTORS)
+    del ops, bs, pc
+    gc.collect()
+    assert space() is None
+    assert len(solver._FACTORS) == entries - 1
+
+
+@pytest.mark.parametrize("mesh", ["structured4", "perturbed4"])
+def test_reused_factor_matches_a_fresh_build(ops_bdm, perturbed_mesh,
+                                             monkeypatch, rng, mesh):
+    """A point that shares lambda with the previous one reuses its A_uu
+    factor; applying the preconditioner gives, bit for bit, what one built
+    on fresh operators gives."""
+    ops = (ops_bdm[4] if mesh == "structured4"
+           else FormOperators(perturbed_mesh[4]))
+    bs, pr = _system(ops, 1e4, 1.0, 0.0, with_rhs=False)
+    build_preconditioner(ops.norm_blocks(pr), bs)
+    bs, pr = _system(ops, 1e4, 1e-4, 1.0, with_rhs=False)
+    shapes = _count_lu_calls(monkeypatch)
+    reused = build_preconditioner(ops.norm_blocks(pr), bs)
+    assert shapes == [(bs.block_sizes[1],) * 2]  # the flux block alone
+    fresh_ops = FormOperators(ops.mesh)
+    fresh = build_preconditioner(fresh_ops.norm_blocks(pr),
+                                 fresh_ops.block_system(pr))
+    assert reused.lu_fill == fresh.lu_fill
+    for _ in range(3):
+        r = rng.standard_normal(sum(reused.sizes))
+        assert np.array_equal(reused.apply(r), fresh.apply(r))
+
+
+# MINRES iterations (tol 1e-8) over the acceptance grid, lambda-major as in
+# analysis.minres_sweep, with COLAMD-factored preconditioner blocks and no
+# reuse; factor reuse and symmetric mode must not move them
+GRID_ITERATIONS = {
+    "structured12": [5, 5, 8, 8, 23, 22, 30, 18, 25, 15,
+                     5, 5, 7, 7, 10, 11, 30, 12, 10, 5,
+                     5, 5, 6, 6, 8, 9, 13, 10, 19, 3,
+                     5, 5, 5, 5, 5, 7, 8, 6, 13, 3],
+    "perturbed8": [6, 6, 8, 8, 25, 24, 32, 17, 29, 15,
+                   6, 6, 7, 7, 11, 11, 33, 10, 10, 5,
+                   6, 6, 6, 6, 8, 9, 14, 8, 16, 3,
+                   6, 6, 5, 5, 5, 7, 8, 6, 14, 3],
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(GRID_ITERATIONS))
+def test_grid_iterations_match_kept_table(perturbed_mesh, mesh):
+    ops = FormOperators(structured_mesh(12) if mesh == "structured12"
+                        else perturbed_mesh[8])
+    iterations = []
+    for pt in ((lam, rp, ap) for lam in LAM_GRID for rp in RP_GRID
+               for ap in AP_GRID):
+        bs, pr = _system(ops, *pt)
+        pc = build_preconditioner(ops.norm_blocks(pr), bs)
+        _, rep = minres_solve(bs, pc, tol=1e-8, max_iter=500)
+        assert rep.converged, pt
+        iterations.append(rep.iterations)
+    assert iterations == GRID_ITERATIONS[mesh]
 
 
 class _StubSystem:
