@@ -289,7 +289,7 @@ def run_solve(cfg: RunConfig) -> int:
         report.write_history_csv(out / "residuals.csv")
         extra["lu_fill"] = precond.lu_fill
     else:
-        # a direct solve has no stopping tolerance
+        # the direct path refines to a fixed bound; it takes no tolerance
         t0 = time.perf_counter()
         solver = DirectSolver(system)
         x, mult = solver.solve(system.rhs)
@@ -298,6 +298,8 @@ def run_solve(cfg: RunConfig) -> int:
                              wall_time=time.perf_counter() - t0,
                              method="direct")
         extra["lu_fill"] = solver.lu_fill
+        extra["refine_iterations"] = solver.refine_iterations
+        extra["refine_residual"] = solver.refine_residual
     audit = analysis.conservation_audit(system, x)
     record = json.loads(report.to_json(**extra))
     record["conservation_max"] = float(np.abs(audit).max())
@@ -424,6 +426,7 @@ def timestep_drive(cfg: RunConfig, n_steps: int | None = None,
             "step": k,
             "time": t_k,
             "multiplier": mult,
+            "refine_iterations": solver.refine_iterations,
             "conservation_max": float(np.abs(audit).max()),
             "u_norm": float(np.linalg.norm(state.u_prev)),
             "p_norm": float(np.linalg.norm(state.p_prev)),

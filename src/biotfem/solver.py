@@ -75,28 +75,29 @@ class SolveReport:
 def _factor(mat, name: str, spd: bool):
     """SuperLU factor of `mat`, the one place the package calls sparse LU.
 
-    An SPD block is factored in symmetric mode: minimum degree on A + A^T
-    and pivots taken from the diagonal.  Nothing then guards the pivots,
-    so a certificate replaces partial pivoting: the row and column orders
-    must agree and every pivot must be positive, which for a symmetric
-    matrix makes the factor a scaled Cholesky factor.  Any other matrix
-    keeps SuperLU's defaults (COLAMD, partial pivoting).
+    Every matrix factored here is symmetric, so each is factored in
+    symmetric mode: minimum degree on A + A^T and pivots taken from the
+    diagonal.  Nothing then guards the pivots, so a certificate replaces
+    partial pivoting: the row and column orders must agree.  An SPD block
+    (`spd`) must also have positive pivots, which makes its factor a
+    scaled Cholesky factor.  The shifted bordered saddle point is
+    indefinite, and its certificate reads no pivot; the refinement of
+    `DirectSolver` answers for its accuracy.
     """
-    A = mat.tocsc()
     try:
-        if spd:
-            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        else:
-            lu = spla.splu(A)
+        lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationFailure(f"{name} block: {exc}") from exc
-    if spd and not (np.array_equal(lu.perm_r, lu.perm_c)
-                    and np.all(lu.U.diagonal() > 0)):
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise (SingularNormMatrix if spd else FactorizationFailure)(
+            f"{name} block: an off-diagonal pivot in its symmetric-mode "
+            "factorization")
+    if spd and not np.all(lu.U.diagonal() > 0):
         raise SingularNormMatrix(
-            f"{name} block is not SPD: a non-positive or off-diagonal "
-            "pivot in its symmetric-mode factorization")
+            f"{name} block is not SPD: a non-positive pivot in its "
+            "symmetric-mode factorization")
     return lu
 
 
@@ -307,61 +308,123 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
     return x, report
 
 
+# The bordered matrix is scaled to unit norm-block diagonal, so these are
+# dimensionless: the shift of its pressure and multiplier pivots, the bound
+# on the scaled relative residual, and the GMRES restart length and cycles.
+_SHIFT = 1e-6
+_REFINE_TOL = 1e-12
+_RESTART = 50
+_CYCLES = 4
+
+
+def _norm_scaling(system: BlockSystem) -> np.ndarray:
+    """Inverse square roots of the diagonal of the paper's norm blocks on
+    (u, v, p), then the multiplier's scale, which brings the largest
+    entry of its scaled row to one.
+
+    The displacement takes diag(A_uu).  The divergence of the flux space
+    is cellwise constant, so the flux div-div Gram is
+    B_vp M_p^-1 B_vp^T, and the flux takes diag(A_vv) plus its diagonal
+    over gamma.  The pressure takes gamma times the cell areas.
+    """
+    areas = system.mesh.signed_areas()
+    gamma = system.params.gamma
+    divdiv = system.B_vp.multiply(system.B_vp) @ (1.0 / areas)
+    diag = np.concatenate([system.A_uu.diagonal(),
+                           system.A_vv.diagonal() + divdiv / gamma,
+                           gamma * areas])
+    if not np.all(np.isfinite(diag) & (diag > 0)):
+        raise FactorizationFailure("bordered saddle-point block: its norm "
+                                   "diagonal is not positive")
+    d = 1.0 / np.sqrt(diag)
+    return np.append(d, 1.0 / np.abs(areas * d[-areas.size:]).max())
+
+
 class DirectSolver:
     """Sparse LU of the system matrix bordered by a scalar multiplier that
     pins the pressure mean to zero; factorized once, reusable for any
     number of right-hand sides.
 
-    The bordered matrix is symmetrically equilibrated before factorization
-    and each solution polished with a few refinement steps; without this
-    the backward error of the mass-balance rows grows with the extreme
-    coefficient scales and spoils the cellwise conservation identity.
+    The bordered matrix K is scaled symmetrically by the diagonal of the
+    paper's parameter-robust norm blocks (`_norm_scaling`).  Its pressure
+    and multiplier pivots are shifted by -1e-6 and the result factored with
+    static diagonal pivoting (symmetric minimum degree, no row exchanges).
+    Each solve runs GMRES on the unshifted scaled K with that factor as
+    preconditioner until the scaled relative residual ||D(b - Kx)|| /
+    ||D b|| is at most 1e-12, so the shift costs iterations, not accuracy.
+    One step of classical refinement with the factor then polishes the
+    solution.  `refine_iterations` (GMRES iterations) and
+    `refine_residual` (the final scaled relative residual) report the last
+    solve.
     """
 
     def __init__(self, system: BlockSystem):
-        A = system.monolithic()
-        nu, nv, npp = system.block_sizes
-        areas = system.mesh.signed_areas()
-        col = np.concatenate([np.zeros(nu + nv), areas])
-        self.K = sps.bmat([[A, col[:, None]], [col[None, :], None]],
-                          format="csr")
-        rowmax = np.asarray(abs(self.K).max(axis=1).todense()).ravel()
-        self.d = 1.0 / np.sqrt(rowmax)
-        D = sps.diags(self.d)
-        self.lu = _factor(D @ self.K @ D, "bordered saddle-point",
+        col = system.mesh.signed_areas()[:, None]
+        K = sps.bmat([[system.A_uu, None, system.B_up, None],
+                      [None, system.A_vv, system.B_vp, None],
+                      [system.B_up.T, system.B_vp.T, system.C_pp, col],
+                      [None, None, col.T, None]], format="csr")
+        self.d = d = _norm_scaling(system)
+        # d_i K_ij d_j, in an order that keeps K bitwise symmetric
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        K.data *= d[rows] * d[K.indices]
+        self.K = K
+        shift = np.zeros(K.shape[0])
+        shift[sum(system.block_sizes[:2]):] = _SHIFT
+        self.lu = _factor(K - sps.diags(shift), "bordered saddle-point",
                           spd=False)
+        self.refine_iterations: int | None = None
+        self.refine_residual: float | None = None
 
     @property
     def lu_fill(self) -> int:
         """Stored entries of the L and U factors."""
         return _fill(self.lu)
 
-    def solve(self, rhs: np.ndarray, refine_steps: int = 2):
+    def solve(self, rhs: np.ndarray):
         """Returns (x, multiplier) for the stacked free-dof load rhs; for a
         source with vanishing mean the multiplier is zero up to solver
-        roundoff."""
-        K, d = self.K, self.d
-        b = np.concatenate([rhs, [0.0]])
-        x = d * self.lu.solve(d * b)
-        best = x
-        best_res = np.inf
-        for _ in range(refine_steps + 1):
-            r = b - K @ x
-            res = np.linalg.norm(r)
-            if res < best_res:
-                best, best_res = x, res
-            if res == 0.0:
-                break
-            x = x + d * self.lu.solve(d * r)
-        return best[:-1], float(best[-1])
+        roundoff.  Raises FactorizationFailure when the refinement misses
+        its bound within `_CYCLES` restarts of `_RESTART` iterations."""
+        b = self.d * np.append(rhs, 0.0)
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        K, lu = self.K, self.lu
+        y, _ = spla.gmres(K, b, rtol=_REFINE_TOL, atol=0.0,
+                          restart=_RESTART, maxiter=_CYCLES,
+                          M=spla.LinearOperator(K.shape, lu.solve),
+                          callback=count, callback_type="pr_norm")
+        # GMRES stops just under the bound, which can leave the small
+        # mass-balance rows far above roundoff; one step of classical
+        # refinement with the factor takes the residual down to roundoff
+        r = b - K @ y
+        polished = y + lu.solve(r)
+        r_polished = b - K @ polished
+        if np.linalg.norm(r_polished) < np.linalg.norm(r):
+            y, r = polished, r_polished
+        norm_b = np.linalg.norm(b)
+        residual = np.linalg.norm(r) / norm_b if norm_b else 0.0
+        if not residual <= _REFINE_TOL:
+            raise FactorizationFailure(
+                f"bordered saddle-point block: scaled relative residual "
+                f"{residual:.3g} after {iterations} GMRES iterations, bound "
+                f"{_REFINE_TOL:g}")
+        self.refine_iterations = iterations
+        self.refine_residual = float(residual)
+        x = self.d * y
+        return x[:-1], float(x[-1])
 
 
-def solve_direct(system: BlockSystem, refine_steps: int = 2):
+def solve_direct(system: BlockSystem):
     """One-off direct solve of the assembled system (see DirectSolver).
 
     Returns (x, multiplier).
     """
-    return DirectSolver(system).solve(system.rhs, refine_steps)
+    return DirectSolver(system).solve(system.rhs)
 
 
 def estimate_condition(system: BlockSystem, precond: BlockPreconditioner,

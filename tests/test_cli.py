@@ -108,6 +108,28 @@ def test_solve_zero_sources_gives_zero_solution(tmp_path):
     assert isinstance(rec["lu_fill"], int) and rec["lu_fill"] > 0
 
 
+def test_direct_solve_reports_refinement(tmp_path):
+    """The GMRES refinement of the direct path reports its iteration count
+    and final scaled residual in the JSON records, never in a CSV."""
+    out = tmp_path / "r"
+    rc = main(["solve", "--n", "4", "--lambda", "1e8", "--rp-inv", "1e8",
+               "--alpha-p", "0", "--out", str(out)])
+    assert rc == 0
+    rec = json.loads((out / "report.json").read_text())
+    assert isinstance(rec["refine_iterations"], int)
+    assert rec["refine_iterations"] >= 1
+    assert 0.0 <= rec["refine_residual"] <= 1e-12
+    assert not list(out.glob("*.csv"))
+
+    out = tmp_path / "ts"
+    assert main(TIMESTEP_ARGV + ["--steps", "2", "--out", str(out)]) == 0
+    steps = json.loads((out / "timestep_report.json").read_text())["steps"]
+    assert all(isinstance(r["refine_iterations"], int)
+               and r["refine_iterations"] >= 1 for r in steps)
+    header = (out / "timestep_conservation.csv").read_text().splitlines()[0]
+    assert header == "step,time,conservation_max"
+
+
 def test_solve_minres_writes_history(tmp_path):
     out = tmp_path / "m"
     rc = main(["solve", "--n", "2", "--lambda", "1", "--rp-inv", "1",

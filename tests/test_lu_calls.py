@@ -1,10 +1,12 @@
 """Every sparse LU factorization in the package goes through one helper.
 
-`solver._factor` chooses the ordering and pivoting for each kind of matrix
-(symmetric mode with a positive-pivot certificate for SPD blocks, SuperLU's
-defaults for the bordered saddle point) and turns SuperLU's errors into
-`FactorizationFailure`.  A second call site would bypass both.  The check parses the source, so it covers
-calls that no other test reaches.
+`solver._factor` factors every matrix in SuperLU's symmetric mode with
+static diagonal pivots and certifies each kind of matrix: an SPD block
+(the elasticity operator, a norm block) by equal row and column orders and
+positive pivots, the shifted bordered saddle point of the direct solver by
+equal orders alone.  It also turns SuperLU's errors into
+`FactorizationFailure`.  A second call site would bypass both.  The check
+parses the source, so it covers calls that no other test reaches.
 """
 import ast
 from pathlib import Path

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sps
 
 from biotfem import solver
-from biotfem.analysis import infsup_constant, manufactured_case, minres_sweep
+from biotfem.analysis import (error_norms, infsup_constant, manufactured_case,
+                              minres_sweep, solve_manufactured)
 from biotfem.assembly import FormOperators, NormBlocks
 from biotfem.meshing import structured_mesh
 from biotfem.params import ReducedParams
@@ -364,6 +365,43 @@ def test_direct_solver_reuse_matches_solve_direct(ops_bdm, perturbed_mesh,
         x, mult = solver.solve(load.rhs)
         xd, mult_d = solve_direct(load)
         assert np.array_equal(x, xd) and mult == mult_d
+
+
+def test_hard_corner_converges_at_first_order():
+    """At (1e8, 1e8, 0) a refinement that stalls still conserves mass
+    cellwise but loses the flux and pressure accuracy; the error orders
+    from n=16 to n=32 catch it."""
+    pr = ReducedParams(1e8, 1e8, 0.0)
+    errs = []
+    for n in (16, 32):
+        system, x, _, case = solve_manufactured(
+            FormOperators(structured_mesh(n)), pr)
+        errs.append(error_norms(system, x, case))
+    _, order_v, order_p = np.log2(np.divide(*errs))
+    assert order_v >= 0.9 and order_p >= 0.9, (order_v, order_p)
+
+
+def test_refinement_that_misses_its_bound_raises(ops_bdm):
+    """A factor of another grid point preconditions GMRES too poorly to
+    reach the bound: the solve raises and returns nothing."""
+    bs, _ = _system(ops_bdm[4], 1e8, 1e-8, 0.0)
+    solver_ = DirectSolver(bs)
+    solver_.lu = DirectSolver(_system(ops_bdm[4], 1.0, 1e8, 1.0)[0]).lu
+    with pytest.raises(FactorizationFailure, match="bordered saddle-point"):
+        solver_.solve(bs.rhs)
+    assert solver_.refine_iterations is None
+
+
+def test_unshifted_saddle_point_fails_the_pivot_certificate(ops_bdm,
+                                                            monkeypatch):
+    """Without the shift the pressure pivots at alpha_p = 0 are exactly
+    zero, so static pivoting leaves the diagonal; the certificate names
+    the bordered block instead of returning a wrong factor."""
+    bs, _ = _system(ops_bdm[4], 1.0, 1.0, 0.0, with_rhs=False)
+    monkeypatch.setattr(solver, "_SHIFT", 0.0)
+    with pytest.raises(FactorizationFailure,
+                       match="bordered saddle-point block: an off-diagonal"):
+        DirectSolver(bs)
 
 
 def test_condition_identity_pencil(ops_bdm):
