@@ -30,7 +30,6 @@ class InfSupResult:
     params: ReducedParams
     triple: str
     norms: str
-    theta_spectrum: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ def mesh_subdivisions(mesh: TriMesh) -> int:
     return int(round(np.sqrt(mesh.num_cells / 2)))
 
 
-def infsup_constant(system: BlockSystem, norms: NormBlocks,
-                    keep_spectrum: bool = False) -> InfSupResult:
+def infsup_constant(system: BlockSystem, norms: NormBlocks) -> InfSupResult:
     """Discrete inf-sup constant in the norms supplied.
 
     Assembles the dense pencil (A, N) on the mean-zero pressure subspace and
@@ -98,7 +96,6 @@ def infsup_constant(system: BlockSystem, norms: NormBlocks,
         params=system.params,
         triple="-".join(system.families),
         norms=norms.kind,
-        theta_spectrum=theta if keep_spectrum else None,
     )
 
 

@@ -4,7 +4,9 @@ Subcommands: solve, sweep, infsup, convergence, timestep.  Parameters come
 either as the reduced triple (--lambda/--rp-inv/--alpha-p) or as physical
 material data (--mu/--lambda-phys/--alpha/--K/--tau/--c-pp), never both;
 a flat key=value config file may supply any of the same keys, with
-command-line flags taking precedence.
+command-line flags taking precedence.  Every setting is declared once, as a
+row of SETTINGS, which drives the parser, the config file, validation and
+resolved_config.txt.
 """
 
 from __future__ import annotations
@@ -20,15 +22,12 @@ import numpy as np
 
 from . import analysis, output
 from .assembly import DGConfig, FormOperators, export_matrix_market
-from .elements import triangle_rule
+from .elements import VECTOR_FAMILIES, triangle_rule
 from .meshing import structured_mesh
 from .params import (PhysicalParams, RangeViolation, ReducedParams,
                      compose_timestep_rhs, reduce)
 from .solver import DirectSolver, SolveReport, build_preconditioner, \
     minres_solve
-
-PHYSICAL_KEYS = ("mu", "lambda", "alpha", "K", "tau", "c_pp")
-REDUCED_KEYS = ("lambda_red", "rp_inv", "alpha_p")
 
 
 class ConfigError(ValueError):
@@ -60,11 +59,7 @@ class RunConfig:
     with_condition: bool = False
 
     def families(self):
-        parts = tuple(self.triple.split("-"))
-        if len(parts) != 3:
-            raise ConfigError(f"triple must look like bdm1-rt0-p0, got "
-                              f"{self.triple!r}")
-        return parts
+        return tuple(self.triple.split("-"))
 
     def reduced_params(self) -> ReducedParams:
         if (self.physical is None) == (self.reduced is None):
@@ -80,6 +75,12 @@ class RunConfig:
         except RangeViolation as exc:
             raise ConfigError(str(exc)) from exc
 
+    def given_or_unit_params(self) -> ReducedParams:
+        """The given parameter set, or (1, 1, 0) when none was given."""
+        if self.physical is None and self.reduced is None:
+            return ReducedParams(1.0, 1.0, 0.0)
+        return self.reduced_params()
+
     def physical_params(self) -> PhysicalParams:
         if self.physical is None:
             raise ConfigError("this command requires physical parameters "
@@ -90,35 +91,15 @@ class RunConfig:
                               c_pp=p.get("c_pp", 0.0))
 
     def resolved_dict(self) -> dict:
-        rec = {
-            "command": self.command,
-            "triple": self.triple,
-            "norms": self.norms,
-            "eta": self.eta,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "method": self.method,
-            "source": self.source,
-            "output_dir": str(self.output_dir),
-        }
-        if self.command == "convergence":
-            rec["n_list"] = ",".join(str(n) for n in self.n_list)
-        elif self.command == "timestep":
-            rec["mesh_n"] = self.mesh_n
-            rec["steps"] = self.steps
-            rec["g_mode"] = self.g_mode
-        else:
-            rec["mesh_n"] = self.mesh_n
-        if self.physical is not None:
-            rec.update({k: self.physical[k] for k in PHYSICAL_KEYS
-                        if k in self.physical})
-        if self.reduced is not None:
-            rec.update(self.reduced)
-        for name, vals in (("lambda_list", self.lam_list),
-                           ("rp_inv_list", self.rp_list),
-                           ("alpha_p_list", self.ap_list)):
-            if vals is not None:
-                rec[name] = ",".join(output.fmt(v) for v in vals)
+        rec = {"command": self.command}
+        for s in SETTINGS:
+            if s.key is None or (s.scoped and self.command not in s.commands):
+                continue
+            val = s.get(self)
+            if isinstance(val, list):
+                val = ",".join(output.fmt(v) for v in val)
+            if val is not None:
+                rec[s.record_as or s.key] = val
         return rec
 
 
@@ -144,102 +125,167 @@ def _ints(text) -> list[int]:
     return [int(t) for t in str(text).split(",") if t.strip()]
 
 
-def _positive(v) -> bool:
-    return bool(np.isfinite(v) and v > 0)
+_PARAMETER_SETS = ("physical", "reduced")
 
 
-def _one_of(*choices):
-    return lambda v: v in choices
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: its flag, config-file key (None for a switch, which
+    is a flag only) and RunConfig attribute ("physical"/"reduced": a key of
+    that parameter dict).  resolved_config.txt records it under its key (or
+    record_as) for every command, or only for the commands that offer the
+    flag when scoped."""
+
+    flag: str
+    key: str | None
+    attr: str
+    commands: tuple[str, ...]
+    help: str
+    cast: object = float
+    choices: tuple[str, ...] = ()
+    check: tuple | None = None  # (predicate, what it requires)
+    scoped: bool = False
+    record_as: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def argparse_kwargs(self) -> dict:
+        if self.key is None:
+            return {"action": "store_true"}
+        if self.choices:
+            return {"choices": self.choices}
+        return {"type": self.cast}
+
+    def validate(self, val):
+        if self.choices:
+            ok, need = val in self.choices, " or ".join(self.choices)
+        elif self.check is not None:
+            ok, need = self.check[0](val), self.check[1]
+        else:
+            return
+        if not ok:
+            raise ConfigError(f"{self.key} must be {need}, got {val!r}")
+
+    def get(self, cfg: RunConfig):
+        if self.attr in _PARAMETER_SETS:
+            return (getattr(cfg, self.attr) or {}).get(self.key)
+        return getattr(cfg, self.attr)
 
 
-# Run settings: config-file key -> (argparse dest, cast, RunConfig attribute,
-# check, requirement).  A flag overrides the file; the RunConfig default
-# applies only when neither gives a value.
-_SETTINGS = {
-    "n": ("n", int, "mesh_n", lambda v: v >= 1, ">= 1"),
-    "n_list": ("n_list", _ints, "n_list", lambda v: v and min(v) >= 1,
-               "a non-empty list of sizes >= 1"),
-    "triple": ("triple", str, "triple", None, ""),
-    "norms": ("norms", str, "norms", _one_of("paper", "natural"),
-              "paper or natural"),
-    "eta": ("eta", float, "eta", _positive, "finite and > 0"),
-    "tol": ("tol", float, "tol", _positive, "finite and > 0"),
-    "max_iter": ("max_iter", int, "max_iter", lambda v: v >= 1, ">= 1"),
-    "method": ("method", str, "method", _one_of("direct", "minres"),
-               "direct or minres"),
-    "source": ("source", str, "source", _one_of("zero", "manufactured"),
-               "zero or manufactured"),
-    "steps": ("steps", int, "steps", lambda v: v >= 1, ">= 1"),
-    "g_mode": ("g_mode", str, "g_mode", _one_of("zero", "cosine"),
-               "zero or cosine"),
-    "output_dir": ("out", str, "output_dir", None, ""),
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: bool(np.isfinite(v) and v > 0), "finite and > 0")
+_FAMILY_NAMES = VECTOR_FAMILIES + ("p0",)
+_TRIPLE = (lambda v: len(v.split("-")) == 3
+           and set(v.split("-")) <= set(_FAMILY_NAMES),
+           f"three of {', '.join(_FAMILY_NAMES)} joined by '-'")
+_TIMESTEP_SOURCES = {
+    "zero": lambda x, y: np.zeros_like(x),
+    "cosine": lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y),
 }
-# parameter keys -> argparse dest; list keys (also their argparse dest) ->
-# RunConfig attribute
-_PHYSICAL_FLAGS = {"mu": "mu", "lambda": "lambda_phys", "alpha": "alpha",
-                   "K": "K", "tau": "tau", "c_pp": "c_pp"}
-_REDUCED_FLAGS = {"lambda_red": "lam", "rp_inv": "rp_inv",
-                  "alpha_p": "alpha_p"}
-_LISTS = {"lambda_list": "lam_list", "rp_inv_list": "rp_list",
-          "alpha_p_list": "ap_list"}
+
+_ALL = ("solve", "infsup", "sweep", "convergence", "timestep")
+_ONE_MESH = ("solve", "infsup", "sweep", "timestep")
+_GRID = ("infsup", "sweep")
+_KRYLOV = ("solve", "sweep")
+
+SETTINGS = (
+    Setting("--n", "n", "mesh_n", _ONE_MESH, "mesh subdivisions per side",
+            int, check=_AT_LEAST_1, scoped=True, record_as="mesh_n"),
+    Setting("--n-list", "n_list", "n_list", ("convergence",),
+            "comma-separated mesh sizes", _ints, scoped=True,
+            check=(lambda v: v and min(v) >= 1,
+                   "a non-empty list of sizes >= 1")),
+    Setting("--triple", "triple", "triple", _ALL,
+            "families, e.g. bdm1-rt0-p0", str, check=_TRIPLE),
+    Setting("--eta", "eta", "eta", _ALL, "interior penalty weight",
+            check=_POSITIVE),
+    Setting("--out", "output_dir", "output_dir", _ALL, "output directory",
+            str),
+    Setting("--lambda", "lambda_red", "reduced", _ALL,
+            "reduced Lame parameter (>= 1)"),
+    Setting("--rp-inv", "rp_inv", "reduced", _ALL,
+            "reduced inverse permeability"),
+    Setting("--alpha-p", "alpha_p", "reduced", _ALL,
+            "reduced storage coefficient"),
+    Setting("--mu", "mu", "physical", _ALL, "shear modulus"),
+    Setting("--lambda-phys", "lambda", "physical", _ALL,
+            "Lame parameter lambda"),
+    Setting("--alpha", "alpha", "physical", _ALL, "Biot-Willis coefficient"),
+    Setting("--K", "K", "physical", _ALL, "hydraulic conductivity"),
+    Setting("--tau", "tau", "physical", _ALL, "time step"),
+    Setting("--c-pp", "c_pp", "physical", _ALL,
+            "constrained specific storage (default 0)"),
+    Setting("--method", "method", "method", ("solve",), "solver",
+            str, choices=("direct", "minres")),
+    Setting("--source", "source", "source", ("solve",), "right-hand side",
+            str, choices=("zero", "manufactured")),
+    Setting("--tol", "tol", "tol", _KRYLOV, "MINRES stopping tolerance",
+            check=_POSITIVE),
+    Setting("--max-iter", "max_iter", "max_iter", _KRYLOV,
+            "MINRES iteration cap", int, check=_AT_LEAST_1),
+    Setting("--dump-mesh", None, "dump_mesh", ("solve",), "write mesh.txt"),
+    Setting("--export-blocks", None, "export_blocks", ("solve",),
+            "write the blocks as Matrix Market files"),
+    Setting("--norms", "norms", "norms", ("infsup",),
+            "norms of the pencil", str, choices=("paper", "natural")),
+    Setting("--lambda-list", "lambda_list", "lam_list", _GRID,
+            "comma-separated reduced lambdas", _floats),
+    Setting("--rp-inv-list", "rp_inv_list", "rp_list", _GRID,
+            "comma-separated reduced inverse permeabilities", _floats),
+    Setting("--alpha-p-list", "alpha_p_list", "ap_list", _GRID,
+            "comma-separated reduced storage coefficients", _floats),
+    Setting("--with-condition", None, "with_condition", ("sweep",),
+            "also estimate kappa (dense, small meshes only)"),
+    Setting("--steps", "steps", "steps", ("timestep",),
+            "backward Euler steps", int, check=_AT_LEAST_1, scoped=True),
+    Setting("--g-mode", "g_mode", "g_mode", ("timestep",),
+            "pressure-equation source", str,
+            choices=tuple(_TIMESTEP_SOURCES), scoped=True),
+)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_vals = parse_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_vals) - set(_SETTINGS) - set(_PHYSICAL_FLAGS)
-                     - set(_REDUCED_FLAGS) - set(_LISTS))
+    unknown = sorted(set(file_vals) - {s.key for s in SETTINGS})
     if unknown:
         raise ConfigError(f"{args.config}: unknown keys {unknown}")
 
-    def pick(key, dest, cast):
-        flag_val = getattr(args, dest, None)
-        if flag_val is not None:
-            return flag_val
-        if key not in file_vals:
-            return None
-        try:
-            return cast(file_vals[key])
-        except ValueError as exc:
-            raise ConfigError(f"{args.config}: bad value for {key}: "
-                              f"{exc}") from exc
-
     cfg = RunConfig(command=args.command)
-    for key, (dest, cast, attr, check, need) in _SETTINGS.items():
-        val = pick(key, dest, cast)
+    sets = {name: {} for name in _PARAMETER_SETS}
+    for s in SETTINGS:
+        val = getattr(args, s.dest, None)
+        if s.key is None:
+            setattr(cfg, s.attr, bool(val))
+            continue
+        if val is None and s.key in file_vals:
+            try:
+                val = s.cast(file_vals[s.key])
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: bad value for {s.key}: "
+                                  f"{exc}") from exc
         if val is None:
             continue
-        if check is not None and not check(val):
-            raise ConfigError(f"{key} must be {need}, got {val!r}")
-        setattr(cfg, attr, val)
-    for key, attr in _LISTS.items():
-        vals = pick(key, key, _floats)
-        if vals is not None:
-            setattr(cfg, attr, vals)
-    cfg.dump_mesh = bool(getattr(args, "dump_mesh", False))
-    cfg.export_blocks = bool(getattr(args, "export_blocks", False))
-    cfg.with_condition = bool(getattr(args, "with_condition", False))
+        s.validate(val)
+        if s.attr in sets:
+            sets[s.attr][s.key] = val
+        else:
+            setattr(cfg, s.attr, val)
 
     # parameter sets: flags override file values key by key
-    def picked(flags):
-        vals = {key: pick(key, dest, float) for key, dest in flags.items()}
-        return {key: v for key, v in vals.items() if v is not None}
-
-    phys, red = picked(_PHYSICAL_FLAGS), picked(_REDUCED_FLAGS)
-    if phys and red:
+    if sets["physical"] and sets["reduced"]:
         raise ConfigError("pass either physical or reduced parameters, "
                           "never both")
-    if phys:
-        missing = [k for k in PHYSICAL_KEYS if k not in phys and k != "c_pp"]
+    for name, given in sets.items():
+        if not given:
+            continue
+        missing = [s.key for s in SETTINGS if s.attr == name
+                   and s.key not in given and s.key != "c_pp"]
         if missing:
-            raise ConfigError(f"physical parameter set incomplete, missing "
+            raise ConfigError(f"{name} parameter set incomplete, missing "
                               f"{missing}")
-        cfg.physical = phys
-    if red:
-        missing = [k for k in REDUCED_KEYS if k not in red]
-        if missing:
-            raise ConfigError(f"reduced parameter set incomplete, missing "
-                              f"{missing}")
-        cfg.reduced = red
+        setattr(cfg, name, given)
 
     if cfg.norms == "natural" and cfg.command != "infsup":
         raise ConfigError("natural norms are only valid with the infsup "
@@ -312,17 +358,14 @@ def run_solve(cfg: RunConfig) -> int:
 
 def run_infsup(cfg: RunConfig) -> int:
     out = _prepare(cfg)
-    if cfg.lam_list or cfg.rp_list or cfg.ap_list:
-        params = None
-        lam_list = cfg.lam_list or [1.0]
-        rp_list = cfg.rp_list or [1.0]
-        ap_list = cfg.ap_list or [0.0]
-    else:
-        params = cfg.reduced_params()
-        lam_list = [params.lam]
-        rp_list = [params.rp_inv]
-        ap_list = [params.alpha_p]
-    results = analysis.infsup_sweep([cfg.mesh_n], lam_list, rp_list, ap_list,
+    # a missing list takes the given parameter (1, 1, 0 when none is given)
+    params = (cfg.given_or_unit_params()
+              if cfg.lam_list or cfg.rp_list or cfg.ap_list
+              else cfg.reduced_params())
+    results = analysis.infsup_sweep([cfg.mesh_n],
+                                    cfg.lam_list or [params.lam],
+                                    cfg.rp_list or [params.rp_inv],
+                                    cfg.ap_list or [params.alpha_p],
                                     families=cfg.families(), norms=cfg.norms,
                                     cfg=DGConfig(cfg.eta))
     output.write_infsup_csv(results, out / "infsup.csv")
@@ -345,9 +388,8 @@ def run_sweep(cfg: RunConfig) -> int:
 
 def run_convergence(cfg: RunConfig) -> int:
     out = _prepare(cfg)
-    params = cfg.reduced_params() if (cfg.reduced or cfg.physical) \
-        else ReducedParams(1.0, 1.0, 0.0)
-    table = analysis.convergence_study(params, cfg.n_list,
+    table = analysis.convergence_study(cfg.given_or_unit_params(),
+                                       cfg.n_list,
                                        families=cfg.families(),
                                        cfg=DGConfig(cfg.eta))
     output.write_convergence_csv(table, out / "convergence.csv")
@@ -391,28 +433,21 @@ def timestep_drive(cfg: RunConfig, n_steps: int | None = None,
         raise ConfigError(f"initial pressure has {state.p_prev.shape}, "
                           f"expected ({ncells},)")
 
-    if cfg.g_mode == "zero":
-        def g_of_t(t):
-            return lambda x, y: np.zeros_like(x)
-    elif cfg.g_mode == "cosine":
-        def g_of_t(t):
-            return lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
-    else:
+    g_fn = _TIMESTEP_SOURCES.get(cfg.g_mode)
+    if g_fn is None:
         raise ConfigError(f"unknown g_mode {cfg.g_mode!r}")
-
     rule = triangle_rule(8)
     xy = ops.mesh.cell_points(rule.points)
-    areas = ops.areas
+    # the source does not depend on time, so it is integrated once
+    g_cells = np.einsum("kq,q->k", g_fn(xy[..., 0], xy[..., 1]),
+                        rule.weights, optimize=True) \
+        * ops.uspace.detJ / ops.areas
     steps = n_steps if n_steps is not None else cfg.steps
     system = ops.block_system(red)
     solver = DirectSolver(system)
     records = []
     for k in range(1, steps + 1):
         t_k = k * phys.tau
-        g_fn = g_of_t(t_k)
-        g_cells = np.einsum("kq,q->k", g_fn(xy[..., 0], xy[..., 1]),
-                            rule.weights, optimize=True) \
-            * ops.uspace.detJ / areas
         gk_red = compose_timestep_rhs(g_cells, state.u_prev, state.p_prev,
                                       phys, ops.uspace)
         system = replace(system, rhs_p=ops.rhs(g_cells=gk_red)[2])
@@ -445,83 +480,34 @@ def run_timestep(cfg: RunConfig) -> int:
     return 0
 
 
+_COMMANDS = {
+    "solve": (run_solve, "one static solve"),
+    "infsup": (run_infsup, "discrete inf-sup constants"),
+    "sweep": (run_sweep, "MINRES robustness sweep"),
+    "convergence": (run_convergence, "manufactured convergence study"),
+    "timestep": (run_timestep, "backward Euler driver"),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biotfem",
         description="Three-field poroelasticity experiments on the unit "
                     "square")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_n=True):
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
-        if with_n:
-            p.add_argument("--n", type=int, help="mesh subdivisions per side")
-        p.add_argument("--triple", help="families, e.g. bdm1-rt0-p0")
-        p.add_argument("--eta", type=float, help="interior penalty weight")
-        p.add_argument("--out", help="output directory")
-        # reduced parameters
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="reduced Lame parameter (>= 1)")
-        p.add_argument("--rp-inv", dest="rp_inv", type=float)
-        p.add_argument("--alpha-p", dest="alpha_p", type=float)
-        # physical parameters
-        p.add_argument("--mu", type=float)
-        p.add_argument("--lambda-phys", dest="lambda_phys", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--K", type=float)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--c-pp", dest="c_pp", type=float)
-
-    p = sub.add_parser("solve", help="one static solve")
-    common(p)
-    p.add_argument("--method", choices=["direct", "minres"])
-    p.add_argument("--source", choices=["zero", "manufactured"])
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--dump-mesh", action="store_true")
-    p.add_argument("--export-blocks", action="store_true")
-
-    p = sub.add_parser("infsup", help="discrete inf-sup constants")
-    common(p)
-    p.add_argument("--norms", choices=["paper", "natural"])
-    p.add_argument("--lambda-list", dest="lambda_list", type=_floats)
-    p.add_argument("--rp-inv-list", dest="rp_inv_list", type=_floats)
-    p.add_argument("--alpha-p-list", dest="alpha_p_list", type=_floats)
-
-    p = sub.add_parser("sweep", help="MINRES robustness sweep")
-    common(p)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--lambda-list", dest="lambda_list", type=_floats)
-    p.add_argument("--rp-inv-list", dest="rp_inv_list", type=_floats)
-    p.add_argument("--alpha-p-list", dest="alpha_p_list", type=_floats)
-    p.add_argument("--with-condition", action="store_true",
-                   help="also estimate kappa (dense, small meshes only)")
-
-    p = sub.add_parser("convergence", help="manufactured convergence study")
-    common(p, with_n=False)
-    p.add_argument("--n-list", dest="n_list", type=_ints,
-                   help="comma-separated mesh sizes")
-
-    p = sub.add_parser("timestep", help="backward Euler driver")
-    common(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--g-mode", dest="g_mode", choices=["zero", "cosine"])
+        for s in SETTINGS:
+            if command in s.commands:
+                p.add_argument(s.flag, dest=s.dest, help=s.help,
+                               **s.argparse_kwargs())
     return parser
-
-
-_COMMANDS = {
-    "solve": run_solve,
-    "infsup": run_infsup,
-    "sweep": run_sweep,
-    "convergence": run_convergence,
-    "timestep": run_timestep,
-}
 
 
 def run(cfg: RunConfig) -> int:
     """Dispatch a validated configuration to its driver."""
-    return _COMMANDS[cfg.command](cfg)
+    return _COMMANDS[cfg.command][0](cfg)
 
 
 def main(argv=None) -> int:

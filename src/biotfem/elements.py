@@ -345,33 +345,26 @@ class FESpace:
             cd[:, 0::2] = 2 * mesh.cells
             cd[:, 1::2] = 2 * mesh.cells + 1
             self.cell_dofs = cd
-            constrained = set()
-            for e in mesh.boundary_edges():
-                n = mesh.edge_normal[e]
-                axis = int(np.argmax(np.abs(n)))
-                if abs(abs(n[axis]) - 1.0) > 1e-12:
-                    raise ValueError(
-                        "p1cvec normal-trace constraints require axis-"
-                        "aligned boundary edges")
-                for v in mesh.edge_vertices[e]:
-                    constrained.add(2 * int(v) + axis)
-            self.boundary_dofs = np.array(sorted(constrained), dtype=int)
+            bnd = mesh.boundary_edges()
+            n = np.abs(mesh.edge_normal[bnd])
+            axis = np.argmax(n, axis=1)
+            if np.any(np.abs(n[np.arange(bnd.size), axis] - 1.0) > 1e-12):
+                raise ValueError(
+                    "p1cvec normal-trace constraints require axis-"
+                    "aligned boundary edges")
+            self.boundary_dofs = np.unique(2 * mesh.edge_vertices[bnd]
+                                           + axis[:, None])
         else:
             nde = _EDGE_DOF_COUNT[fam]
             ndc = _CELL_DOF_COUNT[fam]
             self.ndof = nde * ne + ndc * nc
-            cd = np.empty((nc, 3 * nde + ndc), dtype=int)
-            for j in range(3):
-                eidx = mesh.cell_edges[:, j]
-                for m in range(nde):
-                    cd[:, nde * j + m] = nde * eidx + m
-            for m in range(ndc):
-                cd[:, 3 * nde + m] = nde * ne + ndc * np.arange(nc) + m
-            self.cell_dofs = cd
-            bd = []
-            for e in mesh.boundary_edges():
-                bd.extend(range(nde * e, nde * e + nde))
-            self.boundary_dofs = np.array(sorted(bd), dtype=int)
+            edge_dofs = nde * mesh.cell_edges[:, :, None] + np.arange(nde)
+            own_dofs = nde * ne + ndc * np.arange(nc)[:, None] \
+                + np.arange(ndc)
+            self.cell_dofs = np.concatenate(
+                (edge_dofs.reshape(nc, 3 * nde), own_dofs), axis=1)
+            self.boundary_dofs = (nde * mesh.boundary_edges()[:, None]
+                                  + np.arange(nde)).ravel()
         self.free_dofs = np.setdiff1d(np.arange(self.ndof),
                                       self.boundary_dofs)
 

@@ -132,59 +132,51 @@ class TriMesh:
 
 
 def _build_edges(vertices: np.ndarray, cells: np.ndarray):
-    """Derive edge tables from cells; K1 is the cell left of the a->b edge."""
-    nc = cells.shape[0]
-    index: dict[tuple[int, int], int] = {}
-    ev, left, right = [], [], []
-    for k in range(nc):
-        tri = cells[k]
-        for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(p, q), max(p, q))
-            e = index.get(key)
-            if e is None:
-                e = len(ev)
-                index[key] = e
-                ev.append(key)
-                left.append(BOUNDARY)
-                right.append(BOUNDARY)
-            # the cell traverses p->q counterclockwise; if p < q the sorted
-            # direction a->b agrees and the cell lies on its left
-            if p < q:
-                if left[e] != BOUNDARY:
-                    raise ValueError(f"edge {key} has two left cells")
-                left[e] = k
-            else:
-                if right[e] != BOUNDARY:
-                    raise ValueError(f"edge {key} has two right cells")
-                right[e] = k
+    """Derive edge tables from cells; K1 is the cell left of the a->b edge.
 
-    ne = len(ev)
-    ev = np.asarray(ev, dtype=int)
+    Edges are numbered in the order they first appear along (cell, local
+    edge)."""
+    nc = cells.shape[0]
+    # local edge j runs p -> q counterclockwise; if p < q the sorted
+    # direction a->b agrees and the cell lies on its left (side 0)
+    p, q = cells.ravel(), np.roll(cells, -1, axis=1).ravel()
+    pairs = np.column_stack((np.minimum(p, q), np.maximum(p, q)))
+    _, first, inverse = np.unique(pairs[:, 0] * vertices.shape[0]
+                                  + pairs[:, 1], return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    edge = rank[inverse.ravel()]
+    ev = pairs[first[order]]
+    ne = ev.shape[0]
+
+    side = (p > q).astype(int)
+    slot = 2 * edge + side
+    by_slot = np.argsort(slot, kind="stable")
+    repeated = by_slot[1:][slot[by_slot[1:]] == slot[by_slot[:-1]]]
+    if repeated.size:
+        i = repeated.min()
+        raise ValueError(f"edge {tuple(ev[edge[i]].tolist())} has two "
+                         f"{('left', 'right')[side[i]]} cells")
+    left_right = np.full((ne, 2), BOUNDARY)
+    left_right[edge, side] = np.repeat(np.arange(nc), 3)
+
     d = vertices[ev[:, 1]] - vertices[ev[:, 0]]
     length = np.hypot(d[:, 0], d[:, 1])
     n_right = np.column_stack((d[:, 1], -d[:, 0])) / length[:, None]
-
-    edge_cells = np.empty((ne, 2), dtype=int)
-    normal = np.empty((ne, 2))
-    for e in range(ne):
-        if left[e] != BOUNDARY:
-            edge_cells[e] = (left[e], right[e])
-            normal[e] = n_right[e]
-        else:
-            # boundary edge whose only cell lies to the right of a->b
-            edge_cells[e] = (right[e], BOUNDARY)
-            normal[e] = -n_right[e]
+    # a boundary edge whose only cell lies to the right of a->b keeps that
+    # cell as K1 and flips its normal
+    has_left = (left_right[:, 0] != BOUNDARY)[:, None]
+    edge_cells = np.where(has_left, left_right,
+                          np.column_stack((left_right[:, 1],
+                                           np.full(ne, BOUNDARY))))
+    normal = np.where(has_left, n_right, -n_right)
     tangent = np.column_stack((-normal[:, 1], normal[:, 0]))
 
-    cell_edges = np.empty((nc, 3), dtype=int)
-    cell_sign = np.empty((nc, 3), dtype=int)
-    for k in range(nc):
-        tri = cells[k]
-        for j, (p, q) in enumerate(((tri[0], tri[1]), (tri[1], tri[2]),
-                                    (tri[2], tri[0]))):
-            e = index[(min(p, q), max(p, q))]
-            cell_edges[k, j] = e
-            cell_sign[k, j] = 1 if edge_cells[e, 0] == k else -1
+    cell_edges = edge.reshape(nc, 3)
+    cell_sign = np.where(edge_cells[cell_edges, 0]
+                         == np.arange(nc)[:, None], 1, -1)
     return ev, edge_cells, normal, tangent, length, cell_edges, cell_sign
 
 
@@ -219,17 +211,12 @@ def structured_mesh(n: int) -> TriMesh:
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack((xg.ravel(), yg.ravel()))
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return from_arrays(vertices, np.asarray(cells))
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    # two cells per subsquare, row by row
+    cells = np.stack((v00, v10, v11, v00, v11, v01), axis=1).reshape(-1, 3)
+    return from_arrays(vertices, cells)
 
 
 def jump_average_frames(mesh: TriMesh) -> EdgeFrames:

@@ -1,10 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biotfem.cli import (ConfigError, build_config, main, make_parser,
-                         parse_config_file, timestep_drive)
+from biotfem.cli import (SETTINGS, ConfigError, RunConfig, build_config,
+                         main, make_parser, parse_config_file,
+                         timestep_drive)
 
 
 TIMESTEP_ARGV = ["timestep", "--n", "2", "--mu", "0.5", "--lambda-phys", "1",
@@ -79,6 +82,186 @@ def test_natural_norms_only_for_infsup():
     args.norms = "natural"
     with pytest.raises(ConfigError):
         build_config(args)
+
+
+# one valid, non-default text per config-file key, and a text its check
+# rejects; the table tests below cover every row
+SAMPLE = {"n": "3", "n_list": "2,3", "triple": "p1cvec-rt0-p0", "eta": "7.5",
+          "output_dir": "elsewhere", "lambda_red": "2", "rp_inv": "1e4",
+          "alpha_p": "1", "mu": "0.5", "lambda": "2", "alpha": "0.9",
+          "K": "1e-2", "tau": "0.25", "c_pp": "0.05", "method": "minres",
+          "source": "zero", "tol": "1e-6", "max_iter": "40",
+          "norms": "natural", "lambda_list": "1,100", "rp_inv_list": "1e-4",
+          "alpha_p_list": "0,1", "steps": "5", "g_mode": "zero"}
+BAD = {"n": "0", "n_list": "0,4", "triple": "foo-rt0-p0", "eta": "0",
+       "method": "cholesky", "source": "random", "tol": "nan",
+       "max_iter": "0", "norms": "energy", "steps": "0", "g_mode": "sine"}
+ROWS = [s for s in SETTINGS if s.key is not None]
+
+
+def _offered(rows):
+    return [pytest.param(s, cmd, id=f"{s.key}-{cmd}")
+            for s in rows for cmd in s.commands]
+
+
+def _completion(setting):
+    """The other members of a parameter set, so that the set is complete."""
+    return {s.key: SAMPLE[s.key] for s in ROWS
+            if s.attr == setting.attr and s.key != setting.key
+            and setting.attr in ("physical", "reduced")}
+
+
+def test_table_covers_every_key_and_field():
+    assert set(SAMPLE) == {s.key for s in ROWS}
+    assert set(BAD) == {s.key for s in ROWS
+                        if s.check is not None or s.choices}
+    fields = set(RunConfig.__dataclass_fields__) - {"command"}
+    assert {s.attr for s in SETTINGS} == fields
+    assert len({s.flag for s in SETTINGS}) == len(SETTINGS)
+
+
+@pytest.mark.parametrize("setting,command", _offered(ROWS))
+def test_flag_and_config_key_agree(tmp_path, setting, command):
+    values = {setting.key: SAMPLE[setting.key], **_completion(setting)}
+    flags = {s.key: s.flag for s in ROWS}
+    argv = [command] + [a for key, text in values.items()
+                        for a in (flags[key], text)]
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    from_flags = _cfg(argv)
+    from_file = _cfg([command, "--config", str(path)])
+    assert from_flags == from_file
+    assert setting.get(from_flags) == setting.cast(SAMPLE[setting.key])
+    assert setting.get(from_flags) != setting.get(RunConfig(command))
+
+
+@pytest.mark.parametrize("setting,command",
+                         _offered([s for s in ROWS if s.key in BAD]))
+def test_bad_value_same_error_from_flag_and_file(tmp_path, setting,
+                                                 command):
+    text = BAD[setting.key]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{setting.key} = {text}\n")
+    with pytest.raises(ConfigError) as from_file:
+        _cfg([command, "--config", str(path)])
+    if setting.choices:
+        # argparse refuses the choice first; build_config checks it too
+        with pytest.raises(SystemExit):
+            make_parser().parse_args([command, setting.flag, text])
+        args = make_parser().parse_args([command])
+        setattr(args, setting.dest, text)
+    else:
+        args = make_parser().parse_args([command, setting.flag, text])
+    with pytest.raises(ConfigError) as from_flag:
+        build_config(args)
+    assert str(from_flag.value) == str(from_file.value)
+    assert str(from_flag.value).startswith(f"{setting.key} must be ")
+
+
+@pytest.mark.parametrize("setting,command", [
+    pytest.param(s, cmd, id=f"{s.flag[2:]}-{cmd}") for s in SETTINGS
+    for cmd in ("solve", "infsup", "sweep", "convergence", "timestep")
+    if cmd not in s.commands])
+def test_flag_rejected_where_not_offered(setting, command):
+    argv = [command, setting.flag]
+    if setting.key is not None:
+        argv.append(SAMPLE[setting.key])
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit:
+        return
+    # argparse expands a unique prefix (--n is --n-list for convergence),
+    # but never into this setting
+    assert not hasattr(args, setting.dest)
+
+
+COMMON_RECORD = {"command", "triple", "norms", "eta", "tol", "max_iter",
+                 "method", "source", "output_dir"}
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["solve", "--dump-mesh"], {"mesh_n"}),
+    (["infsup", "--rp-inv-list", "1,2"], {"mesh_n", "rp_inv_list"}),
+    (["sweep", "--with-condition"], {"mesh_n"}),
+    (["convergence", "--lambda", "1", "--rp-inv", "1", "--alpha-p", "0"],
+     {"n_list", "lambda_red", "rp_inv", "alpha_p"}),
+    (TIMESTEP_ARGV, {"mesh_n", "steps", "g_mode", "mu", "lambda", "alpha",
+                     "K", "tau", "c_pp"}),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_resolved_config_keys(argv, extra):
+    """resolved_config.txt records the solver settings for every command,
+    the mesh size under mesh_n (n_list for convergence), the timestep
+    settings for timestep only, given parameters and lists, no switch."""
+    rec = _cfg(argv).resolved_dict()
+    assert set(rec) == COMMON_RECORD | extra
+    if "rp_inv_list" in rec:
+        assert rec["rp_inv_list"] == "1,2"
+
+
+def test_switches_set_their_field():
+    for s in SETTINGS:
+        if s.key is None:
+            for cmd in s.commands:
+                assert s.get(_cfg([cmd, s.flag])) is True
+                assert s.get(_cfg([cmd])) is False
+
+
+def test_unknown_family_name_is_a_config_error(tmp_path, capsys):
+    rc = main(["solve", "--n", "2", "--triple", "foo-rt0-p0",
+               "--lambda", "1", "--rp-inv", "1", "--alpha-p", "0",
+               "--out", str(tmp_path / "f")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "foo-rt0-p0" in err["message"]
+    for triple in ("bdm1-rt0", "bdm1-rt0-p0-p0", "BDM1-rt0-p0"):
+        with pytest.raises(ConfigError):
+            _cfg(["infsup", "--triple", triple])
+
+
+def _command_lines(readme):
+    """The biotfem command lines of the README's Command line block."""
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("biotfem ")]
+
+
+def test_readme_command_lines_build_configs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = _command_lines(readme.read_text())
+    assert [argv[0] for argv in lines] == ["infsup", "infsup", "solve",
+                                           "sweep", "convergence",
+                                           "timestep"]
+    for argv in lines:
+        cfg = _cfg(argv)
+        assert cfg.command == argv[0] and cfg.output_dir == "out/"
+
+
+@pytest.mark.parametrize("given,expect", [
+    (["--lambda", "1", "--rp-inv", "1e4", "--alpha-p", "1"], (1e4, 1.0)),
+    # reduced from physical data
+    (["--mu", "0.5", "--lambda-phys", "2", "--alpha", "1", "--K", "1e-2",
+      "--tau", "0.25", "--c-pp", "0.05"], None),
+    ([], (1.0, 0.0)),
+], ids=["reduced", "physical", "none"])
+def test_partial_infsup_lists_take_the_given_parameters(tmp_path, given,
+                                                        expect):
+    """A missing --rp-inv-list/--alpha-p-list takes the given parameter set,
+    so infsup.csv computes what resolved_config.txt records."""
+    out = tmp_path / "i"
+    argv = ["infsup", "--n", "2", "--lambda-list", "1,100"] + given
+    assert main(argv + ["--out", str(out)]) == 0
+    if expect is None:
+        red = _cfg(argv).reduced_params()
+        expect = (red.rp_inv, red.alpha_p)
+    rows = [line.split(",") for line in
+            (out / "infsup.csv").read_text().splitlines()[1:]]
+    assert [float(r[3]) for r in rows] == [1.0, 100.0]
+    assert all((float(r[4]), float(r[5])) == expect for r in rows)
+    recorded = parse_config_file(out / "resolved_config.txt")
+    if "rp_inv" in recorded:
+        assert (float(recorded["rp_inv"]),
+                float(recorded["alpha_p"])) == expect
 
 
 def test_infsup_command_golden_row(tmp_path):

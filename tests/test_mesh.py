@@ -209,6 +209,72 @@ def test_from_arrays_rejects_clockwise():
         from_arrays(verts, [[0, 2, 1]])
 
 
+def _edges_by_loop(vertices, cells):
+    """Edge tables by a scan over (cell, local edge); the oracle for the
+    array construction in meshing."""
+    index, ev, left, right = {}, [], [], []
+    for k, tri in enumerate(cells.tolist()):
+        for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(p, q), max(p, q))
+            if key not in index:
+                index[key] = len(ev)
+                ev.append(key)
+                left.append(BOUNDARY)
+                right.append(BOUNDARY)
+            (left if p < q else right)[index[key]] = k
+    ev = np.asarray(ev, dtype=int)
+    d = vertices[ev[:, 1]] - vertices[ev[:, 0]]
+    length = np.hypot(d[:, 0], d[:, 1])
+    n_right = np.column_stack((d[:, 1], -d[:, 0])) / length[:, None]
+    edge_cells = np.empty((len(ev), 2), dtype=int)
+    normal = np.empty((len(ev), 2))
+    for e in range(len(ev)):
+        if left[e] != BOUNDARY:
+            edge_cells[e], normal[e] = (left[e], right[e]), n_right[e]
+        else:
+            edge_cells[e], normal[e] = (right[e], BOUNDARY), -n_right[e]
+    cell_edges = np.empty(cells.shape, dtype=int)
+    cell_sign = np.empty(cells.shape, dtype=int)
+    for k, tri in enumerate(cells.tolist()):
+        for j, (p, q) in enumerate(((tri[0], tri[1]), (tri[1], tri[2]),
+                                    (tri[2], tri[0]))):
+            e = index[(min(p, q), max(p, q))]
+            cell_edges[k, j] = e
+            cell_sign[k, j] = 1 if edge_cells[e, 0] == k else -1
+    tangent = np.column_stack((-normal[:, 1], normal[:, 0]))
+    return dict(edge_vertices=ev, edge_cells=edge_cells, edge_normal=normal,
+                edge_tangent=tangent, edge_length=length,
+                cell_edges=cell_edges, cell_edge_sign=cell_sign)
+
+
+@pytest.mark.parametrize("kind,n", [("structured", n)
+                                    for n in (1, 2, 3, 5, 8, 16)]
+                         + [("perturbed", 4), ("perturbed", 8)])
+def test_edge_tables_match_loop_oracle(perturbed_mesh, kind, n):
+    m = structured_mesh(n) if kind == "structured" else perturbed_mesh[n]
+    for name, want in _edges_by_loop(m.vertices, m.cells).items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    if kind == "structured":
+        # two counterclockwise cells per subsquare, row by row
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+        v00 = (j * (n + 1) + i).ravel()
+        v11 = v00 + n + 2
+        assert np.array_equal(m.cells[0::2], np.column_stack(
+            (v00, v00 + 1, v11)))
+        assert np.array_equal(m.cells[1::2], np.column_stack(
+            (v00, v11, v00 + n + 1)))
+
+
+def test_repeated_cell_rejected():
+    verts = [[0, 0], [1, 0], [0, 1], [0.5, -1], [0.7, -0.5]]
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has two left"):
+        from_arrays(verts, [[0, 1, 2], [0, 1, 2]])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has two right"):
+        from_arrays(verts, [[0, 1, 2], [1, 0, 3], [1, 0, 4]])
+
+
 def test_single_triangle_mesh():
     m = from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
     assert m.num_cells == 1 and m.num_edges == 3
