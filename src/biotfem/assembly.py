@@ -1,9 +1,10 @@
 """Assembly of the block operator, right-hand sides and norm matrices.
 
 All parameter-independent Gram matrices (volume and face terms) are built
-once per (mesh, families, penalty) and then combined with scalar weights for
-each parameter point, so sweeps over the coefficient grid cost almost
-nothing beyond the first assembly.
+once per (mesh, families, penalty), those that only the norms read on first
+use, and then combined with scalar weights for each parameter point, so
+sweeps over the coefficient grid cost almost nothing beyond the first
+assembly.
 """
 
 from __future__ import annotations
@@ -111,9 +112,23 @@ def _scatter(space: FESpace, elem: np.ndarray,
 
 def _mirror_lower(mat: sps.csr_matrix) -> sps.csr_matrix:
     """Bitwise-symmetrize a matrix that is symmetric up to roundoff by
-    mirroring its lower triangle; keeps A - A^T exactly zero downstream."""
-    lower = sps.tril(mat, -1, format="csr")
-    return (lower + lower.T + sps.diags(mat.diagonal())).tocsr()
+    mirroring its lower triangle; keeps A - A^T exactly zero downstream.
+    `mat` is canonical CSR with a symmetric pattern, so its transpose
+    lines up entry for entry; an exact zero drops out of the pattern."""
+    t = mat.T.tocsr()
+    if not (np.array_equal(mat.indptr, t.indptr)
+            and np.array_equal(mat.indices, t.indices)):
+        raise ValueError("cannot mirror a matrix whose sparsity pattern is "
+                         "not symmetric")
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    mat.data = np.where(rows >= mat.indices, mat.data, t.data)
+    mat.eliminate_zeros()
+    return mat
+
+
+# what the volume Grams read of each space's basis
+_U_VOLUME = ("div", "grad")
+_V_VOLUME = ("val", "div")
 
 
 def _restrict(mat: sps.csr_matrix, rows, cols) -> sps.csr_matrix:
@@ -148,38 +163,56 @@ class FormOperators:
 
     # -- volume terms ---------------------------------------------------------
 
-    def _build_volume(self):
+    def _volume(self, space: FESpace, what):
+        """Degree-4 cell weights and `space`'s basis data at those points;
+        the space caches each tabulation, so a repeat is a lookup."""
         rule = triangle_rule(4)
-        wK = rule.weights[None, :] * self.uspace.detJ[:, None]
+        return (rule.weights[None, :] * self.uspace.detJ[:, None],
+                space.tabulate(rule.points, what=what))
 
-        ut = self.uspace.tabulate(rule.points,
-                                  what=("val", "div", "grad", "hess"))
+    def _build_volume(self):
+        wK, ut = self._volume(self.uspace, _U_VOLUME)
         grad = ut["grad"]
         eps = 0.5 * (grad + np.swapaxes(grad, -2, -1))
         self.EPS = _scatter(self.uspace,
                             np.einsum("kq,kiqab,kjqab->kij", wK, eps, eps,
                                       optimize=True))
-        self.GRAD = _scatter(self.uspace,
-                             np.einsum("kq,kiqab,kjqab->kij", wK, grad, grad,
-                                       optimize=True))
         self.DD_u = _scatter(self.uspace,
                              np.einsum("kq,kiq,kjq->kij", wK, ut["div"],
                                        ut["div"], optimize=True))
-        h2 = self.mesh.h_cell ** 2
-        self.HESS = _scatter(self.uspace,
-                             np.einsum("k,kq,kiqabc,kjqabc->kij", h2, wK,
-                                       ut["hess"], ut["hess"], optimize=True))
         self.B_up = self._coupling(self.uspace, ut["div"], wK)
 
-        vt = self.vspace.tabulate(rule.points, what=("val", "div"))
+        _, vt = self._volume(self.vspace, _V_VOLUME)
         self.M_v = _scatter(self.vspace,
                             np.einsum("kq,kiqa,kjqa->kij", wK, vt["val"],
                                       vt["val"], optimize=True))
-        self.DD_v = _scatter(self.vspace,
-                             np.einsum("kq,kiq,kjq->kij", wK, vt["div"],
-                                       vt["div"], optimize=True))
         self.B_vp = self._coupling(self.vspace, vt["div"], wK)
         self.M_p = sps.diags(self.areas).tocsr()
+
+    # Grams that only the norms read, built on first use: a direct solve
+    # never pays for them.
+
+    @cached_property
+    def GRAD(self) -> sps.csr_matrix:
+        wK, ut = self._volume(self.uspace, _U_VOLUME)
+        return _scatter(self.uspace,
+                        np.einsum("kq,kiqab,kjqab->kij", wK, ut["grad"],
+                                  ut["grad"], optimize=True))
+
+    @cached_property
+    def HESS(self) -> sps.csr_matrix:
+        wK, ut = self._volume(self.uspace, ("hess",))
+        h2 = self.mesh.h_cell ** 2
+        return _scatter(self.uspace,
+                        np.einsum("k,kq,kiqabc,kjqabc->kij", h2, wK,
+                                  ut["hess"], ut["hess"], optimize=True))
+
+    @cached_property
+    def DD_v(self) -> sps.csr_matrix:
+        wK, vt = self._volume(self.vspace, _V_VOLUME)
+        return _scatter(self.vspace,
+                        np.einsum("kq,kiq,kjq->kij", wK, vt["div"],
+                                  vt["div"], optimize=True))
 
     def _coupling(self, space: FESpace, div_tab, wK) -> sps.csr_matrix:
         # -(p, div w) with cellwise-constant p: column k gets -int_K div w_i

@@ -345,6 +345,7 @@ def run_solve(cfg: RunConfig) -> int:
                              method="direct")
         extra["lu_fill"] = solver.lu_fill
         extra["refine_iterations"] = solver.refine_iterations
+        extra["refine_solves"] = solver.refine_solves
         extra["refine_residual"] = solver.refine_residual
     audit = analysis.conservation_audit(system, x)
     record = json.loads(report.to_json(**extra))
@@ -462,6 +463,7 @@ def timestep_drive(cfg: RunConfig, n_steps: int | None = None,
             "time": t_k,
             "multiplier": mult,
             "refine_iterations": solver.refine_iterations,
+            "refine_solves": solver.refine_solves,
             "conservation_max": float(np.abs(audit).max()),
             "u_norm": float(np.linalg.norm(state.u_prev)),
             "p_norm": float(np.linalg.norm(state.p_prev)),
@@ -490,13 +492,15 @@ _COMMANDS = {
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: no flag may stand for a longer one it prefixes
+    # (convergence offers --n-list, not --n)
     parser = argparse.ArgumentParser(
-        prog="biotfem",
+        prog="biotfem", allow_abbrev=False,
         description="Three-field poroelasticity experiments on the unit "
                     "square")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value config file")
         for s in SETTINGS:
             if command in s.commands:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .assembly import BlockSystem, NormBlocks
 
@@ -349,13 +350,14 @@ class DirectSolver:
     paper's parameter-robust norm blocks (`_norm_scaling`).  Its pressure
     and multiplier pivots are shifted by -1e-6 and the result factored with
     static diagonal pivoting (symmetric minimum degree, no row exchanges).
-    Each solve runs GMRES on the unshifted scaled K with that factor as
-    preconditioner until the scaled relative residual ||D(b - Kx)|| /
-    ||D b|| is at most 1e-12, so the shift costs iterations, not accuracy.
-    One step of classical refinement with the factor then polishes the
-    solution.  `refine_iterations` (GMRES iterations) and
-    `refine_residual` (the final scaled relative residual) report the last
-    solve.
+    Each solve runs GMRES (`_gmres`) on the unshifted scaled K with that
+    factor as preconditioner until the scaled relative residual
+    ||D(b - Kx)|| / ||D b|| is at most 1e-12, so the shift costs
+    iterations, not accuracy.  One step of classical refinement with the
+    factor then polishes the solution; a zero load returns zero without
+    touching the factor.  `refine_iterations` (GMRES iterations),
+    `refine_solves` (factor applications) and `refine_residual` (the final
+    scaled relative residual) report the last solve.
     """
 
     def __init__(self, system: BlockSystem):
@@ -374,6 +376,7 @@ class DirectSolver:
         self.lu = _factor(K - sps.diags(shift), "bordered saddle-point",
                           spd=False)
         self.refine_iterations: int | None = None
+        self.refine_solves: int | None = None
         self.refine_residual: float | None = None
 
     @property
@@ -387,36 +390,82 @@ class DirectSolver:
         roundoff.  Raises FactorizationFailure when the refinement misses
         its bound within `_CYCLES` restarts of `_RESTART` iterations."""
         b = self.d * np.append(rhs, 0.0)
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
         K, lu = self.K, self.lu
-        y, _ = spla.gmres(K, b, rtol=_REFINE_TOL, atol=0.0,
-                          restart=_RESTART, maxiter=_CYCLES,
-                          M=spla.LinearOperator(K.shape, lu.solve),
-                          callback=count, callback_type="pr_norm")
-        # GMRES stops just under the bound, which can leave the small
-        # mass-balance rows far above roundoff; one step of classical
-        # refinement with the factor takes the residual down to roundoff
-        r = b - K @ y
-        polished = y + lu.solve(r)
-        r_polished = b - K @ polished
-        if np.linalg.norm(r_polished) < np.linalg.norm(r):
-            y, r = polished, r_polished
         norm_b = np.linalg.norm(b)
-        residual = np.linalg.norm(r) / norm_b if norm_b else 0.0
+        y, residual, iterations, solves = np.zeros_like(b), 0.0, 0, 0
+        if norm_b:
+            y, r, iterations, solves = _gmres(K, lu, b, norm_b)
+            # GMRES stops just under the bound, which can leave the small
+            # mass-balance rows far above roundoff; one step of classical
+            # refinement with the factor takes the residual down to roundoff
+            polished = y + lu.solve(r)
+            solves += 1
+            r_polished = b - K @ polished
+            if np.linalg.norm(r_polished) < np.linalg.norm(r):
+                y, r = polished, r_polished
+            residual = np.linalg.norm(r) / norm_b
         if not residual <= _REFINE_TOL:
             raise FactorizationFailure(
                 f"bordered saddle-point block: scaled relative residual "
                 f"{residual:.3g} after {iterations} GMRES iterations, bound "
                 f"{_REFINE_TOL:g}")
         self.refine_iterations = iterations
+        self.refine_solves = solves
         self.refine_residual = float(residual)
         x = self.d * y
         return x[:-1], float(x[-1])
+
+
+def _gmres(K, lu, b: np.ndarray, norm_b: float):
+    """Restarted GMRES on lu^-1 K y = lu^-1 b, the GMRES-IR of Carson &
+    Higham (SISC 2017): each cycle starts from lu.solve(r) and each
+    iteration applies the factor once.  A cycle stops when its
+    preconditioned residual has fallen by the factor the true residual
+    still has to fall, or on breakdown; the true residual is then
+    recomputed, and the restarts end once it meets the bound.
+
+    Returns (y, b - K y, GMRES iterations, factor applications).
+    """
+    y, r = np.zeros_like(b), b
+    iterations = solves = 0
+    V = np.empty((_RESTART + 1, b.size))
+    for _ in range(_CYCLES):
+        z = lu.solve(r)
+        solves += 1
+        beta = np.linalg.norm(z)
+        target = beta * _REFINE_TOL * norm_b / np.linalg.norm(r)
+        V[0] = z / beta
+        H = np.zeros((_RESTART + 1, _RESTART))
+        cs, sn = np.zeros(_RESTART), np.zeros(_RESTART)
+        g = np.zeros(_RESTART + 1)
+        g[0] = beta
+        for j in range(_RESTART):
+            w = lu.solve(K @ V[j])
+            iterations += 1
+            solves += 1
+            size = np.linalg.norm(w)
+            for i in range(j + 1):  # modified Gram-Schmidt
+                H[i, j] = V[i] @ w
+                w -= H[i, j] * V[i]
+            H[j + 1, j] = np.linalg.norm(w)
+            # read before the rotation below folds H[j+1, j] into H[j, j]
+            breakdown = H[j + 1, j] <= np.finfo(float).eps * size
+            if not breakdown:
+                V[j + 1] = w / H[j + 1, j]
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            rho = np.hypot(H[j, j], H[j + 1, j])
+            cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
+            H[j, j] = rho
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            if abs(g[j + 1]) <= target or breakdown:
+                break
+        y = y + solve_triangular(H[:j + 1, :j + 1], g[:j + 1]) @ V[:j + 1]
+        r = b - K @ y
+        if np.linalg.norm(r) <= _REFINE_TOL * norm_b:
+            break
+    return y, r, iterations, solves
 
 
 def solve_direct(system: BlockSystem):

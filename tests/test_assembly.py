@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sps
 import sympy as sy
 
+from biotfem import assembly
 from biotfem.assembly import (DGConfig, FormOperators, IncompatibleSpaces,
                               assemble_ah, export_matrix_market)
 from biotfem.analysis import _error_jump_seminorm
@@ -21,6 +22,75 @@ def test_block_sizes_n2(ops_bdm):
 def test_monolithic_exactly_symmetric(ops_bdm, lam, rp, ap):
     A = ops_bdm[4].block_system(ReducedParams(lam, rp, ap)).monolithic()
     assert abs(A - A.T).max() == 0.0
+
+
+def _tril_mirror(mat):
+    """Oracle: the lower triangle plus its transpose plus the diagonal."""
+    lower = sps.tril(mat, -1, format="csr")
+    return (lower + lower.T + sps.diags(mat.diagonal())).tocsr()
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_grams_are_the_tril_mirror(family, perturbed_mesh, monkeypatch):
+    """Every Gram leaves the mirror exactly symmetric and bitwise equal,
+    values and pattern, to the tril + tril^T + diag oracle of its raw
+    assembly."""
+    seen = []
+    mirror = assembly._mirror_lower
+
+    def spy(mat):
+        raw = mat.copy()
+        seen.append((raw, mirror(mat)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(assembly, "_mirror_lower", spy)
+    ops = FormOperators(perturbed_mesh[8], (family, "rt0", "p0"),
+                        check_compat=False)
+    for name in ("GRAD", "HESS", "DD_v"):
+        getattr(ops, name)
+    # EPS, DD_u, M_v, PEN, CONS, then the three built on first use
+    assert len(seen) == 8
+    for raw, out in seen:
+        ref = _tril_mirror(raw)
+        assert np.array_equal(out.indptr, ref.indptr)
+        assert np.array_equal(out.indices, ref.indices)
+        assert np.array_equal(out.data, ref.data)
+        assert (out != out.T).nnz == 0
+
+
+def test_mirror_rejects_an_asymmetric_pattern():
+    with pytest.raises(ValueError, match="not symmetric"):
+        assembly._mirror_lower(sps.csr_matrix(np.array([[1.0, 2.0],
+                                                        [0.0, 1.0]])))
+
+
+def test_norm_only_grams_are_built_on_first_use(monkeypatch):
+    """A direct solve never builds GRAD, HESS or DD_v; the first
+    norm_blocks call builds each once, and every later reader reuses it."""
+    from biotfem.solver import DirectSolver
+
+    ops = FormOperators(structured_mesh(4))
+    pr = ReducedParams(1e4, 1e-4, 1.0)
+    DirectSolver(ops.block_system(pr))
+    assert not {"GRAD", "HESS", "DD_v"} & set(ops.__dict__)
+
+    calls = []
+    scatter = assembly._scatter
+
+    def counting(*args):
+        calls.append(args)
+        return scatter(*args)
+
+    monkeypatch.setattr(assembly, "_scatter", counting)
+    ops.norm_blocks(pr)
+    assert len(calls) == 3
+    built = {name: ops.__dict__[name] for name in ("GRAD", "HESS", "DD_v")}
+    ops.norm_blocks(ReducedParams(1.0, 1.0, 0.0))
+    ops.natural_norm_blocks(pr)
+    ops.grad_norm_gram()
+    ops.dg_norm_gram()
+    assert len(calls) == 3
+    assert all(ops.__dict__[name] is mat for name, mat in built.items())
 
 
 def test_dg_config_validation():

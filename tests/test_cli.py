@@ -166,13 +166,18 @@ def test_flag_rejected_where_not_offered(setting, command):
     argv = [command, setting.flag]
     if setting.key is not None:
         argv.append(SAMPLE[setting.key])
-    try:
-        args = make_parser().parse_args(argv)
-    except SystemExit:
-        return
-    # argparse expands a unique prefix (--n is --n-list for convergence),
-    # but never into this setting
-    assert not hasattr(args, setting.dest)
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(argv)
+
+
+def test_mesh_size_is_not_an_abbreviation_of_the_size_list():
+    """convergence takes --n-list only; --n must not expand into it."""
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["convergence", "--n", "8"])
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["convergence", "--n-l", "8"])
+    args = make_parser().parse_args(["convergence", "--n-list", "8"])
+    assert args.n_list == [8]
 
 
 COMMON_RECORD = {"command", "triple", "norms", "eta", "tol", "max_iter",
@@ -291,24 +296,40 @@ def test_solve_zero_sources_gives_zero_solution(tmp_path):
     assert isinstance(rec["lu_fill"], int) and rec["lu_fill"] > 0
 
 
+DIRECT_RECORD = {"method", "iterations", "converged", "tol", "wall_time",
+                 "cond_estimate", "residual_history", "lu_fill",
+                 "refine_iterations", "refine_solves", "refine_residual",
+                 "conservation_max", "err_U", "err_V", "err_P"}
+STEP_RECORD = {"step", "time", "multiplier", "refine_iterations",
+               "refine_solves", "conservation_max", "u_norm", "p_norm"}
+
+
 def test_direct_solve_reports_refinement(tmp_path):
-    """The GMRES refinement of the direct path reports its iteration count
-    and final scaled residual in the JSON records, never in a CSV."""
+    """The GMRES refinement of the direct path reports its iteration count,
+    factor applications and final scaled residual in the JSON records,
+    never in a CSV."""
     out = tmp_path / "r"
     rc = main(["solve", "--n", "4", "--lambda", "1e8", "--rp-inv", "1e8",
                "--alpha-p", "0", "--out", str(out)])
     assert rc == 0
     rec = json.loads((out / "report.json").read_text())
+    assert set(rec) == DIRECT_RECORD
     assert isinstance(rec["refine_iterations"], int)
     assert rec["refine_iterations"] >= 1
+    # one factor application per iteration and per restart, one to polish
+    assert isinstance(rec["refine_solves"], int)
+    assert rec["refine_solves"] >= rec["refine_iterations"] + 2
     assert 0.0 <= rec["refine_residual"] <= 1e-12
     assert not list(out.glob("*.csv"))
 
     out = tmp_path / "ts"
     assert main(TIMESTEP_ARGV + ["--steps", "2", "--out", str(out)]) == 0
     steps = json.loads((out / "timestep_report.json").read_text())["steps"]
+    assert all(set(r) == STEP_RECORD for r in steps)
     assert all(isinstance(r["refine_iterations"], int)
-               and r["refine_iterations"] >= 1 for r in steps)
+               and r["refine_iterations"] >= 1
+               and r["refine_solves"] >= r["refine_iterations"] + 2
+               for r in steps)
     header = (out / "timestep_conservation.csv").read_text().splitlines()[0]
     assert header == "step,time,conservation_max"
 

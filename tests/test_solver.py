@@ -381,6 +381,81 @@ def test_hard_corner_converges_at_first_order():
     assert order_v >= 0.9 and order_p >= 0.9, (order_v, order_p)
 
 
+class _CountingFactor:
+    """Wraps a factor and counts its applications."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+def _counting_solver(system):
+    direct = DirectSolver(system)
+    direct.lu = _CountingFactor(direct.lu)
+    return direct
+
+
+def _scaled_residual(direct, rhs, x, mult):
+    b = direct.d * np.append(rhs, 0.0)
+    r = b - direct.K @ (np.append(x, mult) / direct.d)
+    return np.linalg.norm(r) / np.linalg.norm(b)
+
+
+def test_refinement_applies_the_factor_once_per_iteration():
+    """At the time stepper's point (2, 400, 0.05) a solve takes two GMRES
+    iterations and four factor applications: one to start the cycle, one
+    per iteration and one to polish."""
+    pr = ReducedParams(2.0, 400.0, 0.05)
+    case = manufactured_case(pr)
+    bs = FormOperators(structured_mesh(8)).block_system(pr, f=case.f,
+                                                        g=case.g)
+    direct = _counting_solver(bs)
+    x, mult = direct.solve(bs.rhs)
+    assert direct.refine_iterations == 2
+    assert direct.refine_solves == direct.lu.calls == 4
+    assert _scaled_residual(direct, bs.rhs, x, mult) <= 1e-12
+
+
+def test_zero_load_solves_nothing(ops_bdm):
+    bs, _ = _system(ops_bdm[4], 1e8, 1e8, 0.0, with_rhs=False)
+    direct = _counting_solver(bs)
+    x, mult = direct.solve(bs.rhs)
+    assert not x.any() and mult == 0.0
+    assert direct.lu.calls == direct.refine_solves == 0
+    assert direct.refine_iterations == 0 and direct.refine_residual == 0.0
+
+
+def test_hard_corner_meets_the_bound():
+    """(1e8, 1e8, 0) needs the most GMRES iterations of the grid; the
+    solve still meets the scaled residual bound, recomputed here."""
+    pr = ReducedParams(1e8, 1e8, 0.0)
+    case = manufactured_case(pr)
+    bs = FormOperators(structured_mesh(8)).block_system(pr, f=case.f,
+                                                        g=case.g)
+    direct = _counting_solver(bs)
+    x, mult = direct.solve(bs.rhs)
+    assert _scaled_residual(direct, bs.rhs, x, mult) <= 1e-12
+    assert direct.refine_residual <= 1e-12
+    assert direct.refine_iterations < solver._CYCLES * solver._RESTART
+    assert direct.refine_solves == direct.lu.calls
+
+
+def test_gmres_stops_on_breakdown():
+    """With an exact factor the Krylov space is exhausted after one
+    iteration (H[1, 0] = 0): GMRES stops there instead of dividing by
+    zero, and the solution is exact."""
+    K = sps.identity(6, format="csr")
+    b = np.arange(1.0, 7.0)
+    y, r, iterations, solves = solver._gmres(K, solver._factor(
+        K, "identity", spd=True), b, np.linalg.norm(b))
+    assert (iterations, solves) == (1, 2)
+    assert np.linalg.norm(r) <= 1e-15 * np.linalg.norm(b)
+    assert np.allclose(y, b, rtol=1e-15, atol=0)
+
+
 def test_refinement_that_misses_its_bound_raises(ops_bdm):
     """A factor of another grid point preconditions GMRES too poorly to
     reach the bound: the solve raises and returns nothing."""
