@@ -4,11 +4,16 @@ All parameter-independent Gram matrices (volume and face terms) are built
 once per (mesh, families, penalty), those that only the norms read on first
 use, and then combined with scalar weights for each parameter point, so
 sweeps over the coefficient grid cost almost nothing beyond the first
-assembly.
+assembly.  The monolithic matrices are laid out in one place:
+`block_matrix` keeps the CSR index arrays of the saddle matrix per
+sparsity pattern of its blocks, gathers each parameter point's block data
+into them and borders them for the direct solver, and `block_diagonal`
+concatenates the norm blocks.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,11 +77,7 @@ class BlockSystem:
         return np.concatenate([self.rhs_u, self.rhs_v, self.rhs_p])
 
     def monolithic(self) -> sps.csr_matrix:
-        return sps.bmat(
-            [[self.A_uu, None, self.B_up],
-             [None, self.A_vv, self.B_vp],
-             [self.B_up.T, self.B_vp.T, self.C_pp]],
-            format="csr")
+        return block_matrix(self)
 
     def split(self, x: np.ndarray):
         nu, nv, npp = self.block_sizes
@@ -95,7 +96,166 @@ class NormBlocks:
     kind: str = "paper"
 
     def monolithic(self) -> sps.csr_matrix:
-        return sps.block_diag((self.N_U, self.N_V, self.N_P), format="csr")
+        return block_diagonal((self.N_U, self.N_V, self.N_P))
+
+
+# -- block layout ---------------------------------------------------------------
+# Canonical blocks give results bitwise equal to sps.bmat / sps.block_diag.
+
+def _canonical(mat) -> sps.csr_matrix:
+    """`mat` as CSR with sorted, unique column indices (a copy only when
+    it is not already so)."""
+    mat = mat.tocsr()
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    return mat
+
+
+def _stack(block_rows, itype):
+    """indptr, indices and gather order, all of integer type `itype`, of a
+    CSR matrix made of block rows.
+
+    Each block row lists its blocks left to right as (column offset,
+    indptr, indices, source), where source gives, for every stored entry
+    in CSR order, its position in the stacked data vector.  Blocks of one
+    row occupy disjoint column ranges, so a row's sorted entries are the
+    rows of its blocks one after another.
+    """
+    counts = np.concatenate([sum(np.diff(p) for _, p, _, _ in row)
+                             for row in block_rows])
+    indptr = np.zeros(counts.size + 1, dtype=itype)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=itype)
+    order = np.empty(indptr[-1], dtype=itype)
+    first = 0
+    for row in block_rows:
+        rows = row[0][1].size - 1
+        start = indptr[first:first + rows].copy()
+        for offset, p, idx, src in row:
+            n = np.diff(p)
+            at = np.repeat(start - p[:-1], n)
+            at += np.arange(idx.size, dtype=itype)
+            indices[at] = idx + offset
+            order[at] = src
+            start += n
+        first += rows
+    return indptr, indices, order
+
+
+class BlockLayout:
+    """CSR index arrays of the saddle matrix
+
+        [[A_uu, 0, B_up], [0, A_vv, B_vp], [B_up^T, B_vp^T, C_pp]]
+
+    and of the same matrix bordered by the cell-area column and row, for
+    one sparsity pattern of the five blocks.  The data vector is the
+    blocks' data in that order (then the areas, bordered), and the lower
+    coupling blocks read it through a transpose permutation.
+    """
+
+    def __init__(self, blocks):
+        A_uu, B_up, A_vv, B_vp, C_pp = blocks
+        nu, nv, npp = A_uu.shape[0], A_vv.shape[0], C_pp.shape[0]
+        self.shapes = ((nu, nu), (nu, npp), (nv, nv), (nv, npp), (npp, npp))
+        if tuple(b.shape for b in blocks) != self.shapes:
+            raise ValueError(f"block shapes {[b.shape for b in blocks]} do "
+                             f"not form a saddle matrix of sizes "
+                             f"{(nu, nv, npp)}")
+        self.patterns = [(b.indptr.copy(), b.indices.copy()) for b in blocks]
+        src = np.cumsum([0] + [b.nnz for b in blocks])
+        # int32 holds every index and source position, as scipy would keep
+        small = max(nu + nv + npp + 1, src[-1] + npp) < np.iinfo(np.int32).max
+        self._itype = np.int32 if small else np.int64
+        own = [(p, i, np.arange(s, s + i.size, dtype=self._itype))
+               for (p, i), s in zip(self.patterns, src)]
+
+        def transposed(k):
+            # CSR of block k's transpose: its entries ordered by column
+            p, i = self.patterns[k]
+            perm = np.argsort(i, kind="stable")
+            rows = np.repeat(np.arange(p.size - 1), np.diff(p))
+            tp = np.concatenate(([0], np.cumsum(np.bincount(i,
+                                                            minlength=npp))))
+            return tp, rows[perm], src[k] + perm
+
+        self.saddle = _stack([[(0, *own[0]), (nu + nv, *own[1])],
+                              [(nu, *own[2]), (nu + nv, *own[3])],
+                              [(0, *transposed(1)), (nu, *transposed(3)),
+                               (nu + nv, *own[4])]], self._itype)
+        self.size = nu + nv + npp
+        self._areas = src[-1]  # where the areas start in the data vector
+
+    def matches(self, blocks) -> bool:
+        return all(b.shape == s and np.array_equal(p, b.indptr)
+                   and np.array_equal(i, b.indices)
+                   for (p, i), s, b in zip(self.patterns, self.shapes, blocks))
+
+    def bordered(self):
+        """The saddle layout with an area entry closing each pressure row
+        and the area row appended."""
+        indptr, indices, order = self.saddle
+        n, npp = self.size, self.shapes[-1][0]
+        # the row's entries go at the end of the array, after the column's
+        at = np.concatenate((indptr[n - npp + 1:], np.full(npp, indices.size)))
+        shift = np.maximum(np.arange(n + 1) - (n - npp), 0)
+        indptr = np.append(indptr + shift, indptr[-1] + 2 * npp)
+        cols = np.concatenate((np.full(npp, n), np.arange(n - npp, n)))
+        return (indptr.astype(self._itype), np.insert(indices, at, cols),
+                np.insert(order, at, np.tile(self._areas + np.arange(npp), 2)))
+
+
+# Last layout per displacement space, the same rule as the factor memo of
+# the solver: the systems of one FormOperators share it.
+_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def block_matrix(system: BlockSystem, bordered: bool = False):
+    """The saddle matrix of `system` in CSR; with `bordered`, also the
+    column of cell areas and its transpose as last row, which pin the
+    pressure mean."""
+    blocks = [_canonical(b) for b in (system.A_uu, system.B_up, system.A_vv,
+                                      system.B_vp, system.C_pp)]
+    indptr, indices, order = _layout(system.uspace, blocks, bordered)
+    data = [b.data for b in blocks]
+    if bordered:
+        data.append(system.mesh.signed_areas())
+    n = indptr.size - 1
+    return sps.csr_matrix((np.concatenate(data)[order], indices, indptr),
+                          shape=(n, n))
+
+
+def _layout(space: FESpace, blocks, bordered: bool):
+    """indptr and indices the caller may keep, and the gather order.
+
+    The layout of `space` is reused while the five blocks keep the
+    sparsity pattern it was built for, and rebuilt otherwise.  Only the
+    saddle matrix, which a sweep builds at every point, stores its
+    layout; a direct solver borders its matrix once, and a layout it
+    built is freed before the matrix is filled."""
+    layout = _LAYOUTS.get(space)
+    if layout is None or not layout.matches(blocks):
+        layout = BlockLayout(blocks)
+        if not bordered:
+            _LAYOUTS[space] = layout
+    if bordered:
+        return layout.bordered()
+    indptr, indices, order = layout.saddle
+    return indptr.copy(), indices.copy(), order
+
+
+def block_diagonal(blocks) -> sps.csr_matrix:
+    """The block-diagonal CSR matrix of `blocks`, by concatenating their
+    CSR arrays."""
+    blocks = [_canonical(b) for b in blocks]
+    rows = np.cumsum([0] + [b.shape[0] for b in blocks])
+    cols = np.cumsum([0] + [b.shape[1] for b in blocks])
+    nnz = np.cumsum([0] + [b.nnz for b in blocks])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + k
+                                     for b, k in zip(blocks, nnz)])
+    indices = np.concatenate([b.indices + c for b, c in zip(blocks, cols)])
+    return sps.csr_matrix((np.concatenate([b.data for b in blocks]), indices,
+                           indptr), shape=(rows[-1], cols[-1]))
 
 
 def _scatter(space: FESpace, elem: np.ndarray,

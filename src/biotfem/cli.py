@@ -218,18 +218,19 @@ SETTINGS = (
     Setting("--c-pp", "c_pp", "physical", _ALL,
             "constrained specific storage (default 0)"),
     Setting("--method", "method", "method", ("solve",), "solver",
-            str, choices=("direct", "minres")),
+            str, choices=("direct", "minres"), scoped=True),
     Setting("--source", "source", "source", ("solve",), "right-hand side",
-            str, choices=("zero", "manufactured")),
+            str, choices=("zero", "manufactured"), scoped=True),
     Setting("--tol", "tol", "tol", _KRYLOV, "MINRES stopping tolerance",
-            check=_POSITIVE),
+            check=_POSITIVE, scoped=True),
     Setting("--max-iter", "max_iter", "max_iter", _KRYLOV,
-            "MINRES iteration cap", int, check=_AT_LEAST_1),
+            "MINRES iteration cap", int, check=_AT_LEAST_1, scoped=True),
     Setting("--dump-mesh", None, "dump_mesh", ("solve",), "write mesh.txt"),
     Setting("--export-blocks", None, "export_blocks", ("solve",),
             "write the blocks as Matrix Market files"),
     Setting("--norms", "norms", "norms", ("infsup",),
-            "norms of the pencil", str, choices=("paper", "natural")),
+            "norms of the pencil", str, choices=("paper", "natural"),
+            scoped=True),
     Setting("--lambda-list", "lambda_list", "lam_list", _GRID,
             "comma-separated reduced lambdas", _floats),
     Setting("--rp-inv-list", "rp_inv_list", "rp_list", _GRID,

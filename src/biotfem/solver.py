@@ -19,7 +19,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
-from .assembly import BlockSystem, NormBlocks
+from .assembly import BlockSystem, NormBlocks, block_diagonal, block_matrix
 
 
 class FactorizationFailure(RuntimeError):
@@ -108,7 +108,7 @@ def _fill(lu) -> int:
     return int(lu.L.nnz) + int(lu.U.nnz)
 
 
-def _same_matrix(a: sps.csc_matrix, b: sps.csc_matrix) -> bool:
+def _same_matrix(a: sps.csr_matrix, b: sps.csr_matrix) -> bool:
     return (a.shape == b.shape and a.dtype == b.dtype
             and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices)
@@ -136,26 +136,27 @@ class BlockPreconditioner:
         self.sizes = tuple(b.shape[0] for b in self.blocks)
         self.lu_fill = {}
         memo = {} if memo is None else memo
-        self.inv_U = self._inverse(A_uu, "displacement", memo)
-        self.inv_V = self._inverse(N_V, "flux", memo)
-        diag = N_P.diagonal()
-        if (N_P - sps.diags(diag)).nnz or np.any(diag <= 0):
+        self.inv_U = self._inverse(self.blocks[0], "displacement", memo)
+        self.inv_V = self._inverse(self.blocks[1], "flux", memo)
+        P = self.blocks[2]
+        diag = P.diagonal()
+        rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        if np.any(P.data[rows != P.indices] != 0) or np.any(diag <= 0):
             # cellwise-constant mass is diagonal; anything else means the
             # pressure block was assembled inconsistently
-            self.inv_P = self._inverse(N_P, "pressure", memo)
+            self.inv_P = self._inverse(P, "pressure", memo)
         else:
             inv = 1.0 / diag
             self.inv_P = lambda x: inv * x
 
-    def _inverse(self, mat, name: str, memo: dict):
-        A = mat.tocsc(copy=True)
+    def _inverse(self, mat: sps.csr_matrix, name: str, memo: dict):
         last = memo.get(name)
-        if last is not None and _same_matrix(last[0], A):
+        if last is not None and _same_matrix(last[0], mat):
             _, lu, fill = last
         else:
-            lu = _factor(A, name, spd=True)
+            lu = _factor(mat, name, spd=True)
             fill = _fill(lu)
-            memo[name] = (A, lu, fill)
+            memo[name] = (mat.copy(), lu, fill)
         self.lu_fill[name] = fill
 
         def solve(x):
@@ -169,7 +170,7 @@ class BlockPreconditioner:
 
     def matrix(self) -> sps.csr_matrix:
         """The SPD matrix whose inverse this preconditioner applies."""
-        return sps.block_diag(self.blocks, format="csr")
+        return block_diagonal(self.blocks)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         nu, nv, npp = self.sizes
@@ -361,11 +362,7 @@ class DirectSolver:
     """
 
     def __init__(self, system: BlockSystem):
-        col = system.mesh.signed_areas()[:, None]
-        K = sps.bmat([[system.A_uu, None, system.B_up, None],
-                      [None, system.A_vv, system.B_vp, None],
-                      [system.B_up.T, system.B_vp.T, system.C_pp, col],
-                      [None, None, col.T, None]], format="csr")
+        K = block_matrix(system, bordered=True)
         self.d = d = _norm_scaling(system)
         # d_i K_ij d_j, in an order that keeps K bitwise symmetric
         rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))

@@ -222,7 +222,7 @@ def test_criterion_5_convergence_orders(convergence_tables):
     assert max(diffs) <= 0.1
 
 
-def test_criterion_6_structural_invariants(ops_bdm, rng):
+def test_criterion_6_structural_invariants(ops_bdm, rng, perturbed_mesh):
     ok = True
     details = []
 
@@ -244,32 +244,34 @@ def test_criterion_6_structural_invariants(ops_bdm, rng):
     ok &= min(eigs) > 0
     details.append(f"norm-block min eig={min(eigs):.2e}")
 
-    # commuting diagram on 20 random smooth (polynomial) fields
-    mesh4 = structured_mesh(4)
-    sp = FESpace(mesh4, "bdm1")
+    # commuting diagram on 20 random smooth (polynomial) fields, on a
+    # structured and a perturbed mesh
     worst_commute = 0.0
-    for _ in range(20):
-        c = rng.standard_normal(12)
+    for mesh4 in (structured_mesh(4), perturbed_mesh[4]):
+        sp = FESpace(mesh4, "bdm1")
+        for _ in range(20):
+            c = rng.standard_normal(12)
 
-        def u(x, y):
-            return np.stack([
-                c[0] + c[1] * x + c[2] * y + c[3] * x * y
-                + c[4] * x * x + c[5] * y * y,
-                c[6] + c[7] * x + c[8] * y + c[9] * x * y
-                + c[10] * x * x + c[11] * y * y], axis=-1)
+            def u(x, y):
+                return np.stack([
+                    c[0] + c[1] * x + c[2] * y + c[3] * x * y
+                    + c[4] * x * x + c[5] * y * y,
+                    c[6] + c[7] * x + c[8] * y + c[9] * x * y
+                    + c[10] * x * x + c[11] * y * y], axis=-1)
 
-        def divu(x, y):
-            return (c[1] + c[3] * y + 2 * c[4] * x + c[8] + c[9] * x
-                    + 2 * c[11] * y)
+            def divu(x, y):
+                return (c[1] + c[3] * y + 2 * c[4] * x + c[8] + c[9] * x
+                        + 2 * c[11] * y)
 
-        err = np.abs(sp.cell_divergence(sp.interpolate(u))
-                     - project_qh(divu, mesh4)).max()
-        worst_commute = max(worst_commute, err)
+            err = np.abs(sp.cell_divergence(sp.interpolate(u))
+                         - project_qh(divu, mesh4)).max()
+            worst_commute = max(worst_commute, err)
     ok &= worst_commute <= 1e-12
     details.append(f"commuting={worst_commute:.1e}")
 
     # trace identities for conforming fluxes and continuous tensors
-    worst_trace = _trace_identity_residuals(rng)
+    worst_trace = max(_trace_identity_residuals(rng, mesh)
+                      for mesh in (structured_mesh(3), perturbed_mesh[4]))
     ok &= worst_trace <= 1e-12
     details.append(f"trace identities={worst_trace:.1e}")
 
@@ -347,8 +349,7 @@ def test_criterion_6_korn_drift_literal(ops_bdm):
         f"({fine}): the Korn constant is not h-independent")
 
 
-def _trace_identity_residuals(rng):
-    mesh = structured_mesh(3)
+def _trace_identity_residuals(rng, mesh):
     snod, swts = leggauss(4)
     worst = 0.0
     for family in ("rt0", "bdm1"):

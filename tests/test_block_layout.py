@@ -1,0 +1,128 @@
+"""The cached block layout reproduces sps.bmat / sps.block_diag bitwise.
+
+`assembly.block_matrix` fills the saddle matrix (and the matrix bordered
+by the cell-area column) from a CSR layout kept per displacement space,
+and `assembly.block_diagonal` concatenates CSR arrays.  Every matrix built
+that way must equal, in indptr, indices and data, the scipy reference
+built here, over the whole coefficient grid, on structured and perturbed
+meshes, and after a block changes its sparsity pattern.
+"""
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+import scipy.sparse as sps
+
+from biotfem import assembly
+from biotfem.assembly import FormOperators, block_matrix
+from biotfem.meshing import structured_mesh
+from biotfem.params import ReducedParams
+from biotfem.solver import DirectSolver, build_preconditioner
+
+from conftest import AP_GRID, LAM_GRID, RP_GRID
+
+GRID = list(itertools.product(LAM_GRID, RP_GRID, AP_GRID))
+
+
+def _bmat(system, bordered=False):
+    blocks = [[system.A_uu, None, system.B_up],
+              [None, system.A_vv, system.B_vp],
+              [system.B_up.T, system.B_vp.T, system.C_pp]]
+    if bordered:
+        col = system.mesh.signed_areas()[:, None]
+        blocks = [row + [None] for row in blocks] + [[None, None, col.T,
+                                                      None]]
+        blocks[2][3] = col
+    return sps.bmat(blocks, format="csr")
+
+
+def _assert_bitwise(got, want):
+    assert got.format == "csr" and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype.kind == b.dtype.kind, name
+        assert a.tobytes() == b.astype(a.dtype).tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def operators(ops_bdm, perturbed_mesh):
+    ops = {f"structured-{n}": o for n, o in ops_bdm.items()}
+    ops.update({f"perturbed-{n}": FormOperators(mesh)
+                for n, mesh in perturbed_mesh.items()})
+    return ops
+
+
+@pytest.mark.parametrize("name", ["structured-2", "structured-4",
+                                  "structured-8", "perturbed-4",
+                                  "perturbed-8"])
+def test_layout_matches_scipy_over_the_grid(operators, name):
+    ops = operators[name]
+    for pt in GRID:
+        pr = ReducedParams(*pt)
+        system = ops.block_system(pr)
+        norms = ops.norm_blocks(pr)
+        _assert_bitwise(system.monolithic(), _bmat(system))
+        _assert_bitwise(block_matrix(system, bordered=True),
+                        _bmat(system, bordered=True))
+        _assert_bitwise(norms.monolithic(),
+                        sps.block_diag((norms.N_U, norms.N_V, norms.N_P),
+                                       format="csr"))
+        pc = build_preconditioner(norms, system)
+        _assert_bitwise(pc.matrix(), sps.block_diag(pc.blocks, format="csr"))
+    # the grid shares one pattern, so it shares one layout
+    assert assembly._LAYOUTS[ops.uspace].matches(
+        [system.A_uu, system.B_up, system.A_vv, system.B_vp, system.C_pp])
+
+
+def test_direct_solver_scales_the_bordered_reference(operators):
+    system = operators["perturbed-4"].block_system(
+        ReducedParams(1e4, 1e-4, 1.0))
+    solver = DirectSolver(system)
+    K = _bmat(system, bordered=True)
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    K.data *= solver.d[rows] * solver.d[K.indices]
+    _assert_bitwise(solver.K, K)
+
+
+def test_direct_solver_leaves_no_layout_behind():
+    """A direct solver borders its matrix once, so it does not keep a
+    layout alive for the life of the operators."""
+    ops = FormOperators(structured_mesh(2))
+    DirectSolver(ops.block_system(ReducedParams(1.0, 1.0, 0.0)))
+    assert ops.uspace not in assembly._LAYOUTS
+
+
+def test_changed_pattern_rebuilds_the_layout(operators):
+    ops = operators["perturbed-4"]
+    system = ops.block_system(ReducedParams(1e2, 1.0, 0.0))
+    system.monolithic()
+    kept = assembly._LAYOUTS[ops.uspace]
+    A = system.A_uu.tolil()
+    cols = A.rows[0]
+    A[0, next(j for j in range(A.shape[1]) if j not in cols)] = 0.5
+    edited = dataclasses.replace(system, A_uu=A.tocsr())
+    assert edited.A_uu.nnz == system.A_uu.nnz + 1
+    for sys_ in (edited, system):
+        _assert_bitwise(sys_.monolithic(), _bmat(sys_))
+        _assert_bitwise(block_matrix(sys_, bordered=True),
+                        _bmat(sys_, bordered=True))
+    assert assembly._LAYOUTS[ops.uspace] is not kept
+
+
+def test_returned_matrix_owns_its_index_arrays(operators):
+    """Editing a returned matrix in place leaves the cached layout intact."""
+    system = operators["structured-4"].block_system(
+        ReducedParams(1.0, 1.0, 0.0))
+    A = system.monolithic()
+    A.data[:] = 0.0
+    A.eliminate_zeros()
+    _assert_bitwise(system.monolithic(), _bmat(system))
+
+
+def test_mismatched_block_shapes_raise(operators):
+    system = operators["structured-2"].block_system(
+        ReducedParams(1.0, 1.0, 0.0))
+    bad = dataclasses.replace(system, B_vp=system.B_vp[:, :-1].tocsr())
+    with pytest.raises(ValueError, match="saddle matrix"):
+        bad.monolithic()

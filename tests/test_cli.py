@@ -180,23 +180,25 @@ def test_mesh_size_is_not_an_abbreviation_of_the_size_list():
     assert args.n_list == [8]
 
 
-COMMON_RECORD = {"command", "triple", "norms", "eta", "tol", "max_iter",
-                 "method", "source", "output_dir"}
+COMMON_RECORD = {"command", "triple", "eta", "output_dir"}
 
 
 @pytest.mark.parametrize("argv,extra", [
-    (["solve", "--dump-mesh"], {"mesh_n"}),
-    (["infsup", "--rp-inv-list", "1,2"], {"mesh_n", "rp_inv_list"}),
-    (["sweep", "--with-condition"], {"mesh_n"}),
+    (["solve", "--dump-mesh"], {"mesh_n", "method", "source", "tol",
+                                "max_iter"}),
+    (["infsup", "--rp-inv-list", "1,2"], {"mesh_n", "rp_inv_list", "norms"}),
+    (["sweep", "--with-condition"], {"mesh_n", "tol", "max_iter"}),
     (["convergence", "--lambda", "1", "--rp-inv", "1", "--alpha-p", "0"],
      {"n_list", "lambda_red", "rp_inv", "alpha_p"}),
     (TIMESTEP_ARGV, {"mesh_n", "steps", "g_mode", "mu", "lambda", "alpha",
                      "K", "tau", "c_pp"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else "")
 def test_resolved_config_keys(argv, extra):
-    """resolved_config.txt records the solver settings for every command,
-    the mesh size under mesh_n (n_list for convergence), the timestep
-    settings for timestep only, given parameters and lists, no switch."""
+    """resolved_config.txt records each setting only for the commands that
+    read it: the solver settings for solve (tolerance and cap for sweep
+    too), the norms for infsup, the mesh size under mesh_n (n_list for
+    convergence), the timestep settings for timestep; also the given
+    parameters and lists, and no switch."""
     rec = _cfg(argv).resolved_dict()
     assert set(rec) == COMMON_RECORD | extra
     if "rp_inv_list" in rec:

@@ -188,11 +188,16 @@ def test_interpolate_linear_divergence():
     assert np.abs(sp.cell_divergence(dofs) - 2.0).max() <= 1e-13
 
 
-@pytest.mark.parametrize("family", ["bdm1", "rt0"])
-def test_commuting_diagram_random_polynomials(family, rng):
+@pytest.mark.parametrize("family,perturbed", [
+    pytest.param(family, perturbed,
+                 id=family + ("-perturbed" if perturbed else ""))
+    for perturbed in (False, True) for family in ("bdm1", "rt0")])
+def test_commuting_diagram_random_polynomials(family, perturbed, rng,
+                                              perturbed_mesh):
     """div of the interpolant equals the projected divergence; polynomial
-    inputs keep every quadrature exact."""
-    mesh = structured_mesh(4)
+    inputs keep every quadrature exact.  The perturbed mesh mixes cell
+    shapes, orientations and areas, which congruent cells hide."""
+    mesh = perturbed_mesh[4] if perturbed else structured_mesh(4)
     sp = FESpace(mesh, family)
     for _ in range(20):
         c = rng.standard_normal(12)

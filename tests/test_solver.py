@@ -59,6 +59,30 @@ def test_pressure_block_scales_inverse_gamma(ops_bdm):
     assert np.abs(z[nu + nv:] - 1.0 / 1e6).max() <= 1e-18
 
 
+def test_pressure_block_factored_only_off_the_positive_diagonal(ops_bdm,
+                                                                rng):
+    """The paper's N_P is a positive diagonal and is inverted entrywise,
+    also when it stores an explicit zero off the diagonal; a positive N_P
+    with one off-diagonal entry is factored."""
+    bs, pr = _system(ops_bdm[2], 1.0, 1.0, 1.0, with_rhs=False)
+    nb = ops_bdm[2].norm_blocks(pr)
+    nu, nv, npp = bs.block_sizes
+    pair = sps.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(npp, npp))
+    stored_zero = nb.N_P + pair
+    stored_zero.data[stored_zero.indices != np.repeat(
+        np.arange(npp), np.diff(stored_zero.indptr))] = 0.0
+    for N_P in (nb.N_P, stored_zero):
+        pc = BlockPreconditioner(bs.A_uu, nb.N_V, N_P)
+        assert "pressure" not in pc.lu_fill
+    coupled = nb.N_P + 0.25 * nb.N_P[0, 0] * pair
+    pc = BlockPreconditioner(bs.A_uu, nb.N_V, coupled)
+    assert "pressure" in pc.lu_fill
+    r = rng.standard_normal(nu + nv + npp)
+    z = pc.apply(r)[nu + nv:]
+    assert np.abs(coupled @ z - r[nu + nv:]).max() \
+        <= 1e-12 * np.abs(r).max()
+
+
 @pytest.mark.parametrize("lam,rp,ap", [(1, 1, 0), (1e8, 1e-8, 1)])
 def test_preconditioner_blocks_positive(ops_bdm, rng, lam, rp, ap):
     bs, pr = _system(ops_bdm[2], lam, rp, ap, with_rhs=False)
