@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sps
 
-from .elements import FESpace, edge_rule, project_qh, triangle_rule
+from .elements import (VECTOR_FAMILIES, FESpace, edge_rule, project_qh,
+                       triangle_rule)
 from .meshing import BOUNDARY, TriMesh
 from .params import ReducedParams
 
@@ -304,8 +305,13 @@ class FormOperators:
     """
 
     def __init__(self, mesh: TriMesh, families=("bdm1", "rt0", "p0"),
-                 cfg: DGConfig | None = None, check_compat: bool = True):
+                 cfg: DGConfig | None = None):
         ufam, vfam, pfam = families
+        for slot, fam in (("displacement", ufam), ("flux", vfam)):
+            if fam not in VECTOR_FAMILIES:
+                raise IncompatibleSpaces(
+                    f"{slot} family must be one of {VECTOR_FAMILIES}, "
+                    f"got {fam!r}")
         if pfam != "p0":
             raise IncompatibleSpaces(
                 f"pressure family must be p0, got {pfam!r}")
@@ -315,9 +321,8 @@ class FormOperators:
         self.uspace = FESpace(mesh, ufam)
         self.vspace = FESpace(mesh, vfam)
         self.areas = mesh.signed_areas()
-        if check_compat:
-            for space, name in ((self.uspace, ufam), (self.vspace, vfam)):
-                _check_div_compatibility(space, name)
+        for space, name in ((self.uspace, ufam), (self.vspace, vfam)):
+            _check_div_compatibility(space, name)
         self._build_volume()
         self._build_faces()
 
@@ -358,14 +363,6 @@ class FormOperators:
         return _scatter(self.uspace,
                         np.einsum("kq,kiqab,kjqab->kij", wK, ut["grad"],
                                   ut["grad"], optimize=True))
-
-    @cached_property
-    def HESS(self) -> sps.csr_matrix:
-        wK, ut = self._volume(self.uspace, ("hess",))
-        h2 = self.mesh.h_cell ** 2
-        return _scatter(self.uspace,
-                        np.einsum("k,kq,kiqabc,kjqabc->kij", h2, wK,
-                                  ut["hess"], ut["hess"], optimize=True))
 
     @cached_property
     def DD_v(self) -> sps.csr_matrix:
@@ -449,13 +446,12 @@ class FormOperators:
         return self._free_u(self.EPS + self.PEN)
 
     def grad_norm_gram(self) -> sps.csr_matrix:
-        """Gram of ||.||_{1,h}: broken gradient plus tangential jumps."""
-        return self._free_u(self.GRAD + self.PEN)
+        """Gram of ||.||_{1,h}: broken gradient plus tangential jumps.
 
-    def dg_norm_gram(self) -> sps.csr_matrix:
-        """Gram of the DG norm; the scaled second-derivative term vanishes
-        identically for affine linear families and is retained for rt1."""
-        return self._free_u(self.GRAD + self.PEN + self.HESS)
+        Every displacement family here is affine on each cell, so the
+        h^2-scaled second-derivative term of the DG norm vanishes and this
+        is also the DG norm's Gram."""
+        return self._free_u(self.GRAD + self.PEN)
 
     # -- free-dof restrictions, each built on first use and kept ----------------
     # Only sums and copies of these leave the class, so no caller can
@@ -466,8 +462,8 @@ class FormOperators:
         return self.ah_matrix()
 
     @cached_property
-    def _dg_free(self):
-        return self.dg_norm_gram()
+    def _grad_free(self):
+        return self.grad_norm_gram()
 
     @cached_property
     def _DD_u_free(self):
@@ -533,7 +529,7 @@ class FormOperators:
         return rhs_u, rhs_v, rhs_p
 
     def norm_blocks(self, params: ReducedParams) -> NormBlocks:
-        N_U = self._dg_free + params.lam * self._DD_u_free
+        N_U = self._grad_free + params.lam * self._DD_u_free
         N_V = (params.rp_inv * self._M_v_free
                + (1.0 / params.gamma) * self._DD_v_free)
         N_P = (params.gamma * self.M_p).tocsr()
@@ -542,7 +538,7 @@ class FormOperators:
     def natural_norm_blocks(self, params: ReducedParams) -> NormBlocks:
         """Norms without the gamma reweighting: the flux div term carries
         rp_inv and the pressure mass is unweighted (negative experiment)."""
-        N_U = self._dg_free + params.lam * self._DD_u_free
+        N_U = self._grad_free + params.lam * self._DD_u_free
         N_V = params.rp_inv * (self._M_v_free + self._DD_v_free)
         N_P = self.M_p.copy().tocsr()
         return NormBlocks(N_U.tocsr(), N_V.tocsr(), N_P, kind="natural")
@@ -568,7 +564,7 @@ def _check_div_compatibility(space: FESpace, name: str):
 def assemble_ah(mesh: TriMesh, family: str, cfg: DGConfig | None = None,
                 constrained: bool = False) -> sps.csr_matrix:
     """Interior-penalty elasticity form over all edges (boundary included)."""
-    ops = FormOperators(mesh, (family, "rt0", "p0"), cfg, check_compat=False)
+    ops = FormOperators(mesh, (family, "rt0", "p0"), cfg)
     return ops.ah_matrix() if constrained else ops.ah_full()
 
 

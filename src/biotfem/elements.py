@@ -1,8 +1,8 @@
 """Reference bases, quadrature, Piola transforms and interpolation operators.
 
 Vector families are H(div)-style: degrees of freedom are normal-component
-moments on edges (plus interior moments for the enriched Raviart-Thomas
-space), taken with a global edge orientation (lower vertex index to higher).
+moments on edges, taken with a global edge orientation (lower vertex index
+to higher).
 Physical bases are built cell by cell by inverting the small matrix of dof
 functionals applied to the Piola-mapped polynomial generators, which makes
 normal-trace conformity exact regardless of how cells are oriented.
@@ -14,7 +14,6 @@ name        local space                           dofs
 ==========  ====================================  ====
 ``bdm1``    full linear vectors                   6
 ``rt0``     lowest-order Raviart-Thomas           3
-``rt1``     linear vectors + x * (linear scalar)  8
 ``p1cvec``  continuous linear vectors (nodal)     6
 ``p0``      cellwise constants                    1
 ==========  ====================================  ====
@@ -31,11 +30,10 @@ from scipy.special import roots_jacobi
 
 from .meshing import BOUNDARY, TriMesh, from_arrays
 
-VECTOR_FAMILIES = ("bdm1", "rt0", "rt1", "p1cvec")
-HDIV_FAMILIES = ("bdm1", "rt0", "rt1")
+VECTOR_FAMILIES = ("bdm1", "rt0", "p1cvec")
+HDIV_FAMILIES = ("bdm1", "rt0")
 
-_EDGE_DOF_COUNT = {"bdm1": 2, "rt0": 1, "rt1": 2}
-_CELL_DOF_COUNT = {"bdm1": 0, "rt0": 0, "rt1": 2}
+_EDGE_DOF_COUNT = {"bdm1": 2, "rt0": 1}
 
 # reference triangle (0,0)-(1,0)-(0,1)
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -125,19 +123,15 @@ def _gen_eval(family, pts):
     comps = {
         "bdm1": [(o, z), (x, z), (y, z), (z, o), (z, x), (z, y)],
         "rt0": [(o, z), (z, o), (x, y)],
-        "rt1": [(o, z), (x, z), (y, z), (z, o), (z, x), (z, y),
-                (x * x, x * y), (x * y, y * y)],
     }[family]
     return np.stack([np.stack(c, axis=-1) for c in comps])
 
 
 def _gen_div(family, pts):
-    x, y = pts[:, 0], pts[:, 1]
-    o, z = np.ones_like(x), np.zeros_like(x)
+    o, z = np.ones(len(pts)), np.zeros(len(pts))
     rows = {
         "bdm1": [z, o, z, z, z, o],
         "rt0": [z, z, 2 * o],
-        "rt1": [z, o, z, z, z, o, 3 * x, 3 * y],
         "p1cvec": [-o, -o, o, z, z, o],
     }[family]
     return np.stack(rows)
@@ -145,8 +139,7 @@ def _gen_div(family, pts):
 
 def _gen_grad(family, pts):
     """d(gen_i)_a / d(x)_b, shape (ngen, nq, 2, 2)."""
-    x, y = pts[:, 0], pts[:, 1]
-    o, z = np.ones_like(x), np.zeros_like(x)
+    o, z = np.ones(len(pts)), np.zeros(len(pts))
 
     def m(a11, a12, a21, a22):
         return np.stack([np.stack([a11, a12], -1),
@@ -156,29 +149,10 @@ def _gen_grad(family, pts):
         "bdm1": [m(z, z, z, z), m(o, z, z, z), m(z, o, z, z),
                  m(z, z, z, z), m(z, z, o, z), m(z, z, z, o)],
         "rt0": [m(z, z, z, z), m(z, z, z, z), m(o, z, z, o)],
-        "rt1": [m(z, z, z, z), m(o, z, z, z), m(z, o, z, z),
-                m(z, z, z, z), m(z, z, o, z), m(z, z, z, o),
-                m(2 * x, z, y, x), m(y, x, z, 2 * y)],
         "p1cvec": [m(-o, -o, z, z), m(z, z, -o, -o), m(o, z, z, z),
                    m(z, z, o, z), m(z, o, z, z), m(z, z, z, o)],
     }[family]
     return np.stack(rows)
-
-
-def _gen_hess(family, pts):
-    """Second derivatives, shape (ngen, nq, 2, 2, 2); zero except for rt1."""
-    ngen = _gen_eval(family, pts).shape[0]
-    out = np.zeros((ngen, len(pts), 2, 2, 2))
-    if family == "rt1":
-        # (x^2, xy): first comp hess [[2,0],[0,0]], second [[0,1],[1,0]]
-        out[6, :, 0, 0, 0] = 2.0
-        out[6, :, 1, 0, 1] = 1.0
-        out[6, :, 1, 1, 0] = 1.0
-        # (xy, y^2)
-        out[7, :, 0, 0, 1] = 1.0
-        out[7, :, 0, 1, 0] = 1.0
-        out[7, :, 1, 1, 1] = 2.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +190,13 @@ def _dof_matrices(family, mesh: TriMesh) -> np.ndarray:
     vn = np.einsum("kjgqa,kja->kjgq", vals, mesh.edge_normal[edges],
                    optimize=True)
     mom = _edge_moments(vn, _EDGE_DOF_COUNT[family])  # (nc, 3, ngen, nmom)
-    rows = np.swapaxes(mom, 2, 3).reshape(len(J), -1, gv.shape[0])
-    if _CELL_DOF_COUNT[family]:
-        rule = triangle_rule(4)
-        vals = np.einsum("kab,gqb->kgqa", J, _gen_eval(
-            family, rule.points), optimize=True) / detJ[:, None, None, None]
-        cell_rows = 2.0 * np.einsum("kgqc,q->kcg", vals, rule.weights,
-                                    optimize=True)
-        rows = np.concatenate((rows, cell_rows), axis=1)
-    return rows
+    return np.swapaxes(mom, 2, 3).reshape(len(J), -1, gv.shape[0])
 
 
 class RefBasis:
     """Nodal reference basis of one family.
 
-    eval/div_eval/grad_eval/hess_eval return arrays over (basis, point, ...);
+    eval/div_eval return arrays over (basis, point, ...);
     the dof functionals applied to the basis give the identity matrix.
     """
 
@@ -258,16 +224,6 @@ class RefBasis:
         pts = np.atleast_2d(pts)
         return np.einsum("gi,gq->iq", self._coeff,
                          _gen_div(self.family, pts), optimize=True)
-
-    def grad_eval(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.einsum("gi,gqab->iqab", self._coeff,
-                         _gen_grad(self.family, pts), optimize=True)
-
-    def hess_eval(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.einsum("gi,gqabc->iqabc", self._coeff,
-                         _gen_hess(self.family, pts), optimize=True)
 
 
 @lru_cache(maxsize=None)
@@ -356,13 +312,9 @@ class FESpace:
                                            + axis[:, None])
         else:
             nde = _EDGE_DOF_COUNT[fam]
-            ndc = _CELL_DOF_COUNT[fam]
-            self.ndof = nde * ne + ndc * nc
-            edge_dofs = nde * mesh.cell_edges[:, :, None] + np.arange(nde)
-            own_dofs = nde * ne + ndc * np.arange(nc)[:, None] \
-                + np.arange(ndc)
-            self.cell_dofs = np.concatenate(
-                (edge_dofs.reshape(nc, 3 * nde), own_dofs), axis=1)
+            self.ndof = nde * ne
+            self.cell_dofs = (nde * mesh.cell_edges[:, :, None]
+                              + np.arange(nde)).reshape(nc, 3 * nde)
             self.boundary_dofs = (nde * mesh.boundary_edges()[:, None]
                                   + np.arange(nde)).ravel()
         self.free_dofs = np.setdiff1d(np.arange(self.ndof),
@@ -384,9 +336,8 @@ class FESpace:
         """Physical basis data at the same reference points in every cell.
 
         Returns a dict with requested arrays:
-        val (nc, nloc, nq, 2), div (nc, nloc, nq), grad (nc, nloc, nq, 2, 2),
-        hess (nc, nloc, nq, 2, 2, 2).  Scalar families return val without the
-        trailing component axis.
+        val (nc, nloc, nq, 2), div (nc, nloc, nq), grad (nc, nloc, nq, 2, 2).
+        Scalar families return val without the trailing component axis.
         """
         ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
         key = (ref_pts.tobytes(), tuple(sorted(what)))
@@ -468,22 +419,13 @@ class FESpace:
                 pg = np.einsum("kad,kgqdc,kcb->kgqab", J, gg, Jinv,
                                optimize=True) / det[:, None, None, None, None]
             out["grad"] = np.einsum("kgi,kgqab->kiqab", C, pg, optimize=True)
-        if "hess" in what:
-            gh = gen(_gen_hess)
-            if fam == "p1cvec":
-                ph = np.zeros_like(gh)
-            else:
-                ph = np.einsum("kad,kgqdce,kcb,kef->kgqabf", J, gh, Jinv,
-                               Jinv, optimize=True) \
-                    / det[:, None, None, None, None, None]
-            out["hess"] = np.einsum("kgi,kgqabc->kiqabc", C, ph, optimize=True)
         return out
 
     # -- discrete field helpers ----------------------------------------------
 
     def cell_divergence(self, coeffs) -> np.ndarray:
         """Cell-mean divergence of a discrete field (exact for all families,
-        since every divergence here is at most linear per cell)."""
+        since every divergence here is constant per cell)."""
         coeffs = np.asarray(coeffs, dtype=float)
         centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
         tab = self.tabulate(centroid, what=("div",))
@@ -502,33 +444,22 @@ class FESpace:
         """Canonical interpolation of a smooth vector field.
 
         `func(x, y)` maps coordinate arrays to stacked components of shape
-        (..., 2).  Edge moments use 10-point Gauss, interior moments a
-        degree-12 rule, so transcendental fields are resolved well below the
-        test tolerances.
+        (..., 2).  Edge moments use 10-point Gauss, so transcendental fields
+        are resolved well below the test tolerances.
         """
         mesh, fam = self.mesh, self.family
         if fam == "p0":
             raise ValueError("use project_qh for the pressure space")
-        dofs = np.zeros(self.ndof)
         if fam == "p1cvec":
             vals = func(mesh.vertices[:, 0], mesh.vertices[:, 1])
+            dofs = np.zeros(self.ndof)
             dofs[0::2] = vals[..., 0]
             dofs[1::2] = vals[..., 1]
             return dofs
-        nde = _EDGE_DOF_COUNT[fam]
         pts = mesh.edge_points(edge_rule(10)[0])
         fv = func(pts[..., 0], pts[..., 1])
         vn = np.einsum("eqa,ea->eq", fv, mesh.edge_normal, optimize=True)
-        base = nde * mesh.num_edges
-        dofs[:base] = _edge_moments(vn, nde).ravel()
-        if _CELL_DOF_COUNT[fam]:
-            rule = triangle_rule(12)
-            xy = mesh.cell_points(rule.points)
-            fv = func(xy[..., 0], xy[..., 1])
-            cidx = base + 2 * np.arange(mesh.num_cells)
-            for comp in range(2):
-                dofs[cidx + comp] = 2.0 * fv[..., comp] @ rule.weights
-        return dofs
+        return _edge_moments(vn, _EDGE_DOF_COUNT[fam]).ravel()
 
 
 def interpolate_pi_div(func, mesh: TriMesh, family: str) -> np.ndarray:

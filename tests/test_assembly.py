@@ -7,7 +7,7 @@ from biotfem import assembly
 from biotfem.assembly import (DGConfig, FormOperators, IncompatibleSpaces,
                               assemble_ah, export_matrix_market)
 from biotfem.analysis import _error_jump_seminorm
-from biotfem.elements import edge_rule, triangle_rule
+from biotfem.elements import FESpace, edge_rule, triangle_rule
 from biotfem.meshing import from_arrays, structured_mesh
 from biotfem.params import ReducedParams
 
@@ -44,12 +44,11 @@ def test_grams_are_the_tril_mirror(family, perturbed_mesh, monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(assembly, "_mirror_lower", spy)
-    ops = FormOperators(perturbed_mesh[8], (family, "rt0", "p0"),
-                        check_compat=False)
-    for name in ("GRAD", "HESS", "DD_v"):
+    ops = FormOperators(perturbed_mesh[8], (family, "rt0", "p0"))
+    for name in ("GRAD", "DD_v"):
         getattr(ops, name)
-    # EPS, DD_u, M_v, PEN, CONS, then the three built on first use
-    assert len(seen) == 8
+    # EPS, DD_u, M_v, PEN, CONS, then the two built on first use
+    assert len(seen) == 7
     for raw, out in seen:
         ref = _tril_mirror(raw)
         assert np.array_equal(out.indptr, ref.indptr)
@@ -65,14 +64,14 @@ def test_mirror_rejects_an_asymmetric_pattern():
 
 
 def test_norm_only_grams_are_built_on_first_use(monkeypatch):
-    """A direct solve never builds GRAD, HESS or DD_v; the first
-    norm_blocks call builds each once, and every later reader reuses it."""
+    """A direct solve never builds GRAD or DD_v; the first norm_blocks
+    call builds each once, and every later reader reuses it."""
     from biotfem.solver import DirectSolver
 
     ops = FormOperators(structured_mesh(4))
     pr = ReducedParams(1e4, 1e-4, 1.0)
     DirectSolver(ops.block_system(pr))
-    assert not {"GRAD", "HESS", "DD_v"} & set(ops.__dict__)
+    assert not {"GRAD", "DD_v"} & set(ops.__dict__)
 
     calls = []
     scatter = assembly._scatter
@@ -83,13 +82,12 @@ def test_norm_only_grams_are_built_on_first_use(monkeypatch):
 
     monkeypatch.setattr(assembly, "_scatter", counting)
     ops.norm_blocks(pr)
-    assert len(calls) == 3
-    built = {name: ops.__dict__[name] for name in ("GRAD", "HESS", "DD_v")}
+    assert len(calls) == 2
+    built = {name: ops.__dict__[name] for name in ("GRAD", "DD_v")}
     ops.norm_blocks(ReducedParams(1.0, 1.0, 0.0))
     ops.natural_norm_blocks(pr)
     ops.grad_norm_gram()
-    ops.dg_norm_gram()
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert all(ops.__dict__[name] is mat for name, mat in built.items())
 
 
@@ -276,9 +274,37 @@ def test_face_terms_match_per_edge_reference(family, perturbed_mesh, rng):
         seminorm, rel=1e-14)
 
 
-def test_rt1_with_p0_pressure_rejected():
-    with pytest.raises(IncompatibleSpaces):
-        FormOperators(structured_mesh(2), ("rt1", "rt0", "p0"))
+def test_rank_deficient_divergence_rejected():
+    """A space whose divergence is not constant on one cell fails the
+    compatibility check, which names that cell.  No shipped family fails
+    it, so a stub stands in: bdm1's tabulation with one basis divergence
+    made linear on cell 3."""
+    space = FESpace(structured_mesh(2), "bdm1")
+    points = triangle_rule(4).points
+    div = space.tabulate(points, what=("div",))["div"].copy()
+    div[3, 0] = points[:, 0]
+
+    class Stub:
+        def tabulate(self, pts, what):
+            assert what == ("div",) and np.array_equal(pts, points)
+            return {"div": div}
+
+    with pytest.raises(IncompatibleSpaces, match="cell 3 has rank 2"):
+        assembly._check_div_compatibility(Stub(), "stub")
+
+
+@pytest.mark.parametrize("families,slot", [
+    (("p0", "rt0", "p0"), "displacement"),
+    (("bdm1", "p0", "p0"), "flux"),
+], ids=["displacement", "flux"])
+def test_scalar_family_in_a_vector_slot_rejected(families, slot):
+    with pytest.raises(IncompatibleSpaces, match=f"{slot} family"):
+        FormOperators(structured_mesh(2), families)
+
+
+def test_assemble_ah_rejects_a_scalar_family():
+    with pytest.raises(IncompatibleSpaces, match="displacement family"):
+        assemble_ah(structured_mesh(2), "p0")
 
 
 def test_non_p0_pressure_rejected():
@@ -398,7 +424,7 @@ def test_divergence_is_elementwise_constant(ops_bdm, rng):
 
 
 def test_korn_bounds_within_fixed_interval(ops_bdm):
-    """Equivalence eigenvalues of the three mesh-dependent norms stay inside
+    """Equivalence eigenvalues of the strain and gradient norms stay inside
     [0.25, 1] on n = 2, 4, 8.  The interval is not n-independent: the lower
     strain/gradient bound leaves it at n=16 (0.196) on its way to about
     0.14; acceptance criterion 6 checks that bound's h-stability on
@@ -425,7 +451,7 @@ def test_ah_constants_stable(ops_bdm):
 def test_sampled_continuity_bound(ops_bdm, rng):
     for n in (2, 4, 8):
         A = ops_bdm[n].ah_matrix()
-        D = ops_bdm[n].dg_norm_gram()
+        D = ops_bdm[n].grad_norm_gram()
         for _ in range(10):
             u = rng.standard_normal(A.shape[0])
             w = rng.standard_normal(A.shape[0])

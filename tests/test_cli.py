@@ -214,12 +214,13 @@ def test_switches_set_their_field():
 
 
 def test_unknown_family_name_is_a_config_error(tmp_path, capsys):
-    rc = main(["solve", "--n", "2", "--triple", "foo-rt0-p0",
-               "--lambda", "1", "--rp-inv", "1", "--alpha-p", "0",
-               "--out", str(tmp_path / "f")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ConfigError" and "foo-rt0-p0" in err["message"]
+    for triple in ("foo-rt0-p0", "rt1-rt0-p0"):
+        rc = main(["solve", "--n", "2", "--triple", triple,
+                   "--lambda", "1", "--rp-inv", "1", "--alpha-p", "0",
+                   "--out", str(tmp_path / "f")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and triple in err["message"]
     for triple in ("bdm1-rt0", "bdm1-rt0-p0-p0", "BDM1-rt0-p0"):
         with pytest.raises(ConfigError):
             _cfg(["infsup", "--triple", triple])
@@ -408,11 +409,11 @@ def test_error_record_on_bad_config(capsys):
     assert err["error"] == "ConfigError"
 
 
-def test_error_record_on_runtime_failure(capsys):
-    # rt1 with cellwise-constant pressure violates div compatibility
-    rc = main(["solve", "--n", "2", "--triple", "rt1-rt0-p0",
+def test_error_record_on_runtime_failure(tmp_path, capsys):
+    # a known family name, but a scalar one in the flux slot
+    rc = main(["solve", "--n", "2", "--triple", "bdm1-p0-p0",
                "--lambda", "1", "--rp-inv", "1", "--alpha-p", "0",
-               "--source", "zero", "--out", "/tmp/biotfem-err-test"])
+               "--source", "zero", "--out", str(tmp_path / "e")])
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "IncompatibleSpaces"

@@ -35,13 +35,19 @@ def test_edge_rule_exactness():
 
 
 @pytest.mark.parametrize("family,ndofs", [
-    ("bdm1", 6), ("rt0", 3), ("rt1", 8), ("p1cvec", 6), ("p0", 1),
+    ("bdm1", 6), ("rt0", 3), ("p1cvec", 6), ("p0", 1),
 ])
 def test_dof_counts(family, ndofs):
     assert ref_basis(family).dofs_per_cell == ndofs
 
 
-@pytest.mark.parametrize("family", ["bdm1", "rt0", "rt1"])
+def test_unknown_family_rejected():
+    """rt1, whose divergence is not cellwise constant, is not a family."""
+    with pytest.raises(ValueError, match="unknown element family"):
+        ref_basis("rt1")
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0"])
 def test_reference_kronecker(family):
     rb = ref_basis(family)
     M = rb._ref_dof_matrix() @ rb._coeff
@@ -96,7 +102,7 @@ def test_rt0_edge_flux_equals_dof(rng, perturbed_mesh):
                     assert mean_flux == pytest.approx(expected, abs=1e-13)
 
 
-@pytest.mark.parametrize("family", ["bdm1", "rt0", "rt1"])
+@pytest.mark.parametrize("family", ["bdm1", "rt0"])
 def test_normal_trace_continuity(family, rng, perturbed_mesh):
     snod, _ = leggauss(5)
     for mesh in (structured_mesh(3), perturbed_mesh[4]):
@@ -116,51 +122,43 @@ def test_normal_trace_continuity(family, rng, perturbed_mesh):
 
 
 def _central_differences(sp, cells, pts, delta):
-    """grad[..., a, b] = d v_a / d x_b and hess[..., a, b, c] =
-    d^2 v_a / d x_b d x_c from physical values alone; both are exact for
-    basis functions of degree at most two, up to roundoff / delta^2."""
+    """grad[..., a, b] = d v_a / d x_b from physical values alone; exact for
+    basis functions of degree at most two, up to roundoff / delta."""
     def val(shift):
         return sp.tabulate_at(cells, pts + shift)["val"]
 
     e = delta * np.eye(2)
-    grad = np.stack([(val(e[b]) - val(-e[b])) / (2.0 * delta)
+    return np.stack([(val(e[b]) - val(-e[b])) / (2.0 * delta)
                      for b in range(2)], axis=-1)
-    hess = np.stack([np.stack([(val(e[b] + e[c]) - val(e[b] - e[c])
-                                - val(e[c] - e[b]) + val(-e[b] - e[c]))
-                               / (4.0 * delta**2) for c in range(2)],
-                              axis=-1) for b in range(2)], axis=-2)
-    return grad, hess
 
 
-@pytest.mark.parametrize("family", ["bdm1", "rt0", "rt1", "p1cvec"])
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
 def test_physical_derivatives_match_finite_differences(family,
                                                        perturbed_mesh):
-    """grad and hess of the physical basis agree with central differences of
-    its values at physical points, and div with the trace of grad, on
-    congruent and on perturbed cells (rt1 is the family whose Hessians are
-    not zero)."""
+    """grad of the physical basis agrees with central differences of its
+    values at physical points, and div with the trace of grad, on congruent
+    and on perturbed cells."""
     ref_pts = np.array([[1 / 3, 1 / 3], [0.2, 0.6], [0.6, 0.2], [0.2, 0.2]])
     for mesh in (structured_mesh(3), perturbed_mesh[4]):
         sp = FESpace(mesh, family)
         cells = np.arange(mesh.num_cells)
         pts = mesh.cell_points(ref_pts)
-        tab = sp.tabulate_at(cells, pts, what=("val", "div", "grad", "hess"))
+        tab = sp.tabulate_at(cells, pts, what=("val", "div", "grad"))
         delta = 0.05 * mesh.h_cell.min()
-        grad, hess = _central_differences(sp, cells, pts, delta)
+        grad = _central_differences(sp, cells, pts, delta)
         vmax = np.abs(tab["val"]).max()
         assert np.abs(tab["grad"] - grad).max() <= 1e-12 * vmax / delta
-        assert np.abs(tab["hess"] - hess).max() <= 1e-12 * vmax / delta**2
         assert np.abs(tab["div"] - np.trace(tab["grad"], axis1=-2,
                                             axis2=-1)).max() \
             <= 1e-13 * np.abs(tab["grad"]).max()
 
 
-@pytest.mark.parametrize("family", ["bdm1", "rt0", "rt1"])
+@pytest.mark.parametrize("family", ["bdm1", "rt0"])
 def test_interpolation_reproduces_space(family, rng):
     """Fields lying in the global space are reproduced exactly."""
     mesh = structured_mesh(2)
     sp = FESpace(mesh, family)
-    coef = rng.standard_normal(6 if family != "rt1" else 8)
+    coef = rng.standard_normal(6)
 
     def field(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -168,9 +166,6 @@ def test_interpolation_reproduces_space(family, rng):
                  coef[3] + coef[4] * x + coef[5] * y]
         if family == "rt0":
             comps = [coef[0] + coef[2] * x, coef[1] + coef[2] * y]
-        if family == "rt1":
-            comps[0] = comps[0] + coef[6] * x * x + coef[7] * x * y
-            comps[1] = comps[1] + coef[6] * x * y + coef[7] * y * y
         return np.stack(comps, axis=-1)
 
     dofs = sp.interpolate(field)
@@ -317,7 +312,7 @@ def test_interpolation_approximation_orders():
 
 
 @pytest.mark.parametrize("family,rank", [
-    ("bdm1", 1), ("rt0", 1), ("p1cvec", 1), ("rt1", 3),
+    ("bdm1", 1), ("rt0", 1), ("p1cvec", 1),
 ])
 def test_divergence_span_rank(family, rank):
     mesh = structured_mesh(2)
