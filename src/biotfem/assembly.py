@@ -425,10 +425,9 @@ class FormOperators:
 
     # -- combinations ------------------------------------------------------------
 
-    def ah_full(self, eta=None) -> sps.csr_matrix:
+    def ah_full(self) -> sps.csr_matrix:
         """a_h on all displacement dofs (no boundary elimination)."""
-        eta = self.cfg.eta if eta is None else eta
-        return (self.EPS - self.CONS + eta * self.PEN).tocsr()
+        return (self.EPS - self.CONS + self.cfg.eta * self.PEN).tocsr()
 
     def _free_u(self, mat):
         f = self.uspace.free_dofs
@@ -438,8 +437,8 @@ class FormOperators:
         f = self.vspace.free_dofs
         return _restrict(mat, f, f)
 
-    def ah_matrix(self, eta=None) -> sps.csr_matrix:
-        return self._free_u(self.ah_full(eta))
+    def ah_matrix(self) -> sps.csr_matrix:
+        return self._free_u(self.ah_full())
 
     def h_norm_gram(self) -> sps.csr_matrix:
         """Gram of ||.||_h: strain seminorm plus tangential jumps."""

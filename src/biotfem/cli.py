@@ -408,10 +408,9 @@ class TimeStepState:
     tau: float
 
 
-def timestep_drive(cfg: RunConfig, n_steps: int | None = None,
-                   u0: np.ndarray | None = None,
-                   p0: np.ndarray | None = None):
-    """Backward Euler sweep over the static solver.
+def timestep_drive(cfg: RunConfig):
+    """Backward Euler sweep of `cfg.steps` steps over the static solver,
+    starting from rest.
 
     The reduced parameters do not change between steps, so the step matrix
     is assembled and factorized once.  Each step composes the
@@ -423,17 +422,9 @@ def timestep_drive(cfg: RunConfig, n_steps: int | None = None,
     red, scaling = reduce(phys)
     ops = FormOperators(structured_mesh(cfg.mesh_n), cfg.families(),
                         DGConfig(cfg.eta))
-    ncells = ops.mesh.num_cells
-    state = TimeStepState(
-        u_prev=np.zeros(ops.uspace.ndof) if u0 is None else np.asarray(u0),
-        p_prev=np.zeros(ncells) if p0 is None else np.asarray(p0),
-        step=0, tau=phys.tau)
-    if state.u_prev.shape != (ops.uspace.ndof,):
-        raise ConfigError(f"initial displacement has {state.u_prev.shape}, "
-                          f"expected ({ops.uspace.ndof},)")
-    if state.p_prev.shape != (ncells,):
-        raise ConfigError(f"initial pressure has {state.p_prev.shape}, "
-                          f"expected ({ncells},)")
+    state = TimeStepState(u_prev=np.zeros(ops.uspace.ndof),
+                          p_prev=np.zeros(ops.mesh.num_cells),
+                          step=0, tau=phys.tau)
 
     g_fn = _TIMESTEP_SOURCES.get(cfg.g_mode)
     if g_fn is None:
@@ -444,11 +435,10 @@ def timestep_drive(cfg: RunConfig, n_steps: int | None = None,
     g_cells = np.einsum("kq,q->k", g_fn(xy[..., 0], xy[..., 1]),
                         rule.weights, optimize=True) \
         * ops.uspace.detJ / ops.areas
-    steps = n_steps if n_steps is not None else cfg.steps
     system = ops.block_system(red)
     solver = DirectSolver(system)
     records = []
-    for k in range(1, steps + 1):
+    for k in range(1, cfg.steps + 1):
         t_k = k * phys.tau
         gk_red = compose_timestep_rhs(g_cells, state.u_prev, state.p_prev,
                                       phys, ops.uspace)

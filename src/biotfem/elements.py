@@ -107,52 +107,35 @@ def edge_rule(npts: int = 4):
 # reference polynomial generators
 # ---------------------------------------------------------------------------
 
+# Generator g of a vector family is the affine field c_g + G_g x on the
+# reference cell, stored as the 2x3 matrix [c_g | G_g] acting on (1, x, y):
+# G_g is its gradient and tr G_g its divergence.  p0's one generator is 1.
+_BARY = [[1, -1, -1], [0, 1, 0], [0, 0, 1]]  # 1 - x - y, x, y
+_AFFINE = {
+    # (1, 0), (x, 0), (y, 0), (0, 1), (0, x), (0, y)
+    "bdm1": np.eye(6).reshape(6, 2, 3),
+    # (1, 0), (0, 1), (x, y)
+    "rt0": np.array([[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]],
+                     [[0, 1, 0], [0, 0, 1]]], dtype=float),
+    # nodal: lam_v e_x, lam_v e_y for the barycentric lam_v, v = 0, 1, 2
+    "p1cvec": np.einsum("vc,ab->vabc", _BARY, np.eye(2),
+                        optimize=True).reshape(6, 2, 3),
+}
+
+
 def _gen_eval(family, pts):
-    """Raw generator values, shape (ngen, nq, 2) (or (ngen, nq) for p0)."""
-    x, y = pts[:, 0], pts[:, 1]
-    o, z = np.ones_like(x), np.zeros_like(x)
+    """Raw generator values at points (..., 2), shape (ngen, ..., 2) (or
+    (1, ...) for p0)."""
     if family == "p0":
-        return o[None, :]
-    if family == "p1cvec":
-        lam = (1.0 - x - y, x, y)
-        out = np.zeros((6, len(x), 2))
-        for v in range(3):
-            out[2 * v, :, 0] = lam[v]
-            out[2 * v + 1, :, 1] = lam[v]
-        return out
-    comps = {
-        "bdm1": [(o, z), (x, z), (y, z), (z, o), (z, x), (z, y)],
-        "rt0": [(o, z), (z, o), (x, y)],
-    }[family]
-    return np.stack([np.stack(c, axis=-1) for c in comps])
+        return np.ones((1,) + pts.shape[:-1])
+    xh = np.concatenate((np.ones(pts.shape[:-1] + (1,)), pts), axis=-1)
+    return np.einsum("gac,...c->g...a", _AFFINE[family], xh, optimize=True)
 
 
-def _gen_div(family, pts):
-    o, z = np.ones(len(pts)), np.zeros(len(pts))
-    rows = {
-        "bdm1": [z, o, z, z, z, o],
-        "rt0": [z, z, 2 * o],
-        "p1cvec": [-o, -o, o, z, z, o],
-    }[family]
-    return np.stack(rows)
-
-
-def _gen_grad(family, pts):
-    """d(gen_i)_a / d(x)_b, shape (ngen, nq, 2, 2)."""
-    o, z = np.ones(len(pts)), np.zeros(len(pts))
-
-    def m(a11, a12, a21, a22):
-        return np.stack([np.stack([a11, a12], -1),
-                         np.stack([a21, a22], -1)], -2)
-
-    rows = {
-        "bdm1": [m(z, z, z, z), m(o, z, z, z), m(z, o, z, z),
-                 m(z, z, z, z), m(z, z, o, z), m(z, z, z, o)],
-        "rt0": [m(z, z, z, z), m(z, z, z, z), m(o, z, z, o)],
-        "p1cvec": [m(-o, -o, z, z), m(z, z, -o, -o), m(o, z, z, z),
-                   m(z, z, o, z), m(z, o, z, z), m(z, z, z, o)],
-    }[family]
-    return np.stack(rows)
+def _gen_deriv(family):
+    """Generator gradients (ngen, 2, 2) and divergences (ngen,)."""
+    grad = _AFFINE[family][:, :, 1:]
+    return grad, np.trace(grad, axis1=1, axis2=2)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +166,7 @@ def _dof_matrices(family, mesh: TriMesh) -> np.ndarray:
     pts = mesh.edge_points(snodes)[edges]  # (nc, 3, nq, 2)
     ref = np.einsum("kab,kjqb->kjqa", Jinv, pts - x0[:, None, None, :],
                     optimize=True)
-    gv = _gen_eval(family, ref.reshape(-1, 2))
-    gv = gv.reshape(gv.shape[:1] + ref.shape)  # (ngen, nc, 3, nq, 2)
+    gv = _gen_eval(family, ref)  # (ngen, nc, 3, nq, 2)
     vals = np.einsum("kab,gkjqb->kjgqa", J, gv,
                      optimize=True) / detJ[:, None, None, None, None]
     vn = np.einsum("kjgqa,kja->kjgq", vals, mesh.edge_normal[edges],
@@ -221,9 +203,10 @@ class RefBasis:
                          _gen_eval(self.family, pts), optimize=True)
 
     def div_eval(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.einsum("gi,gq->iq", self._coeff,
-                         _gen_div(self.family, pts), optimize=True)
+        """Divergences, constant on the cell: a read-only (nloc, nq) view."""
+        div = self._coeff.T @ _gen_deriv(self.family)[1]
+        return np.broadcast_to(div[:, None],
+                               (len(div), len(np.atleast_2d(pts))))
 
 
 @lru_cache(maxsize=None)
@@ -337,8 +320,12 @@ class FESpace:
 
         Returns a dict with requested arrays:
         val (nc, nloc, nq, 2), div (nc, nloc, nq), grad (nc, nloc, nq, 2, 2).
-        Scalar families return val without the trailing component axis.
+        Scalar families return val without the trailing component axis and
+        offer nothing else.  Every family is affine on each cell, so div and
+        grad are computed once per cell and returned as read-only views
+        broadcast over the points.
         """
+        self._check_what(what)
         ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
         key = (ref_pts.tobytes(), tuple(sorted(what)))
         if key in self._tab_cache:
@@ -353,6 +340,7 @@ class FESpace:
         phys_pts has shape (len(cells), nq, 2); points must lie inside the
         respective cells (used for edge traces).
         """
+        self._check_what(what)
         cells = np.asarray(cells, dtype=int)
         ref = np.einsum("kab,kqb->kqa", self.Jinv[cells],
                         phys_pts - self.x0[cells][:, None, :], optimize=True)
@@ -373,52 +361,49 @@ class FESpace:
         return cells, {name: arr.reshape(cells.shape + arr.shape[1:])
                        for name, arr in tab.items()}
 
+    def _check_what(self, what):
+        offered = ("val",) if self.family == "p0" else ("val", "div", "grad")
+        for name in what:
+            if name not in offered:
+                raise ValueError(f"family {self.family!r} offers tabulations "
+                                 f"{offered}, not {name!r}")
+
     def _tabulate_for(self, cells, ref_pts, what):
         """Basis data of `cells` at reference points ref_pts (m, nq, 2),
         where m is len(cells) or 1 for points shared by every cell."""
         fam = self.family
         C = self.coeff[cells]
         J, det, Jinv = self.J[cells], self.detJ[cells], self.Jinv[cells]
+        piola = fam in HDIV_FAMILIES
+        nk, nq = len(C), ref_pts.shape[1]
         out = {}
-
-        def gen(fn):
-            # generators on the flattened points, then (cell, gen, point, ...)
-            arr = fn(fam, ref_pts.reshape(-1, 2))
-            arr = arr.reshape(arr.shape[:1] + ref_pts.shape[:2]
-                              + arr.shape[2:])
-            return np.broadcast_to(np.moveaxis(arr, 1, 0),
-                                   (len(C),) + arr.shape[:1] + arr.shape[2:])
-
-        if fam == "p0":
-            if "val" in what:
-                out["val"] = np.einsum("kgi,kgq->kiq", C, gen(_gen_eval),
-                                       optimize=True)
+        if "val" in what:
+            gv = np.moveaxis(_gen_eval(fam, ref_pts), 0, 1)  # (m, gen, q, ...)
+            gv = np.broadcast_to(gv, (nk,) + gv.shape[1:])
+            if piola:
+                gv = np.einsum("kab,kgqb->kgqa", J, gv,
+                               optimize=True) / det[:, None, None, None]
+            out["val"] = np.einsum("kgi,kgq...->kiq...", C, gv, optimize=True)
+        if not {"div", "grad"}.intersection(what):
             return out
 
-        if "val" in what:
-            gv = gen(_gen_eval)
-            if fam == "p1cvec":
-                pv = gv
-            else:
-                pv = np.einsum("kab,kgqb->kgqa", J, gv,
-                               optimize=True) / det[:, None, None, None]
-            out["val"] = np.einsum("kgi,kgqa->kiqa", C, pv, optimize=True)
+        # affine generators: derivatives once per cell, broadcast over points
+        G, trG = _gen_deriv(fam)
+        if piola:
+            pg = np.einsum("kad,gdc,kcb->kgab", J, G, Jinv,
+                           optimize=True) / det[:, None, None, None]
+            pd = trG / det[:, None]
+        else:
+            # chain rule: G Jinv, whose trace is the divergence
+            pg = np.einsum("gac,kcb->kgab", G, Jinv, optimize=True)
+            pd = np.trace(pg, axis1=2, axis2=3)
         if "div" in what:
-            if fam == "p1cvec":
-                # divergence transforms through the chain rule: tr(G Jinv)
-                gg = gen(_gen_grad)
-                pd = np.einsum("kgqab,kba->kgq", gg, Jinv, optimize=True)
-            else:
-                pd = gen(_gen_div) / det[:, None, None]
-            out["div"] = np.einsum("kgi,kgq->kiq", C, pd, optimize=True)
+            div = np.einsum("kgi,kg->ki", C, pd, optimize=True)
+            out["div"] = np.broadcast_to(div[:, :, None], div.shape + (nq,))
         if "grad" in what:
-            gg = gen(_gen_grad)
-            if fam == "p1cvec":
-                pg = np.einsum("kgqac,kcb->kgqab", gg, Jinv, optimize=True)
-            else:
-                pg = np.einsum("kad,kgqdc,kcb->kgqab", J, gg, Jinv,
-                               optimize=True) / det[:, None, None, None, None]
-            out["grad"] = np.einsum("kgi,kgqab->kiqab", C, pg, optimize=True)
+            grad = np.einsum("kgi,kgab->kiab", C, pg, optimize=True)
+            out["grad"] = np.broadcast_to(grad[:, :, None],
+                                          grad.shape[:2] + (nq, 2, 2))
         return out
 
     # -- discrete field helpers ----------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -426,11 +427,11 @@ class TestTimestep:
         with pytest.raises(ConfigError):
             cfg = _cfg(["timestep", "--n", "2", "--lambda", "1", "--rp-inv",
                         "1", "--alpha-p", "0"])
-            timestep_drive(cfg, n_steps=1)
+            timestep_drive(replace(cfg, steps=1))
 
     def test_zero_everything_stays_zero(self):
         cfg = _cfg(self.argv + ["--g-mode", "zero"])
-        records, state = timestep_drive(cfg, n_steps=3)
+        records, state = timestep_drive(replace(cfg, steps=3))
         assert len(records) == 3
         assert all(r["u_norm"] == 0 and r["p_norm"] == 0 for r in records)
 
@@ -446,7 +447,7 @@ class TestTimestep:
                 return _lu(A, *args, **kwargs)
             monkeypatch.setattr(spla, name, counted)
         cfg = _cfg(self.argv + ["--g-mode", "cosine"])
-        records, _ = timestep_drive(cfg, n_steps=3)
+        records, _ = timestep_drive(replace(cfg, steps=3))
         assert len(records) == 3
         assert len(shapes) == 1
 
@@ -459,7 +460,7 @@ class TestTimestep:
         from biotfem.solver import solve_direct
 
         cfg = _cfg(self.argv + ["--g-mode", "cosine"])
-        records, state = timestep_drive(cfg, n_steps=1)
+        records, state = timestep_drive(replace(cfg, steps=1))
 
         phys = cfg.physical_params()
         red, scal = reduce(phys)
@@ -492,8 +493,8 @@ class TestTimestep:
         from biotfem.solver import solve_direct
 
         cfg = _cfg(self.argv + ["--g-mode", "cosine"])
-        records1, state1 = timestep_drive(cfg, n_steps=1)
-        records2, state2 = timestep_drive(cfg, n_steps=2)
+        records1, state1 = timestep_drive(replace(cfg, steps=1))
+        records2, state2 = timestep_drive(replace(cfg, steps=2))
 
         phys = cfg.physical_params()
         red, scal = reduce(phys)

@@ -153,6 +153,49 @@ def test_physical_derivatives_match_finite_differences(family,
             <= 1e-13 * np.abs(tab["grad"]).max()
 
 
+def _owner(arr):
+    """The array that owns the memory `arr` views."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_derivatives_stored_once_per_cell(family, perturbed_mesh):
+    """Affine families have constant derivatives on each cell, so grad and
+    div hold one entry per cell and basis function, broadcast over the
+    points as read-only views."""
+    mesh = perturbed_mesh[4]
+    sp = FESpace(mesh, family)
+    pts = triangle_rule(8).points
+    tab = sp.tabulate(pts, what=("val", "div", "grad"))
+    nc, nloc = mesh.num_cells, sp.ref.dofs_per_cell
+    for name, size in (("grad", 4), ("div", 1)):
+        arr = tab[name]
+        assert arr.shape[:3] == (nc, nloc, len(pts))
+        assert not arr.flags.writeable
+        assert arr.strides[2] == 0
+        assert _owner(arr).size == nc * nloc * size
+
+
+@pytest.mark.parametrize("family,method,what,bad", [
+    ("bdm1", "tabulate", ("hess",), "hess"),
+    ("rt0", "tabulate_at", ("value",), "value"),
+    ("p0", "tabulate", ("div", "grad"), "div"),
+], ids=["hess", "value", "p0-div"])
+def test_unsupported_tabulation_rejected(family, method, what, bad):
+    """A name the family does not offer fails before the cache lookup, and
+    the error names it and the family."""
+    mesh = structured_mesh(2)
+    sp = FESpace(mesh, family)
+    pts = triangle_rule(4).points
+    args = ((pts,) if method == "tabulate"
+            else (np.array([0]), mesh.cell_points(pts)[:1]))
+    with pytest.raises(ValueError, match=f"{family!r}.*{bad!r}"):
+        getattr(sp, method)(*args, what=what)
+    assert sp._tab_cache == {}
+
+
 @pytest.mark.parametrize("family", ["bdm1", "rt0"])
 def test_interpolation_reproduces_space(family, rng):
     """Fields lying in the global space are reproduced exactly."""
