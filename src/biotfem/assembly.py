@@ -287,11 +287,6 @@ def _mirror_lower(mat: sps.csr_matrix) -> sps.csr_matrix:
     return mat
 
 
-# what the volume Grams read of each space's basis
-_U_VOLUME = ("div", "grad")
-_V_VOLUME = ("val", "div")
-
-
 def _restrict(mat: sps.csr_matrix, rows, cols) -> sps.csr_matrix:
     return mat[rows][:, cols].tocsr()
 
@@ -327,31 +322,30 @@ class FormOperators:
         self._build_faces()
 
     # -- volume terms ---------------------------------------------------------
+    # Derivatives are constant on each cell, so their Grams are |K| times
+    # products of the spaces' per-cell arrays; only the flux mass M_v needs
+    # a (degree-4) rule.
 
-    def _volume(self, space: FESpace, what):
-        """Degree-4 cell weights and `space`'s basis data at those points;
-        the space caches each tabulation, so a repeat is a lookup."""
-        rule = triangle_rule(4)
-        return (rule.weights[None, :] * self.uspace.detJ[:, None],
-                space.tabulate(rule.points, what=what))
+    def _cell_gram(self, space: FESpace, x) -> sps.csr_matrix:
+        """Gram of |K| x_i . x_j per cell, x (nc, nloc, ...)."""
+        x = x.reshape(x.shape[:2] + (-1,))
+        return _scatter(space, self.areas[:, None, None]
+                        * np.matmul(x, np.swapaxes(x, 1, 2)))
 
     def _build_volume(self):
-        wK, ut = self._volume(self.uspace, _U_VOLUME)
-        grad = ut["grad"]
-        eps = 0.5 * (grad + np.swapaxes(grad, -2, -1))
-        self.EPS = _scatter(self.uspace,
-                            np.einsum("kq,kiqab,kjqab->kij", wK, eps, eps,
-                                      optimize=True))
-        self.DD_u = _scatter(self.uspace,
-                             np.einsum("kq,kiq,kjq->kij", wK, ut["div"],
-                                       ut["div"], optimize=True))
-        self.B_up = self._coupling(self.uspace, ut["div"], wK)
+        grad = self.uspace.cell_grad
+        self.EPS = self._cell_gram(self.uspace,
+                                   0.5 * (grad + np.swapaxes(grad, -2, -1)))
+        self.DD_u = self._cell_gram(self.uspace, self.uspace.cell_div)
+        self.B_up = self._coupling(self.uspace)
 
-        _, vt = self._volume(self.vspace, _V_VOLUME)
+        rule = triangle_rule(4)
+        wK = rule.weights[None, :] * self.vspace.detJ[:, None]
+        val = self.vspace.tabulate(rule.points, what=("val",))["val"]
         self.M_v = _scatter(self.vspace,
-                            np.einsum("kq,kiqa,kjqa->kij", wK, vt["val"],
-                                      vt["val"], optimize=True))
-        self.B_vp = self._coupling(self.vspace, vt["div"], wK)
+                            np.einsum("kq,kiqa,kjqa->kij", wK, val, val,
+                                      optimize=True))
+        self.B_vp = self._coupling(self.vspace)
         self.M_p = sps.diags(self.areas).tocsr()
 
     # Grams that only the norms read, built on first use: a direct solve
@@ -359,21 +353,15 @@ class FormOperators:
 
     @cached_property
     def GRAD(self) -> sps.csr_matrix:
-        wK, ut = self._volume(self.uspace, _U_VOLUME)
-        return _scatter(self.uspace,
-                        np.einsum("kq,kiqab,kjqab->kij", wK, ut["grad"],
-                                  ut["grad"], optimize=True))
+        return self._cell_gram(self.uspace, self.uspace.cell_grad)
 
     @cached_property
     def DD_v(self) -> sps.csr_matrix:
-        wK, vt = self._volume(self.vspace, _V_VOLUME)
-        return _scatter(self.vspace,
-                        np.einsum("kq,kiq,kjq->kij", wK, vt["div"],
-                                  vt["div"], optimize=True))
+        return self._cell_gram(self.vspace, self.vspace.cell_div)
 
-    def _coupling(self, space: FESpace, div_tab, wK) -> sps.csr_matrix:
+    def _coupling(self, space: FESpace) -> sps.csr_matrix:
         # -(p, div w) with cellwise-constant p: column k gets -int_K div w_i
-        vals = -np.einsum("kq,kiq->ki", wK, div_tab, optimize=True)
+        vals = -self.areas[:, None] * space.cell_div
         rows = space.cell_dofs.ravel()
         cols = np.repeat(np.arange(self.mesh.num_cells),
                          space.cell_dofs.shape[1])
@@ -385,7 +373,9 @@ class FormOperators:
 
     def _build_faces(self):
         mesh, space = self.mesh, self.uspace
-        snodes, sweights = edge_rule(4)
+        # the integrands are at most quadratic along an edge, which 2-point
+        # Gauss integrates exactly
+        snodes, sweights = edge_rule(2)
         # a continuous family has no interior jumps
         edges = (mesh.boundary_edges() if space.family == "p1cvec"
                  else np.arange(mesh.num_edges))
@@ -515,9 +505,13 @@ class FormOperators:
             wK = rule.weights[None, :] * self.uspace.detJ[:, None]
             xy = self.mesh.cell_points(rule.points)
             fv = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
-            ut = self.uspace.tabulate(rule.points, what=("val",))
-            elem = np.einsum("kq,kqa,kiqa->ki", wK, fv, ut["val"],
-                             optimize=True)
+            val = self.uspace.tabulate(rule.points, what=("val",))["val"]
+            # one batched matmul over (point, component); the tabulation
+            # is stored with the basis index last, so this reshape is a view
+            nc, nloc = val.shape[:2]
+            wf = (wK[:, :, None] * fv).reshape(nc, 1, -1)
+            elem = np.matmul(wf, np.moveaxis(val, 1, -1).reshape(nc, -1,
+                                                                 nloc))[:, 0]
             np.add.at(rhs_u, self.uspace.cell_dofs.ravel(), elem.ravel())
         if g is not None and g_cells is not None:
             raise ValueError("pass either g or g_cells, not both")

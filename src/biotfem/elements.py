@@ -3,9 +3,17 @@
 Vector families are H(div)-style: degrees of freedom are normal-component
 moments on edges, taken with a global edge orientation (lower vertex index
 to higher).
-Physical bases are built cell by cell by inverting the small matrix of dof
-functionals applied to the Piola-mapped polynomial generators, which makes
-normal-trace conformity exact regardless of how cells are oriented.
+The reference basis inverts the matrix of dof functionals applied to the
+polynomial generators once.  Physical bases need no inversion: the
+contravariant Piola map carries each reference normal moment to the
+physical one up to a closed-form factor (the edge-length ratio, the sign of
+the stored normal and, for the first moment, the sign between the two edge
+parametrizations), so each cell's coefficients are the reference ones with
+their columns divided by that factor.  Normal-trace conformity is exact
+regardless of how cells are oriented.  Every family is affine on a cell, so
+gradients and divergences are stored once per cell; an H(div) divergence
+comes from the divergence theorem, which leaves the first-moment BDM1
+functions exactly divergence-free.
 
 Families (2D triangles):
 
@@ -22,7 +30,7 @@ name        local space                           dofs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -37,6 +45,7 @@ _EDGE_DOF_COUNT = {"bdm1": 2, "rt0": 1}
 
 # reference triangle (0,0)-(1,0)-(0,1)
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_REF_CELL = from_arrays(_REF_VERTS, [[0, 1, 2]])
 
 
 class DegenerateCell(ValueError):
@@ -175,6 +184,35 @@ def _dof_matrices(family, mesh: TriMesh) -> np.ndarray:
     return np.swapaxes(mom, 2, 3).reshape(len(J), -1, gv.shape[0])
 
 
+def _edge_orientation(mesh: TriMesh):
+    """Per cell and local edge j: the sign of the stored normal (+1 where
+    it is outward) and +1 where the edge, run cells[K, j] ->
+    cells[K, (j+1) % 3], goes from the lower vertex index to the higher."""
+    c = mesh.cells
+    return mesh.cell_edge_sign, np.where(c < np.roll(c, -1, axis=1), 1, -1)
+
+
+def _dof_scale(family, mesh: TriMesh) -> np.ndarray:
+    """d[K, (j, m)]: dof (j, m) of cell K applied to the Piola image of a
+    reference field is d times reference dof (j, m) applied to that field,
+    shape (nc, ndof).
+
+    The Piola map keeps v.n ds along each edge for outward normals.  The
+    1/|e| normalization gives the ratio |e_ref| / |e|, the stored normals
+    give their signs, and the moment P_1 = s changes sign where the
+    physical and reference edges are parametrized in opposite directions;
+    each sign is taken relative to the reference cell's.
+    """
+    ref = _REF_CELL
+    normal, along = _edge_orientation(mesh)
+    ref_normal, ref_along = _edge_orientation(ref)
+    ratio = ref.edge_length[ref.cell_edges] / mesh.edge_length[mesh.cell_edges]
+    m = np.arange(_EDGE_DOF_COUNT[family])
+    d = ((normal * ref_normal * ratio)[:, :, None]
+         * (along * ref_along)[:, :, None] ** m)
+    return d.reshape(mesh.num_cells, -1)
+
+
 class RefBasis:
     """Nodal reference basis of one family.
 
@@ -194,8 +232,7 @@ class RefBasis:
             self._coeff = np.linalg.inv(self._ref_dof_matrix())
 
     def _ref_dof_matrix(self) -> np.ndarray:
-        ref_cell = from_arrays(_REF_VERTS, [[0, 1, 2]])
-        return _dof_matrices(self.family, ref_cell)[0]
+        return _dof_matrices(self.family, _REF_CELL)[0]
 
     def eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -263,7 +300,9 @@ class FESpace:
                      - self.J[:, 0, 1] * self.J[:, 1, 0])
         if np.any(self.detJ <= 0):
             raise DegenerateCell("mesh contains a degenerate or flipped cell")
-        self.Jinv = np.linalg.inv(self.J)
+        # adjugate over determinant: [[d, -b], [-c, a]] / det
+        adj = np.swapaxes(self.J[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]
+        self.Jinv = adj / self.detJ[:, None, None]
         self.x0 = mesh.vertices[mesh.cells[:, 0]]
 
         self._build_dof_layout()
@@ -311,7 +350,42 @@ class FESpace:
             self.coeff = np.broadcast_to(np.eye(nloc),
                                          (self.mesh.num_cells, nloc, nloc))
             return
-        self.coeff = np.linalg.inv(_dof_matrices(self.family, self.mesh))
+        # closed form of the inverse of the cell's dof matrix diag(d) D_ref
+        self.coeff = (self.ref._coeff
+                      / _dof_scale(self.family, self.mesh)[:, None, :])
+
+    # -- basis derivatives, constant on each cell -------------------------------
+
+    @cached_property
+    def cell_grad(self) -> np.ndarray:
+        """Physical basis gradients, read-only, (nc, nloc, 2, 2)."""
+        # reference gradients G of each cell's basis, then the chain rule
+        G = np.einsum("kgi,gac->kiac", self.coeff, _gen_deriv(self.family)[0],
+                      optimize=True)
+        grad = G @ self.Jinv[:, None]
+        if self.family in HDIV_FAMILIES:  # Piola: J G Jinv / det
+            grad = (self.J[:, None] @ grad) / self.detJ[:, None, None, None]
+        grad.flags.writeable = False
+        return grad
+
+    @cached_property
+    def cell_div(self) -> np.ndarray:
+        """Physical basis divergences, read-only, (nc, nloc)."""
+        if self.family in HDIV_FAMILIES:
+            # divergence theorem: |K| div v is the outward flux, and a nodal
+            # basis function has one nonzero mean normal moment, so the
+            # P_0-moment function of edge j has div sign_j |e_j| / |K| and
+            # the P_1-moment functions are exactly divergence-free
+            mesh = self.mesh
+            flux = np.zeros((mesh.num_cells, 3, _EDGE_DOF_COUNT[self.family]))
+            flux[:, :, 0] = (mesh.cell_edge_sign
+                             * mesh.edge_length[mesh.cell_edges])
+            div = (flux.reshape(mesh.num_cells, -1)
+                   / (0.5 * self.detJ)[:, None])
+        else:
+            div = np.trace(self.cell_grad, axis1=2, axis2=3)
+        div.flags.writeable = False
+        return div
 
     # -- tabulation ----------------------------------------------------------
 
@@ -322,8 +396,8 @@ class FESpace:
         val (nc, nloc, nq, 2), div (nc, nloc, nq), grad (nc, nloc, nq, 2, 2).
         Scalar families return val without the trailing component axis and
         offer nothing else.  Every family is affine on each cell, so div and
-        grad are computed once per cell and returned as read-only views
-        broadcast over the points.
+        grad are read-only views of `cell_div` and `cell_grad` broadcast
+        over the points.
         """
         self._check_what(what)
         ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
@@ -373,35 +447,21 @@ class FESpace:
         where m is len(cells) or 1 for points shared by every cell."""
         fam = self.family
         C = self.coeff[cells]
-        J, det, Jinv = self.J[cells], self.detJ[cells], self.Jinv[cells]
-        piola = fam in HDIV_FAMILIES
         nk, nq = len(C), ref_pts.shape[1]
         out = {}
         if "val" in what:
             gv = np.moveaxis(_gen_eval(fam, ref_pts), 0, 1)  # (m, gen, q, ...)
             gv = np.broadcast_to(gv, (nk,) + gv.shape[1:])
-            if piola:
-                gv = np.einsum("kab,kgqb->kgqa", J, gv,
+            if fam in HDIV_FAMILIES:
+                det = self.detJ[cells]
+                gv = np.einsum("kab,kgqb->kgqa", self.J[cells], gv,
                                optimize=True) / det[:, None, None, None]
             out["val"] = np.einsum("kgi,kgq...->kiq...", C, gv, optimize=True)
-        if not {"div", "grad"}.intersection(what):
-            return out
-
-        # affine generators: derivatives once per cell, broadcast over points
-        G, trG = _gen_deriv(fam)
-        if piola:
-            pg = np.einsum("kad,gdc,kcb->kgab", J, G, Jinv,
-                           optimize=True) / det[:, None, None, None]
-            pd = trG / det[:, None]
-        else:
-            # chain rule: G Jinv, whose trace is the divergence
-            pg = np.einsum("gac,kcb->kgab", G, Jinv, optimize=True)
-            pd = np.trace(pg, axis1=2, axis2=3)
         if "div" in what:
-            div = np.einsum("kgi,kg->ki", C, pd, optimize=True)
+            div = self.cell_div[cells]
             out["div"] = np.broadcast_to(div[:, :, None], div.shape + (nq,))
         if "grad" in what:
-            grad = np.einsum("kgi,kgab->kiab", C, pg, optimize=True)
+            grad = self.cell_grad[cells]
             out["grad"] = np.broadcast_to(grad[:, :, None],
                                           grad.shape[:2] + (nq, 2, 2))
         return out
@@ -411,10 +471,10 @@ class FESpace:
     def cell_divergence(self, coeffs) -> np.ndarray:
         """Cell-mean divergence of a discrete field (exact for all families,
         since every divergence here is constant per cell)."""
+        self._check_what(("div",))
         coeffs = np.asarray(coeffs, dtype=float)
-        centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-        tab = self.tabulate(centroid, what=("div",))
-        return _cell_contract(coeffs[self.cell_dofs], tab["div"])[:, 0]
+        return _cell_contract(coeffs[self.cell_dofs],
+                              self.cell_div[:, :, None])[:, 0]
 
     def eval_field(self, coeffs, ref_pts, what=("val",)):
         """Evaluate a discrete field at reference points in every cell."""

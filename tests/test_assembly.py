@@ -274,6 +274,51 @@ def test_face_terms_match_per_edge_reference(family, perturbed_mesh, rng):
         seminorm, rel=1e-14)
 
 
+def _volume_grams_by_quadrature(ops):
+    """Reference for the per-cell volume Grams: every integrand summed over
+    the six points of the degree-4 rule, as dense matrices by name."""
+    rule = triangle_rule(4)
+    wK = rule.weights[None, :] * ops.uspace.detJ[:, None]
+    u, v = ops.uspace, ops.vspace
+    ut = u.tabulate(rule.points, what=("div", "grad"))
+    vt = v.tabulate(rule.points, what=("val", "div"))
+    grad = ut["grad"]
+    eps = 0.5 * (grad + np.swapaxes(grad, -2, -1))
+
+    def gram(space, form, x):
+        out = np.zeros((space.ndof, space.ndof))
+        dofs = space.cell_dofs
+        np.add.at(out, (dofs[:, :, None], dofs[:, None, :]),
+                  np.einsum(form, wK, x, x))
+        return out
+
+    def coupling(space, div):
+        out = np.zeros((space.ndof, ops.mesh.num_cells))
+        cells = np.broadcast_to(np.arange(ops.mesh.num_cells)[:, None],
+                                space.cell_dofs.shape)
+        np.add.at(out, (space.cell_dofs, cells),
+                  -np.einsum("kq,kiq->ki", wK, div))
+        return out
+
+    return {"EPS": gram(u, "kq,kiqab,kjqab->kij", eps),
+            "GRAD": gram(u, "kq,kiqab,kjqab->kij", grad),
+            "DD_u": gram(u, "kq,kiq,kjq->kij", ut["div"]),
+            "DD_v": gram(v, "kq,kiq,kjq->kij", vt["div"]),
+            "M_v": gram(v, "kq,kiqa,kjqa->kij", vt["val"]),
+            "B_up": coupling(u, ut["div"]),
+            "B_vp": coupling(v, vt["div"])}
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_volume_grams_match_degree_4_quadrature(family, perturbed_mesh):
+    """The Grams built from per-cell derivatives times |K| equal the sums
+    over the degree-4 rule on a perturbed mesh."""
+    ops = FormOperators(perturbed_mesh[4], (family, "rt0", "p0"))
+    for name, ref in _volume_grams_by_quadrature(ops).items():
+        got = getattr(ops, name).toarray()
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
 def test_rank_deficient_divergence_rejected():
     """A space whose divergence is not constant on one cell fails the
     compatibility check, which names that cell.  No shipped family fails

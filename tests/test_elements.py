@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from biotfem.elements import (DegenerateCell, FESpace, edge_rule,
-                              interpolate_pi_div, piola_map, project_qh,
-                              ref_basis, triangle_rule)
+from biotfem import elements
+from biotfem.elements import (DegenerateCell, FESpace, _cell_contract,
+                              _dof_matrices, edge_rule, interpolate_pi_div,
+                              piola_map, project_qh, ref_basis,
+                              triangle_rule)
 from biotfem.meshing import from_arrays, structured_mesh
 
 
@@ -28,10 +30,12 @@ def test_triangle_rule_exactness(degree):
 
 
 def test_edge_rule_exactness():
-    snod, swts = edge_rule(4)
-    for k in range(8):  # 4-point Gauss is exact through degree 7
-        exact = 0.0 if k % 2 else 2.0 / (k + 1)
-        assert np.sum(swts * snod**k) == pytest.approx(exact, abs=1e-14)
+    # the face Grams use 2 points, the error norms 4, the dof moments 10
+    for npts in (2, 4, 10):
+        snod, swts = edge_rule(npts)
+        for k in range(2 * npts):  # n-point Gauss: exact through 2n - 1
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert np.sum(swts * snod**k) == pytest.approx(exact, abs=1e-14)
 
 
 @pytest.mark.parametrize("family,ndofs", [
@@ -119,6 +123,93 @@ def test_normal_trace_continuity(family, rng, perturbed_mesh):
             v2 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k2]], tr[1])
             worst = max(worst, np.abs((v1 - v2) @ mesh.edge_normal[e]).max())
         assert worst <= 1e-12
+
+
+COEFFICIENT_MESHES = ["p4", "p8", "s5"]  # perturbed n = 4, 8; structured 5
+
+
+def _coefficient_mesh(name, perturbed_mesh):
+    n = int(name[1:])
+    return perturbed_mesh[n] if name[0] == "p" else structured_mesh(n)
+
+
+@pytest.mark.parametrize("mesh_name", COEFFICIENT_MESHES)
+@pytest.mark.parametrize("family", ["bdm1", "rt0"])
+def test_closed_form_coefficients_match_the_inverse(family, mesh_name,
+                                                     perturbed_mesh):
+    """The Piola-scaled reference coefficients are the inverse of every
+    cell's dof matrix."""
+    mesh = _coefficient_mesh(mesh_name, perturbed_mesh)
+    inv = np.linalg.inv(_dof_matrices(family, mesh))
+    coeff = FESpace(mesh, family).coeff
+    assert np.abs(coeff - inv).max() <= 1e-13 * np.abs(inv).max()
+
+
+@pytest.mark.parametrize("mesh_name", COEFFICIENT_MESHES)
+@pytest.mark.parametrize("family", ["bdm1", "rt0"])
+def test_physical_dofs_of_the_basis_are_the_identity(family, mesh_name,
+                                                     perturbed_mesh):
+    """Each cell's dof functionals, the normal moments along its own edges
+    with the stored normals, applied to its basis give the identity."""
+    mesh = _coefficient_mesh(mesh_name, perturbed_mesh)
+    sp = FESpace(mesh, family)
+    nc, nloc = mesh.num_cells, sp.ref.dofs_per_cell
+    snod, swts = edge_rule(10)
+    edges = mesh.cell_edges  # (nc, 3)
+    pts = mesh.edge_points(snod)[edges].reshape(nc, -1, 2)
+    val = sp.tabulate_at(np.arange(nc), pts)["val"]
+    vn = np.einsum("kieqa,kea->keiq", val.reshape(nc, nloc, 3, -1, 2),
+                   mesh.edge_normal[edges], optimize=True)
+    nmom = nloc // 3
+    mom = np.stack([0.5 * vn @ (swts * snod**m) for m in range(nmom)],
+                   axis=2)  # (nc, edge, moment, basis)
+    assert np.abs(mom.reshape(nc, nloc, nloc) - np.eye(nloc)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("mesh_name", COEFFICIENT_MESHES)
+def test_first_moment_bdm1_functions_are_divergence_free(mesh_name,
+                                                         perturbed_mesh):
+    """The P_1-moment BDM1 functions have divergence exactly zero, in the
+    per-cell array and in every tabulation of it."""
+    mesh = _coefficient_mesh(mesh_name, perturbed_mesh)
+    sp = FESpace(mesh, "bdm1")
+    assert np.all(sp.cell_div[:, 1::2] == 0.0)
+    assert np.all(sp.cell_div[:, 0::2] != 0.0)
+    div = sp.tabulate(triangle_rule(4).points, what=("div",))["div"]
+    assert np.all(div[:, 1::2] == 0.0)
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0"])
+def test_space_inverts_no_cell_matrix(family, perturbed_mesh, monkeypatch):
+    """Building a space applies no dof functional on the mesh's cells and
+    inverts no stack of cell matrices."""
+    calls = []
+    dof_matrices, inv = elements._dof_matrices, np.linalg.inv
+
+    def spy_dofs(fam, mesh):
+        calls.append(("dof matrices", mesh.num_cells))
+        return dof_matrices(fam, mesh)
+
+    def spy_inv(a):
+        calls.append(("inv", np.shape(a)))
+        return inv(a)
+
+    ref_basis(family)  # the reference basis inverts its one matrix once
+    monkeypatch.setattr(elements, "_dof_matrices", spy_dofs)
+    monkeypatch.setattr(np.linalg, "inv", spy_inv)
+    FESpace(perturbed_mesh[8], family)
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_cell_divergence_reads_the_cell_array(family, perturbed_mesh, rng):
+    """cell_divergence equals, bitwise, the contraction of the centroid
+    tabulation it replaced."""
+    sp = FESpace(perturbed_mesh[4], family)
+    coeffs = rng.standard_normal(sp.ndof)
+    tab = sp.tabulate(np.array([[1.0 / 3.0, 1.0 / 3.0]]), what=("div",))
+    expected = _cell_contract(coeffs[sp.cell_dofs], tab["div"])[:, 0]
+    assert np.array_equal(sp.cell_divergence(coeffs), expected)
 
 
 def _central_differences(sp, cells, pts, delta):
