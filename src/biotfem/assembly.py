@@ -4,7 +4,12 @@ All parameter-independent Gram matrices (volume and face terms) are built
 once per (mesh, families, penalty), those that only the norms read on first
 use, and then combined with scalar weights for each parameter point, so
 sweeps over the coefficient grid cost almost nothing beyond the first
-assembly.  The monolithic matrices are laid out in one place:
+assembly.  The Grams of a space share one symmetric CSR pattern
+(`GramPattern`): each is one bincount onto its lower triangle, and every
+matrix on all dofs or on the free dofs is one gather over shared,
+read-only index arrays, so sums of Grams and free-dof restrictions are
+arithmetic on data vectors.  The monolithic matrices are laid out in one
+place:
 `block_matrix` keeps the CSR index arrays of the saddle matrix per
 sparsity pattern of its blocks, gathers each parameter point's block data
 into them and borders them for the direct solver, and `block_diagonal`
@@ -19,6 +24,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
+# counting-sort kernels of scipy's own format conversions
+from scipy.sparse import _sparsetools
 
 from .elements import (VECTOR_FAMILIES, FESpace, edge_rule, project_qh,
                        triangle_rule)
@@ -144,6 +151,11 @@ def _stack(block_rows, itype):
     return indptr, indices, order
 
 
+def _index_type(maxval: int):
+    """int32 when it holds `maxval`, as scipy would keep, else int64."""
+    return np.int32 if maxval < np.iinfo(np.int32).max else np.int64
+
+
 class BlockLayout:
     """CSR index arrays of the saddle matrix
 
@@ -165,9 +177,8 @@ class BlockLayout:
                              f"{(nu, nv, npp)}")
         self.patterns = [(b.indptr.copy(), b.indices.copy()) for b in blocks]
         src = np.cumsum([0] + [b.nnz for b in blocks])
-        # int32 holds every index and source position, as scipy would keep
-        small = max(nu + nv + npp + 1, src[-1] + npp) < np.iinfo(np.int32).max
-        self._itype = np.int32 if small else np.int64
+        # every index and source position
+        self._itype = _index_type(max(nu + nv + npp + 1, src[-1] + npp))
         own = [(p, i, np.arange(s, s + i.size, dtype=self._itype))
                for (p, i), s in zip(self.patterns, src)]
 
@@ -259,36 +270,133 @@ def block_diagonal(blocks) -> sps.csr_matrix:
                            indptr), shape=(rows[-1], cols[-1]))
 
 
-def _scatter(space: FESpace, elem: np.ndarray,
-             dofs: np.ndarray | None = None) -> sps.csr_matrix:
-    """Sum local matrices elem (m, d, d) into a global one; row r of `dofs`
-    (default: the cell dofs) maps local indices to global ones."""
-    dofs = space.cell_dofs if dofs is None else dofs
-    rows = np.repeat(dofs, dofs.shape[1], axis=1)
-    cols = np.tile(dofs, (1, dofs.shape[1]))
-    mat = sps.coo_matrix((elem.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(space.ndof, space.ndof))
-    return _mirror_lower(mat.tocsr())
+class GramPattern:
+    """One symmetric CSR pattern for every Gram of a space, and its
+    restriction to the free dofs.
+
+    The pattern is the union of the dofs[m] x dofs[m] blocks of the
+    space's cell dofs and of any further dof tables.  A Gram is kept as
+    the data of the lower pattern (global row >= column): one bincount
+    sums the lower-triangle entries of its local matrices there.  Every
+    stored entry of a CSR matrix on all dofs or on the free dofs is then
+    one gather from that data, so the matrix is exactly symmetric and
+    keeps the pattern's structural zeros, and sums of Grams are sums of
+    data vectors.  The CSR matrices of one pattern share read-only index
+    arrays: an in-place scipy call on one of them raises instead of
+    changing the others.
+    """
+
+    def __init__(self, space: FESpace, *tables):
+        n = self.n = space.ndof
+        tables = (space.cell_dofs,) + tables
+        itype = _index_type(max(n + 1, sum(d.shape[0] * d.shape[1] ** 2
+                                           for d in tables)))
+        # every local lower-triangle entry: flat position, row and column
+        takes, rows, cols = [], [], []
+        for dofs in tables:
+            m, k = dofs.shape
+            dofs = dofs.astype(itype)
+            r = np.broadcast_to(dofs[:, :, None], (m, k, k)).reshape(-1)
+            c = np.broadcast_to(dofs[:, None, :], (m, k, k)).reshape(-1)
+            take = np.flatnonzero(r >= c)
+            takes.append(take)
+            rows.append(r[take])
+            cols.append(c[take])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        # counting sort of the entries by row, then of each row by column
+        nent = rows.size
+        ptr = np.empty(n + 1, dtype=itype)
+        col = np.empty(nent, dtype=itype)
+        entry = np.empty(nent, dtype=itype)
+        _sparsetools.coo_tocsr(n, n, nent, rows, cols,
+                               np.arange(nent, dtype=itype), ptr, col, entry)
+        _sparsetools.csr_sort_indices(n, ptr, col, entry)
+        if np.any(ptr[1:] == ptr[:-1]):
+            raise ValueError("a dof lies in no cell")
+        # runs of one (row, column) share a slot of the lower pattern
+        first = np.ones(nent, dtype=bool)
+        first[1:] = col[1:] != col[:-1]
+        first[ptr[:-1]] = True
+        slot = np.cumsum(first, dtype=itype) - 1
+        nlow = self.nlow = int(slot[-1]) + 1
+        lptr = np.append(slot[ptr[:-1]], slot[-1] + 1)
+        lcol = col[first]
+        # numpy gathers through intp maps without converting them
+        slots = np.empty(nent, dtype=np.intp)
+        slots[entry] = slot
+        bounds = np.cumsum([0] + [t.size for t in takes])
+        self._maps = [(t, slots[a:b].copy())
+                      for t, a, b in zip(takes, bounds, bounds[1:])]
+        # the strict lower part (each lower row ends with its diagonal),
+        # transposed by a second counting sort, is the strict upper part
+        strict = np.ones(nlow, dtype=bool)
+        strict[lptr[1:] - 1] = False
+        nup = nlow - n
+        uptr = np.empty(n + 1, dtype=itype)
+        ucol = np.empty(nup, dtype=itype)
+        uslot = np.empty(nup, dtype=itype)
+        _sparsetools.csr_tocsc(n, n, lptr - np.arange(n + 1, dtype=itype),
+                               lcol[strict],
+                               np.flatnonzero(strict).astype(itype),
+                               uptr, ucol, uslot)
+        # a row of the pattern is its lower part, then its upper part
+        lpos = np.arange(nlow, dtype=itype) + np.repeat(uptr[:-1],
+                                                        np.diff(lptr))
+        upos = np.arange(nup, dtype=itype) + np.repeat(lptr[1:],
+                                                       np.diff(uptr))
+        self.indptr = lptr + uptr
+        self.indices = np.empty(nlow + nup, dtype=itype)
+        self.indices[lpos], self.indices[upos] = lcol, ucol
+        self.mirror = np.empty(nlow + nup, dtype=np.intp)
+        self.mirror[lpos], self.mirror[upos] = np.arange(nlow), uslot
+        # free-dof sub-pattern: the entries whose row and column are free
+        free = np.zeros(n, dtype=bool)
+        free[space.free_dofs] = True
+        kept = free[self.indices] & np.repeat(free, np.diff(self.indptr))
+        counted = np.cumsum(np.append(False, kept), dtype=itype)
+        self.nfree = space.free_dofs.size
+        self.free_indptr = counted[np.append(self.indptr[space.free_dofs],
+                                             self.indptr[-1])]
+        renumber = np.cumsum(free, dtype=itype) - 1
+        self.free_indices = renumber[self.indices[kept]]
+        self.free_mirror = self.mirror[kept]
+        for a in (self.indptr, self.indices, self.mirror, self.free_indptr,
+                  self.free_indices, self.free_mirror):
+            a.flags.writeable = False
+
+    def lower(self, elem, table: int = 0) -> np.ndarray:
+        """Lower-pattern data of the sum of local matrices elem (m, k, k)
+        over dof table `table` (0: the cell dofs)."""
+        take, slot = self._maps[table]
+        return np.bincount(slot, weights=elem.reshape(-1)[take],
+                           minlength=self.nlow)
+
+    def release(self, table: int):
+        """Drop the maps of a dof table no further Gram is summed over."""
+        self._maps[table] = None
+
+    def full(self, low) -> sps.csr_matrix:
+        """The Gram with lower-pattern data `low` on all dofs."""
+        return _shared_csr(low[self.mirror], self.indices, self.indptr,
+                           (self.n, self.n))
+
+    def free(self, low) -> sps.csr_matrix:
+        """The Gram with lower-pattern data `low` on the free dofs."""
+        return _shared_csr(low[self.free_mirror], self.free_indices,
+                           self.free_indptr, (self.nfree, self.nfree))
 
 
-def _mirror_lower(mat: sps.csr_matrix) -> sps.csr_matrix:
-    """Bitwise-symmetrize a matrix that is symmetric up to roundoff by
-    mirroring its lower triangle; keeps A - A^T exactly zero downstream.
-    `mat` is canonical CSR with a symmetric pattern, so its transpose
-    lines up entry for entry; an exact zero drops out of the pattern."""
-    t = mat.T.tocsr()
-    if not (np.array_equal(mat.indptr, t.indptr)
-            and np.array_equal(mat.indices, t.indices)):
-        raise ValueError("cannot mirror a matrix whose sparsity pattern is "
-                         "not symmetric")
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    mat.data = np.where(rows >= mat.indices, mat.data, t.data)
-    mat.eliminate_zeros()
+def _shared_csr(data, indices, indptr, shape) -> sps.csr_matrix:
+    mat = sps.csr_matrix((data, indices, indptr), shape=shape)
+    mat.has_canonical_format = True  # sorted and unique by construction
     return mat
 
 
-def _restrict(mat: sps.csr_matrix, rows, cols) -> sps.csr_matrix:
-    return mat[rows][:, cols].tocsr()
+def _gram(low: str, pattern: str, doc: str) -> property:
+    """A Gram of `FormOperators` read as CSR on all dofs from its
+    lower-pattern data `low` on the pattern `pattern`."""
+    return property(lambda ops: getattr(ops, pattern).full(getattr(ops, low)),
+                    doc=doc)
 
 
 class FormOperators:
@@ -297,7 +405,20 @@ class FormOperators:
     The displacement face terms (consistency and tangential-jump penalty) sum
     over all edges, boundary included, which enforces the zero tangential
     trace weakly; normal traces are eliminated strongly downstream.
+
+    Each Gram is kept as its data on the lower pattern of its space
+    (`GramPattern`) and read as CSR, so every block of a parameter point
+    is one sum of such data vectors and one gather.
     """
+
+    EPS = _gram("_EPS", "_upattern", "Strain Gram (eps u, eps w).")
+    DD_u = _gram("_DD_u", "_upattern", "Displacement div-div Gram.")
+    PEN = _gram("_PEN", "_upattern",
+                "Tangential-jump Gram, 1/h_e-weighted, without eta.")
+    CONS = _gram("_CONS", "_upattern", "Symmetric consistency Gram.")
+    GRAD = _gram("_GRAD", "_upattern", "Broken-gradient Gram.")
+    M_v = _gram("_M_v", "_vpattern", "Flux mass Gram.")
+    DD_v = _gram("_DD_v", "_vpattern", "Flux div-div Gram.")
 
     def __init__(self, mesh: TriMesh, families=("bdm1", "rt0", "p0"),
                  cfg: DGConfig | None = None):
@@ -318,33 +439,37 @@ class FormOperators:
         self.areas = mesh.signed_areas()
         for space, name in ((self.uspace, ufam), (self.vspace, vfam)):
             _check_div_compatibility(space, name)
-        self._build_volume()
+        # the face terms lay out the displacement pattern, which spans
+        # the edge neighbourhoods
         self._build_faces()
+        self._build_volume()
 
     # -- volume terms ---------------------------------------------------------
     # Derivatives are constant on each cell, so their Grams are |K| times
     # products of the spaces' per-cell arrays; only the flux mass M_v needs
     # a (degree-4) rule.
 
-    def _cell_gram(self, space: FESpace, x) -> sps.csr_matrix:
+    def _cell_gram(self, pattern: GramPattern, x) -> np.ndarray:
         """Gram of |K| x_i . x_j per cell, x (nc, nloc, ...)."""
         x = x.reshape(x.shape[:2] + (-1,))
-        return _scatter(space, self.areas[:, None, None]
-                        * np.matmul(x, np.swapaxes(x, 1, 2)))
+        return pattern.lower(self.areas[:, None, None]
+                             * np.matmul(x, np.swapaxes(x, 1, 2)))
 
     def _build_volume(self):
         grad = self.uspace.cell_grad
-        self.EPS = self._cell_gram(self.uspace,
-                                   0.5 * (grad + np.swapaxes(grad, -2, -1)))
-        self.DD_u = self._cell_gram(self.uspace, self.uspace.cell_div)
+        self._EPS = self._cell_gram(self._upattern,
+                                    0.5 * (grad + np.swapaxes(grad, -2, -1)))
+        self._DD_u = self._cell_gram(self._upattern, self.uspace.cell_div)
         self.B_up = self._coupling(self.uspace)
 
+        self._vpattern = GramPattern(self.vspace)
         rule = triangle_rule(4)
         wK = rule.weights[None, :] * self.vspace.detJ[:, None]
-        val = self.vspace.tabulate(rule.points, what=("val",))["val"]
-        self.M_v = _scatter(self.vspace,
-                            np.einsum("kq,kiqa,kjqa->kij", wK, val, val,
-                                      optimize=True))
+        # read once, so not kept in the space's tabulation cache
+        val = self.vspace._tabulate_for(slice(None), rule.points[None],
+                                        ("val",))["val"]
+        self._M_v = self._vpattern.lower(np.einsum("kq,kiqa,kjqa->kij", wK,
+                                                   val, val, optimize=True))
         self.B_vp = self._coupling(self.vspace)
         self.M_p = sps.diags(self.areas).tocsr()
 
@@ -352,26 +477,35 @@ class FormOperators:
     # never pays for them.
 
     @cached_property
-    def GRAD(self) -> sps.csr_matrix:
-        return self._cell_gram(self.uspace, self.uspace.cell_grad)
+    def _GRAD(self) -> np.ndarray:
+        return self._cell_gram(self._upattern, self.uspace.cell_grad)
 
     @cached_property
-    def DD_v(self) -> sps.csr_matrix:
-        return self._cell_gram(self.vspace, self.vspace.cell_div)
+    def _DD_v(self) -> np.ndarray:
+        return self._cell_gram(self._vpattern, self.vspace.cell_div)
 
     def _coupling(self, space: FESpace) -> sps.csr_matrix:
-        # -(p, div w) with cellwise-constant p: column k gets -int_K div w_i
+        # -(p, div w) with cellwise-constant p: column k gets -int_K div w_i,
+        # so row k of the transpose lists the dofs of cell k
+        nc, nloc = space.cell_dofs.shape
         vals = -self.areas[:, None] * space.cell_div
-        rows = space.cell_dofs.ravel()
-        cols = np.repeat(np.arange(self.mesh.num_cells),
-                         space.cell_dofs.shape[1])
-        mat = sps.coo_matrix((vals.ravel(), (rows, cols)),
-                             shape=(space.ndof, self.mesh.num_cells))
-        return mat.tocsr()
+        mat = sps.csr_matrix((vals.ravel(), space.cell_dofs.ravel(),
+                              np.arange(0, nc * nloc + 1, nloc)),
+                             shape=(nc, space.ndof)).T.tocsr()
+        mat.eliminate_zeros()  # the divergence-free bdm1 functions
+        return mat
 
     # -- face terms ------------------------------------------------------------
 
     def _build_faces(self):
+        dofs, pen, cons = self._face_matrices()
+        pattern = self._upattern = GramPattern(self.uspace, dofs)
+        self._PEN = pattern.lower(pen, 1)
+        self._CONS = pattern.lower(cons, 1)
+        pattern.release(1)  # no other Gram sums over the edges
+
+    def _face_matrices(self):
+        """Per-edge dofs and local penalty and consistency matrices."""
         mesh, space = self.mesh, self.uspace
         # the integrands are at most quadratic along an edge, which 2-point
         # Gauss integrates exactly
@@ -410,29 +544,28 @@ class FormOperators:
                               optimize=True)
         c = 0.5 * mesh.edge_length[edges][:, None, None] * np.einsum(
             "q,eiqa,ejqa->eij", sweights, avg_en, jump_t, optimize=True)
-        self.PEN = _scatter(space, pen, dofs)
-        self.CONS = _scatter(space, c + np.swapaxes(c, 1, 2), dofs)
+        return dofs, pen, c + np.swapaxes(c, 1, 2)
 
-    # -- combinations ------------------------------------------------------------
+    # -- combinations, as sums of lower-pattern data -----------------------------
+
+    @cached_property
+    def _ah(self) -> np.ndarray:
+        return self._EPS - self._CONS + self.cfg.eta * self._PEN
+
+    @cached_property
+    def _grad_jumps(self) -> np.ndarray:
+        return self._GRAD + self._PEN
 
     def ah_full(self) -> sps.csr_matrix:
         """a_h on all displacement dofs (no boundary elimination)."""
-        return (self.EPS - self.CONS + self.cfg.eta * self.PEN).tocsr()
-
-    def _free_u(self, mat):
-        f = self.uspace.free_dofs
-        return _restrict(mat, f, f)
-
-    def _free_v(self, mat):
-        f = self.vspace.free_dofs
-        return _restrict(mat, f, f)
+        return self._upattern.full(self._ah)
 
     def ah_matrix(self) -> sps.csr_matrix:
-        return self._free_u(self.ah_full())
+        return self._upattern.free(self._ah)
 
     def h_norm_gram(self) -> sps.csr_matrix:
         """Gram of ||.||_h: strain seminorm plus tangential jumps."""
-        return self._free_u(self.EPS + self.PEN)
+        return self._upattern.free(self._EPS + self._PEN)
 
     def grad_norm_gram(self) -> sps.csr_matrix:
         """Gram of ||.||_{1,h}: broken gradient plus tangential jumps.
@@ -440,31 +573,9 @@ class FormOperators:
         Every displacement family here is affine on each cell, so the
         h^2-scaled second-derivative term of the DG norm vanishes and this
         is also the DG norm's Gram."""
-        return self._free_u(self.GRAD + self.PEN)
+        return self._upattern.free(self._grad_jumps)
 
-    # -- free-dof restrictions, each built on first use and kept ----------------
-    # Only sums and copies of these leave the class, so no caller can
-    # mutate them.
-
-    @cached_property
-    def _ah_free(self):
-        return self.ah_matrix()
-
-    @cached_property
-    def _grad_free(self):
-        return self.grad_norm_gram()
-
-    @cached_property
-    def _DD_u_free(self):
-        return self._free_u(self.DD_u)
-
-    @cached_property
-    def _M_v_free(self):
-        return self._free_v(self.M_v)
-
-    @cached_property
-    def _DD_v_free(self):
-        return self._free_v(self.DD_v)
+    # Only copies of these leave the class, so no caller can mutate them.
 
     @cached_property
     def _B_up_free(self):
@@ -476,12 +587,12 @@ class FormOperators:
 
     def block_system(self, params: ReducedParams, f=None, g=None,
                      g_cells=None) -> BlockSystem:
-        A_uu = self._ah_free + params.lam * self._DD_u_free
-        A_vv = params.rp_inv * self._M_v_free
+        A_uu = self._upattern.free(self._ah + params.lam * self._DD_u)
+        A_vv = self._vpattern.free(params.rp_inv * self._M_v)
         C_pp = (-params.alpha_p * self.M_p).tocsr()
         rhs_u, rhs_v, rhs_p = self.rhs(f=f, g=g, g_cells=g_cells)
-        return BlockSystem(A_uu.tocsr(), self._B_up_free.copy(),
-                           A_vv.tocsr(), self._B_vp_free.copy(), C_pp,
+        return BlockSystem(A_uu, self._B_up_free.copy(),
+                           A_vv, self._B_vp_free.copy(), C_pp,
                            rhs_u[self.uspace.free_dofs],
                            rhs_v[self.vspace.free_dofs], rhs_p,
                            self.uspace, self.vspace, params, self.cfg,
@@ -521,35 +632,41 @@ class FormOperators:
             rhs_p = np.asarray(g_cells, dtype=float) * self.areas
         return rhs_u, rhs_v, rhs_p
 
+    def _N_U(self, params: ReducedParams) -> sps.csr_matrix:
+        return self._upattern.free(self._grad_jumps
+                                   + params.lam * self._DD_u)
+
     def norm_blocks(self, params: ReducedParams) -> NormBlocks:
-        N_U = self._grad_free + params.lam * self._DD_u_free
-        N_V = (params.rp_inv * self._M_v_free
-               + (1.0 / params.gamma) * self._DD_v_free)
+        N_V = self._vpattern.free(params.rp_inv * self._M_v
+                                  + (1.0 / params.gamma) * self._DD_v)
         N_P = (params.gamma * self.M_p).tocsr()
-        return NormBlocks(N_U.tocsr(), N_V.tocsr(), N_P, kind="paper")
+        return NormBlocks(self._N_U(params), N_V, N_P, kind="paper")
 
     def natural_norm_blocks(self, params: ReducedParams) -> NormBlocks:
         """Norms without the gamma reweighting: the flux div term carries
         rp_inv and the pressure mass is unweighted (negative experiment)."""
-        N_U = self._grad_free + params.lam * self._DD_u_free
-        N_V = params.rp_inv * (self._M_v_free + self._DD_v_free)
+        N_V = self._vpattern.free(params.rp_inv * (self._M_v + self._DD_v))
         N_P = self.M_p.copy().tocsr()
-        return NormBlocks(N_U.tocsr(), N_V.tocsr(), N_P, kind="natural")
+        return NormBlocks(self._N_U(params), N_V, N_P, kind="natural")
 
 
 def _check_div_compatibility(space: FESpace, name: str):
-    """Elementwise rank test: span{div basis|_K} must equal the cellwise
-    constants."""
+    """span{div basis|_K} must be the constants on every cell K: each basis
+    divergence is constant over the points of K, and not all of them
+    vanish there."""
     rule = triangle_rule(4)
     div = space.tabulate(rule.points, what=("div",))["div"]
-    scale = np.abs(div).max() or 1.0
-    rank = np.linalg.matrix_rank(np.swapaxes(div, 1, 2), tol=1e-10 * scale)
-    bad = np.flatnonzero(rank != 1)
+    low, high = div.min(axis=2), div.max(axis=2)
+    tol = 1e-10 * (max(high.max(), -low.min()) or 1.0)
+    varies = (high - low).max(axis=1) > tol
+    bad = np.flatnonzero(varies | (np.abs(high).max(axis=1) <= tol))
     if bad.size:
         k = bad[0]
+        rank = np.linalg.matrix_rank(div[k].T, tol=tol)
         raise IncompatibleSpaces(
-            f"family {name!r}: divergence span on cell {k} has rank "
-            f"{rank[k]}, pressure space expects cellwise constants")
+            f"family {name!r}: divergence span on cell {k} has rank {rank}"
+            f"{' and is not constant' if varies[k] else ''}, pressure space "
+            f"expects cellwise constants")
 
 
 # -- spec-facing convenience wrappers -----------------------------------------

@@ -30,65 +30,147 @@ def _tril_mirror(mat):
     return (lower + lower.T + sps.diags(mat.diagonal())).tocsr()
 
 
+def _coo_sum(elem, dofs, n):
+    """Oracle: local matrices elem (m, k, k) summed through COO."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    return sps.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _local_grams(ops):
+    """Each Gram's local matrices and the dof table they sum over."""
+    u, v = ops.uspace, ops.vspace
+
+    def cell(x):
+        x = x.reshape(x.shape[:2] + (-1,))
+        return ops.areas[:, None, None] * (x @ np.swapaxes(x, 1, 2))
+
+    rule = triangle_rule(4)
+    val = v.tabulate(rule.points, what=("val",))["val"]
+    mass = np.einsum("q,k,kiqa,kjqa->kij", rule.weights, v.detJ, val, val)
+    grad = u.cell_grad
+    dofs, pen, cons = ops._face_matrices()
+    return {"EPS": (cell(0.5 * (grad + np.swapaxes(grad, -2, -1))),
+                    u.cell_dofs, u.ndof),
+            "DD_u": (cell(u.cell_div), u.cell_dofs, u.ndof),
+            "GRAD": (cell(grad), u.cell_dofs, u.ndof),
+            "PEN": (pen, dofs, u.ndof),
+            "CONS": (cons, dofs, u.ndof),
+            "M_v": (mass, v.cell_dofs, v.ndof),
+            "DD_v": (cell(v.cell_div), v.cell_dofs, v.ndof)}
+
+
+def _is_canonical(mat):
+    """Sorted, unique column indices, judged afresh from the arrays."""
+    return sps.csr_matrix((mat.data, mat.indices.copy(), mat.indptr.copy()),
+                          shape=mat.shape).has_canonical_format
+
+
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
-def test_grams_are_the_tril_mirror(family, perturbed_mesh, monkeypatch):
-    """Every Gram leaves the mirror exactly symmetric and bitwise equal,
-    values and pattern, to the tril + tril^T + diag oracle of its raw
-    assembly."""
-    seen = []
-    mirror = assembly._mirror_lower
-
-    def spy(mat):
-        raw = mat.copy()
-        seen.append((raw, mirror(mat)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(assembly, "_mirror_lower", spy)
+def test_grams_are_the_tril_mirror(family, perturbed_mesh):
+    """Each of the seven Grams equals the tril + tril^T + diag mirror of
+    its COO sum to roundoff, is exactly symmetric and is canonical CSR."""
     ops = FormOperators(perturbed_mesh[8], (family, "rt0", "p0"))
-    for name in ("GRAD", "DD_v"):
-        getattr(ops, name)
-    # EPS, DD_u, M_v, PEN, CONS, then the two built on first use
-    assert len(seen) == 7
-    for raw, out in seen:
-        ref = _tril_mirror(raw)
-        assert np.array_equal(out.indptr, ref.indptr)
-        assert np.array_equal(out.indices, ref.indices)
-        assert np.array_equal(out.data, ref.data)
-        assert (out != out.T).nnz == 0
+    for name, (elem, dofs, n) in _local_grams(ops).items():
+        got, ref = getattr(ops, name), _tril_mirror(_coo_sum(elem, dofs, n))
+        scale = np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-15 * scale, name
+        assert (got != got.T).nnz == 0, name
+        assert _is_canonical(got), name
 
 
-def test_mirror_rejects_an_asymmetric_pattern():
-    with pytest.raises(ValueError, match="not symmetric"):
-        assembly._mirror_lower(sps.csr_matrix(np.array([[1.0, 2.0],
-                                                        [0.0, 1.0]])))
+def test_grams_of_a_space_share_one_pattern():
+    """The Grams of one space store their data over one read-only pair of
+    index arrays, which holds the union of their sparsity patterns."""
+    ops = FormOperators(structured_mesh(4))
+    for names in (("EPS", "DD_u", "PEN", "CONS", "GRAD"), ("M_v", "DD_v")):
+        mats = [getattr(ops, name) for name in names]
+        first = mats[0]
+        assert not first.indices.flags.writeable
+        assert not first.indptr.flags.writeable
+        for mat in mats:
+            assert np.shares_memory(mat.indices, first.indices)
+            assert np.shares_memory(mat.indptr, first.indptr)
+            assert abs(mat).nnz <= first.nnz  # structural zeros kept
+
+
+def test_blocks_at_two_points_share_their_pattern():
+    """The free-dof blocks of two parameter points share index arrays, so
+    the second saddle matrix reuses the block layout of the first."""
+    ops = FormOperators(structured_mesh(4))
+    points = (ReducedParams(1.0, 1.0, 0.0), ReducedParams(1e8, 1e-8, 1.0))
+    systems = [ops.block_system(pr) for pr in points]
+    norms = [ops.norm_blocks(pr) for pr in points]
+    for a, b in ((s.A_uu for s in systems), (s.A_vv for s in systems),
+                 (systems[0].A_uu, norms[1].N_U),
+                 (systems[0].A_vv, norms[1].N_V)):
+        assert np.shares_memory(a.indices, b.indices)
+        assert np.shares_memory(a.indptr, b.indptr)
+    systems[0].monolithic()
+    layout = assembly._LAYOUTS[ops.uspace]
+    systems[1].monolithic()
+    assert assembly._LAYOUTS[ops.uspace] is layout
+
+
+def test_in_place_call_on_a_block_raises():
+    """An in-place scipy call that would rewrite the shared index arrays
+    raises and leaves the blocks that share them unchanged."""
+    ops = FormOperators(structured_mesh(4))
+    pr = ReducedParams(1.0, 1.0, 0.0)
+    block = ops.block_system(pr).A_uu
+    siblings = [ops.norm_blocks(pr).N_U, ops.block_system(pr).A_uu]
+    kept = [mat.copy() for mat in siblings]
+    block.data[::2] = 0.0
+    with pytest.raises(ValueError):
+        block.eliminate_zeros()
+    block.has_sorted_indices = False
+    with pytest.raises(ValueError):
+        block.sort_indices()
+    siblings.append(ops.block_system(pr).A_uu)
+    kept.append(kept[1])
+    for mat, ref in zip(siblings, kept):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mat, name), getattr(ref, name))
+
+
+def test_pattern_rejects_a_dof_in_no_cell():
+    space = FESpace(structured_mesh(2), "rt0")
+
+    class Orphan:  # one more dof than the cells reach
+        ndof = space.ndof + 1
+        cell_dofs = space.cell_dofs
+        free_dofs = space.free_dofs
+
+    with pytest.raises(ValueError, match="no cell"):
+        assembly.GramPattern(Orphan())
 
 
 def test_norm_only_grams_are_built_on_first_use(monkeypatch):
     """A direct solve never builds GRAD or DD_v; the first norm_blocks
-    call builds each once, and every later reader reuses it."""
+    call sums each once, and every later reader reuses it."""
     from biotfem.solver import DirectSolver
 
     ops = FormOperators(structured_mesh(4))
     pr = ReducedParams(1e4, 1e-4, 1.0)
     DirectSolver(ops.block_system(pr))
-    assert not {"GRAD", "DD_v"} & set(ops.__dict__)
+    assert not {"_GRAD", "_DD_v"} & set(ops.__dict__)
 
     calls = []
-    scatter = assembly._scatter
+    lower = assembly.GramPattern.lower
 
-    def counting(*args):
+    def counting(self, *args):
         calls.append(args)
-        return scatter(*args)
+        return lower(self, *args)
 
-    monkeypatch.setattr(assembly, "_scatter", counting)
+    monkeypatch.setattr(assembly.GramPattern, "lower", counting)
     ops.norm_blocks(pr)
     assert len(calls) == 2
-    built = {name: ops.__dict__[name] for name in ("GRAD", "DD_v")}
     ops.norm_blocks(ReducedParams(1.0, 1.0, 0.0))
     ops.natural_norm_blocks(pr)
     ops.grad_norm_gram()
+    ops.GRAD, ops.DD_v
     assert len(calls) == 2
-    assert all(ops.__dict__[name] is mat for name, mat in built.items())
 
 
 def test_dg_config_validation():
@@ -336,6 +418,41 @@ def test_rank_deficient_divergence_rejected():
 
     with pytest.raises(IncompatibleSpaces, match="cell 3 has rank 2"):
         assembly._check_div_compatibility(Stub(), "stub")
+
+
+def _div_stub(edit):
+    """bdm1's degree-4 divergence tabulation on structured n=2, changed by
+    `edit` (a function of the array and the points)."""
+    space = FESpace(structured_mesh(2), "bdm1")
+    points = triangle_rule(4).points
+    div = space.tabulate(points, what=("div",))["div"].copy()
+    edit(div, points)
+
+    class Stub:
+        def tabulate(self, pts, what):
+            return {"div": div}
+
+    return Stub()
+
+
+def test_vanishing_divergence_rejected():
+    """Divergences that all vanish on one cell span no constants there."""
+    def vanish(div, points):
+        div[2] = 0.0
+
+    with pytest.raises(IncompatibleSpaces, match="cell 2 has rank 0"):
+        assembly._check_div_compatibility(_div_stub(vanish), "stub")
+
+
+def test_one_non_constant_divergence_rejected():
+    """A span of rank 1 that is not the constants fails too: every basis
+    divergence on cell 1 is the same linear function."""
+    def linear(div, points):
+        div[1] = points[:, 0]
+
+    with pytest.raises(IncompatibleSpaces,
+                       match="cell 1 has rank 1 and is not constant"):
+        assembly._check_div_compatibility(_div_stub(linear), "stub")
 
 
 @pytest.mark.parametrize("families,slot", [
