@@ -7,7 +7,7 @@ displacement, and cellwise-constant pressures, and ships the diagnostics
 studies) used to verify the parameter-robust stability of the formulation.
 """
 
-from .assembly import (BlockSystem, DGConfig, FormOperators,
+from .assembly import (AffineLoad, BlockSystem, DGConfig, FormOperators,
                        IncompatibleSpaces, NormBlocks, assemble_ah)
 from .analysis import (ConvergenceTable, InfSupResult, ManufacturedCase,
                        conservation_audit, convergence_study, error_norms,

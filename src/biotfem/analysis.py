@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BlockSystem, DGConfig, FormOperators, NormBlocks
+from .assembly import (AffineLoad, BlockSystem, DGConfig, FormOperators,
+                       NormBlocks)
 from .elements import edge_rule, project_qh, triangle_rule
 from .meshing import BOUNDARY, TriMesh, structured_mesh
 from .params import ReducedParams
@@ -99,9 +100,35 @@ def infsup_constant(system: BlockSystem, norms: NormBlocks) -> InfSupResult:
     )
 
 
+def _f_parts(x, y):
+    """Components (f_0, f_1) of the manufactured load f = f_0 + lam f_1."""
+    pi = np.pi
+    sx, cx = np.sin(pi * x), np.cos(pi * x)
+    sy, cy = np.sin(pi * y), np.cos(pi * y)
+    mixed = cx * cy - sx * sy
+    base = pi * pi * sx * sy - 0.5 * pi * pi * mixed
+    f_1 = -pi * pi * mixed
+    return np.stack([np.stack([base - pi * sx * cy, base - pi * cx * sy],
+                              axis=-1),
+                     np.stack([f_1, f_1], axis=-1)])
+
+
+def _g_parts(x, y):
+    """Components (g_0, g_1, g_2) of the manufactured source
+    g = g_0 + R_p g_1 + alpha_p g_2: -div u, -div v / R_p and -p."""
+    pi = np.pi
+    sx, cx = np.sin(pi * x), np.cos(pi * x)
+    sy, cy = np.sin(pi * y), np.cos(pi * y)
+    p = cx * cy
+    return np.stack([-pi * (cx * sy + sx * cy), -2.0 * pi * pi * p, -p])
+
+
 def manufactured_case(params: ReducedParams) -> ManufacturedCase:
     """Trigonometric exact solution compatible with the homogeneous
-    essential boundary conditions."""
+    essential boundary conditions.
+
+    Its loads are `AffineLoad`s in the parameters, so one `FormOperators`
+    assembles their components once for a whole sweep."""
     pi = np.pi
     lam, rp_inv, alpha_p = params.lam, params.rp_inv, params.alpha_p
     Rp = 1.0 / rp_inv
@@ -140,20 +167,9 @@ def manufactured_case(params: ReducedParams) -> ManufacturedCase:
     def div_v(x, y):
         return 2.0 * pi * pi * Rp * np.cos(pi * x) * np.cos(pi * y)
 
-    def f(x, y):
-        sx, cx = np.sin(pi * x), np.cos(pi * x)
-        sy, cy = np.sin(pi * y), np.cos(pi * y)
-        base = (pi * pi * sx * sy
-                - 0.5 * pi * pi * (cx * cy - sx * sy)
-                - lam * pi * pi * (cx * cy - sx * sy))
-        return np.stack([base - pi * sx * cy, base - pi * cx * sy], axis=-1)
-
-    def g(x, y):
-        return (-div_u(x, y) - div_v(x, y)
-                - alpha_p * np.cos(pi * x) * np.cos(pi * y))
-
     return ManufacturedCase(params, u, grad_u, hess_u, div_u, p, v, div_v,
-                            f, g)
+                            AffineLoad((1.0, lam), _f_parts),
+                            AffineLoad((1.0, Rp, alpha_p), _g_parts))
 
 
 def expand_solution(system: BlockSystem, x: np.ndarray):

@@ -13,7 +13,9 @@ place:
 `block_matrix` keeps the CSR index arrays of the saddle matrix per
 sparsity pattern of its blocks, gathers each parameter point's block data
 into them and borders them for the direct solver, and `block_diagonal`
-concatenates the norm blocks.
+concatenates the norm blocks.  Loads that are affine in the parameters
+(`AffineLoad`) are assembled once per component on first use, so the load
+vectors of a parameter point are small dot products too.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sps
@@ -48,6 +51,31 @@ class DGConfig:
     def __post_init__(self):
         if not (self.eta > 0):
             raise ValueError(f"penalty eta must be positive, got {self.eta}")
+
+
+@dataclass(frozen=True)
+class AffineLoad:
+    """A load sum_i coeffs[i] * parts(x, y)[i], affine in its parameters.
+
+    `parts(x, y)` returns the parameter-independent component fields
+    stacked on a leading axis; make it a module-level function, because
+    `FormOperators` keeps the load vectors of the components per `parts`
+    for its life.  Called, the load is an ordinary source f(x, y).
+    """
+
+    coeffs: tuple
+    parts: Callable
+
+    def __call__(self, x, y):
+        return np.tensordot(self.coeffs, self.parts(x, y), 1)
+
+
+def _as_affine(load) -> AffineLoad:
+    """`load` as an `AffineLoad`; a plain callable is one component."""
+    if isinstance(load, AffineLoad):
+        return load
+    return AffineLoad((1.0,), lambda x, y: np.asarray(load(x, y),
+                                                       dtype=float)[None])
 
 
 @dataclass
@@ -165,6 +193,11 @@ class BlockLayout:
     one sparsity pattern of the five blocks.  The data vector is the
     blocks' data in that order (then the areas, bordered), and the lower
     coupling blocks read it through a transpose permutation.
+
+    The layout keeps the blocks' index arrays, not copies.  It matches
+    later blocks that hold the same read-only arrays, as every system of
+    one `FormOperators` does; a writeable array may have changed since,
+    so it never matches.
     """
 
     def __init__(self, blocks):
@@ -175,7 +208,7 @@ class BlockLayout:
             raise ValueError(f"block shapes {[b.shape for b in blocks]} do "
                              f"not form a saddle matrix of sizes "
                              f"{(nu, nv, npp)}")
-        self.patterns = [(b.indptr.copy(), b.indices.copy()) for b in blocks]
+        self.patterns = [(b.indptr, b.indices) for b in blocks]
         src = np.cumsum([0] + [b.nnz for b in blocks])
         # every index and source position
         self._itype = _index_type(max(nu + nv + npp + 1, src[-1] + npp))
@@ -199,8 +232,8 @@ class BlockLayout:
         self._areas = src[-1]  # where the areas start in the data vector
 
     def matches(self, blocks) -> bool:
-        return all(b.shape == s and np.array_equal(p, b.indptr)
-                   and np.array_equal(i, b.indices)
+        return all(b.shape == s and b.indptr is p and b.indices is i
+                   and not (p.flags.writeable or i.flags.writeable)
                    for (p, i), s, b in zip(self.patterns, self.shapes, blocks))
 
     def bordered(self):
@@ -388,7 +421,18 @@ class GramPattern:
 
 def _shared_csr(data, indices, indptr, shape) -> sps.csr_matrix:
     mat = sps.csr_matrix((data, indices, indptr), shape=shape)
+    # the shared arrays themselves, not the views scipy's checks leave, so
+    # that a block layout recognises them by identity
+    mat.indices, mat.indptr = indices, indptr
     mat.has_canonical_format = True  # sorted and unique by construction
+    return mat
+
+
+def _read_only(mat: sps.csr_matrix) -> sps.csr_matrix:
+    """`mat`, its arrays made read-only so that it can be handed out
+    without copies."""
+    for a in (mat.data, mat.indices, mat.indptr):
+        a.flags.writeable = False
     return mat
 
 
@@ -443,6 +487,10 @@ class FormOperators:
         # the edge neighbourhoods
         self._build_faces()
         self._build_volume()
+        # load vectors per component, weakly keyed on `parts`: the entry of
+        # a plain callable's one-off parts goes when its call returns
+        self._f_cache = weakref.WeakKeyDictionary()
+        self._g_cache = weakref.WeakKeyDictionary()
 
     # -- volume terms ---------------------------------------------------------
     # Derivatives are constant on each cell, so their Grams are |K| times
@@ -471,7 +519,7 @@ class FormOperators:
         self._M_v = self._vpattern.lower(np.einsum("kq,kiqa,kjqa->kij", wK,
                                                    val, val, optimize=True))
         self.B_vp = self._coupling(self.vspace)
-        self.M_p = sps.diags(self.areas).tocsr()
+        self.M_p = _read_only(sps.diags(self.areas).tocsr())
 
     # Grams that only the norms read, built on first use: a direct solve
     # never pays for them.
@@ -575,25 +623,27 @@ class FormOperators:
         is also the DG norm's Gram."""
         return self._upattern.free(self._grad_jumps)
 
-    # Only copies of these leave the class, so no caller can mutate them.
+    # Every system shares these read-only blocks, and C_pp their index
+    # arrays with M_p: an in-place edit raises instead of changing them.
 
     @cached_property
     def _B_up_free(self):
-        return self.B_up[self.uspace.free_dofs].tocsr()
+        return _read_only(self.B_up[self.uspace.free_dofs].tocsr())
 
     @cached_property
     def _B_vp_free(self):
-        return self.B_vp[self.vspace.free_dofs].tocsr()
+        return _read_only(self.B_vp[self.vspace.free_dofs].tocsr())
 
     def block_system(self, params: ReducedParams, f=None, g=None,
                      g_cells=None) -> BlockSystem:
         A_uu = self._upattern.free(self._ah + params.lam * self._DD_u)
         A_vv = self._vpattern.free(params.rp_inv * self._M_v)
-        C_pp = (-params.alpha_p * self.M_p).tocsr()
+        M_p = self.M_p
+        C_pp = _shared_csr(-params.alpha_p * M_p.data, M_p.indices,
+                           M_p.indptr, M_p.shape)
         rhs_u, rhs_v, rhs_p = self.rhs(f=f, g=g, g_cells=g_cells)
-        return BlockSystem(A_uu, self._B_up_free.copy(),
-                           A_vv, self._B_vp_free.copy(), C_pp,
-                           rhs_u[self.uspace.free_dofs],
+        return BlockSystem(A_uu, self._B_up_free, A_vv, self._B_vp_free,
+                           C_pp, rhs_u[self.uspace.free_dofs],
                            rhs_v[self.vspace.free_dofs], rhs_p,
                            self.uspace, self.vspace, params, self.cfg,
                            self.families)
@@ -601,36 +651,61 @@ class FormOperators:
     def rhs(self, f=None, g=None, g_cells=None):
         """Load vectors (f, w), 0, (g, q) on the full dof sets.
 
-        f and g are callables of (x, y); alternatively pass g_cells with
-        per-cell values of a piecewise-constant source (exact for the
-        cellwise-constant pressure test space).  The scalar source uses the
-        same degree-12 rule as the cellwise projection so the discrete
-        compatibility of a mean-free source survives extreme coefficient
-        scales; degree 8 suffices for the vector load.
+        f and g are callables of (x, y) or `AffineLoad`s; alternatively
+        pass g_cells with per-cell values of a piecewise-constant source
+        (exact for the cellwise-constant pressure test space).  The load
+        vectors of an `AffineLoad`'s components are assembled on its first
+        use and kept per `parts`, so each later load is one small dot
+        product with its coefficients; a plain callable is one component,
+        assembled at every call.  The scalar source uses the same degree-12
+        rule as the cellwise projection so the discrete compatibility of a
+        mean-free source survives extreme coefficient scales; degree 8
+        suffices for the vector load.
         """
-        rule = triangle_rule(8)
-        rhs_u = np.zeros(self.uspace.ndof)
-        rhs_v = np.zeros(self.vspace.ndof)
-        rhs_p = np.zeros(self.mesh.num_cells)
-        if f is not None:
-            wK = rule.weights[None, :] * self.uspace.detJ[:, None]
-            xy = self.mesh.cell_points(rule.points)
-            fv = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
-            val = self.uspace.tabulate(rule.points, what=("val",))["val"]
-            # one batched matmul over (point, component); the tabulation
-            # is stored with the basis index last, so this reshape is a view
-            nc, nloc = val.shape[:2]
-            wf = (wK[:, :, None] * fv).reshape(nc, 1, -1)
-            elem = np.matmul(wf, np.moveaxis(val, 1, -1).reshape(nc, -1,
-                                                                 nloc))[:, 0]
-            np.add.at(rhs_u, self.uspace.cell_dofs.ravel(), elem.ravel())
         if g is not None and g_cells is not None:
             raise ValueError("pass either g or g_cells, not both")
+        rhs_u = (np.zeros(self.uspace.ndof) if f is None
+                 else self._load(f, self._f_vectors, self._f_cache))
+        rhs_v = np.zeros(self.vspace.ndof)
         if g is not None:
-            rhs_p = project_qh(g, self.mesh) * self.areas
+            rhs_p = self._load(g, self._g_vectors, self._g_cache)
         elif g_cells is not None:
             rhs_p = np.asarray(g_cells, dtype=float) * self.areas
+        else:
+            rhs_p = np.zeros(self.mesh.num_cells)
         return rhs_u, rhs_v, rhs_p
+
+    @staticmethod
+    def _load(load, assemble, cache) -> np.ndarray:
+        """The load vector of `load` from its components' vectors, which
+        `assemble(parts)` builds and `cache` keeps."""
+        load = _as_affine(load)
+        vectors = cache.get(load.parts)
+        if vectors is None:
+            vectors = cache[load.parts] = assemble(load.parts)
+        return np.asarray(load.coeffs, dtype=float) @ vectors
+
+    def _f_vectors(self, parts) -> np.ndarray:
+        """(f_i, w) for each component f_i of parts(x, y), (m, nc, nq, 2)."""
+        rule = triangle_rule(8)
+        wK = rule.weights[None, :] * self.uspace.detJ[:, None]
+        xy = self.mesh.cell_points(rule.points)
+        fv = np.asarray(parts(xy[..., 0], xy[..., 1]), dtype=float)
+        val = self.uspace.tabulate(rule.points, what=("val",))["val"]
+        # one batched matmul over (point, component) for all m loads; the
+        # tabulation is stored with the basis index last, so its reshape
+        # is a view
+        m, (nc, nloc), n = fv.shape[0], val.shape[:2], self.uspace.ndof
+        wf = np.moveaxis(wK[:, :, None] * fv, 0, 1).reshape(nc, m, -1)
+        elem = np.matmul(wf, np.moveaxis(val, 1, -1).reshape(nc, -1, nloc))
+        # one bincount over (load, dof) ids sums each dof's cells in order
+        ids = np.arange(0, m * n, n)[:, None] + self.uspace.cell_dofs[:, None]
+        return np.bincount(ids.ravel(), weights=elem.ravel(),
+                           minlength=m * n).reshape(m, n)
+
+    def _g_vectors(self, parts) -> np.ndarray:
+        """(g_i, q) for each component g_i of parts(x, y), (m, nc, nq)."""
+        return project_qh(parts, self.mesh) * self.areas
 
     def _N_U(self, params: ReducedParams) -> sps.csr_matrix:
         return self._upattern.free(self._grad_jumps

@@ -518,8 +518,9 @@ def interpolate_pi_div(func, mesh: TriMesh, family: str) -> np.ndarray:
 def project_qh(func, mesh: TriMesh, zero_mean: bool = False) -> np.ndarray:
     """L2 projection onto cellwise constants (cell means).
 
-    `func(x, y)` is evaluated with a degree-12 rule; pass zero_mean=True to
-    shift the result into the mean-zero pressure space.
+    `func(x, y)` is evaluated with a degree-12 rule; fields it stacks on a
+    leading axis are projected each.  Pass zero_mean=True to shift a single
+    field's result into the mean-zero pressure space.
     """
     rule = triangle_rule(12)
     xy = mesh.cell_points(rule.points)

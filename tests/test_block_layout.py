@@ -126,3 +126,37 @@ def test_mismatched_block_shapes_raise(operators):
     bad = dataclasses.replace(system, B_vp=system.B_vp[:, :-1].tocsr())
     with pytest.raises(ValueError, match="saddle matrix"):
         bad.monolithic()
+
+
+def test_layout_keeps_the_shared_read_only_blocks():
+    """The systems of one FormOperators share their coupling blocks and
+    C_pp's index arrays with M_p, all read-only, so the layout keeps the
+    blocks' index arrays without copying them.  Blocks with equal but
+    writeable index arrays may change after the layout is built, so they
+    get a layout of their own."""
+    ops = FormOperators(structured_mesh(4))
+    first, second = (ops.block_system(ReducedParams(*pt))
+                     for pt in ((1.0, 1.0, 0.0), (1e8, 1e-8, 1.0)))
+    assert first.B_up is second.B_up and first.B_vp is second.B_vp
+    assert np.shares_memory(first.C_pp.indices, ops.M_p.indices)
+    for mat in (first.B_up, first.B_vp, first.C_pp, ops.M_p):
+        with pytest.raises(ValueError):
+            mat.indices[0] = 0
+    for mat in (first.B_up, first.B_vp):
+        with pytest.raises(ValueError):
+            mat.data[0] = 0.0
+    first.monolithic()
+    layout = assembly._LAYOUTS[ops.uspace]
+    _assert_bitwise(second.monolithic(), _bmat(second))
+    assert assembly._LAYOUTS[ops.uspace] is layout
+    blocks = (second.A_uu, second.B_up, second.A_vv, second.B_vp,
+              second.C_pp)
+    for (indptr, indices), block in zip(layout.patterns, blocks):
+        assert np.shares_memory(indptr, block.indptr)
+        assert np.shares_memory(indices, block.indices)
+    copied = dataclasses.replace(second, A_uu=second.A_uu.copy())
+    assert not layout.matches([copied.A_uu, *blocks[1:]])
+    writeable = [b.copy() for b in blocks]
+    assert not assembly.BlockLayout(writeable).matches(writeable)
+    _assert_bitwise(copied.monolithic(), _bmat(copied))
+    assert assembly._LAYOUTS[ops.uspace] is not layout
