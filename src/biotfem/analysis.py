@@ -229,15 +229,14 @@ def _error_jump_seminorm(space, coeffs, u_exact):
     mesh = space.mesh
     snodes, sweights = edge_rule(4)
     pts = mesh.edge_points(snodes)
-    cells, tab = space.edge_traces(np.arange(mesh.num_edges), pts)
-    uh = np.einsum("sei,seiqa->seqa", coeffs[space.cell_dofs[cells]],
-                   tab["val"], optimize=True)
+    cells, val = space.edge_traces(np.arange(mesh.num_edges), pts)
+    uh = np.einsum("sei,seiqa->seqa", coeffs[space.cell_dofs[cells]], val,
+                   optimize=True)
     boundary = (mesh.edge_cells[:, 1] == BOUNDARY)[:, None, None]
     err = np.where(boundary, u_exact(pts[..., 0], pts[..., 1]) - uh[0],
                    uh[1] - uh[0])
-    n = mesh.edge_normal[:, None, :]
-    err_t = err - np.sum(err * n, axis=-1, keepdims=True) * n
-    return 0.5 * np.einsum("q,eqa->", sweights, err_t**2, optimize=True)
+    err_t = np.einsum("eqa,ea->eq", err, mesh.edge_tangent, optimize=True)
+    return 0.5 * np.einsum("q,eq->", sweights, err_t**2, optimize=True)
 
 
 def error_norms(system: BlockSystem, x: np.ndarray,

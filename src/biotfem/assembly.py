@@ -514,8 +514,7 @@ class FormOperators:
         rule = triangle_rule(4)
         wK = rule.weights[None, :] * self.vspace.detJ[:, None]
         # read once, so not kept in the space's tabulation cache
-        val = self.vspace._tabulate_for(slice(None), rule.points[None],
-                                        ("val",))["val"]
+        val = self.vspace._tabulate_ref(rule.points, ("val",))["val"]
         self._M_v = self._vpattern.lower(np.einsum("kq,kiqa,kjqa->kij", wK,
                                                    val, val, optimize=True))
         self.B_vp = self._coupling(self.vspace)
@@ -561,37 +560,28 @@ class FormOperators:
         # a continuous family has no interior jumps
         edges = (mesh.boundary_edges() if space.family == "p1cvec"
                  else np.arange(mesh.num_edges))
-        cells, tab = space.edge_traces(edges, mesh.edge_points(snodes)[edges],
-                                       what=("val", "grad"))
-        n = mesh.edge_normal[edges]
-        # per (side, edge) weights: [v] = v1 - v2, {w} = (w1 + w2)/2 on
-        # interior edges; [v] = v1, {w} = w1 on the boundary, whose second
-        # side repeats K1
+        cells, val = space.edge_traces(edges, mesh.edge_points(snodes)[edges])
+        n, t = mesh.edge_normal[edges], mesh.edge_tangent[edges]
+        # [v] = v1 - v2, {w} = (w1 + w2)/2 on interior edges; [v] = v1 and
+        # {w} = w1 on the boundary, whose second side repeats K1
         inner = (mesh.edge_cells[edges, 1] != BOUNDARY).astype(float)
         jump_w = np.stack((np.ones_like(inner), -inner))
         avg_w = np.stack((1.0 - 0.5 * inner, 0.5 * inner))
-        val, grad = tab["val"], tab["grad"]
-        epsn = 0.5 * np.einsum("seiqab,eb->seiqa",
-                               grad + np.swapaxes(grad, -2, -1), n,
-                               optimize=True)
-        vt = val - np.einsum("seiqa,ea->seiq", val, n,
-                             optimize=True)[..., None] \
-            * n[:, None, None, :]
-
-        def by_edge(w, x):
-            # (side, edge, i, q, a) -> (edge, side * nloc + i, q, a)
-            x = w[:, :, None, None, None] * x
-            return np.swapaxes(x, 0, 1).reshape((len(edges), -1)
-                                                + x.shape[3:])
-
-        jump_t, avg_en = by_edge(jump_w, vt), by_edge(avg_w, epsn)
-        dofs = np.swapaxes(space.cell_dofs[cells], 0, 1).reshape(len(edges),
-                                                                 -1)
-        # int_e f ds = (h_e/2) sum w f ; penalty carries 1/h_e
-        pen = 0.5 * np.einsum("q,eiqa,ejqa->eij", sweights, jump_t, jump_t,
-                              optimize=True)
-        c = 0.5 * mesh.edge_length[edges][:, None, None] * np.einsum(
-            "q,eiqa,ejqa->eij", sweights, avg_en, jump_t, optimize=True)
+        # only tangential parts enter: [v]_t . {eps(w) n} is
+        # ([v] . t)({eps(w) n} . t), and t . eps(w) n = (t n^T + n t^T) :
+        # grad w / 2 is constant per cell; rows are (edge, side * nloc + i)
+        jump = np.einsum("se,seiqa,ea->esiq", jump_w, val, t,
+                         optimize=True).reshape(len(edges), -1, len(snodes))
+        tn = t[:, :, None] * n[:, None, :]
+        avg = np.einsum("se,seiab,eab->esi", avg_w, space.cell_grad[cells],
+                        0.5 * (tn + np.swapaxes(tn, 1, 2)),
+                        optimize=True).reshape(len(edges), -1)
+        dofs = space.cell_dofs[cells.T].reshape(len(edges), -1)
+        # int_e f ds = (h_e/2) sum_q w_q f(x_q); penalty carries 1/h_e
+        pen = 0.5 * (sweights * jump) @ np.swapaxes(jump, 1, 2)
+        # the constant strain meets the weighted point-sum of the jumps
+        c = (0.5 * mesh.edge_length[edges][:, None, None] * avg[:, :, None]
+             * (jump @ sweights)[:, None, :])
         return dofs, pen, c + np.swapaxes(c, 1, 2)
 
     # -- combinations, as sums of lower-pattern data -----------------------------
@@ -691,10 +681,9 @@ class FormOperators:
         wK = rule.weights[None, :] * self.uspace.detJ[:, None]
         xy = self.mesh.cell_points(rule.points)
         fv = np.asarray(parts(xy[..., 0], xy[..., 1]), dtype=float)
-        val = self.uspace.tabulate(rule.points, what=("val",))["val"]
-        # one batched matmul over (point, component) for all m loads; the
-        # tabulation is stored with the basis index last, so its reshape
-        # is a view
+        # read once, so not kept in the space's tabulation cache
+        val = self.uspace._tabulate_ref(rule.points, ("val",))["val"]
+        # one batched matmul over (point, component) for all m loads
         m, (nc, nloc), n = fv.shape[0], val.shape[:2], self.uspace.ndof
         wf = np.moveaxis(wK[:, :, None] * fv, 0, 1).reshape(nc, m, -1)
         elem = np.matmul(wf, np.moveaxis(val, 1, -1).reshape(nc, -1, nloc))

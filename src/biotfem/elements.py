@@ -11,9 +11,10 @@ the stored normal and, for the first moment, the sign between the two edge
 parametrizations), so each cell's coefficients are the reference ones with
 their columns divided by that factor.  Normal-trace conformity is exact
 regardless of how cells are oriented.  Every family is affine on a cell, so
-gradients and divergences are stored once per cell; an H(div) divergence
-comes from the divergence theorem, which leaves the first-moment BDM1
-functions exactly divergence-free.
+a basis value is cell_val0 + cell_grad (x - x0), from values at the first
+vertex x0 and gradients stored once per cell, with no pull-back to the
+reference cell; an H(div) divergence comes from the divergence theorem,
+which leaves the first-moment BDM1 functions exactly divergence-free.
 
 Families (2D triangles):
 
@@ -167,14 +168,13 @@ def _dof_matrices(family, mesh: TriMesh) -> np.ndarray:
     """Dof functionals applied to the Piola-mapped generators on every cell,
     shape (nc, ndof, ngen)."""
     J = mesh.jacobians()
-    Jinv = np.linalg.inv(J)
     detJ = 2.0 * mesh.signed_areas()
     x0 = mesh.vertices[mesh.cells[:, 0]]
     snodes, _ = edge_rule(10)
     edges = mesh.cell_edges
     pts = mesh.edge_points(snodes)[edges]  # (nc, 3, nq, 2)
-    ref = np.einsum("kab,kjqb->kjqa", Jinv, pts - x0[:, None, None, :],
-                    optimize=True)
+    ref = np.einsum("kab,kjqb->kjqa", np.linalg.inv(J),
+                    pts - x0[:, None, None, :], optimize=True)
     gv = _gen_eval(family, ref)  # (ngen, nc, 3, nq, 2)
     vals = np.einsum("kab,gkjqb->kjgqa", J, gv,
                      optimize=True) / detJ[:, None, None, None, None]
@@ -300,9 +300,6 @@ class FESpace:
                      - self.J[:, 0, 1] * self.J[:, 1, 0])
         if np.any(self.detJ <= 0):
             raise DegenerateCell("mesh contains a degenerate or flipped cell")
-        # adjugate over determinant: [[d, -b], [-c, a]] / det
-        adj = np.swapaxes(self.J[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]
-        self.Jinv = adj / self.detJ[:, None, None]
         self.x0 = mesh.vertices[mesh.cells[:, 0]]
 
         self._build_dof_layout()
@@ -354,7 +351,17 @@ class FESpace:
         self.coeff = (self.ref._coeff
                       / _dof_scale(self.family, self.mesh)[:, None, :])
 
-    # -- basis derivatives, constant on each cell -------------------------------
+    # -- the affine basis: values at x0, derivatives constant per cell -----
+
+    @cached_property
+    def cell_val0(self) -> np.ndarray:
+        """Basis values at each cell's vertex x0, read-only, (nc, nloc, 2)."""
+        c = _AFFINE[self.family][:, :, 0]  # generator values at the origin
+        if self.family in HDIV_FAMILIES:  # Piola: J c / det
+            c = c @ np.swapaxes(self.J, 1, 2) / self.detJ[:, None, None]
+        val0 = np.swapaxes(self.coeff, 1, 2) @ c
+        val0.flags.writeable = False
+        return val0
 
     @cached_property
     def cell_grad(self) -> np.ndarray:
@@ -362,7 +369,9 @@ class FESpace:
         # reference gradients G of each cell's basis, then the chain rule
         G = np.einsum("kgi,gac->kiac", self.coeff, _gen_deriv(self.family)[0],
                       optimize=True)
-        grad = G @ self.Jinv[:, None]
+        Jinv = (np.swapaxes(self.J[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]
+                / self.detJ[:, None, None])  # adjugate over determinant
+        grad = G @ Jinv[:, None]
         if self.family in HDIV_FAMILIES:  # Piola: J G Jinv / det
             grad = (self.J[:, None] @ grad) / self.detJ[:, None, None, None]
         grad.flags.writeable = False
@@ -390,7 +399,7 @@ class FESpace:
     # -- tabulation ----------------------------------------------------------
 
     def tabulate(self, ref_pts, what=("val", "div")):
-        """Physical basis data at the same reference points in every cell.
+        """Physical basis data at reference points xi, x0 + J xi in every cell.
 
         Returns a dict with requested arrays:
         val (nc, nloc, nq, 2), div (nc, nloc, nq), grad (nc, nloc, nq, 2, 2).
@@ -399,41 +408,38 @@ class FESpace:
         grad are read-only views of `cell_div` and `cell_grad` broadcast
         over the points.
         """
-        self._check_what(what)
         ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
         key = (ref_pts.tobytes(), tuple(sorted(what)))
-        if key in self._tab_cache:
-            return self._tab_cache[key]
-        out = self._tabulate_for(slice(None), ref_pts[None], what)
-        self._tab_cache[key] = out
-        return out
+        if key not in self._tab_cache:
+            self._tab_cache[key] = self._tabulate_ref(ref_pts, what)
+        return self._tab_cache[key]
+
+    def _tabulate_ref(self, ref_pts, what):
+        """`tabulate` without its cache, for a table that is read once."""
+        return self._tabulate_for(slice(None), np.asarray(
+            ref_pts, dtype=float) @ np.swapaxes(self.J, 1, 2), what)
 
     def tabulate_at(self, cells, phys_pts, what=("val",)):
-        """Physical basis data of selected cells at given physical points.
-
-        phys_pts has shape (len(cells), nq, 2); points must lie inside the
-        respective cells (used for edge traces).
+        """Physical basis data of `cells`, of any shape, at physical points
+        phys_pts (cells.shape + (nq, 2), or broadcastable to it) that lie
+        in the respective cells; arrays as in `tabulate`, with cells.shape
+        in place of the cell axis.
         """
-        self._check_what(what)
         cells = np.asarray(cells, dtype=int)
-        ref = np.einsum("kab,kqb->kqa", self.Jinv[cells],
-                        phys_pts - self.x0[cells][:, None, :], optimize=True)
-        return self._tabulate_for(cells, ref, what)
+        dx = np.asarray(phys_pts) - self.x0[cells][..., None, :]
+        return self._tabulate_for(cells, dx, what)
 
-    def edge_traces(self, edges, pts, what=("val",)):
-        """Basis traces from both sides of the given edges.
+    def edge_traces(self, edges, pts):
+        """Basis values from both sides of the given edges.
 
         pts (len(edges), nq, 2) are physical points on the edges.  Returns
-        (cells, tab): cells (2, len(edges)) holds (K1, K2) per edge, with K2
-        replaced by K1 on boundary edges (callers give that side zero
-        weight), and each tab array has shape (2, len(edges), nloc, nq, ...).
+        (cells, val): cells (2, len(edges)) holds (K1, K2) per edge, with
+        K2 replaced by K1 on boundary edges (callers give that side zero
+        weight), and val has shape (2, len(edges), nloc, nq, 2).
         """
         k1, k2 = self.mesh.edge_cells[edges].T
         cells = np.stack((k1, np.where(k2 == BOUNDARY, k1, k2)))
-        tab = self.tabulate_at(cells.ravel(), np.concatenate((pts, pts)),
-                               what)
-        return cells, {name: arr.reshape(cells.shape + arr.shape[1:])
-                       for name, arr in tab.items()}
+        return cells, self.tabulate_at(cells, pts)["val"]
 
     def _check_what(self, what):
         offered = ("val",) if self.family == "p0" else ("val", "div", "grad")
@@ -442,28 +448,25 @@ class FESpace:
                 raise ValueError(f"family {self.family!r} offers tabulations "
                                  f"{offered}, not {name!r}")
 
-    def _tabulate_for(self, cells, ref_pts, what):
-        """Basis data of `cells` at reference points ref_pts (m, nq, 2),
-        where m is len(cells) or 1 for points shared by every cell."""
-        fam = self.family
-        C = self.coeff[cells]
-        nk, nq = len(C), ref_pts.shape[1]
+    def _tabulate_for(self, cells, dx, what):
+        """Basis data of `cells`, an index array of any shape or a slice,
+        at the points x0 + dx of each cell, dx (selected cells' shape, nq,
+        2).  Every vector family's values are the affine field
+        cell_val0 + cell_grad dx; p0's are ones."""
+        self._check_what(what)
+        lead, nq = dx.shape[:-2], dx.shape[-2]
         out = {}
-        if "val" in what:
-            gv = np.moveaxis(_gen_eval(fam, ref_pts), 0, 1)  # (m, gen, q, ...)
-            gv = np.broadcast_to(gv, (nk,) + gv.shape[1:])
-            if fam in HDIV_FAMILIES:
-                det = self.detJ[cells]
-                gv = np.einsum("kab,kgqb->kgqa", self.J[cells], gv,
-                               optimize=True) / det[:, None, None, None]
-            out["val"] = np.einsum("kgi,kgq...->kiq...", C, gv, optimize=True)
-        if "div" in what:
-            div = self.cell_div[cells]
-            out["div"] = np.broadcast_to(div[:, :, None], div.shape + (nq,))
-        if "grad" in what:
-            grad = self.cell_grad[cells]
-            out["grad"] = np.broadcast_to(grad[:, :, None],
-                                          grad.shape[:2] + (nq, 2, 2))
+        if "val" in what and self.family == "p0":
+            out["val"] = np.ones(lead + (1, nq))
+        elif "val" in what:
+            out["val"] = self.cell_val0[cells][..., None, :] + np.einsum(
+                "...iab,...qb->...iqa", self.cell_grad[cells], dx,
+                optimize=True)
+        k = len(lead) + 1  # the point axis follows the basis axis
+        for name in set(what) - {"val"}:
+            arr = getattr(self, "cell_" + name)[cells]
+            out[name] = np.broadcast_to(np.expand_dims(arr, k),
+                                        arr.shape[:k] + (nq,) + arr.shape[k:])
         return out
 
     # -- discrete field helpers ----------------------------------------------
@@ -477,11 +480,19 @@ class FESpace:
                               self.cell_div[:, :, None])[:, 0]
 
     def eval_field(self, coeffs, ref_pts, what=("val",)):
-        """Evaluate a discrete field at reference points in every cell."""
-        coeffs = np.asarray(coeffs, dtype=float)
+        """Evaluate a discrete field at reference points in every cell; div
+        and grad, constant on each cell, are contracted once per cell and
+        returned as read-only views broadcast over the points."""
         tab = self.tabulate(np.atleast_2d(ref_pts), what=what)
-        local = coeffs[self.cell_dofs]
-        return {name: _cell_contract(local, arr) for name, arr in tab.items()}
+        local = np.asarray(coeffs, dtype=float)[self.cell_dofs]
+        out = {}
+        for name, arr in tab.items():
+            if name == "val":
+                out[name] = _cell_contract(local, arr)
+            else:  # constant on each cell: contract the first point only
+                out[name] = np.broadcast_to(_cell_contract(
+                    local, arr[:, :, :1]), arr.shape[:1] + arr.shape[2:])
+        return out
 
     # -- canonical interpolation ----------------------------------------------
 

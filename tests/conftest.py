@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from biotfem.assembly import FormOperators
+from biotfem.elements import HDIV_FAMILIES, _gen_eval
 from biotfem.meshing import from_arrays, structured_mesh
 
 # acceptance parameter grid, shared by several suites
@@ -45,6 +46,26 @@ def perturbed_unit_square(n: int, seed: int = 1706):
     second = np.where(rising, np.column_stack((v00, v11, v01)),
                       np.column_stack((v10, v11, v01)))
     return from_arrays(vertices, np.concatenate((first, second)))
+
+
+def pulled_back_values(space, cells, phys_pts):
+    """Physical basis values of a vector family by the reference pull-back,
+    an oracle independent of the affine evaluation in `FESpace`:
+    xi = Jinv (x - x0), the raw generators at xi, the contravariant Piola
+    map J / det for H(div) families, then each cell's coefficients.
+
+    cells has any shape and phys_pts (nq, 2) points per cell, broadcast
+    against it; returns cells.shape + (nloc, nq, 2).
+    """
+    cells = np.asarray(cells)
+    J = space.J[cells]
+    xi = np.einsum("...ab,...qb->...qa", np.linalg.inv(J),
+                   phys_pts - space.x0[cells][..., None, :])
+    gen = np.moveaxis(_gen_eval(space.family, xi), 0, cells.ndim)
+    if space.family in HDIV_FAMILIES:
+        gen = (np.einsum("...ab,...gqb->...gqa", J, gen)
+               / space.detJ[cells][..., None, None, None])
+    return np.einsum("...gi,...gqa->...iqa", space.coeff[cells], gen)
 
 
 @pytest.fixture(scope="session")

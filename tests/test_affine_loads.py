@@ -155,3 +155,11 @@ def test_audit_of_the_affine_source_agrees_with_the_assembled_one(pt):
     default = conservation_audit(system, x)
     scale = np.abs(system.rhs_p / ops.areas).max()
     assert np.abs(given - default).max() <= 1e-14 * scale
+
+
+def test_vector_load_leaves_no_cached_value_tabulation():
+    """The degree-8 values that the vector load reads once are not kept in
+    the displacement space's tabulation cache."""
+    ops = FormOperators(structured_mesh(4))
+    ops.rhs(f=manufactured_case(ReducedParams(1.0, 1.0, 0.0)).f)
+    assert not [key for key in ops.uspace._tab_cache if "val" in key[1]]

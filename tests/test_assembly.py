@@ -11,6 +11,8 @@ from biotfem.elements import FESpace, edge_rule, triangle_rule
 from biotfem.meshing import from_arrays, structured_mesh
 from biotfem.params import ReducedParams
 
+from conftest import pulled_back_values
+
 
 def test_block_sizes_n2(ops_bdm):
     # 16 edges, 8 boundary: displacement 2*16 - 2*8, flux 16 - 8, pressure 8
@@ -293,8 +295,9 @@ def test_continuous_interior_field_pure_strain_energy(rng):
 
 
 def _face_terms_per_edge(ops, coeffs, u_exact):
-    """Reference for the batched face kernels: a plain loop over edges with
-    one `tabulate_at` call per edge.  Returns dense PEN, CONS and the
+    """Reference for the batched face kernels: a plain loop over edges,
+    with the traces of each edge pulled back to the reference cell and the
+    gradients from `cell_grad`.  Returns dense PEN, CONS and the
     tangential-jump error seminorm of (u_exact - coeffs)."""
     mesh, space = ops.mesh, ops.uspace
     snodes, sweights = edge_rule(4)
@@ -307,11 +310,12 @@ def _face_terms_per_edge(ops, coeffs, u_exact):
         n = mesh.edge_normal[e]
         xa, xb = mesh.vertices[mesh.edge_vertices[e]]
         pts = 0.5 * (xa + xb) + 0.5 * np.outer(snodes, xb - xa)
-        tab = space.tabulate_at(np.array(sides), np.stack([pts] * len(sides)),
-                                what=("val", "grad"))
+        vals = pulled_back_values(space, np.array(sides), pts)
         jump, avg, uh = [], [], []
         for s, k in enumerate(sides):
-            val, grad = tab["val"][s], tab["grad"][s]
+            val = vals[s]
+            grad = np.broadcast_to(space.cell_grad[k][:, None],
+                                   val.shape + (2,))
             vt = val - np.einsum("iqa,a->iq", val, n)[..., None] * n
             epsn = 0.5 * np.einsum("iqab,b->iqa",
                                    grad + np.swapaxes(grad, -2, -1), n)

@@ -9,7 +9,9 @@ from biotfem.elements import (DegenerateCell, FESpace, _cell_contract,
                               _dof_matrices, edge_rule, interpolate_pi_div,
                               piola_map, project_qh, ref_basis,
                               triangle_rule)
-from biotfem.meshing import from_arrays, structured_mesh
+from biotfem.meshing import BOUNDARY, from_arrays, structured_mesh
+
+from conftest import pulled_back_values
 
 
 def exact_triangle_monomial(a, b):
@@ -157,7 +159,7 @@ def test_physical_dofs_of_the_basis_are_the_identity(family, mesh_name,
     snod, swts = edge_rule(10)
     edges = mesh.cell_edges  # (nc, 3)
     pts = mesh.edge_points(snod)[edges].reshape(nc, -1, 2)
-    val = sp.tabulate_at(np.arange(nc), pts)["val"]
+    val = pulled_back_values(sp, np.arange(nc), pts)
     vn = np.einsum("kieqa,kea->keiq", val.reshape(nc, nloc, 3, -1, 2),
                    mesh.edge_normal[edges], optimize=True)
     nmom = nloc // 3
@@ -213,10 +215,11 @@ def test_cell_divergence_reads_the_cell_array(family, perturbed_mesh, rng):
 
 
 def _central_differences(sp, cells, pts, delta):
-    """grad[..., a, b] = d v_a / d x_b from physical values alone; exact for
-    basis functions of degree at most two, up to roundoff / delta."""
+    """grad[..., a, b] = d v_a / d x_b from pulled-back physical values;
+    exact for basis functions of degree at most two, up to roundoff /
+    delta."""
     def val(shift):
-        return sp.tabulate_at(cells, pts + shift)["val"]
+        return pulled_back_values(sp, cells, pts + shift)
 
     e = delta * np.eye(2)
     return np.stack([(val(e[b]) - val(-e[b])) / (2.0 * delta)
@@ -242,6 +245,51 @@ def test_physical_derivatives_match_finite_differences(family,
         assert np.abs(tab["div"] - np.trace(tab["grad"], axis1=-2,
                                             axis2=-1)).max() \
             <= 1e-13 * np.abs(tab["grad"]).max()
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_affine_values_match_the_pulled_back_basis(family, perturbed_mesh):
+    """tabulate, tabulate_at and both sides of edge_traces, boundary edges
+    included, evaluate cell_val0 + cell_grad (x - x0); they agree with the
+    reference pull-back on a perturbed mesh."""
+    mesh = perturbed_mesh[8]
+    sp = FESpace(mesh, family)
+    cells = np.arange(mesh.num_cells)
+    ref_pts = triangle_rule(8).points
+    cell_pts = mesh.cell_points(ref_pts)
+    edge_pts = mesh.edge_points(edge_rule(4)[0])
+    k1, k2 = mesh.edge_cells.T
+    assert np.any(k2 == BOUNDARY)
+    sides = np.stack((k1, np.where(k2 == BOUNDARY, k1, k2)))
+    traced, traces = sp.edge_traces(np.arange(mesh.num_edges), edge_pts)
+    assert np.array_equal(traced, sides)
+    inside = pulled_back_values(sp, cells, cell_pts)
+    for got, want in (
+            (sp.tabulate(ref_pts, what=("val",))["val"], inside),
+            (sp.tabulate_at(cells, cell_pts)["val"], inside),
+            (traces, pulled_back_values(sp, sides, edge_pts))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_eval_field_derivatives_read_the_cell_arrays(family, perturbed_mesh,
+                                                     rng):
+    """eval_field's div and grad are one contraction per cell, broadcast over
+    the points as read-only views, and agree with contracting the broadcast
+    tabulation at every point."""
+    sp = FESpace(perturbed_mesh[4], family)
+    coeffs = rng.standard_normal(sp.ndof)
+    pts = triangle_rule(8).points
+    got = sp.eval_field(coeffs, pts, what=("val", "div", "grad"))
+    tab = sp.tabulate(pts, what=("val", "div", "grad"))
+    for name, arr in got.items():
+        want = _cell_contract(coeffs[sp.cell_dofs], tab[name])
+        assert arr.shape == want.shape
+        assert np.abs(arr - want).max() <= 1e-15 * np.abs(want).max()
+    for name in ("div", "grad"):
+        assert not got[name].flags.writeable
+        assert got[name].strides[1] == 0
 
 
 def _owner(arr):
