@@ -8,14 +8,16 @@ assembly.  The Grams of a space share one symmetric CSR pattern
 (`GramPattern`): each is one bincount onto its lower triangle, and every
 matrix on all dofs or on the free dofs is one gather over shared,
 read-only index arrays, so sums of Grams and free-dof restrictions are
-arithmetic on data vectors.  The monolithic matrices are laid out in one
-place:
-`block_matrix` keeps the CSR index arrays of the saddle matrix per
-sparsity pattern of its blocks, gathers each parameter point's block data
-into them and borders them for the direct solver, and `block_diagonal`
-concatenates the norm blocks.  Loads that are affine in the parameters
-(`AffineLoad`) are assembled once per component on first use, so the load
-vectors of a parameter point are small dot products too.
+arithmetic on data vectors.  Every CSR pattern, the Grams' and the
+monolithic matrices', is one counting sort of coordinates (`_sorted_csr`).
+The monolithic matrices are laid out in one place: `block_matrix` keeps
+the read-only CSR index arrays of the saddle matrix per sparsity pattern
+of its blocks and gathers each parameter point's block data into them,
+lays out the matrix bordered for the direct solver straight from its
+blocks, and `block_diagonal` concatenates the norm blocks.  Loads that
+are affine in the parameters (`AffineLoad`) are assembled once per
+component on first use, so the load vectors of a parameter point are
+small dot products too.
 """
 
 from __future__ import annotations
@@ -148,40 +150,22 @@ def _canonical(mat) -> sps.csr_matrix:
     return mat
 
 
-def _stack(block_rows, itype):
-    """indptr, indices and gather order, all of integer type `itype`, of a
-    CSR matrix made of block rows.
-
-    Each block row lists its blocks left to right as (column offset,
-    indptr, indices, source), where source gives, for every stored entry
-    in CSR order, its position in the stacked data vector.  Blocks of one
-    row occupy disjoint column ranges, so a row's sorted entries are the
-    rows of its blocks one after another.
-    """
-    counts = np.concatenate([sum(np.diff(p) for _, p, _, _ in row)
-                             for row in block_rows])
-    indptr = np.zeros(counts.size + 1, dtype=itype)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=itype)
-    order = np.empty(indptr[-1], dtype=itype)
-    first = 0
-    for row in block_rows:
-        rows = row[0][1].size - 1
-        start = indptr[first:first + rows].copy()
-        for offset, p, idx, src in row:
-            n = np.diff(p)
-            at = np.repeat(start - p[:-1], n)
-            at += np.arange(idx.size, dtype=itype)
-            indices[at] = idx + offset
-            order[at] = src
-            start += n
-        first += rows
-    return indptr, indices, order
-
-
 def _index_type(maxval: int):
     """int32 when it holds `maxval`, as scipy would keep, else int64."""
     return np.int32 if maxval < np.iinfo(np.int32).max else np.int64
+
+
+def _sorted_csr(n: int, rows, cols, ids):
+    """indptr, indices and `ids` in CSR order of the n x n coordinates
+    (rows, cols), each row sorted by column: scipy's counting sort by row
+    (`coo_tocsr`), then its sort of each row (`csr_sort_indices`).  All
+    four arrays share one integer type, which the results keep."""
+    ptr = np.empty(n + 1, dtype=rows.dtype)
+    col = np.empty(rows.size, dtype=rows.dtype)
+    out = np.empty(rows.size, dtype=rows.dtype)
+    _sparsetools.coo_tocsr(n, n, rows.size, rows, cols, ids, ptr, col, out)
+    _sparsetools.csr_sort_indices(n, ptr, col, out)
+    return ptr, col, out
 
 
 class BlockLayout:
@@ -189,10 +173,14 @@ class BlockLayout:
 
         [[A_uu, 0, B_up], [0, A_vv, B_vp], [B_up^T, B_vp^T, C_pp]]
 
-    and of the same matrix bordered by the cell-area column and row, for
-    one sparsity pattern of the five blocks.  The data vector is the
-    blocks' data in that order (then the areas, bordered), and the lower
-    coupling blocks read it through a transpose permutation.
+    for one sparsity pattern of the five blocks, or, `bordered`, of the
+    same matrix bordered by the cell-area column and row.  The data vector
+    is the blocks' data in that order (then the areas, bordered), and
+    `order` gathers it into CSR order.  Every stored entry is listed as
+    (row, column, data position) at its block offsets, each coupling block
+    a second time transposed, and one counting sort (`_sorted_csr`) lays
+    them out.  The arrays are read-only, so the matrices of one layout can
+    share them.
 
     The layout keeps the blocks' index arrays, not copies.  It matches
     later blocks that hold the same read-only arrays, as every system of
@@ -200,7 +188,7 @@ class BlockLayout:
     so it never matches.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, bordered: bool = False):
         A_uu, B_up, A_vv, B_vp, C_pp = blocks
         nu, nv, npp = A_uu.shape[0], A_vv.shape[0], C_pp.shape[0]
         self.shapes = ((nu, nu), (nu, npp), (nv, nv), (nv, npp), (npp, npp))
@@ -210,83 +198,65 @@ class BlockLayout:
                              f"{(nu, nv, npp)}")
         self.patterns = [(b.indptr, b.indices) for b in blocks]
         src = np.cumsum([0] + [b.nnz for b in blocks])
-        # every index and source position
-        self._itype = _index_type(max(nu + nv + npp + 1, src[-1] + npp))
-        own = [(p, i, np.arange(s, s + i.size, dtype=self._itype))
-               for (p, i), s in zip(self.patterns, src)]
-
-        def transposed(k):
-            # CSR of block k's transpose: its entries ordered by column
-            p, i = self.patterns[k]
-            perm = np.argsort(i, kind="stable")
-            rows = np.repeat(np.arange(p.size - 1), np.diff(p))
-            tp = np.concatenate(([0], np.cumsum(np.bincount(i,
-                                                            minlength=npp))))
-            return tp, rows[perm], src[k] + perm
-
-        self.saddle = _stack([[(0, *own[0]), (nu + nv, *own[1])],
-                              [(nu, *own[2]), (nu + nv, *own[3])],
-                              [(0, *transposed(1)), (nu, *transposed(3)),
-                               (nu + nv, *own[4])]], self._itype)
-        self.size = nu + nv + npp
-        self._areas = src[-1]  # where the areas start in the data vector
+        n = nu + nv + npp + bordered
+        # the coupling blocks are stored twice, the areas twice
+        nent = src[-1] + B_up.nnz + B_vp.nnz + 2 * npp * bordered
+        itype = _index_type(max(n, nent))
+        coords = []  # (rows, columns, data positions) of the entries
+        corners = ((0, 0), (0, nu + nv), (nu, nu), (nu, nu + nv),
+                   (nu + nv, nu + nv))
+        for (p, i), (r0, c0), s in zip(self.patterns, corners, src):
+            r = np.repeat(np.arange(r0, r0 + p.size - 1, dtype=itype),
+                          np.diff(p))
+            c = i.astype(itype) + c0
+            pos = np.arange(s, s + i.size, dtype=itype)
+            coords.append((r, c, pos))
+            if r0 != c0:  # a coupling block, and its transpose below
+                coords.append((c, r, pos))
+        if bordered:
+            pressure = np.arange(nu + nv, n - 1, dtype=itype)
+            last = np.full(npp, n - 1, dtype=itype)
+            areas = np.arange(src[-1], src[-1] + npp, dtype=itype)
+            coords += [(pressure, last, areas), (last, pressure, areas)]
+        self.indptr, self.indices, self.order = _sorted_csr(
+            n, *(np.concatenate(a) for a in zip(*coords)))
+        for a in (self.indptr, self.indices, self.order):
+            a.flags.writeable = False
 
     def matches(self, blocks) -> bool:
         return all(b.shape == s and b.indptr is p and b.indices is i
                    and not (p.flags.writeable or i.flags.writeable)
                    for (p, i), s, b in zip(self.patterns, self.shapes, blocks))
 
-    def bordered(self):
-        """The saddle layout with an area entry closing each pressure row
-        and the area row appended."""
-        indptr, indices, order = self.saddle
-        n, npp = self.size, self.shapes[-1][0]
-        # the row's entries go at the end of the array, after the column's
-        at = np.concatenate((indptr[n - npp + 1:], np.full(npp, indices.size)))
-        shift = np.maximum(np.arange(n + 1) - (n - npp), 0)
-        indptr = np.append(indptr + shift, indptr[-1] + 2 * npp)
-        cols = np.concatenate((np.full(npp, n), np.arange(n - npp, n)))
-        return (indptr.astype(self._itype), np.insert(indices, at, cols),
-                np.insert(order, at, np.tile(self._areas + np.arange(npp), 2)))
 
-
-# Last layout per displacement space, the same rule as the factor memo of
-# the solver: the systems of one FormOperators share it.
+# Last saddle layout per displacement space, the same rule as the factor
+# memo of the solver: the systems of one FormOperators share it.
 _LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def block_matrix(system: BlockSystem, bordered: bool = False):
     """The saddle matrix of `system` in CSR; with `bordered`, also the
     column of cell areas and its transpose as last row, which pin the
-    pressure mean."""
+    pressure mean.
+
+    The saddle layout of the displacement space is kept while the five
+    blocks keep the sparsity pattern it was built for, and its read-only
+    index arrays are handed out without copies.  A direct solver borders
+    its matrix once, so a bordered layout is built from the blocks and not
+    kept."""
     blocks = [_canonical(b) for b in (system.A_uu, system.B_up, system.A_vv,
                                       system.B_vp, system.C_pp)]
-    indptr, indices, order = _layout(system.uspace, blocks, bordered)
     data = [b.data for b in blocks]
     if bordered:
+        layout = BlockLayout(blocks, bordered=True)
         data.append(system.mesh.signed_areas())
-    n = indptr.size - 1
-    return sps.csr_matrix((np.concatenate(data)[order], indices, indptr),
-                          shape=(n, n))
-
-
-def _layout(space: FESpace, blocks, bordered: bool):
-    """indptr and indices the caller may keep, and the gather order.
-
-    The layout of `space` is reused while the five blocks keep the
-    sparsity pattern it was built for, and rebuilt otherwise.  Only the
-    saddle matrix, which a sweep builds at every point, stores its
-    layout; a direct solver borders its matrix once, and a layout it
-    built is freed before the matrix is filled."""
-    layout = _LAYOUTS.get(space)
-    if layout is None or not layout.matches(blocks):
-        layout = BlockLayout(blocks)
-        if not bordered:
-            _LAYOUTS[space] = layout
-    if bordered:
-        return layout.bordered()
-    indptr, indices, order = layout.saddle
-    return indptr.copy(), indices.copy(), order
+    else:
+        layout = _LAYOUTS.get(system.uspace)
+        if layout is None or not layout.matches(blocks):
+            layout = _LAYOUTS[system.uspace] = BlockLayout(blocks)
+    n = layout.indptr.size - 1
+    return _shared_csr(np.concatenate(data)[layout.order], layout.indices,
+                       layout.indptr, (n, n))
 
 
 def block_diagonal(blocks) -> sps.csr_matrix:
@@ -336,14 +306,9 @@ class GramPattern:
             rows.append(r[take])
             cols.append(c[take])
         rows, cols = np.concatenate(rows), np.concatenate(cols)
-        # counting sort of the entries by row, then of each row by column
         nent = rows.size
-        ptr = np.empty(n + 1, dtype=itype)
-        col = np.empty(nent, dtype=itype)
-        entry = np.empty(nent, dtype=itype)
-        _sparsetools.coo_tocsr(n, n, nent, rows, cols,
-                               np.arange(nent, dtype=itype), ptr, col, entry)
-        _sparsetools.csr_sort_indices(n, ptr, col, entry)
+        ptr, col, entry = _sorted_csr(n, rows, cols,
+                                      np.arange(nent, dtype=itype))
         if np.any(ptr[1:] == ptr[:-1]):
             raise ValueError("a dof lies in no cell")
         # runs of one (row, column) share a slot of the lower pattern

@@ -1,11 +1,12 @@
 """The cached block layout reproduces sps.bmat / sps.block_diag bitwise.
 
-`assembly.block_matrix` fills the saddle matrix (and the matrix bordered
-by the cell-area column) from a CSR layout kept per displacement space,
-and `assembly.block_diagonal` concatenates CSR arrays.  Every matrix built
-that way must equal, in indptr, indices and data, the scipy reference
-built here, over the whole coefficient grid, on structured and perturbed
-meshes, and after a block changes its sparsity pattern.
+`assembly.block_matrix` fills the saddle matrix from a CSR layout kept per
+displacement space (and the matrix bordered by the cell-area column from
+a layout built for it), both laid out by one counting sort of block
+coordinates, and `assembly.block_diagonal` concatenates CSR arrays.  Every
+matrix built that way must equal, in indptr, indices and data, the scipy
+reference built here, over the whole coefficient grid, on structured and
+perturbed meshes, and after a block changes its sparsity pattern.
 """
 import dataclasses
 import itertools
@@ -110,14 +111,44 @@ def test_changed_pattern_rebuilds_the_layout(operators):
     assert assembly._LAYOUTS[ops.uspace] is not kept
 
 
-def test_returned_matrix_owns_its_index_arrays(operators):
-    """Editing a returned matrix in place leaves the cached layout intact."""
+def test_in_place_call_on_the_saddle_matrix_raises(operators):
+    """The saddle matrices of one layout share its read-only index arrays,
+    so an in-place call on a returned matrix raises and leaves the cached
+    layout intact."""
     system = operators["structured-4"].block_system(
         ReducedParams(1.0, 1.0, 0.0))
     A = system.monolithic()
     A.data[:] = 0.0
-    A.eliminate_zeros()
+    with pytest.raises(ValueError):
+        A.eliminate_zeros()
     _assert_bitwise(system.monolithic(), _bmat(system))
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+def test_sorted_csr_matches_a_lexsort_reference(itype):
+    """The counting sort behind every layout, on repeated (row, column)
+    pairs and empty rows, in both integer types `_index_type` picks."""
+    rng = np.random.default_rng(7)
+    n = 40
+    rows = rng.choice(np.arange(0, n, 3), size=600).astype(itype)
+    cols = rng.integers(0, 12, size=600).astype(itype)
+    indptr, indices, order = assembly._sorted_csr(
+        n, rows, cols, np.arange(600, dtype=itype))
+    for a in (indptr, indices, order):
+        assert a.dtype == itype
+    assert np.array_equal(np.diff(indptr), np.bincount(rows, minlength=n))
+    assert np.any(np.diff(indptr) == 0)
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    # within a row the columns are sorted
+    assert np.all((np.diff(indices) >= 0) | (np.diff(row_of) > 0))
+    # each entry carries its own id, every id once
+    assert np.array_equal(np.sort(order), np.arange(600))
+    assert np.array_equal(rows[order], row_of)
+    assert np.array_equal(cols[order], indices)
+    # the lexsort reference: the same entries in (row, column) order
+    ref = np.lexsort((cols, rows))
+    assert np.array_equal(rows[ref], row_of)
+    assert np.array_equal(cols[ref], indices)
 
 
 def test_mismatched_block_shapes_raise(operators):
