@@ -9,6 +9,7 @@ contrasts the reweighted norms against the plain ones.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,25 +342,92 @@ def ah_constants(ops: FormOperators):
 # -- sweep drivers -------------------------------------------------------------
 
 
+def _grid(lam_list, rp_list, ap_list):
+    """The parameter grid, lambda-major: lambda outermost, alpha_p
+    innermost."""
+    return [ReducedParams(lam, rp, ap)
+            for lam in lam_list for rp in rp_list for ap in ap_list]
+
+
+def _infsup_points(ops: FormOperators, points, norms: str):
+    """`infsup_constant` at each point, in order, on one set of operators."""
+    records = []
+    for pr in points:
+        system = ops.block_system(pr)
+        blocks = (ops.natural_norm_blocks(pr) if norms == "natural"
+                  else ops.norm_blocks(pr))
+        records.append(infsup_constant(system, blocks))
+    return records
+
+
+# What a forked worker of `infsup_sweep` runs on: set by the pool's
+# initializer in the worker only, never in the calling process.
+_WORKER = {}
+
+
+def _worker_start(ops, points, norms):
+    _WORKER.update(ops=ops, points=points, norms=norms)
+
+
+def _worker_stride(start: int, step: int):
+    return _infsup_points(_WORKER["ops"], _WORKER["points"][start::step],
+                          _WORKER["norms"])
+
+
+def _worker_count(points: int) -> int:
+    """Processes for `points` independent pencils: one per CPU the process
+    may run on, at most one per point. 1 (stay in this process) without
+    the fork start method, in a daemonic process, which may not start
+    children, or while other threads run, whose locks a fork would copy in
+    whatever state they are in."""
+    import multiprocessing
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, points)
+
+
 def infsup_sweep(n_list, lam_list, rp_list, ap_list,
                  families=("bdm1", "rt0", "p0"), norms="paper",
                  cfg: DGConfig | None = None):
-    """Inf-sup constants over a parameter/mesh grid (deterministic order)."""
+    """Inf-sup constants over a parameter/mesh grid, mesh-major and
+    lambda-major within a mesh (deterministic order).
+
+    The pencils of one mesh are independent. With more than one CPU they
+    are split in strides over forked worker processes, which inherit the
+    operators (fork, so nothing is pickled but the records); each point
+    runs the same calls as in the calling process, so the records are
+    bitwise those of a serial loop. The workers are joined before this
+    returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if norms not in ("paper", "natural"):
         raise ValueError(f"norms must be 'paper' or 'natural', got {norms!r}")
+    points = _grid(lam_list, rp_list, ap_list)
     records = []
     for n in n_list:
         ops = FormOperators(structured_mesh(n), families, cfg)
-        for lam in lam_list:
-            for rp in rp_list:
-                for ap in ap_list:
-                    pr = ReducedParams(lam, rp, ap)
-                    system = ops.block_system(pr)
-                    blocks = (ops.natural_norm_blocks(pr)
-                              if norms == "natural"
-                              else ops.norm_blocks(pr))
-                    res = infsup_constant(system, blocks)
-                    records.append(res)
+        workers = _worker_count(len(points))
+        if workers <= 1:
+            records += _infsup_points(ops, points, norms)
+            continue
+        mesh_records = [None] * len(points)
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_worker_start,
+                initargs=(ops, points, norms)) as pool:
+            strides = [pool.submit(_worker_stride, k, workers)
+                       for k in range(workers)]
+            for k, stride in enumerate(strides):
+                mesh_records[k::workers] = stride.result()
+        records += mesh_records
     return records
 
 
@@ -373,21 +441,16 @@ def minres_sweep(n, lam_list, rp_list, ap_list,
 
     ops = FormOperators(structured_mesh(n), families, cfg)
     records = []
-    for lam in lam_list:
-        for rp in rp_list:
-            for ap in ap_list:
-                pr = ReducedParams(lam, rp, ap)
-                case = manufactured_case(pr)
-                system = ops.block_system(pr, f=case.f, g=case.g)
-                precond = build_preconditioner(ops.norm_blocks(pr), system)
-                x, report = minres_solve(system, precond, tol=tol,
-                                         max_iter=max_iter)
-                kappa = (estimate_condition(system, precond)
-                         if with_condition else None)
-                records.append({
-                    "n": n, "lambda": lam, "rp_inv": rp, "alpha_p": ap,
-                    "iters": report.iterations,
-                    "converged": report.converged,
-                    "cond_estimate": kappa,
-                })
+    for pr in _grid(lam_list, rp_list, ap_list):
+        case = manufactured_case(pr)
+        system = ops.block_system(pr, f=case.f, g=case.g)
+        precond = build_preconditioner(ops.norm_blocks(pr), system)
+        x, report = minres_solve(system, precond, tol=tol, max_iter=max_iter)
+        kappa = (estimate_condition(system, precond)
+                 if with_condition else None)
+        records.append({
+            "n": n, "lambda": pr.lam, "rp_inv": pr.rp_inv,
+            "alpha_p": pr.alpha_p, "iters": report.iterations,
+            "converged": report.converged, "cond_estimate": kappa,
+        })
     return records

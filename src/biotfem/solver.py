@@ -493,12 +493,17 @@ def _mean_zero_pencil(system: BlockSystem, N, label: str) -> np.ndarray:
     """Eigenvalues theta of A x = theta N x on the mean-zero pressure
     subspace, A the monolithic operator and N block diagonal.
 
-    A Cholesky test of each diagonal block of the reduced N names the block
-    that is not SPD; the dense solve factors the coupled N itself.
+    The dense solve factors the reduced N itself. Only when it fails does a
+    Cholesky test of each diagonal block name the block that is not SPD;
+    with every block SPD the failure is the solver's.
     """
     from scipy.linalg import LinAlgError, cholesky, eigh
 
     Ar, Nr = reduce_pressure_pencil(system, system.monolithic(), N)
+    try:
+        return eigh(Ar, Nr, eigvals_only=True)
+    except LinAlgError as exc:
+        failure = exc
     nu, nv, _ = system.block_sizes
     edges = (0, nu, nu + nv, Nr.shape[0])
     for name, lo, hi in zip(("displacement", "flux", "pressure"), edges,
@@ -508,10 +513,7 @@ def _mean_zero_pencil(system: BlockSystem, N, label: str) -> np.ndarray:
         except LinAlgError as exc:
             raise SingularNormMatrix(
                 f"{label}: {name} block is not SPD: {exc}") from exc
-    try:
-        return eigh(Ar, Nr, eigvals_only=True)
-    except LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
+    raise EigFailure(str(failure)) from failure
 
 
 def _pressure_reflector(areas: np.ndarray) -> np.ndarray:

@@ -1,15 +1,23 @@
+import dataclasses
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from biotfem import analysis
 from biotfem.analysis import (best_approximation_errors, conservation_audit,
                               convergence_study, error_norms,
                               infsup_constant, infsup_sweep,
                               manufactured_case, solve_manufactured,
                               triple_error_norms)
+from biotfem.assembly import FormOperators
 from biotfem.elements import project_qh
 from biotfem.meshing import structured_mesh
 from biotfem.params import ReducedParams
-from biotfem.solver import solve_direct
+from biotfem.solver import SingularNormMatrix, solve_direct
+from conftest import AP_GRID, LAM_GRID, RP_GRID
 
 GOLDEN_BETA0_N2 = 0.5407076109301002  # first verified dense run, (1,1,0)
 
@@ -277,6 +285,145 @@ def test_infsup_sweep_accepts_both_norm_kinds():
             for norms in ("paper", "natural")}
     assert all(len(r) == 1 for r in recs.values())
     assert recs["paper"][0].beta0 != recs["natural"][0].beta0
+
+
+# -- infsup_sweep over worker processes -----------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker pool needs the fork start method")
+
+
+def _serial_infsup(n, norms):
+    """The grid loop of infsup_sweep, one point after another in this
+    process: the oracle the worker pool must reproduce bitwise."""
+    ops = FormOperators(structured_mesh(n))
+    records = []
+    for lam in LAM_GRID:
+        for rp in RP_GRID:
+            for ap in AP_GRID:
+                pr = ReducedParams(lam, rp, ap)
+                system = ops.block_system(pr)
+                blocks = (ops.natural_norm_blocks(pr) if norms == "natural"
+                          else ops.norm_blocks(pr))
+                records.append(infsup_constant(system, blocks))
+    return records
+
+
+def _grid_sweep(n, norms="paper"):
+    return infsup_sweep([n], LAM_GRID, RP_GRID, AP_GRID, norms=norms)
+
+
+@pytest.fixture()
+def no_fork(monkeypatch):
+    """Any attempt to start a child process fails the test."""
+    def refuse():
+        raise AssertionError("a child process was started")
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+@pytest.mark.parametrize("norms", ["paper", "natural"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_infsup_sweep_records_equal_the_serial_loop(n, norms):
+    records = _grid_sweep(n, norms)
+    serial = _serial_infsup(n, norms)
+    assert records == serial
+    assert [r.beta0 for r in records] == [r.beta0 for r in serial]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_infsup_sweep_strides_the_grid_over_forked_workers(monkeypatch):
+    """Three workers on 40 points: uneven strides, each run by one child,
+    interleaved back into grid order."""
+    real = analysis.infsup_constant
+
+    def tagged(system, norms):
+        return dataclasses.replace(real(system, norms), triple=os.getpid())
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(analysis, "infsup_constant", tagged)
+    records = _grid_sweep(2)
+    pids = [r.triple for r in records]
+    assert all(len(set(pids[k::3])) == 1 for k in range(3))
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+    assert ([r.beta0 for r in records]
+            == [r.beta0 for r in _serial_infsup(2, "paper")])
+    assert multiprocessing.active_children() == []
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+
+
+def _no_fork_method(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+
+
+def _other_thread(monkeypatch):
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, daemon=True)
+    waiter.start()
+
+    def stop():
+        release.set()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+    return stop
+
+
+@pytest.mark.parametrize("condition",
+                         [_one_cpu, _no_fork_method, _other_thread])
+def test_infsup_sweep_stays_in_process(monkeypatch, no_fork, condition):
+    """One CPU, no fork start method, or another thread that a fork would
+    copy mid-flight: the grid runs in this process, with the same records."""
+    stop = condition(monkeypatch)
+    try:
+        records = _grid_sweep(2)
+    finally:
+        if stop:
+            stop()
+    assert records == _serial_infsup(2, "paper")
+
+
+@needs_fork
+def test_infsup_sweep_inside_a_daemonic_process_stays_in_it():
+    # a daemonic process may not start children; pool workers are daemonic
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        records = pool.apply(_grid_sweep, (2,))
+    assert records == _serial_infsup(2, "paper")
+
+
+def test_infsup_sweep_of_an_empty_grid_starts_no_process(no_fork):
+    assert infsup_sweep([2], [], RP_GRID, AP_GRID) == []
+    assert infsup_sweep([2], LAM_GRID, RP_GRID, []) == []
+    assert infsup_sweep([], LAM_GRID, RP_GRID, AP_GRID) == []
+
+
+@needs_fork
+def test_infsup_sweep_raises_a_worker_error_and_joins_the_pool(monkeypatch):
+    """A failure at one point of the second stride reaches the caller with
+    its type and message, and no worker outlives the call."""
+    real = analysis.infsup_constant
+
+    def failing(system, norms):
+        if system.params == ReducedParams(1e4, 1.0, 1.0):
+            raise SingularNormMatrix("paper norm matrix: flux block is not "
+                                     "SPD: injected")
+        return real(system, norms)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(analysis, "infsup_constant", failing)
+    with pytest.raises(SingularNormMatrix) as info:
+        _grid_sweep(2)
+    assert type(info.value) is SingularNormMatrix
+    assert str(info.value) == ("paper norm matrix: flux block is not SPD: "
+                               "injected")
+    assert multiprocessing.active_children() == []
 
 
 def test_best_approximation_positive(ops_bdm):
