@@ -10,6 +10,7 @@ contrasts the reweighted norms against the plain ones.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,29 +125,63 @@ def _g_parts(x, y):
     return np.stack([-pi * (cx * sy + sx * cy), -2.0 * pi * pi * p, -p])
 
 
+class _Waves(dict):
+    """sin(pi x), cos(pi x), sin(pi y) and cos(pi y) of coordinate arrays
+    under the keys "sx", "cx", "sy" and "cy", each evaluated on first use."""
+
+    def __init__(self, x, y):
+        super().__init__()
+        self.x, self.y = x, y
+
+    def __missing__(self, key):
+        fn = np.sin if key[0] == "s" else np.cos
+        value = self[key] = fn(np.pi * (self.x if key[1] == "x" else self.y))
+        return value
+
+
 def manufactured_case(params: ReducedParams) -> ManufacturedCase:
     """Trigonometric exact solution compatible with the homogeneous
     essential boundary conditions.
 
     Its loads are `AffineLoad`s in the parameters, so one `FormOperators`
-    assembles their components once for a whole sweep."""
+    assembles their components once for a whole sweep.  Its fields called
+    on one pair of read-only coordinate arrays share one sin/cos
+    evaluation; writeable arrays are evaluated at every call."""
     pi = np.pi
     lam, rp_inv, alpha_p = params.lam, params.rp_inv, params.alpha_p
     Rp = 1.0 / rp_inv
+    last = []  # the waves of the last read-only pair, made from copies
+
+    def waves(x, y):
+        # a writeable array may change between calls, so it is never served
+        # from the kept waves (the rule of BlockLayout.matches); a read-only
+        # one is compared with the copy, so a write that slips past its flag
+        # still gets fresh values.  The copies keep the arrays' memory order,
+        # which sets the summation order of the error integrals.
+        if not all(isinstance(a, np.ndarray) and not a.flags.writeable
+                   for a in (x, y)):
+            return _Waves(x, y)
+        if not (last and np.array_equal(last[0].x, x)
+                and np.array_equal(last[0].y, y)):
+            last[:] = [_Waves(np.copy(x), np.copy(y))]
+        return last[0]
 
     def u(x, y):
-        s = np.sin(pi * x) * np.sin(pi * y)
+        w = waves(x, y)
+        s = w["sx"] * w["sy"]
         return np.stack([s, s], axis=-1)
 
     def grad_u(x, y):
-        gx = pi * np.cos(pi * x) * np.sin(pi * y)
-        gy = pi * np.sin(pi * x) * np.cos(pi * y)
+        w = waves(x, y)
+        gx = pi * w["cx"] * w["sy"]
+        gy = pi * w["sx"] * w["cy"]
         row = np.stack([gx, gy], axis=-1)
         return np.stack([row, row], axis=-2)
 
     def hess_u(x, y):
-        sxy = np.sin(pi * x) * np.sin(pi * y)
-        cxy = np.cos(pi * x) * np.cos(pi * y)
+        w = waves(x, y)
+        sxy = w["sx"] * w["sy"]
+        cxy = w["cx"] * w["cy"]
         h = np.stack([
             np.stack([-pi * pi * sxy, pi * pi * cxy], axis=-1),
             np.stack([pi * pi * cxy, -pi * pi * sxy], axis=-1),
@@ -154,19 +189,22 @@ def manufactured_case(params: ReducedParams) -> ManufacturedCase:
         return np.stack([h, h], axis=-3)
 
     def div_u(x, y):
-        return pi * (np.cos(pi * x) * np.sin(pi * y)
-                     + np.sin(pi * x) * np.cos(pi * y))
+        w = waves(x, y)
+        return pi * (w["cx"] * w["sy"] + w["sx"] * w["cy"])
 
     def p(x, y):
-        return np.cos(pi * x) * np.cos(pi * y)
+        w = waves(x, y)
+        return w["cx"] * w["cy"]
 
     def v(x, y):
         # Darcy relation: v = -R_p grad p
-        return np.stack([Rp * pi * np.sin(pi * x) * np.cos(pi * y),
-                         Rp * pi * np.cos(pi * x) * np.sin(pi * y)], axis=-1)
+        w = waves(x, y)
+        return np.stack([Rp * pi * w["sx"] * w["cy"],
+                         Rp * pi * w["cx"] * w["sy"]], axis=-1)
 
     def div_v(x, y):
-        return 2.0 * pi * pi * Rp * np.cos(pi * x) * np.cos(pi * y)
+        w = waves(x, y)
+        return 2.0 * pi * pi * Rp * w["cx"] * w["cy"]
 
     return ManufacturedCase(params, u, grad_u, hess_u, div_u, p, v, div_v,
                             AffineLoad((1.0, lam), _f_parts),
@@ -184,6 +222,37 @@ def expand_solution(system: BlockSystem, x: np.ndarray):
     return cu, cv, xp
 
 
+# The manufactured fields on the error rules of a displacement space, for
+# the last case evaluated there, matched by identity (the table keeps the
+# case alive): the error norms and the best-approximation errors of one
+# mesh level read one evaluation.  Weakly keyed on the space, as the
+# solver's factor memo, so a table dies with its space.
+_EXACT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _exact_table(space, case: ManufacturedCase) -> dict:
+    """The case's fields at the degree-8 points of every cell with their
+    weights wK; sum_K h_K^2 ||D^2 u||_K^2, which every displacement family
+    leaves to the exact solution, since it is affine on each cell; and u
+    with the basis traces at the edge-4 points (`_edge_exact`)."""
+    table = _EXACT.get(space)
+    if table is None or table["case"] is not case:
+        mesh = space.mesh
+        rule = triangle_rule(8)
+        xy = mesh.cell_points(rule.points)
+        xy.flags.writeable = False  # the fields share one evaluation
+        X, Y = xy[..., 0], xy[..., 1]
+        wK = rule.weights[None, :] * space.detJ[:, None]
+        table = _EXACT[space] = {
+            "case": case, "wK": wK, "grad_u": case.grad_u(X, Y),
+            "div_u": case.div_u(X, Y), "v": case.v(X, Y),
+            "div_v": case.div_v(X, Y), "p": case.p(X, Y),
+            "e_hess": np.einsum("k,kq,kqabc->", mesh.h_cell**2, wK,
+                                case.hess_u(X, Y)**2, optimize=True),
+            "edge": _edge_exact(space, case.u)}
+    return table
+
+
 def triple_error_norms(uspace, vspace, cu, cv, p_cells,
                        case: ManufacturedCase):
     """Errors of a coefficient triple in the three parameter-weighted norms.
@@ -192,50 +261,54 @@ def triple_error_norms(uspace, vspace, cu, cv, p_cells,
     second derivatives of the error and the lambda-weighted divergence;
     every displacement family is affine on each cell, so the second
     derivatives are those of the exact solution alone.  err_V and err_P
-    carry the rp_inv/gamma weights.  Volume terms use the degree-8 rule.
+    carry the rp_inv/gamma weights.  Volume terms use the degree-8 rule;
+    the exact fields come from the table of `uspace` and `case`.
     """
     params = case.params
-    mesh = uspace.mesh
-    rule = triangle_rule(8)
-    xy = mesh.cell_points(rule.points)
-    wK = rule.weights[None, :] * uspace.detJ[:, None]
-    X, Y = xy[..., 0], xy[..., 1]
+    exact = _exact_table(uspace, case)
+    wK, points = exact["wK"], triangle_rule(8).points
 
-    uh = uspace.eval_field(cu, rule.points, what=("grad", "div"))
-    e_grad = np.einsum("kq,kqab->", wK, (case.grad_u(X, Y) - uh["grad"])**2,
+    uh = uspace.eval_field(cu, points, what=("grad", "div"))
+    e_grad = np.einsum("kq,kqab->", wK, (exact["grad_u"] - uh["grad"])**2,
                        optimize=True)
-    e_hess = np.einsum("k,kq,kqabc->", mesh.h_cell**2, wK,
-                       case.hess_u(X, Y)**2, optimize=True)
-    e_div = np.einsum("kq,kq->", wK, (case.div_u(X, Y) - uh["div"])**2,
+    e_div = np.einsum("kq,kq->", wK, (exact["div_u"] - uh["div"])**2,
                       optimize=True)
-    e_jump = _error_jump_seminorm(uspace, cu, case.u)
-    err_U = np.sqrt(e_grad + e_jump + e_hess + params.lam * e_div)
+    e_jump = _error_jump_seminorm(uspace, cu, exact["edge"])
+    err_U = np.sqrt(e_grad + e_jump + exact["e_hess"] + params.lam * e_div)
 
-    vh = vspace.eval_field(cv, rule.points, what=("val", "div"))
-    e_v = np.einsum("kq,kqa->", wK, (case.v(X, Y) - vh["val"])**2,
+    vh = vspace.eval_field(cv, points, what=("val", "div"))
+    e_v = np.einsum("kq,kqa->", wK, (exact["v"] - vh["val"])**2,
                     optimize=True)
-    e_dv = np.einsum("kq,kq->", wK, (case.div_v(X, Y) - vh["div"])**2,
+    e_dv = np.einsum("kq,kq->", wK, (exact["div_v"] - vh["div"])**2,
                      optimize=True)
     err_V = np.sqrt(params.rp_inv * e_v + e_dv / params.gamma)
 
     ph = np.asarray(p_cells)[:, None] * np.ones_like(wK)
-    e_p = np.einsum("kq,kq->", wK, (case.p(X, Y) - ph)**2, optimize=True)
+    e_p = np.einsum("kq,kq->", wK, (exact["p"] - ph)**2, optimize=True)
     err_P = np.sqrt(params.gamma * e_p)
     return err_U, err_V, err_P
 
 
-def _error_jump_seminorm(space, coeffs, u_exact):
-    """Sum of h_e^{-1} ||tangential jump of (u - u_h)||^2 over all edges;
-    the exact field is continuous, so interior jumps come from u_h alone."""
+def _edge_exact(space, u_exact):
+    """The edge-4 rule's weights, u_exact at its points on every edge, and
+    the basis traces there (`FESpace.edge_traces`)."""
     mesh = space.mesh
     snodes, sweights = edge_rule(4)
     pts = mesh.edge_points(snodes)
-    cells, val = space.edge_traces(np.arange(mesh.num_edges), pts)
+    return (sweights, u_exact(pts[..., 0], pts[..., 1]),
+            space.edge_traces(np.arange(mesh.num_edges), pts))
+
+
+def _error_jump_seminorm(space, coeffs, edge):
+    """Sum of h_e^{-1} ||tangential jump of (u - u_h)||^2 over all edges,
+    with `edge` from `_edge_exact`; the exact field is continuous, so
+    interior jumps come from u_h alone."""
+    mesh = space.mesh
+    sweights, u_exact, (cells, val) = edge
     uh = np.einsum("sei,seiqa->seqa", coeffs[space.cell_dofs[cells]], val,
                    optimize=True)
     boundary = (mesh.edge_cells[:, 1] == BOUNDARY)[:, None, None]
-    err = np.where(boundary, u_exact(pts[..., 0], pts[..., 1]) - uh[0],
-                   uh[1] - uh[0])
+    err = np.where(boundary, u_exact - uh[0], uh[1] - uh[0])
     err_t = np.einsum("eqa,ea->eq", err, mesh.edge_tangent, optimize=True)
     return 0.5 * np.einsum("q,eq->", sweights, err_t**2, optimize=True)
 

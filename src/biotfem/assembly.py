@@ -648,7 +648,8 @@ class FormOperators:
         fv = np.asarray(parts(xy[..., 0], xy[..., 1]), dtype=float)
         # read once, so not kept in the space's tabulation cache
         val = self.uspace._tabulate_ref(rule.points, ("val",))["val"]
-        # one batched matmul over (point, component) for all m loads
+        # one batched matmul over (point, component) for all m loads; the
+        # basis-last table gives those rows as a view
         m, (nc, nloc), n = fv.shape[0], val.shape[:2], self.uspace.ndof
         wf = np.moveaxis(wK[:, :, None] * fv, 0, 1).reshape(nc, m, -1)
         elem = np.matmul(wf, np.moveaxis(val, 1, -1).reshape(nc, -1, nloc))

@@ -403,6 +403,7 @@ class FESpace:
 
         Returns a dict with requested arrays:
         val (nc, nloc, nq, 2), div (nc, nloc, nq), grad (nc, nloc, nq, 2, 2).
+        A vector family's val is a view of an array laid out basis-last.
         Scalar families return val without the trailing component axis and
         offer nothing else.  Every family is affine on each cell, so div and
         grad are read-only views of `cell_div` and `cell_grad` broadcast
@@ -459,9 +460,14 @@ class FESpace:
         if "val" in what and self.family == "p0":
             out["val"] = np.ones(lead + (1, nq))
         elif "val" in what:
-            out["val"] = self.cell_val0[cells][..., None, :] + np.einsum(
-                "...iab,...qb->...iqa", self.cell_grad[cells], dx,
-                optimize=True)
+            # one batched matmul dx (q, b) @ grad (b, (a, i)) lays the values
+            # out basis-last, (..., point, component, basis), so that a
+            # contraction over (point, component) reshapes them without a copy
+            grad = np.swapaxes(self.cell_grad[cells], -3, -1)
+            val = (dx @ grad.reshape(grad.shape[:-2] + (-1,))).reshape(
+                lead + (nq,) + grad.shape[-2:])
+            val += np.swapaxes(self.cell_val0[cells], -1, -2)[..., None, :, :]
+            out["val"] = np.moveaxis(val, -1, len(lead))
         k = len(lead) + 1  # the point axis follows the basis axis
         for name in set(what) - {"val"}:
             arr = getattr(self, "cell_" + name)[cells]

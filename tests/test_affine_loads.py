@@ -163,3 +163,26 @@ def test_vector_load_leaves_no_cached_value_tabulation():
     ops = FormOperators(structured_mesh(4))
     ops.rhs(f=manufactured_case(ReducedParams(1.0, 1.0, 0.0)).f)
     assert not [key for key in ops.uspace._tab_cache if "val" in key[1]]
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_vector_load_contracts_the_value_table_without_a_copy(
+        family, perturbed_mesh):
+    """Basis values are laid out basis-last, so the vector load's
+    (point, component) rows are a view of the degree-8 table, and its load
+    vectors equal those of a contiguous copy of the table bitwise."""
+    ops = FormOperators(perturbed_mesh[8], (family, "rt0", "p0"))
+    sp, rule = ops.uspace, triangle_rule(8)
+    val = sp._tabulate_ref(rule.points, ("val",))["val"]
+    nc, nloc = val.shape[:2]
+    rows = np.moveaxis(val, 1, -1).reshape(nc, -1, nloc)
+    assert np.shares_memory(val, rows)
+    wK = rule.weights[None, :] * sp.detJ[:, None]
+    xy = ops.mesh.cell_points(rule.points)
+    fv = analysis._f_parts(xy[..., 0], xy[..., 1])
+    wf = np.moveaxis(wK[:, :, None] * fv, 0, 1).reshape(nc, len(fv), -1)
+    elem = np.matmul(wf, np.ascontiguousarray(rows))
+    oracle = np.stack([np.bincount(sp.cell_dofs.ravel(), weights=e.ravel(),
+                                   minlength=sp.ndof)
+                       for e in np.moveaxis(elem, 1, 0)])
+    assert ops._f_vectors(analysis._f_parts).tobytes() == oracle.tobytes()
