@@ -8,14 +8,14 @@ studies) used to verify the parameter-robust stability of the formulation.
 """
 
 from .assembly import (AffineLoad, BlockSystem, DGConfig, FormOperators,
-                       IncompatibleSpaces, NormBlocks, assemble_ah)
+                       IncompatibleSpaces, NormBlocks)
 from .analysis import (ConvergenceTable, InfSupResult, ManufacturedCase,
                        conservation_audit, convergence_study, error_norms,
                        infsup_constant, manufactured_case)
 from .elements import (FESpace, QuadRule, RefBasis, DegenerateCell,
-                       interpolate_pi_div, piola_map, project_qh,
-                       ref_basis, triangle_rule)
-from .meshing import TriMesh, jump_average_frames, structured_mesh
+                       interpolate_pi_div, project_qh, ref_basis,
+                       triangle_rule)
+from .meshing import TriMesh, structured_mesh
 from .params import (FieldScaling, PhysicalParams, RangeViolation,
                      ReducedParams, DimensionMismatch, compose_timestep_rhs,
                      reduce)

@@ -55,6 +55,20 @@ class ManufacturedCase:
     f: callable
     g: callable
 
+    def at(self, x, y, names) -> dict:
+        """The fields `names` at the points (x, y), keyed by name.
+
+        The `_TrigField`s of `manufactured_case` share one lazy sin/cos
+        evaluation of the points; any other callable, such as a field set
+        with `dataclasses.replace`, is called on (x, y) in turn."""
+        waves = _Waves(x, y)
+        out = {}
+        for name in names:
+            fn = getattr(self, name)
+            out[name] = (fn.of_waves(waves) if isinstance(fn, _TrigField)
+                         else fn(x, y))
+        return out
+
 
 @dataclass
 class ConvergenceRow:
@@ -139,47 +153,41 @@ class _Waves(dict):
         return value
 
 
+class _TrigField:
+    """A field of `manufactured_case`, written on the `_Waves` of its
+    points: `of_waves(w)` reads shared waves, and a call on (x, y) makes
+    its own."""
+
+    def __init__(self, of_waves):
+        self.of_waves = of_waves
+
+    def __call__(self, x, y):
+        return self.of_waves(_Waves(x, y))
+
+
 def manufactured_case(params: ReducedParams) -> ManufacturedCase:
     """Trigonometric exact solution compatible with the homogeneous
     essential boundary conditions.
 
     Its loads are `AffineLoad`s in the parameters, so one `FormOperators`
-    assembles their components once for a whole sweep.  Its fields called
-    on one pair of read-only coordinate arrays share one sin/cos
-    evaluation; writeable arrays are evaluated at every call."""
+    assembles their components once for a whole sweep.  Its fields are
+    `_TrigField`s, which `ManufacturedCase.at` evaluates on one sin/cos
+    evaluation of their points."""
     pi = np.pi
     lam, rp_inv, alpha_p = params.lam, params.rp_inv, params.alpha_p
     Rp = 1.0 / rp_inv
-    last = []  # the waves of the last read-only pair, made from copies
 
-    def waves(x, y):
-        # a writeable array may change between calls, so it is never served
-        # from the kept waves (the rule of BlockLayout.matches); a read-only
-        # one is compared with the copy, so a write that slips past its flag
-        # still gets fresh values.  The copies keep the arrays' memory order,
-        # which sets the summation order of the error integrals.
-        if not all(isinstance(a, np.ndarray) and not a.flags.writeable
-                   for a in (x, y)):
-            return _Waves(x, y)
-        if not (last and np.array_equal(last[0].x, x)
-                and np.array_equal(last[0].y, y)):
-            last[:] = [_Waves(np.copy(x), np.copy(y))]
-        return last[0]
-
-    def u(x, y):
-        w = waves(x, y)
+    def u(w):
         s = w["sx"] * w["sy"]
         return np.stack([s, s], axis=-1)
 
-    def grad_u(x, y):
-        w = waves(x, y)
+    def grad_u(w):
         gx = pi * w["cx"] * w["sy"]
         gy = pi * w["sx"] * w["cy"]
         row = np.stack([gx, gy], axis=-1)
         return np.stack([row, row], axis=-2)
 
-    def hess_u(x, y):
-        w = waves(x, y)
+    def hess_u(w):
         sxy = w["sx"] * w["sy"]
         cxy = w["cx"] * w["cy"]
         h = np.stack([
@@ -188,25 +196,22 @@ def manufactured_case(params: ReducedParams) -> ManufacturedCase:
         ], axis=-2)
         return np.stack([h, h], axis=-3)
 
-    def div_u(x, y):
-        w = waves(x, y)
+    def div_u(w):
         return pi * (w["cx"] * w["sy"] + w["sx"] * w["cy"])
 
-    def p(x, y):
-        w = waves(x, y)
+    def p(w):
         return w["cx"] * w["cy"]
 
-    def v(x, y):
+    def v(w):
         # Darcy relation: v = -R_p grad p
-        w = waves(x, y)
         return np.stack([Rp * pi * w["sx"] * w["cy"],
                          Rp * pi * w["cx"] * w["sy"]], axis=-1)
 
-    def div_v(x, y):
-        w = waves(x, y)
+    def div_v(w):
         return 2.0 * pi * pi * Rp * w["cx"] * w["cy"]
 
-    return ManufacturedCase(params, u, grad_u, hess_u, div_u, p, v, div_v,
+    fields = map(_TrigField, (u, grad_u, hess_u, div_u, p, v, div_v))
+    return ManufacturedCase(params, *fields,
                             AffineLoad((1.0, lam), _f_parts),
                             AffineLoad((1.0, Rp, alpha_p), _g_parts))
 
@@ -240,16 +245,13 @@ def _exact_table(space, case: ManufacturedCase) -> dict:
         mesh = space.mesh
         rule = triangle_rule(8)
         xy = mesh.cell_points(rule.points)
-        xy.flags.writeable = False  # the fields share one evaluation
-        X, Y = xy[..., 0], xy[..., 1]
         wK = rule.weights[None, :] * space.detJ[:, None]
-        table = _EXACT[space] = {
-            "case": case, "wK": wK, "grad_u": case.grad_u(X, Y),
-            "div_u": case.div_u(X, Y), "v": case.v(X, Y),
-            "div_v": case.div_v(X, Y), "p": case.p(X, Y),
-            "e_hess": np.einsum("k,kq,kqabc->", mesh.h_cell**2, wK,
-                                case.hess_u(X, Y)**2, optimize=True),
-            "edge": _edge_exact(space, case.u)}
+        table = case.at(xy[..., 0], xy[..., 1], ("grad_u", "div_u", "v",
+                                                 "div_v", "p", "hess_u"))
+        table.update(case=case, wK=wK, edge=_edge_exact(space, case.u),
+                     e_hess=np.einsum("k,kq,kqabc->", mesh.h_cell**2, wK,
+                                      table.pop("hess_u")**2, optimize=True))
+        _EXACT[space] = table
     return table
 
 

@@ -699,15 +699,6 @@ def _check_div_compatibility(space: FESpace, name: str):
             f"expects cellwise constants")
 
 
-# -- spec-facing convenience wrappers -----------------------------------------
-
-def assemble_ah(mesh: TriMesh, family: str, cfg: DGConfig | None = None,
-                constrained: bool = False) -> sps.csr_matrix:
-    """Interior-penalty elasticity form over all edges (boundary included)."""
-    ops = FormOperators(mesh, (family, "rt0", "p0"), cfg)
-    return ops.ah_matrix() if constrained else ops.ah_full()
-
-
 def export_matrix_market(path, matrix):
     """Dump any assembled block in Matrix Market coordinate format."""
     from scipy.io import mmwrite

@@ -1,4 +1,4 @@
-"""Reference bases, quadrature, Piola transforms and interpolation operators.
+"""Reference bases, quadrature and interpolation operators.
 
 Vector families are H(div)-style: degrees of freedom are normal-component
 moments on edges, taken with a global edge orientation (lower vertex index
@@ -214,10 +214,8 @@ def _dof_scale(family, mesh: TriMesh) -> np.ndarray:
 
 
 class RefBasis:
-    """Nodal reference basis of one family.
-
-    eval/div_eval return arrays over (basis, point, ...);
-    the dof functionals applied to the basis give the identity matrix.
+    """Nodal reference basis of one family: the dof functionals applied to
+    the basis give the identity matrix.
     """
 
     def __init__(self, family: str):
@@ -234,44 +232,10 @@ class RefBasis:
     def _ref_dof_matrix(self) -> np.ndarray:
         return _dof_matrices(self.family, _REF_CELL)[0]
 
-    def eval(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.einsum("gi,gq...->iq...", self._coeff,
-                         _gen_eval(self.family, pts), optimize=True)
-
-    def div_eval(self, pts) -> np.ndarray:
-        """Divergences, constant on the cell: a read-only (nloc, nq) view."""
-        div = self._coeff.T @ _gen_deriv(self.family)[1]
-        return np.broadcast_to(div[:, None],
-                               (len(div), len(np.atleast_2d(pts))))
-
 
 @lru_cache(maxsize=None)
 def ref_basis(family: str) -> RefBasis:
     return RefBasis(family)
-
-
-# ---------------------------------------------------------------------------
-# Piola transform
-# ---------------------------------------------------------------------------
-
-def piola_map(cell_vertices, ref_values, ref_divs):
-    """Contravariant Piola map of reference values/divergences to one cell.
-
-    v = J v_ref / det J and div v = div_ref / det J for the affine map with
-    Jacobian J = [x1 - x0, x2 - x0].
-    """
-    verts = np.asarray(cell_vertices, dtype=float)
-    J = np.column_stack((verts[1] - verts[0], verts[2] - verts[0]))
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    h2 = max(np.sum((verts[i] - verts[j]) ** 2)
-             for i, j in ((0, 1), (1, 2), (2, 0)))
-    if abs(det) <= 1e-14 * h2:
-        raise DegenerateCell(f"cell map has det J = {det}")
-    vals = np.einsum("ab,...b->...a", J, np.asarray(ref_values),
-                     optimize=True) / det
-    divs = np.asarray(ref_divs) / det
-    return vals, divs
 
 
 def _cell_contract(local, tab):

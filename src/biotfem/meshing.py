@@ -16,27 +16,12 @@ BOUNDARY = -1
 
 
 @dataclass(frozen=True)
-class EdgeFrames:
-    """Per-edge evaluation frames for jumps and averages.
-
-    With q1, q2 the traces from K1 and K2, the conventions are
-    [q] = q1 - q2 and {tau} = (tau1 + tau2)/2 . n on interior edges, and
-    the one-sided definitions [q] = q, {tau} = tau . n on boundary edges.
-    """
-
-    cell1: np.ndarray
-    cell2: np.ndarray
-    normal: np.ndarray
-    tangent: np.ndarray
-    length: np.ndarray
-
-    def is_boundary(self) -> np.ndarray:
-        return self.cell2 == BOUNDARY
-
-
-@dataclass(frozen=True)
 class TriMesh:
     """Conforming triangle mesh with full edge connectivity.
+
+    With q1, q2 the traces from K1 and K2, the jump and average of an
+    interior edge are [q] = q1 - q2 and {tau} = (tau1 + tau2)/2 . n; on a
+    boundary edge they are one-sided, [q] = q and {tau} = tau . n.
 
     vertices : (nv, 2) float
     cells : (nc, 3) int, counterclockwise
@@ -217,14 +202,3 @@ def structured_mesh(n: int) -> TriMesh:
     # two cells per subsquare, row by row
     cells = np.stack((v00, v10, v11, v00, v11, v01), axis=1).reshape(-1, 3)
     return from_arrays(vertices, cells)
-
-
-def jump_average_frames(mesh: TriMesh) -> EdgeFrames:
-    """Per-edge (K1, K2, n, t) frames fixing all jump/average signs."""
-    return EdgeFrames(
-        cell1=mesh.edge_cells[:, 0].copy(),
-        cell2=mesh.edge_cells[:, 1].copy(),
-        normal=mesh.edge_normal.copy(),
-        tangent=mesh.edge_tangent.copy(),
-        length=mesh.edge_length.copy(),
-    )

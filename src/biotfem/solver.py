@@ -124,7 +124,8 @@ class BlockPreconditioner:
     """Exact block-diagonal application of the preconditioner.
 
     The displacement block is the assembled elasticity operator
-    (a_h + lambda div-div); flux and pressure blocks are the norm matrices.
+    (a_h + lambda div-div); flux and pressure blocks are the norm matrices,
+    and the pressure block, a positive diagonal, is inverted entrywise.
     `memo` maps a block name to the last (matrix, factor, fill) factored
     under it; a block bitwise equal to its entry reuses the factor, any
     other replaces the entry.  `lu_fill` holds the fill of every factored
@@ -142,12 +143,11 @@ class BlockPreconditioner:
         diag = P.diagonal()
         rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
         if np.any(P.data[rows != P.indices] != 0) or np.any(diag <= 0):
-            # cellwise-constant mass is diagonal; anything else means the
-            # pressure block was assembled inconsistently
-            self.inv_P = self._inverse(P, "pressure", memo)
-        else:
-            inv = 1.0 / diag
-            self.inv_P = lambda x: inv * x
+            raise SingularNormMatrix(
+                "pressure block is not the positive diagonal of a cellwise-"
+                "constant mass: it was assembled inconsistently")
+        inv = 1.0 / diag
+        self.inv_P = lambda x: inv * x
 
     def _inverse(self, mat: sps.csr_matrix, name: str, memo: dict):
         last = memo.get(name)
@@ -219,8 +219,7 @@ def _mean_zero_projectors(system: BlockSystem):
 
 
 def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
-                 tol: float = 1e-8, max_iter: int = 500,
-                 project_mean: bool = True):
+                 tol: float = 1e-8, max_iter: int = 500):
     """Preconditioned MINRES on the monolithic symmetric system.
 
     Convergence is measured by the preconditioner-norm of the preconditioned
@@ -234,12 +233,8 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
     """
     t0 = time.perf_counter()
     A = system.monolithic()
-    b = system.rhs.copy()
-    if project_mean:
-        project_dual, project = _mean_zero_projectors(system)
-    else:
-        project_dual = project = (lambda x: x)
-    b = project_dual(b)
+    project_dual, project = _mean_zero_projectors(system)
+    b = project_dual(system.rhs.copy())
     n = b.size
     x = np.zeros(n)
 

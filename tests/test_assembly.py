@@ -5,7 +5,7 @@ import sympy as sy
 
 from biotfem import assembly
 from biotfem.assembly import (DGConfig, FormOperators, IncompatibleSpaces,
-                              assemble_ah, export_matrix_market)
+                              export_matrix_market)
 from biotfem.analysis import _edge_exact, _error_jump_seminorm
 from biotfem.elements import FESpace, edge_rule, triangle_rule
 from biotfem.meshing import from_arrays, structured_mesh
@@ -266,7 +266,8 @@ def _sympy_bdm1_element_matrix(eta):
 
 def test_single_reference_triangle_matches_symbolic_oracle():
     mesh = from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    got = assemble_ah(mesh, "bdm1", DGConfig(10.0)).toarray()
+    got = FormOperators(mesh, ("bdm1", "rt0", "p0"),
+                        DGConfig(10.0)).ah_full().toarray()
     want = _sympy_bdm1_element_matrix(10)
     assert got.shape == (6, 6)
     assert np.abs(got - got.T).max() == 0.0
@@ -468,11 +469,6 @@ def test_scalar_family_in_a_vector_slot_rejected(families, slot):
         FormOperators(structured_mesh(2), families)
 
 
-def test_assemble_ah_rejects_a_scalar_family():
-    with pytest.raises(IncompatibleSpaces, match="displacement family"):
-        assemble_ah(structured_mesh(2), "p0")
-
-
 def test_non_p0_pressure_rejected():
     with pytest.raises(IncompatibleSpaces):
         FormOperators(structured_mesh(2), ("bdm1", "rt0", "p1cvec"))
@@ -629,20 +625,6 @@ def test_sampled_continuity_bound(ops_bdm, rng):
             num = abs(u @ (A @ w))
             den = np.sqrt(u @ (D @ u)) * np.sqrt(w @ (D @ w))
             assert num <= 10.5 * den
-
-
-def test_module_level_wrappers(ops_bdm):
-    """assemble_ah on a fresh mesh agrees with the FormOperators forms."""
-    mesh = structured_mesh(2)
-    pr = ReducedParams(1, 1, 0)
-    ops = FormOperators(mesh)
-    assert ops.block_system(pr).block_sizes == (16, 8, 8)
-    assert ops.norm_blocks(pr).N_U.shape == (16, 16)
-    ah = assemble_ah(mesh, "bdm1", constrained=True)
-    assert ah.shape == (16, 16)
-    assert abs(ah - ops_bdm[2].ah_matrix()).max() == 0.0
-    ah_full = assemble_ah(mesh, "bdm1")
-    assert abs(ah_full - ops_bdm[2].ah_full()).max() == 0.0
 
 
 def test_matrix_market_roundtrip(tmp_path, ops_bdm):

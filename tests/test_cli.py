@@ -517,6 +517,28 @@ class TestTimestep:
         # history terms actually entered: the two steps differ
         assert np.abs(state2.p_prev - state1.p_prev).max() > 1e-6
 
+    @pytest.mark.parametrize("c_pp", ["0.05", "0"])
+    def test_first_order_in_tau(self, c_pp):
+        """Backward Euler to T = 2 on n = 8 with the README's physical
+        data, with and without storage, tau halved three times from 0.25:
+        the final states converge at order at least 0.9 (criterion 5's
+        floor) in Euclidean norms at physical scale, and each difference
+        is a few percent of the state.  Without the history terms the
+        states shrink with tau."""
+        finals = []
+        for k in range(4):
+            _, state = timestep_drive(_cfg([
+                "timestep", "--n", "8", "--mu", "0.5", "--lambda-phys", "2",
+                "--alpha", "1", "--K", "1e-2", "--c-pp", c_pp,
+                "--tau", str(0.25 / 2**k), "--steps", str(8 * 2**k)]))
+            finals.append(state)
+        for name in ("u_prev", "p_prev"):
+            states = [getattr(s, name) for s in finals]
+            diffs = np.array([np.linalg.norm(a - b)
+                              for a, b in zip(states, states[1:])])
+            assert np.all(np.log2(diffs[:-1] / diffs[1:]) >= 0.9)
+            assert diffs.max() <= 0.05 * np.linalg.norm(states[-1])
+
     def test_timestep_command_artifacts(self, tmp_path):
         out = tmp_path / "ts"
         rc = main(self.argv + ["--steps", "2", "--out", str(out)])

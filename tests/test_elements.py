@@ -1,3 +1,4 @@
+import dataclasses
 from math import factorial
 
 import numpy as np
@@ -7,8 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from biotfem import elements
 from biotfem.elements import (DegenerateCell, FESpace, _cell_contract,
                               _dof_matrices, edge_rule, interpolate_pi_div,
-                              piola_map, project_qh, ref_basis,
-                              triangle_rule)
+                              project_qh, ref_basis, triangle_rule)
 from biotfem.meshing import BOUNDARY, from_arrays, structured_mesh
 
 from conftest import pulled_back_values
@@ -60,29 +60,18 @@ def test_reference_kronecker(family):
     assert np.abs(M - np.eye(rb.dofs_per_cell)).max() <= 1e-12
 
 
-def test_piola_identity_map():
-    rb = ref_basis("bdm1")
-    pts = triangle_rule(4).points
-    vals = rb.eval(pts)
-    divs = rb.div_eval(pts)
-    out_v, out_d = piola_map([[0, 0], [1, 0], [0, 1]], vals, divs)
-    assert np.abs(out_v - vals).max() <= 1e-15
-    assert np.abs(out_d - divs).max() <= 1e-15
-
-
-def test_piola_uniform_scaling():
-    rb = ref_basis("rt0")
-    pts = triangle_rule(4).points
-    divs = rb.div_eval(pts)
-    _, out_d = piola_map([[0, 0], [2, 0], [0, 2]], rb.eval(pts), divs)
-    assert np.abs(out_d - divs / 4.0).max() <= 1e-15  # det J = 4
-
-
 def test_piola_degenerate_cell():
-    rb = ref_basis("rt0")
-    pts = triangle_rule(4).points
-    with pytest.raises(DegenerateCell):
-        piola_map([[0, 0], [1, 0], [2, 0]], rb.eval(pts), rb.div_eval(pts))
+    """A space refuses a mesh whose cell map is flattened or flipped: the
+    Piola map divides by det J.  `from_arrays` rejects such cells first,
+    so the vertices are moved after the edge tables are built."""
+    mesh = structured_mesh(2)
+    flat, flipped = mesh.vertices.copy(), mesh.vertices.copy()
+    # the centre onto, then past, the edge 1-5 of the cell (1, 5, 4)
+    flat[4], flipped[4] = [0.75, 0.25], [0.9, 0.1]
+    for verts in (flat, flipped):
+        bad = dataclasses.replace(mesh, vertices=verts)
+        with pytest.raises(DegenerateCell):
+            FESpace(bad, "rt0")
 
 
 def test_rt0_edge_flux_equals_dof(rng, perturbed_mesh):

@@ -2,10 +2,10 @@
 
 `error_norms` and `best_approximation_errors` read the exact fields of a
 mesh level from one table, kept per displacement space for the last case
-evaluated there, and the fields of `manufactured_case` called on one pair
-of read-only coordinate arrays share one sin/cos evaluation.  The
-reference is a copy of the unshared error norms, which evaluated every
-field at every call: the errors and quasi ratios must equal it bitwise.
+evaluated there, which `ManufacturedCase.at` fills from one sin/cos
+evaluation of the points.  The reference is a copy of the unshared error
+norms, which evaluated every field at every call: the errors and quasi
+ratios must equal it bitwise.
 """
 import collections
 import dataclasses
@@ -146,34 +146,27 @@ def test_a_table_makes_one_sin_cos_evaluation_of_its_points(monkeypatch,
     assert calls == {"sin": 4, "cos": 2}
 
 
-def test_only_unchanged_read_only_arrays_share_an_evaluation(monkeypatch,
+def test_at_shares_the_waves_and_calls_a_replaced_field_once(monkeypatch,
                                                              rng):
-    case = manufactured_case(ReducedParams(1.0, 1.0, 0.0))
+    base = manufactured_case(ReducedParams(1.0, 1.0, 0.0))
+    replaced = collections.Counter()
+
+    def p(x, y):
+        replaced["p"] += 1
+        return 2.0 * COS(np.pi * x) * COS(np.pi * y)
+
+    case = dataclasses.replace(base, p=p)
     x, y = rng.uniform(0.0, 1.0, (2, 5, 3))
-
-    def fresh():
-        return COS(np.pi * x) * COS(np.pi * y)
-
-    x.flags.writeable = y.flags.writeable = False
+    single = {name: getattr(case, name)(x, y) for name in FIELDS}
+    replaced.clear()
     calls = count_waves(monkeypatch)
-    first = case.p(x, y)
-    for field in (case.v, case.div_u, case.p):
-        field(x, y)
+    got = case.at(x, y, FIELDS)
+    # sin and cos of pi x and pi y, once for all the closed-form fields
     assert calls == {"sin": 2, "cos": 2}
-    # mutated in place between calls, then read-only again
-    x.flags.writeable = True
-    x += 0.125
-    x.flags.writeable = False
-    assert not np.array_equal(case.p(x, y), first)
-    assert np.array_equal(case.p(x, y), fresh())
-    # a writeable array is evaluated at every call, and a write between
-    # calls shows
-    x = x.copy()
-    calls.clear()
-    case.p(x, y)
-    x -= 0.25
-    assert np.array_equal(case.p(x, y), fresh())
-    assert calls == {"cos": 4}
+    assert replaced == {"p": 1}
+    assert list(got) == list(FIELDS)
+    for name in FIELDS:
+        assert np.array_equal(got[name], single[name])
 
 
 def test_a_second_case_on_one_space_reads_its_own_table(ops_bdm):

@@ -3,8 +3,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from biotfem.elements import FESpace
-from biotfem.meshing import (BOUNDARY, from_arrays, jump_average_frames,
-                             structured_mesh)
+from biotfem.meshing import BOUNDARY, from_arrays, structured_mesh
 
 
 @pytest.mark.parametrize("n,nv,nc,ne,nbd", [
@@ -38,16 +37,14 @@ def test_cells_counterclockwise_and_incidence():
 
 def test_edge_frames_orthonormal():
     m = structured_mesh(3)
-    fr = jump_average_frames(m)
-    assert np.max(np.abs(np.hypot(fr.normal[:, 0], fr.normal[:, 1]) - 1)) \
+    normal, tangent = m.edge_normal, m.edge_tangent
+    assert np.max(np.abs(np.hypot(normal[:, 0], normal[:, 1]) - 1)) <= 1e-14
+    assert np.max(np.abs(np.hypot(tangent[:, 0], tangent[:, 1]) - 1)) \
         <= 1e-14
-    assert np.max(np.abs(np.hypot(fr.tangent[:, 0], fr.tangent[:, 1]) - 1)) \
-        <= 1e-14
-    assert np.max(np.abs(np.einsum("ea,ea->e", fr.normal, fr.tangent))) \
-        <= 1e-14
+    assert np.max(np.abs(np.einsum("ea,ea->e", normal, tangent))) <= 1e-14
     # tangent is the normal rotated by +90 degrees
-    rot = np.stack([-fr.normal[:, 1], fr.normal[:, 0]], axis=-1)
-    assert np.max(np.abs(rot - fr.tangent)) <= 1e-15
+    rot = np.stack([-normal[:, 1], normal[:, 0]], axis=-1)
+    assert np.max(np.abs(rot - tangent)) <= 1e-15
 
 
 def test_normal_is_outward_for_first_cell():

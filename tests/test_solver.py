@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -63,7 +64,8 @@ def test_pressure_block_factored_only_off_the_positive_diagonal(ops_bdm,
                                                                 rng):
     """The paper's N_P is a positive diagonal and is inverted entrywise,
     also when it stores an explicit zero off the diagonal; a positive N_P
-    with one off-diagonal entry is factored."""
+    with one off-diagonal entry, or a zero mass, is refused, not
+    factored."""
     bs, pr = _system(ops_bdm[2], 1.0, 1.0, 1.0, with_rhs=False)
     nb = ops_bdm[2].norm_blocks(pr)
     nu, nv, npp = bs.block_sizes
@@ -71,16 +73,17 @@ def test_pressure_block_factored_only_off_the_positive_diagonal(ops_bdm,
     stored_zero = nb.N_P + pair
     stored_zero.data[stored_zero.indices != np.repeat(
         np.arange(npp), np.diff(stored_zero.indptr))] = 0.0
-    for N_P in (nb.N_P, stored_zero):
-        pc = BlockPreconditioner(bs.A_uu, nb.N_V, N_P)
-        assert "pressure" not in pc.lu_fill
-    coupled = nb.N_P + 0.25 * nb.N_P[0, 0] * pair
-    pc = BlockPreconditioner(bs.A_uu, nb.N_V, coupled)
-    assert "pressure" in pc.lu_fill
     r = rng.standard_normal(nu + nv + npp)
-    z = pc.apply(r)[nu + nv:]
-    assert np.abs(coupled @ z - r[nu + nv:]).max() \
-        <= 1e-12 * np.abs(r).max()
+    for N_P in (nb.N_P, stored_zero):
+        z = BlockPreconditioner(bs.A_uu, nb.N_V, N_P).apply(r)[nu + nv:]
+        assert np.abs(N_P @ z - r[nu + nv:]).max() \
+            <= 1e-14 * np.abs(r).max()
+    coupled = nb.N_P + 0.25 * nb.N_P[0, 0] * pair
+    zero_mass = nb.N_P.copy()
+    zero_mass.data[0] = 0.0
+    for N_P in (coupled, zero_mass):
+        with pytest.raises(SingularNormMatrix, match="pressure block"):
+            BlockPreconditioner(bs.A_uu, nb.N_V, N_P)
 
 
 @pytest.mark.parametrize("lam,rp,ap", [(1, 1, 0), (1e8, 1e-8, 1)])
@@ -226,11 +229,15 @@ def test_grid_iterations_match_kept_table(perturbed_mesh, mesh):
 
 
 class _StubSystem:
-    """Minimal duck-typed system for the bare MINRES recurrence."""
+    """Minimal duck-typed system for the bare MINRES recurrence.  Its last
+    unknown is its one pressure dof, which the mean-zero constraint pins
+    to zero."""
 
     def __init__(self, A, b):
         self._A = sps.csr_matrix(A)
         self.rhs = np.asarray(b, dtype=float)
+        self.block_sizes = (self.rhs.size - 1, 0, 1)
+        self.mesh = types.SimpleNamespace(signed_areas=lambda: np.ones(1))
 
     def monolithic(self):
         return self._A
@@ -246,18 +253,16 @@ class _StubPrecond:
 
 def test_minres_zero_rhs():
     sys_ = _StubSystem(np.diag([2.0, 3.0]), np.zeros(2))
-    x, rep = minres_solve(sys_, _StubPrecond(np.diag([0.5, 1 / 3])),
-                          project_mean=False)
+    x, rep = minres_solve(sys_, _StubPrecond(np.diag([0.5, 1 / 3])))
     assert np.all(x == 0) and rep.converged and rep.iterations == 0
 
 
 def test_minres_exact_preconditioner_one_iteration():
-    A = np.diag([2.0, 5.0])
-    sys_ = _StubSystem(A, np.array([1.0, -2.0]))
-    x, rep = minres_solve(sys_, _StubPrecond(np.linalg.inv(A)),
-                          tol=1e-12, project_mean=False)
+    A = np.diag([2.0, 5.0, 1.0])
+    sys_ = _StubSystem(A, np.array([1.0, -2.0, 0.0]))
+    x, rep = minres_solve(sys_, _StubPrecond(np.linalg.inv(A)), tol=1e-12)
     assert rep.iterations == 1 and rep.converged
-    assert np.abs(x - np.array([0.5, -0.4])).max() <= 1e-12
+    assert np.abs(x - np.array([0.5, -0.4, 0.0])).max() <= 1e-12
 
 
 def test_minres_matches_direct_solve(ops_bdm):
