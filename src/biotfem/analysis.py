@@ -20,8 +20,8 @@ from .assembly import (AffineLoad, BlockSystem, DGConfig, FormOperators,
 from .elements import edge_rule, project_qh, triangle_rule
 from .meshing import BOUNDARY, TriMesh, structured_mesh
 from .params import ReducedParams
-from .solver import (_mean_zero_pencil, build_preconditioner, minres_solve,
-                     solve_direct)
+from .solver import (_dense_pencil, _mean_zero_pencil, build_preconditioner,
+                     minres_solve, solve_direct)
 
 
 @dataclass
@@ -394,10 +394,8 @@ def korn_equivalence_bounds(ops: FormOperators):
     """Extreme generalized eigenvalues of the strain+jumps Gram against the
     gradient+jumps Gram, which is also the DG norm's for these affine
     families."""
-    from scipy.linalg import eigh
-
-    th = eigh(ops.h_norm_gram().toarray(), ops.grad_norm_gram().toarray(),
-              eigvals_only=True)
+    th = _dense_pencil(ops.h_norm_gram().toarray(),
+                       ops.grad_norm_gram().toarray())
     return {"h_vs_1h": (float(th.min()), float(th.max()))}
 
 
@@ -405,12 +403,11 @@ def ah_constants(ops: FormOperators):
     """Measured continuity (vs the DG norm, the gradient+jumps norm) and
     coercivity (vs the strain-jump norm) constants of the interior-penalty
     form."""
-    from scipy.linalg import eigh
-
-    A = ops.ah_matrix().toarray()
-    cont = np.abs(eigh(A, ops.grad_norm_gram().toarray(),
-                       eigvals_only=True)).max()
-    coer = eigh(A, ops.h_norm_gram().toarray(), eigvals_only=True).min()
+    # one dense a_h per pencil: the solve may overwrite its operands
+    cont = np.abs(_dense_pencil(ops.ah_matrix().toarray(),
+                                ops.grad_norm_gram().toarray())).max()
+    coer = _dense_pencil(ops.ah_matrix().toarray(),
+                         ops.h_norm_gram().toarray()).min()
     return float(cont), float(coer)
 
 

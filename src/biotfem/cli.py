@@ -465,7 +465,10 @@ def timestep_drive(cfg: RunConfig):
 def run_timestep(cfg: RunConfig) -> int:
     out = _prepare(cfg)
     records, state = timestep_drive(cfg)
-    output.write_json({"steps": records}, out / "timestep_report.json")
+    red = cfg.reduced_params()
+    output.write_json({"steps": records, "lam": red.lam,
+                       "rp_inv": red.rp_inv, "alpha_p": red.alpha_p,
+                       "gamma": red.gamma}, out / "timestep_report.json")
     output.write_csv(out / "timestep_conservation.csv",
                      ["step", "time", "conservation_max"],
                      [(r["step"], r["time"], r["conservation_max"])

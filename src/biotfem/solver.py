@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
 
 from .assembly import BlockSystem, NormBlocks, block_diagonal, block_matrix
 
@@ -488,17 +488,18 @@ def _mean_zero_pencil(system: BlockSystem, N, label: str) -> np.ndarray:
     """Eigenvalues theta of A x = theta N x on the mean-zero pressure
     subspace, A the monolithic operator and N block diagonal.
 
-    The dense solve factors the reduced N itself. Only when it fails does a
-    Cholesky test of each diagonal block name the block that is not SPD;
-    with every block SPD the failure is the solver's.
+    `_dense_pencil` solves the reduced pencil, with the workspace of LAPACK's
+    blocked tridiagonal reduction, and factors the reduced N itself. Only
+    when it fails does a Cholesky test of each diagonal block name the block
+    that is not SPD; with every block SPD the failure is the solver's.
     """
-    from scipy.linalg import LinAlgError, cholesky, eigh
-
-    Ar, Nr = reduce_pressure_pencil(system, system.monolithic(), N)
     try:
-        return eigh(Ar, Nr, eigvals_only=True)
+        return _dense_pencil(*reduce_pressure_pencil(system,
+                                                     system.monolithic(), N))
     except LinAlgError as exc:
         failure = exc
+    # the solve may have overwritten the reduced N: reduce it again
+    Nr = reduce_pressure_pencil(system, system.monolithic(), N)[1]
     nu, nv, _ = system.block_sizes
     edges = (0, nu, nu + nv, Nr.shape[0])
     for name, lo, hi in zip(("displacement", "flux", "pressure"), edges,
@@ -509,6 +510,31 @@ def _mean_zero_pencil(system: BlockSystem, N, label: str) -> np.ndarray:
             raise SingularNormMatrix(
                 f"{label}: {name} block is not SPD: {exc}") from exc
     raise EigFailure(str(failure)) from failure
+
+
+def _dense_pencil(A: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the dense symmetric-definite pencil
+    A x = theta N x, read from the lower triangles; A and N may be
+    overwritten.
+
+    LAPACK's dsygvd keeps 2n of its workspace and hands the rest to the
+    tridiagonal reduction dsytrd, which falls back to the unblocked BLAS-2
+    dsytd2 unless it gets the n * blocksize that dsytrd_lwork reports.
+    Raises ValueError on a non-finite entry and LinAlgError when N is not
+    positive definite or the eigenvalue iteration fails.
+    """
+    A, N = np.asarray_chkfinite(A), np.asarray_chkfinite(N)
+    n = A.shape[0]
+    reduction = lapack.dsytrd_lwork(n, lower=1)[0]
+    theta, _, info = lapack.dsygvd(A, N, jobz="N", uplo="L",
+                                   lwork=2 * n + int(reduction),
+                                   overwrite_a=1, overwrite_b=1)
+    if info > n:
+        raise LinAlgError(f"the leading minor of order {info - n} of N is "
+                          "not positive definite")
+    if info != 0:
+        raise LinAlgError(f"dsygvd failed with info {info}")
+    return theta
 
 
 def _pressure_reflector(areas: np.ndarray) -> np.ndarray:

@@ -306,6 +306,7 @@ DIRECT_RECORD = {"method", "iterations", "converged", "tol", "wall_time",
                  "conservation_max", "err_U", "err_V", "err_P"}
 STEP_RECORD = {"step", "time", "multiplier", "refine_iterations",
                "refine_solves", "conservation_max", "u_norm", "p_norm"}
+STEP_REPORT = {"steps", "lam", "rp_inv", "alpha_p", "gamma"}
 
 
 def test_direct_solve_reports_refinement(tmp_path):
@@ -328,7 +329,12 @@ def test_direct_solve_reports_refinement(tmp_path):
 
     out = tmp_path / "ts"
     assert main(TIMESTEP_ARGV + ["--steps", "2", "--out", str(out)]) == 0
-    steps = json.loads((out / "timestep_report.json").read_text())["steps"]
+    report = json.loads((out / "timestep_report.json").read_text())
+    assert set(report) == STEP_REPORT
+    red = _cfg(TIMESTEP_ARGV).reduced_params()
+    assert [report[k] for k in ("lam", "rp_inv", "alpha_p", "gamma")] == [
+        red.lam, red.rp_inv, red.alpha_p, red.gamma]
+    steps = report["steps"]
     assert all(set(r) == STEP_RECORD for r in steps)
     assert all(isinstance(r["refine_iterations"], int)
                and r["refine_iterations"] >= 1
@@ -538,6 +544,53 @@ class TestTimestep:
                               for a, b in zip(states, states[1:])])
             assert np.all(np.log2(diffs[:-1] / diffs[1:]) >= 0.9)
             assert diffs.max() <= 0.05 * np.linalg.norm(states[-1])
+
+    @pytest.mark.parametrize("c_pp", ["0", "0.05"])
+    @pytest.mark.parametrize("K", ["1e-2", "1e-10"])
+    @pytest.mark.parametrize("lam", ["2", "1e8"])
+    def test_physical_corner_balances_mass_across_steps(
+            self, monkeypatch, record_property, lam, K, c_pp):
+        """Four steps on n = 8 at a corner of the physical grid, the other
+        data the README's: at every step the cellwise residual of the
+        time-discrete mass balance stays within criterion 1's budget
+        1e-10 (|g_k| + 1).  The balance is written here from the solutions
+        themselves: the reduced load g_k is the first step's, which starts
+        from rest, minus (alpha div u + c_pp p)/(2 mu) of the step before,
+        at physical scale.  The GMRES-IR iterations of each step are
+        recorded, with no bound yet: (1e8, 1e-10, 0) is the direct
+        solver's hard corner."""
+        from biotfem import analysis
+        from biotfem.params import reduce
+
+        solved = []
+        audit = analysis.conservation_audit
+
+        def recorded(system, x, g=None):
+            solved.append((system, x))
+            return audit(system, x, g)
+
+        monkeypatch.setattr(analysis, "conservation_audit", recorded)
+        cfg = _cfg(["timestep", "--n", "8", "--mu", "0.5", "--lambda-phys",
+                    lam, "--alpha", "1", "--K", K, "--c-pp", c_pp, "--tau",
+                    "0.25", "--steps", "4"])
+        records, _ = timestep_drive(cfg)
+        record_property("refine_iterations",
+                        [r["refine_iterations"] for r in records])
+        phys = cfg.physical_params()
+        scaling = reduce(phys)[1]
+        first = solved[0][0]
+        g_rest = first.rhs_p / first.mesh.signed_areas()
+        history = np.zeros_like(g_rest)
+        assert len(solved) == 4
+        for system, x in solved:
+            cu, cv, p = analysis.expand_solution(system, x)
+            div_u = system.uspace.cell_divergence(cu)
+            g = g_rest - history
+            balance = (-div_u - system.vspace.cell_divergence(cv)
+                       - system.params.alpha_p * p - g)
+            assert np.abs(balance).max() <= 1e-10 * (np.abs(g).max() + 1.0)
+            history = (phys.alpha * div_u / scaling.u_scale
+                       + phys.c_pp * p / scaling.p_scale) / (2.0 * phys.mu)
 
     def test_timestep_command_artifacts(self, tmp_path):
         out = tmp_path / "ts"

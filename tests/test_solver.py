@@ -17,7 +17,7 @@ from biotfem.solver import (BlockPreconditioner, DirectSolver, EigFailure,
                             FactorizationFailure, SingularNormMatrix,
                             build_preconditioner, estimate_condition,
                             minres_solve, pressure_reduction_basis,
-                            solve_direct)
+                            reduce_pressure_pencil, solve_direct)
 
 from conftest import AP_GRID, LAM_GRID, RP_GRID
 
@@ -606,6 +606,73 @@ def test_pressure_reduction_basis_on_perturbed_mesh(perturbed_mesh):
     assert Z.shape == (len(areas), len(areas) - 1)
     assert np.abs(areas @ Z).max() <= 1e-15
     assert np.abs(Z.T @ Z - np.eye(len(areas) - 1)).max() <= 1e-14
+
+
+def _eigh_pencil(system, N):
+    """Oracle: scipy's eigh on the same reduced pencil."""
+    from scipy.linalg import eigh
+
+    return eigh(*reduce_pressure_pencil(system, system.monolithic(), N),
+                eigvals_only=True)
+
+
+@pytest.mark.parametrize("kind", ["structured", "perturbed"])
+def test_dense_pencil_matches_eigh_over_the_grid(ops_bdm, perturbed_mesh,
+                                                 kind):
+    """At every acceptance-grid point on n = 4 the blocked-workspace
+    dsygvd agrees with eigh (dsygvd with its minimal workspace): beta0 and
+    kappa in the paper's norms to 1e-12 relative.  The natural-norm beta0
+    sits far below the rest of its spectrum, so the two rounding orders
+    may part by more: 1e-8."""
+    ops = ops_bdm[4] if kind == "structured" else FormOperators(
+        perturbed_mesh[4])
+    for lam in LAM_GRID:
+        for rp in RP_GRID:
+            for ap in AP_GRID:
+                pr = ReducedParams(lam, rp, ap)
+                bs = ops.block_system(pr)
+                nb = ops.norm_blocks(pr)
+                want = np.abs(_eigh_pencil(bs, nb.monolithic())).min()
+                assert infsup_constant(bs, nb).beta0 == pytest.approx(
+                    want, rel=1e-12)
+                pc = build_preconditioner(nb, bs)
+                theta = np.abs(_eigh_pencil(bs, pc.matrix()))
+                assert estimate_condition(bs, pc) == pytest.approx(
+                    theta.max() / theta.min(), rel=1e-12)
+                natural = ops.natural_norm_blocks(pr)
+                want = np.abs(_eigh_pencil(bs, natural.monolithic())).min()
+                assert infsup_constant(bs, natural).beta0 == pytest.approx(
+                    want, rel=1e-8)
+
+
+def test_dense_pencil_gives_the_blocked_reduction_its_workspace(
+        ops_bdm, monkeypatch):
+    """dsygvd hands all but 2n of its workspace to the tridiagonal
+    reduction dsytrd, which runs blocked only with what dsytrd_lwork asks
+    for."""
+    from scipy.linalg import lapack
+
+    seen = []
+
+    def recorded(a, b, *args, _driver=lapack.dsygvd, **kwargs):
+        seen.append((a.shape[0], kwargs["lwork"]))
+        return _driver(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsygvd", recorded)
+    pr = ReducedParams(1.0, 1.0, 0.0)
+    infsup_constant(ops_bdm[4].block_system(pr), ops_bdm[4].norm_blocks(pr))
+    [(n, lwork)] = seen
+    assert lwork >= 2 * n + lapack.dsytrd_lwork(n, lower=1)[0]
+
+
+def test_nan_in_the_norm_matrix_raises_value_error(ops_bdm):
+    pr = ReducedParams(1.0, 1.0, 0.0)
+    nb = ops_bdm[2].norm_blocks(pr)
+    N_V = nb.N_V.copy()
+    N_V.data[0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        infsup_constant(ops_bdm[2].block_system(pr),
+                        NormBlocks(nb.N_U, N_V, nb.N_P))
 
 
 BLOCKS = {"displacement": 0, "flux": 1, "pressure": 2}
