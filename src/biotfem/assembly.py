@@ -23,7 +23,7 @@ small dot products too.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -101,6 +101,10 @@ class BlockSystem:
     params: ReducedParams
     cfg: DGConfig
     families: tuple[str, str, str]
+    # the operators that assembled the blocks, whose Grams the inf-sup
+    # pencil reads (`FormOperators.displacement_gap`)
+    ops: FormOperators | None = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def mesh(self) -> TriMesh:
@@ -589,9 +593,12 @@ class FormOperators:
     def _B_vp_free(self):
         return _read_only(self.B_vp[self.vspace.free_dofs].tocsr())
 
+    def _A_uu(self, params: ReducedParams) -> sps.csr_matrix:
+        return self._upattern.free(self._ah + params.lam * self._DD_u)
+
     def block_system(self, params: ReducedParams, f=None, g=None,
                      g_cells=None) -> BlockSystem:
-        A_uu = self._upattern.free(self._ah + params.lam * self._DD_u)
+        A_uu = self._A_uu(params)
         A_vv = self._vpattern.free(params.rp_inv * self._M_v)
         M_p = self.M_p
         C_pp = _shared_csr(-params.alpha_p * M_p.data, M_p.indices,
@@ -601,7 +608,7 @@ class FormOperators:
                            C_pp, rhs_u[self.uspace.free_dofs],
                            rhs_v[self.vspace.free_dofs], rhs_p,
                            self.uspace, self.vspace, params, self.cfg,
-                           self.families)
+                           self.families, self)
 
     def rhs(self, f=None, g=None, g_cells=None):
         """Load vectors (f, w), 0, (g, q) on the full dof sets.
@@ -666,6 +673,28 @@ class FormOperators:
         return self._upattern.free(self._grad_jumps
                                    + params.lam * self._DD_u)
 
+    def displacement_gap(self, params: ReducedParams, A_uu: np.ndarray,
+                         N_U: np.ndarray):
+        """(D, R) on the free dofs, D dense and R sparse, when the dense
+        A_uu and N_U are bitwise the displacement block of
+        `block_system(params)` and its norm block (paper or natural); else
+        None.
+
+        D = a_h - (GRAD + PEN) is A_uu - N_U with lam DD_u cancelled
+        exactly, where their floating-point difference keeps the rounding
+        of both.  R = GRAD + PEN + lam DD_u - N_U is the rounding error of
+        N_U itself, from error-free transformations of its float64 sums
+        and product: at large lam it holds what N_U lost of GRAD + PEN."""
+        if not (np.array_equal(A_uu, self._A_uu(params).toarray())
+                and np.array_equal(N_U, self._N_U(params).toarray())):
+            return None
+        grad_jumps, e_sum = _two_sum(self._GRAD, self._PEN)
+        divdiv, e_product = _two_product(params.lam, self._DD_u)
+        _, e_total = _two_sum(grad_jumps, divdiv)
+        free = self._upattern.free
+        return (free(self._ah - self._grad_jumps).toarray(),
+                free(e_sum + e_product + e_total))
+
     def norm_blocks(self, params: ReducedParams) -> NormBlocks:
         N_V = self._vpattern.free(params.rp_inv * self._M_v
                                   + (1.0 / params.gamma) * self._DD_v)
@@ -678,6 +707,28 @@ class FormOperators:
         N_V = self._vpattern.free(params.rp_inv * (self._M_v + self._DD_v))
         N_P = self.M_p.copy().tocsr()
         return NormBlocks(self._N_U(params), N_V, N_P, kind="natural")
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _two_product(a, b):
+    """fl(a * b) and its rounding error, exactly (Dekker's TwoProduct with
+    Veltkamp's splitting), for products far from overflow."""
+    product = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return product, ((a1 * b1 - product) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _split(a):
+    """a as hi + lo with 26-bit halves, so that their products are exact."""
+    scaled = 134217729.0 * a  # 2^27 + 1
+    hi = scaled - (scaled - a)
+    return hi, a - hi
 
 
 def _check_div_compatibility(space: FESpace, name: str):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
+from scipy.linalg import LinAlgError, blas, cholesky, lapack, solve_triangular
 
 from .assembly import BlockSystem, NormBlocks, block_diagonal, block_matrix
 
@@ -115,8 +115,10 @@ def _same_matrix(a: sps.csr_matrix, b: sps.csr_matrix) -> bool:
             and np.array_equal(a.data, b.data))
 
 
-# Last SPD factor per block name, for the systems of one FormOperators:
-# they share its displacement FESpace, so each entry dies with them.
+# Last SPD factor per block name, for the systems of one FormOperators,
+# and the last whitened displacement block of their inf-sup pencils
+# (`_whitened_displacement`): they share its displacement FESpace, so each
+# entry dies with them.
 _FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -488,52 +490,135 @@ def _mean_zero_pencil(system: BlockSystem, N, label: str) -> np.ndarray:
     """Eigenvalues theta of A x = theta N x on the mean-zero pressure
     subspace, A the monolithic operator and N block diagonal.
 
-    `_dense_pencil` solves the reduced pencil, with the workspace of LAPACK's
-    blocked tridiagonal reduction, and factors the reduced N itself. Only
-    when it fails does a Cholesky test of each diagonal block name the block
-    that is not SPD; with every block SPD the failure is the solver's.
+    The reduced pencil is whitened blockwise: with L = diag(L_U, L_V, L_P)
+    the Cholesky factors of N's diagonal blocks (the pressure block
+    reduced), W = L^-1 A L^-T has the eigenvalues theta and a zero (u, v)
+    block, and `_dense_pencil` solves it.  Its displacement block comes
+    from `_whitened_displacement`.  N is read from its lower triangle:
+    an entry there that couples two blocks raises EigFailure, and a block
+    whose Cholesky factorization fails raises SingularNormMatrix naming
+    it.
     """
-    try:
-        return _dense_pencil(*reduce_pressure_pencil(system,
-                                                     system.monolithic(), N))
-    except LinAlgError as exc:
-        failure = exc
-    # the solve may have overwritten the reduced N: reduce it again
-    Nr = reduce_pressure_pencil(system, system.monolithic(), N)[1]
     nu, nv, _ = system.block_sizes
-    edges = (0, nu, nu + nv, Nr.shape[0])
-    for name, lo, hi in zip(("displacement", "flux", "pressure"), edges,
-                            edges[1:]):
-        try:
-            cholesky(Nr[lo:hi, lo:hi])
-        except LinAlgError as exc:
-            raise SingularNormMatrix(
-                f"{label}: {name} block is not SPD: {exc}") from exc
-    raise EigFailure(str(failure)) from failure
+    A = system.monolithic()
+    # the displacement rows of the sparse pair identify its whitened block
+    key = [*_leading_rows(A.tocsr(), nu), *_leading_rows(N.tocsr(), nu)]
+    A, N = reduce_pressure_pencil(system, A, N)
+    u, v, p = slice(0, nu), slice(nu, nu + nv), slice(nu + nv, None)
+    blocks = {"displacement": u, "flux": v, "pressure": p}
+    for low, high in (("flux", "displacement"), ("pressure", "displacement"),
+                      ("pressure", "flux")):
+        if np.any(N[blocks[low], blocks[high]]):
+            raise EigFailure(f"{label} couples its {high} block with its "
+                             f"{low} block: the inf-sup pencil needs a "
+                             "block-diagonal norm matrix")
+    L_U, W_uu = _whitened_displacement(system, key, A[u, u], N[u, u], label)
+    L_V = _block_factor(N[v, v], label, "flux")
+    L_P = _block_factor(N[p, p], label, "pressure")
+    W = np.zeros_like(A, order="F")
+    W[u, u] = W_uu
+    W[v, v] = _whiten(L_V, A[v, v], L_V)
+    W[p, u] = _whiten(L_P, A[p, u], L_U)
+    W[p, v] = _whiten(L_P, A[p, v], L_V)
+    W[p, p] = _whiten(L_P, A[p, p], L_P)
+    try:
+        return _dense_pencil(W)
+    except LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
 
 
-def _dense_pencil(A: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the dense symmetric-definite pencil
-    A x = theta N x, read from the lower triangles; A and N may be
-    overwritten.
+def _leading_rows(M: sps.csr_matrix, n: int):
+    """indptr, indices and data of the first n rows of M."""
+    end = M.indptr[n]
+    return M.indptr[:n + 1], M.indices[:end], M.data[:end]
 
-    LAPACK's dsygvd keeps 2n of its workspace and hands the rest to the
-    tridiagonal reduction dsytrd, which falls back to the unblocked BLAS-2
-    dsytd2 unless it gets the n * blocksize that dsytrd_lwork reports.
-    Raises ValueError on a non-finite entry and LinAlgError when N is not
-    positive definite or the eigenvalue iteration fails.
+
+def _whitened_displacement(system: BlockSystem, key, A_uu: np.ndarray,
+                           N_U: np.ndarray, label: str):
+    """(L_U, W_uu): the Cholesky factor of N_U and the whitened
+    displacement block I + L_U^-1 D L_U^-T, D = A_uu - N_U.
+
+    D is 0 when A_uu is N_U, as in a preconditioner's matrix.  For a
+    system and norm blocks of one `FormOperators` at one lambda
+    (`displacement_gap`) D is the lambda-free a_h - (GRAD + PEN) of their
+    Grams, where forming A_uu and N_U in floating point rounds that part
+    away at large lambda; and the rounding R of N_U itself, which the
+    factor L_U whitens in place of the exact GRAD + PEN + lambda DD_u, is
+    corrected to first order: with G = L_U^-1 D L_U^-T and
+    E = L_U^-1 R L_U^-T, W_uu = I + G - (E G + G E)/2.  E lives on the
+    nearly divergence-free fields, which the pressure block does not see,
+    so the coupling block needs no correction.  Any other pair takes the
+    floating-point difference.  The pair is kept for the last `key`
+    (arrays that hold A_uu and N_U, matched bitwise) per displacement
+    space, so a lambda-major sweep factors N_U once per lambda.
     """
-    A, N = np.asarray_chkfinite(A), np.asarray_chkfinite(N)
+    memo = _FACTORS.setdefault(system.uspace, {})
+    last = memo.get("whitened displacement")
+    if last is not None and all(np.array_equal(a, b) for a, b
+                                in zip(last[0], key, strict=True)):
+        return last[1], last[2]
+    L = _block_factor(N_U, label, "displacement")
+    W = np.eye(L.shape[0])
+    if not np.array_equal(A_uu, N_U):
+        split = (system.ops.displacement_gap(system.params, A_uu, N_U)
+                 if system.ops is not None else None)
+        if split is None:
+            W += _whiten(L, A_uu - N_U, L)
+        else:
+            D, R = split
+            G = _whiten(L, D, L)
+            # E G = L_U^-1 R L_U^-T G, with R sparse
+            EG = blas.dtrsm(1.0, L, R @ blas.dtrsm(1.0, L, G, lower=1,
+                                                   trans_a=1), lower=1)
+            W += G - 0.5 * (EG + EG.T)
+    memo["whitened displacement"] = ([a.copy() for a in key], L, W)
+    return L, W
+
+
+def _block_factor(block: np.ndarray, label: str, name: str) -> np.ndarray:
+    """Lower Cholesky factor of one diagonal block of a norm matrix."""
+    try:
+        return cholesky(block, lower=True)
+    except LinAlgError as exc:
+        raise SingularNormMatrix(
+            f"{label}: {name} block is not SPD: {exc}") from exc
+
+
+def _whiten(L: np.ndarray, M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """L^-1 M R^-T for lower triangular L and R (BLAS dtrsm from the left,
+    then from the right)."""
+    return blas.dtrsm(1.0, R, blas.dtrsm(1.0, L, M, lower=1), side=1,
+                      lower=1, trans_a=1, overwrite_b=1)
+
+
+def _dense_pencil(A: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of the dense symmetric matrix A (LAPACK's
+    dsyevd) or, given N, of the symmetric-definite pencil A x = theta N x
+    (dsygvd), read from the lower triangles; A and N may be overwritten.
+
+    Both drivers keep 2n of their workspace (dsyevd 2n + 1) and hand the
+    rest to the tridiagonal reduction dsytrd, which falls back to the
+    unblocked BLAS-2 dsytd2 unless it gets the n * blocksize that
+    dsytrd_lwork reports.  Raises ValueError on a non-finite entry and
+    LinAlgError when N is not positive definite or the eigenvalue
+    iteration fails.
+    """
+    A = np.asarray_chkfinite(A)
     n = A.shape[0]
-    reduction = lapack.dsytrd_lwork(n, lower=1)[0]
-    theta, _, info = lapack.dsygvd(A, N, jobz="N", uplo="L",
-                                   lwork=2 * n + int(reduction),
-                                   overwrite_a=1, overwrite_b=1)
-    if info > n:
+    reduction = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    if N is None:
+        theta, _, info = lapack.dsyevd(A, compute_v=0, lower=1,
+                                       lwork=2 * n + 1 + reduction,
+                                       overwrite_a=1)
+    else:
+        theta, _, info = lapack.dsygvd(A, np.asarray_chkfinite(N), jobz="N",
+                                       uplo="L", lwork=2 * n + reduction,
+                                       overwrite_a=1, overwrite_b=1)
+    if N is not None and info > n:
         raise LinAlgError(f"the leading minor of order {info - n} of N is "
                           "not positive definite")
     if info != 0:
-        raise LinAlgError(f"dsygvd failed with info {info}")
+        raise LinAlgError(f"LAPACK eigen driver failed with info {info}")
     return theta
 
 

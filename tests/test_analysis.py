@@ -58,6 +58,7 @@ def test_infsup_identity_pencil(ops_bdm):
     class _Stub:
         block_sizes = bs.block_sizes
         mesh = bs.mesh
+        uspace = bs.uspace
         params = pr
         families = bs.families
 

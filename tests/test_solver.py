@@ -518,6 +518,7 @@ def test_condition_identity_pencil(ops_bdm):
             self._N = N
             self.block_sizes = base.block_sizes
             self.mesh = base.mesh
+            self.uspace = base.uspace
 
         def monolithic(self):
             return self._N
@@ -586,17 +587,21 @@ def test_pencil_reduction_matches_null_space_oracle_on_perturbed_mesh(
         perturbed_mesh, lam, rp, ap):
     """Cells of different areas: the mean-zero constraint is areas . p = 0,
     not the plain sum, and any orthonormal basis of it gives the same
-    pencil eigenvalues."""
+    pencil eigenvalues: to 1e-12 at lambda <= 1e2.  At lambda = 1e8 the
+    float64 pencil of eigh is itself up to 4e-8 off (rounding away the
+    lambda-free parts of A_uu and N_U), so there the two agree to 1e-7
+    and tests/test_pencil_oracle.py bounds the error."""
     ops = FormOperators(perturbed_mesh[4])
     pr = ReducedParams(lam, rp, ap)
     bs = ops.block_system(pr)
     nb = ops.norm_blocks(pr)
+    rel = 1e-12 if lam <= 1e2 else 1e-7
     want = np.abs(_null_space_pencil(bs, nb.monolithic())).min()
-    assert infsup_constant(bs, nb).beta0 == pytest.approx(want, rel=1e-12)
+    assert infsup_constant(bs, nb).beta0 == pytest.approx(want, rel=rel)
     pc = build_preconditioner(nb, bs)
     theta = np.abs(_null_space_pencil(bs, pc.matrix()))
     assert estimate_condition(bs, pc) == pytest.approx(
-        theta.max() / theta.min(), rel=1e-12)
+        theta.max() / theta.min(), rel=rel)
 
 
 def test_pressure_reduction_basis_on_perturbed_mesh(perturbed_mesh):
@@ -619,14 +624,17 @@ def _eigh_pencil(system, N):
 @pytest.mark.parametrize("kind", ["structured", "perturbed"])
 def test_dense_pencil_matches_eigh_over_the_grid(ops_bdm, perturbed_mesh,
                                                  kind):
-    """At every acceptance-grid point on n = 4 the blocked-workspace
-    dsygvd agrees with eigh (dsygvd with its minimal workspace): beta0 and
-    kappa in the paper's norms to 1e-12 relative.  The natural-norm beta0
-    sits far below the rest of its spectrum, so the two rounding orders
-    may part by more: 1e-8."""
+    """At every acceptance-grid point with lambda <= 1e2 on n = 4 the
+    whitened pencil agrees with eigh (dsygvd with its minimal workspace)
+    on the same reduced pencil: beta0 and kappa in the paper's norms to
+    1e-12 relative.  The natural-norm beta0 sits far below the rest of its
+    spectrum, so the two rounding orders may part by more: 1e-8.  At
+    lambda >= 1e4 eigh's float64 pencil rounds away the lambda-free parts
+    of A_uu and N_U; tests/test_pencil_oracle.py checks those points
+    against a certified long-double reference instead."""
     ops = ops_bdm[4] if kind == "structured" else FormOperators(
         perturbed_mesh[4])
-    for lam in LAM_GRID:
+    for lam in (lam for lam in LAM_GRID if lam <= 1e2):
         for rp in RP_GRID:
             for ap in AP_GRID:
                 pr = ReducedParams(lam, rp, ap)
@@ -645,23 +653,41 @@ def test_dense_pencil_matches_eigh_over_the_grid(ops_bdm, perturbed_mesh,
                     want, rel=1e-8)
 
 
-def test_dense_pencil_gives_the_blocked_reduction_its_workspace(
-        ops_bdm, monkeypatch):
-    """dsygvd hands all but 2n of its workspace to the tridiagonal
-    reduction dsytrd, which runs blocked only with what dsytrd_lwork asks
-    for."""
+def _recorded_lwork(monkeypatch, driver: str):
+    """(order, lwork) of every call of the LAPACK `driver`."""
     from scipy.linalg import lapack
 
     seen = []
+    real = getattr(lapack, driver)
 
-    def recorded(a, b, *args, _driver=lapack.dsygvd, **kwargs):
+    def recorded(a, *args, **kwargs):
         seen.append((a.shape[0], kwargs["lwork"]))
-        return _driver(a, b, *args, **kwargs)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dsygvd", recorded)
+    monkeypatch.setattr(lapack, driver, recorded)
+    return seen
+
+
+def test_dense_pencil_gives_the_blocked_reduction_its_workspace(
+        ops_bdm, monkeypatch):
+    """dsyevd (the whitened inf-sup pencil) hands all but 2m + 1 of its
+    workspace to the tridiagonal reduction dsytrd, and dsygvd (the Korn
+    pencil) all but 2n; dsytrd runs blocked only with what dsytrd_lwork
+    asks for."""
+    from biotfem.analysis import korn_equivalence_bounds
+    from scipy.linalg import lapack
+
+    seen = _recorded_lwork(monkeypatch, "dsyevd")
     pr = ReducedParams(1.0, 1.0, 0.0)
     infsup_constant(ops_bdm[4].block_system(pr), ops_bdm[4].norm_blocks(pr))
+    [(m, lwork)] = seen
+    assert m == sum(ops_bdm[4].block_system(pr).block_sizes) - 1
+    assert lwork >= 2 * m + 1 + lapack.dsytrd_lwork(m, lower=1)[0]
+
+    seen = _recorded_lwork(monkeypatch, "dsygvd")
+    korn_equivalence_bounds(ops_bdm[4])
     [(n, lwork)] = seen
+    assert n == ops_bdm[4].uspace.free_dofs.size
     assert lwork >= 2 * n + lapack.dsytrd_lwork(n, lower=1)[0]
 
 
@@ -732,3 +758,158 @@ def test_eig_failure_when_coupled_norm_matrix_is_indefinite(ops_bdm):
 
     with pytest.raises(EigFailure):
         infsup_constant(bs, _Coupled())
+
+
+@pytest.mark.parametrize("rows,cols", [("flux", "displacement"),
+                                       ("pressure", "displacement"),
+                                       ("pressure", "flux")])
+def test_eig_failure_names_the_coupling_of_an_spd_norm_matrix(ops_bdm, rows,
+                                                              cols):
+    """A small coupling keeps the norm matrix SPD, but the pencil is
+    whitened block by block, which needs it block diagonal: EigFailure
+    names the coupled blocks instead of a wrong answer."""
+    pr = ReducedParams(1.0, 1.0, 0.0)
+    bs = ops_bdm[2].block_system(pr)
+    nb = ops_bdm[2].norm_blocks(pr)
+    first = dict(zip(BLOCKS, np.cumsum((0,) + bs.block_sizes)))
+    N = nb.monolithic().tolil()
+    i, j = first[rows], first[cols]
+    N[i, j] = N[j, i] = 1e-3 * min(N[i, i], N[j, j])
+    np.linalg.cholesky(N.toarray())  # still SPD
+
+    class _Coupled:
+        kind = "coupled"
+
+        def monolithic(self):
+            return N.tocsr()
+
+    with pytest.raises(EigFailure, match=f"couples its {cols} block") as info:
+        infsup_constant(bs, _Coupled())
+    assert rows in str(info.value)
+
+
+def test_whitened_displacement_is_kept_per_lambda(ops_bdm, monkeypatch):
+    """A lambda-major sweep factors N_U once per lambda; a point whose
+    displacement blocks repeat reuses the whitened block and gets bitwise
+    the value of a fresh computation, and a changed A_uu with the same N_U
+    is whitened again."""
+    ops = ops_bdm[4]
+    factored = []
+    real = solver._block_factor
+
+    def counted(block, label, name):
+        factored.append(name)
+        return real(block, label, name)
+
+    monkeypatch.setattr(solver, "_block_factor", counted)
+    solver._FACTORS.pop(ops.uspace, None)
+    values = {}
+    for lam in LAM_GRID:
+        for rp in RP_GRID:
+            pr = ReducedParams(lam, rp, 0.0)
+            values[pr] = infsup_constant(ops.block_system(pr),
+                                         ops.norm_blocks(pr)).beta0
+    assert factored.count("displacement") == len(LAM_GRID)
+    for pr, beta0 in values.items():
+        solver._FACTORS.pop(ops.uspace, None)
+        assert infsup_constant(ops.block_system(pr),
+                               ops.norm_blocks(pr)).beta0 == beta0
+    pr = ReducedParams(1e4, 1.0, 0.0)
+    bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
+    infsup_constant(bs, nb)
+    stiffer = dataclasses.replace(bs, A_uu=(2.0 * bs.A_uu).tocsr())
+    assert infsup_constant(stiffer, nb).beta0 != values[pr]
+    solver._FACTORS.pop(ops.uspace, None)
+    assert infsup_constant(stiffer, nb).beta0 == infsup_constant(
+        stiffer, nb).beta0
+
+
+def test_displacement_gap_only_for_the_operators_own_blocks(ops_bdm):
+    """The lambda-free gap a_h - (GRAD + PEN) stands in for A_uu - N_U
+    only when both are bitwise the operators' blocks at the system's
+    lambda, for the paper and the natural norms alike."""
+    ops = ops_bdm[2]
+    pr = ReducedParams(1e8, 1.0, 0.0)
+    A_uu = ops.block_system(pr).A_uu.toarray()
+    want = (ops.ah_matrix() - ops.grad_norm_gram()).toarray()
+    for norms in (ops.norm_blocks(pr), ops.natural_norm_blocks(pr)):
+        gap, _ = ops.displacement_gap(pr, A_uu, norms.N_U.toarray())
+        assert np.abs(gap - want).max() <= 1e-14 * np.abs(want).max()
+    other = ops.norm_blocks(ReducedParams(1e4, 1.0, 0.0)).N_U.toarray()
+    assert ops.displacement_gap(pr, A_uu, other) is None
+    assert ops.displacement_gap(pr, 2.0 * A_uu,
+                                ops.norm_blocks(pr).N_U.toarray()) is None
+    # far from the gap: lambda DD_u does not cancel in floating point
+    assert np.abs((A_uu - ops.norm_blocks(pr).N_U.toarray())
+                  - want).max() > 1e-12 * np.abs(want).max()
+
+
+def test_whitened_displacement_reads_the_lambda_free_gap(ops_bdm):
+    """At lambda = 1e8 the whitened displacement block is built from the
+    Grams: I + G - (E G + G E) / 2 with G = L_U^-1 (a_h - GRAD - PEN)
+    L_U^-T and E = L_U^-1 R L_U^-T, R the rounding error of N_U, not from
+    the floating-point difference A_uu - N_U, which rounds the gap by
+    about lambda eps; for a preconditioner's matrix (A_uu as N_U) it is
+    I."""
+    from scipy.linalg import cholesky
+
+    ops = ops_bdm[4]
+    pr = ReducedParams(1e8, 1.0, 0.0)
+    bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
+    pc = build_preconditioner(nb, bs)
+    A_uu = bs.A_uu.toarray()
+    for N, label in ((nb.monolithic(), "paper norm matrix"),
+                     (pc.matrix(), "preconditioner matrix")):
+        solver._FACTORS.pop(ops.uspace, None)
+        solver._mean_zero_pencil(bs, N, label)
+        _, L, W = solver._FACTORS[ops.uspace]["whitened displacement"]
+        N_U = N[:len(L), :len(L)].toarray()
+        assert np.array_equal(L, cholesky(N_U, lower=True))
+        eye = np.eye(len(L))
+        if label == "preconditioner matrix":
+            assert np.array_equal(W, eye)
+            continue
+        D, R = ops.displacement_gap(pr, A_uu, N_U)
+        G, E = solver._whiten(L, D, L), solver._whiten(L, R.toarray(), L)
+        want = eye + G - 0.5 * (E @ G + G @ E)
+        assert np.abs(W - want).max() <= 1e-12 * np.abs(want).max()
+        rounded = eye + solver._whiten(L, A_uu - N_U, L)
+        assert np.abs(rounded - W).max() > 1e-10 * np.abs(W).max()
+        assert np.abs(eye + G - W).max() > 1e-10 * np.abs(W).max()
+
+
+def test_error_free_transformations_are_exact(rng):
+    """TwoSum and TwoProduct return fl(a op b) and its exact rounding
+    error, over magnitudes from 1e-8 to 1e8 and both signs."""
+    from fractions import Fraction
+
+    from biotfem.assembly import _two_product, _two_sum
+
+    a = rng.standard_normal(400) * 10.0 ** rng.uniform(-8, 8, 400)
+    b = rng.standard_normal(400) * 10.0 ** rng.uniform(-8, 8, 400)
+    total, err = _two_sum(a, b)
+    product, perr = _two_product(a, b)
+    assert np.array_equal(total, a + b) and np.array_equal(product, a * b)
+    for x, y, s, e, p, f in zip(a, b, total, err, product, perr):
+        assert Fraction(s) + Fraction(e) == Fraction(x) + Fraction(y)
+        assert Fraction(p) + Fraction(f) == Fraction(x) * Fraction(y)
+
+
+def test_displacement_gap_holds_the_rounding_of_the_norm_block(ops_bdm):
+    """R of `displacement_gap` is GRAD + PEN + lambda DD_u - N_U, the
+    part of the exact norm block that float64 N_U lost, to its own
+    rounding."""
+    from fractions import Fraction
+
+    ops = ops_bdm[2]
+    pr = ReducedParams(1e8, 1.0, 0.0)
+    N_U = ops.norm_blocks(pr).N_U.toarray()
+    _, R = ops.displacement_gap(pr, ops.block_system(pr).A_uu.toarray(), N_U)
+    stored = ops._grad_jumps + pr.lam * ops._DD_u  # N_U's lower data
+    lost = np.array([float(Fraction(g) + Fraction(p) + Fraction(pr.lam)
+                           * Fraction(d) - Fraction(n))
+                     for g, p, d, n in zip(ops._GRAD, ops._PEN, ops._DD_u,
+                                           stored)])
+    want = ops._upattern.free(lost).toarray()
+    assert np.abs(want).max() > 0
+    assert np.abs(R.toarray() - want).max() <= 1e-15 * np.abs(want).max()
