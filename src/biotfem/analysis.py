@@ -441,9 +441,11 @@ def _worker_start(ops, points, norms):
     _WORKER.update(ops=ops, points=points, norms=norms)
 
 
-def _worker_stride(start: int, step: int):
-    return _infsup_points(_WORKER["ops"], _WORKER["points"][start::step],
-                          _WORKER["norms"])
+def _worker_chunk(k: int, workers: int):
+    """The k-th of `workers` contiguous chunks of the grid."""
+    size = len(_WORKER["points"])
+    chunk = _WORKER["points"][k * size // workers:(k + 1) * size // workers]
+    return _infsup_points(_WORKER["ops"], chunk, _WORKER["norms"])
 
 
 def _worker_count(points: int) -> int:
@@ -471,8 +473,10 @@ def infsup_sweep(n_list, lam_list, rp_list, ap_list,
     lambda-major within a mesh (deterministic order).
 
     The pencils of one mesh are independent. With more than one CPU they
-    are split in strides over forked worker processes, which inherit the
-    operators (fork, so nothing is pickled but the records); each point
+    are split in contiguous chunks over forked worker processes, which
+    inherit the operators (fork, so nothing is pickled but the records);
+    a chunk of the lambda-major grid meets few lambdas, and each pays
+    the per-lambda whitening of the displacement block once. Each point
     runs the same calls as in the calling process, so the records are
     bitwise those of a serial loop. The workers are joined before this
     returns or raises.
@@ -490,16 +494,14 @@ def infsup_sweep(n_list, lam_list, rp_list, ap_list,
         if workers <= 1:
             records += _infsup_points(ops, points, norms)
             continue
-        mesh_records = [None] * len(points)
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_worker_start,
                 initargs=(ops, points, norms)) as pool:
-            strides = [pool.submit(_worker_stride, k, workers)
-                       for k in range(workers)]
-            for k, stride in enumerate(strides):
-                mesh_records[k::workers] = stride.result()
-        records += mesh_records
+            chunks = [pool.submit(_worker_chunk, k, workers)
+                      for k in range(workers)]
+            for chunk in chunks:
+                records += chunk.result()
     return records
 
 

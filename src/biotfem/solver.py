@@ -482,13 +482,16 @@ def estimate_condition(system: BlockSystem, precond: BlockPreconditioner,
         raise ValueError(f"dense condition estimate limited to {max_dofs} "
                          f"dofs, got {ndof}")
     theta = np.abs(_mean_zero_pencil(system, precond.matrix(),
-                                     "preconditioner matrix"))
+                                     "preconditioner matrix", extremes=True))
     return float(theta.max() / theta.min())
 
 
-def _mean_zero_pencil(system: BlockSystem, N, label: str) -> np.ndarray:
+def _mean_zero_pencil(system: BlockSystem, N, label: str,
+                      extremes: bool = False) -> np.ndarray:
     """Eigenvalues theta of A x = theta N x on the mean-zero pressure
-    subspace, A the monolithic operator and N block diagonal.
+    subspace, A the monolithic operator and N block diagonal: those
+    either side of zero, which hold min |theta|, and with `extremes` the
+    smallest and largest, which hold max |theta|.
 
     The reduced pencil is whitened blockwise: with L = diag(L_U, L_V, L_P)
     the Cholesky factors of N's diagonal blocks (the pressure block
@@ -522,7 +525,7 @@ def _mean_zero_pencil(system: BlockSystem, N, label: str) -> np.ndarray:
     W[p, v] = _whiten(L_P, A[p, v], L_V)
     W[p, p] = _whiten(L_P, A[p, p], L_P)
     try:
-        return _dense_pencil(W)
+        return _dense_pencil(W, extremes=extremes)
     except LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
 
@@ -591,35 +594,80 @@ def _whiten(L: np.ndarray, M: np.ndarray, R: np.ndarray) -> np.ndarray:
                       lower=1, trans_a=1, overwrite_b=1)
 
 
-def _dense_pencil(A: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
-    """Ascending eigenvalues of the dense symmetric matrix A (LAPACK's
-    dsyevd) or, given N, of the symmetric-definite pencil A x = theta N x
-    (dsygvd), read from the lower triangles; A and N may be overwritten.
+def _dense_pencil(A: np.ndarray, N: np.ndarray | None = None,
+                  extremes: bool = False) -> np.ndarray:
+    """Given N, all eigenvalues of the symmetric-definite pencil
+    A x = theta N x, ascending (LAPACK's dsygvd).  Without N, only the
+    eigenvalues of the dense symmetric matrix A that |theta| reads: the
+    two either side of zero and, with `extremes`, the smallest and the
+    largest.  A and N are read from their lower triangles and may be
+    overwritten.
 
-    Both drivers keep 2n of their workspace (dsyevd 2n + 1) and hand the
-    rest to the tridiagonal reduction dsytrd, which falls back to the
-    unblocked BLAS-2 dsytd2 unless it gets the n * blocksize that
-    dsytrd_lwork reports.  Raises ValueError on a non-finite entry and
-    LinAlgError when N is not positive definite or the eigenvalue
-    iteration fails.
+    Without N, the blocked reduction dsytrd takes A to a tridiagonal T,
+    a Sturm count (`_negative_pivots`) finds where zero falls in T's
+    spectrum, and bisection (dstebz) computes the wanted eigenvalues
+    alone, with the tightest tolerance it takes (2 * tiny).  dsygvd
+    keeps 2n of its workspace and hands the rest to dsytrd, which, like a
+    call of its own, falls back to the unblocked BLAS-2 dsytd2 unless it
+    gets the n * blocksize that dsytrd_lwork reports.  Raises ValueError
+    on a non-finite entry and LinAlgError when N is not positive definite
+    or a LAPACK call fails.
     """
     A = np.asarray_chkfinite(A)
     n = A.shape[0]
     reduction = int(lapack.dsytrd_lwork(n, lower=1)[0])
-    if N is None:
-        theta, _, info = lapack.dsyevd(A, compute_v=0, lower=1,
-                                       lwork=2 * n + 1 + reduction,
-                                       overwrite_a=1)
-    else:
+    if N is not None:
         theta, _, info = lapack.dsygvd(A, np.asarray_chkfinite(N), jobz="N",
                                        uplo="L", lwork=2 * n + reduction,
                                        overwrite_a=1, overwrite_b=1)
-    if N is not None and info > n:
-        raise LinAlgError(f"the leading minor of order {info - n} of N is "
-                          "not positive definite")
+        if info > n:
+            raise LinAlgError(f"the leading minor of order {info - n} of N "
+                              "is not positive definite")
+        if info != 0:
+            raise LinAlgError(f"LAPACK eigen driver failed with info {info}")
+        return theta
+    _, d, e, _, info = lapack.dsytrd(A, lower=1, lwork=reduction,
+                                     overwrite_a=1)
     if info != 0:
-        raise LinAlgError(f"LAPACK eigen driver failed with info {info}")
-    return theta
+        raise LinAlgError(f"LAPACK dsytrd failed with info {info}")
+    j = _negative_pivots(d, e)
+    # 0-based index ranges, clipped to the spectrum below
+    wanted = [(j - 1, j)] + ([(0, 0), (n - 1, n - 1)] if extremes else [])
+    # scipy's wrapper wants one entry of e even when n = 1
+    e = e if n > 1 else np.zeros(1)
+    theta = []
+    for low, high in wanted:
+        count, w, _, _, info = lapack.dstebz(
+            d, e, 2, 0.0, 0.0, max(low, 0) + 1, min(high, n - 1) + 1,
+            2 * np.finfo(float).tiny, "E")
+        if info != 0:
+            raise LinAlgError(f"LAPACK dstebz failed with info {info}")
+        theta.append(w[:count])
+    return np.concatenate(theta)
+
+
+def _negative_pivots(d: np.ndarray, e: np.ndarray) -> int:
+    """Negative pivots of the LDL^T factorization of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e: by Sylvester's
+    law of inertia, its number of negative eigenvalues (a Sturm count at
+    zero; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
+
+    As in LAPACK's dlaebz, a pivot smaller in magnitude than pivmin =
+    tiny * max(1, max e^2) is replaced, so no quotient e^2 / pivot
+    overflows; here the replacement keeps the pivot's sign (+-pivmin),
+    and a zero pivot counts as positive.
+    """
+    e2 = (e * e).tolist()
+    pivmin = np.finfo(float).tiny * max([1.0, *e2])
+    count, pivot = 0, 1.0
+    for dk, ek2 in zip(d.tolist(), [0.0, *e2]):
+        pivot = dk - ek2 / pivot
+        if pivot < 0.0:
+            count += 1
+            pivot = min(pivot, -pivmin)
+        else:
+            pivot = max(pivot, pivmin)
+    return count
 
 
 def _pressure_reflector(areas: np.ndarray) -> np.ndarray:

@@ -1,9 +1,25 @@
-import numpy as np
-import pytest
+import os
 
-from biotfem.assembly import FormOperators
-from biotfem.elements import HDIV_FAMILIES, _gen_eval
-from biotfem.meshing import from_arrays, structured_mesh
+# One BLAS thread, as CI and the benchmark run, unless the caller chose:
+# each small dense LAPACK call of the suite pays a thread hand-off
+# otherwise.  OpenBLAS reads these when numpy loads, so they are set
+# before the first import of numpy.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREADS:
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from biotfem.assembly import FormOperators  # noqa: E402
+from biotfem.elements import HDIV_FAMILIES, _gen_eval  # noqa: E402
+from biotfem.meshing import from_arrays, structured_mesh  # noqa: E402
+
+
+def pytest_report_header(config):
+    return "BLAS threads: " + ", ".join(
+        f"{name}={os.environ[name]}" for name in BLAS_THREADS)
+
 
 # acceptance parameter grid, shared by several suites
 LAM_GRID = [1.0, 1e2, 1e4, 1e8]

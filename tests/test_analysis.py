@@ -334,9 +334,9 @@ def test_infsup_sweep_records_equal_the_serial_loop(n, norms):
 
 
 @needs_fork
-def test_infsup_sweep_strides_the_grid_over_forked_workers(monkeypatch):
-    """Three workers on 40 points: uneven strides, each run by one child,
-    interleaved back into grid order."""
+def test_infsup_sweep_chunks_the_grid_over_forked_workers(monkeypatch):
+    """Three workers on 40 points: contiguous chunks of 13, 13 and 14
+    points, each run by one child, back in grid order."""
     real = analysis.infsup_constant
 
     def tagged(system, norms):
@@ -347,10 +347,12 @@ def test_infsup_sweep_strides_the_grid_over_forked_workers(monkeypatch):
     monkeypatch.setattr(analysis, "infsup_constant", tagged)
     records = _grid_sweep(2)
     pids = [r.triple for r in records]
-    assert all(len(set(pids[k::3])) == 1 for k in range(3))
+    chunks = [pids[:13], pids[13:26], pids[26:]]
+    assert all(len(set(chunk)) == 1 for chunk in chunks)
     assert len(set(pids)) == 3 and os.getpid() not in pids
-    assert ([r.beta0 for r in records]
-            == [r.beta0 for r in _serial_infsup(2, "paper")])
+    serial = _serial_infsup(2, "paper")
+    assert ([(r.params, r.beta0) for r in records]
+            == [(r.params, r.beta0) for r in serial])
     assert multiprocessing.active_children() == []
 
 

@@ -1,12 +1,14 @@
 """Every dense eigenvalue problem in the package goes through one helper.
 
-`solver._dense_pencil` gives LAPACK's dsygvd the workspace that lets its
-tridiagonal reduction run blocked, rejects non-finite input and turns
+`solver._dense_pencil` gives LAPACK's dsygvd and dsytrd the workspace
+that lets the tridiagonal reduction run blocked, computes by bisection
+only the eigenvalues its callers read, rejects non-finite input and turns
 every LAPACK failure into `LinAlgError`, which the callers map to their
-own errors.  scipy's `eigh` and its siblings run the same driver with the
-minimal workspace and the unblocked BLAS-2 reduction, so a second call
-site would quietly be the slow path.  The check parses the source, so it
-also covers imports and calls that no other test reaches.
+own errors.  scipy's `eigh` and its siblings run the same drivers with
+the minimal workspace and the unblocked BLAS-2 reduction, and compute
+every eigenvalue, so a second call site would quietly be the slow path.
+The check parses the source, so it also covers imports and calls that no
+other test reaches.
 """
 import ast
 import re
@@ -18,9 +20,11 @@ SOURCES = sorted(Path(biotfem.__file__).parent.glob("*.py"))
 # scipy.linalg's dense eigen solvers (numpy.linalg's share the names)
 EIGEN_NAMES = {"eig", "eigh", "eigvals", "eigvalsh", "eig_banded",
                "eigvals_banded", "eigh_tridiagonal", "eigvalsh_tridiagonal"}
-# LAPACK eigen drivers, e.g. dsyevd, dsygvd, zheevr, dgeev, dggev, dstev;
-# their *_lwork workspace queries are not drivers
-LAPACK_DRIVER = re.compile(r"[sdcz](sy|he|sp|hp|sb|hb|st|ge|gg)(ev|gv)[a-z]*")
+# LAPACK eigen drivers, e.g. dsyevd, dsygvd, zheevr, dgeev, dggev, dstev,
+# and the tridiagonal eigen routines, e.g. dstebz, dsterf, dstemr, dstein;
+# their *_lwork workspace queries and the reduction dsytrd are not drivers
+LAPACK_DRIVER = re.compile(r"[sdcz]((sy|he|sp|hp|sb|hb|st|ge|gg)(ev|gv)[a-z]*"
+                           r"|st(ebz|erf|emr|ein|eqr|edc|egr))")
 HELPER = ("solver.py", "_dense_pencil")
 
 
@@ -52,7 +56,7 @@ def _eigen_uses(path):
 def test_driver_pattern_names_drivers_only():
     assert all(_is_eigen(name) for name in (
         "dsyevd", "dsygvd", "dsygv", "dsyevr", "zheevx", "dgeev", "dggev",
-        "dstev", "dsbevd", "eigh"))
+        "dstev", "dsbevd", "dstebz", "dsterf", "dstemr", "dstein", "eigh"))
     assert not any(_is_eigen(name) for name in (
         "dsytrd_lwork", "dsygvd_lwork", "dsytrd", "dpotrf", "dsygst",
         "eigenvalues", None))

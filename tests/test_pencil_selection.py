@@ -1,0 +1,162 @@
+"""The standard path of `solver._dense_pencil` computes only the
+eigenvalues |theta| reads: a Sturm count on the tridiagonal that dsytrd
+makes of W says where zero falls in its spectrum, and bisection (dstebz)
+computes the two eigenvalues either side of it, plus the extremes for the
+condition number.  These tests check the count against `eigvalsh`, the
+selected eigenvalues against the full spectrum, and beta0 and kappa over
+the acceptance grid against `eigvalsh` of the same whitened matrices."""
+import numpy as np
+import pytest
+from scipy.linalg import lapack
+
+from biotfem import solver
+from biotfem.analysis import infsup_constant
+from biotfem.assembly import FormOperators
+from biotfem.params import ReducedParams
+from biotfem.solver import (_dense_pencil, _negative_pivots,
+                            build_preconditioner, estimate_condition)
+from conftest import AP_GRID, LAM_GRID, RP_GRID
+
+
+def _spd(m, seed=5):
+    B = np.random.default_rng(seed).standard_normal((m, m))
+    return B @ B.T + np.eye(m)
+
+
+def _with_spectrum(theta, seed=6):
+    """Q diag(theta) Q^T for a random orthogonal Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(theta), len(theta))))
+    return (Q * theta) @ Q.T
+
+
+def _tridiagonal(A):
+    """(d, e) of the tridiagonal dsytrd makes of A, as `_dense_pencil`
+    calls it."""
+    _, d, e, _, info = lapack.dsytrd(np.array(A, dtype=float, order="F"),
+                                     lower=1)
+    assert info == 0
+    return d, e
+
+
+def _recording(monkeypatch):
+    """Copies of every matrix the standard path of `_dense_pencil` gets."""
+    seen = []
+    real = solver._dense_pencil
+
+    def recorded(A, N=None, extremes=False):
+        if N is None:
+            seen.append(np.array(A))
+        return real(A, N, extremes)
+
+    monkeypatch.setattr(solver, "_dense_pencil", recorded)
+    return seen
+
+
+MATRICES = {
+    "spd": _spd(30),  # j = 0
+    "negative definite": -_spd(30),  # j = m
+    "indefinite": _with_spectrum([-3.0, -2.0, -0.5, 1e-3, 1.0, 2.0]),
+    # eigvalsh returns the zero eigenvalue exactly; its pivot is zero
+    "exact zero": np.array([[1.0, 1.0], [1.0, 1.0]]),
+    "split": np.array([[-1.0, 2.0, 0.0, 0.0],
+                       [2.0, 1.0, 0.0, 0.0],
+                       [0.0, 0.0, -4.0, 1.0],
+                       [0.0, 0.0, 1.0, 3.0]]),
+    "1x1": np.array([[-2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_sturm_count_is_the_number_of_negative_eigenvalues(name):
+    A = MATRICES[name]
+    d, e = _tridiagonal(A)
+    if name == "split":
+        assert np.count_nonzero(e == 0.0) == 1
+    assert _negative_pivots(d, e) == np.count_nonzero(
+        np.linalg.eigvalsh(A) < 0)
+
+
+class _NormSystem:
+    """The system of `pr` on `ops` with its operator replaced by the
+    matrix N, as in the identity-pencil tests: every theta is 1."""
+
+    def __init__(self, ops, pr, N):
+        base = ops.block_system(pr)
+        self.block_sizes, self.mesh = base.block_sizes, base.mesh
+        self.uspace, self.params = base.uspace, pr
+        self.families, self._N = base.families, N
+
+    def monolithic(self):
+        return self._N
+
+
+def test_sturm_count_on_the_identity_pencils(ops_bdm, monkeypatch):
+    ops, pr = ops_bdm[2], ReducedParams(1.0, 1.0, 0.0)
+    nb = ops.norm_blocks(pr)
+    pc = build_preconditioner(nb, ops.block_system(pr))
+    seen = _recording(monkeypatch)
+    assert infsup_constant(_NormSystem(ops, pr, nb.monolithic()),
+                           nb).beta0 == pytest.approx(1.0, abs=1e-10)
+    assert estimate_condition(_NormSystem(ops, pr, pc.matrix()),
+                              pc) == pytest.approx(1.0, abs=1e-10)
+    assert len(seen) == 2
+    for W in seen:
+        assert _negative_pivots(*_tridiagonal(W)) == np.count_nonzero(
+            np.linalg.eigvalsh(W) < 0) == 0
+
+
+@pytest.mark.parametrize("first", [0.0, 0.25, -0.25])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sturm_count_through_a_pivot_below_pivmin(first, sign):
+    """A first pivot of 0 or tiny / 4 is moved to +-pivmin, which keeps the
+    next quotient finite and the count right."""
+    d = sign * np.array([first * np.finfo(float).tiny, 1.0, -1.0])
+    e = np.array([1.0, 1.0])
+    A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert _negative_pivots(d, e) == np.count_nonzero(
+        np.linalg.eigvalsh(A) < 0)
+
+
+@pytest.mark.parametrize("name", MATRICES)
+@pytest.mark.parametrize("extremes", [False, True])
+def test_dense_pencil_selects_the_eigenvalues_either_side_of_zero(
+        name, extremes):
+    A = MATRICES[name]
+    full = np.linalg.eigvalsh(A)
+    j = np.count_nonzero(full < 0)
+    picks = {j - 1, j} | ({0, len(full) - 1} if extremes else set())
+    want = full[sorted(k for k in picks if 0 <= k < len(full))]
+    got = np.unique(_dense_pencil(A.copy(order="F"), extremes=extremes))
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def test_dense_pencil_names_a_non_finite_entry():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _dense_pencil(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("kind", ["structured", "perturbed"])
+def test_grid_values_match_the_full_spectrum_of_the_same_matrix(
+        ops_bdm, perturbed_mesh, monkeypatch, kind):
+    """On n = 4, at all 40 grid points, paper and natural beta0 and the
+    preconditioner's kappa equal min |theta| and max / min |theta| of
+    `eigvalsh` on the whitened matrix W the helper got, to 1e-13."""
+    ops = ops_bdm[4] if kind == "structured" else FormOperators(
+        perturbed_mesh[4])
+    seen = _recording(monkeypatch)
+    for lam in LAM_GRID:
+        for rp in RP_GRID:
+            for ap in AP_GRID:
+                pr = ReducedParams(lam, rp, ap)
+                bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
+                for blocks in (nb, ops.natural_norm_blocks(pr)):
+                    beta0 = infsup_constant(bs, blocks).beta0
+                    theta = np.abs(np.linalg.eigvalsh(seen.pop()))
+                    assert beta0 == pytest.approx(theta.min(), rel=1e-13), \
+                        (pr, blocks.kind)
+                kappa = estimate_condition(bs, build_preconditioner(nb, bs))
+                theta = np.abs(np.linalg.eigvalsh(seen.pop()))
+                assert kappa == pytest.approx(theta.max() / theta.min(),
+                                              rel=1e-13), pr
+    assert seen == []

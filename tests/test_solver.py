@@ -670,19 +670,18 @@ def _recorded_lwork(monkeypatch, driver: str):
 
 def test_dense_pencil_gives_the_blocked_reduction_its_workspace(
         ops_bdm, monkeypatch):
-    """dsyevd (the whitened inf-sup pencil) hands all but 2m + 1 of its
-    workspace to the tridiagonal reduction dsytrd, and dsygvd (the Korn
-    pencil) all but 2n; dsytrd runs blocked only with what dsytrd_lwork
-    asks for."""
+    """The tridiagonal reduction dsytrd of the whitened inf-sup pencil
+    gets the workspace dsytrd_lwork asks for, and dsygvd (the Korn pencil)
+    hands it all but 2n of its own; dsytrd runs blocked only with that."""
     from biotfem.analysis import korn_equivalence_bounds
     from scipy.linalg import lapack
 
-    seen = _recorded_lwork(monkeypatch, "dsyevd")
+    seen = _recorded_lwork(monkeypatch, "dsytrd")
     pr = ReducedParams(1.0, 1.0, 0.0)
     infsup_constant(ops_bdm[4].block_system(pr), ops_bdm[4].norm_blocks(pr))
     [(m, lwork)] = seen
     assert m == sum(ops_bdm[4].block_system(pr).block_sizes) - 1
-    assert lwork >= 2 * m + 1 + lapack.dsytrd_lwork(m, lower=1)[0]
+    assert lwork >= lapack.dsytrd_lwork(m, lower=1)[0]
 
     seen = _recorded_lwork(monkeypatch, "dsygvd")
     korn_equivalence_bounds(ops_bdm[4])
