@@ -20,8 +20,9 @@ from .assembly import (AffineLoad, BlockSystem, DGConfig, FormOperators,
 from .elements import edge_rule, project_qh, triangle_rule
 from .meshing import BOUNDARY, TriMesh, structured_mesh
 from .params import ReducedParams
-from .solver import (_dense_pencil, _mean_zero_pencil, build_preconditioner,
-                     minres_solve, solve_direct)
+from .solver import (_block_factor, _dense_pencil, _mean_zero_pencil,
+                     _whiten_lower, build_preconditioner, minres_solve,
+                     solve_direct)
 
 
 @dataclass
@@ -105,7 +106,7 @@ def infsup_constant(system: BlockSystem, norms: NormBlocks) -> InfSupResult:
     returns min |theta|; by symmetry this equals the two-sided inf-sup
     constant of the block form in the given norms.
     """
-    theta = _mean_zero_pencil(system, norms.monolithic(),
+    theta = _mean_zero_pencil(system, (norms.N_U, norms.N_V, norms.N_P),
                               f"{norms.kind} norm matrix")
     return InfSupResult(
         beta0=float(np.abs(theta).min()),
@@ -390,12 +391,19 @@ def convergence_study(params: ReducedParams, n_list,
     return table
 
 
+def _displacement_pencil(A, N, label: str) -> np.ndarray:
+    """The extreme eigenvalues of the sparse displacement pencil
+    A x = theta N x, N SPD, through the whitened L^-1 A L^-T."""
+    L = _block_factor(N.toarray(), label, "displacement")
+    return _dense_pencil(_whiten_lower(L, A.toarray()), extremes=True)
+
+
 def korn_equivalence_bounds(ops: FormOperators):
     """Extreme generalized eigenvalues of the strain+jumps Gram against the
     gradient+jumps Gram, which is also the DG norm's for these affine
     families."""
-    th = _dense_pencil(ops.h_norm_gram().toarray(),
-                       ops.grad_norm_gram().toarray())
+    th = _displacement_pencil(ops.h_norm_gram(), ops.grad_norm_gram(),
+                              "gradient+jumps Gram")
     return {"h_vs_1h": (float(th.min()), float(th.max()))}
 
 
@@ -403,11 +411,10 @@ def ah_constants(ops: FormOperators):
     """Measured continuity (vs the DG norm, the gradient+jumps norm) and
     coercivity (vs the strain-jump norm) constants of the interior-penalty
     form."""
-    # one dense a_h per pencil: the solve may overwrite its operands
-    cont = np.abs(_dense_pencil(ops.ah_matrix().toarray(),
-                                ops.grad_norm_gram().toarray())).max()
-    coer = _dense_pencil(ops.ah_matrix().toarray(),
-                         ops.h_norm_gram().toarray()).min()
+    cont = np.abs(_displacement_pencil(ops.ah_matrix(), ops.grad_norm_gram(),
+                                       "gradient+jumps Gram")).max()
+    coer = _displacement_pencil(ops.ah_matrix(), ops.h_norm_gram(),
+                                "strain+jumps Gram").min()
     return float(cont), float(coer)
 
 

@@ -154,6 +154,14 @@ def _canonical(mat) -> sps.csr_matrix:
     return mat
 
 
+def _same_matrix(a: sps.csr_matrix, b: sps.csr_matrix) -> bool:
+    """Whether the CSR matrices a and b store bitwise the same arrays."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
 def _index_type(maxval: int):
     """int32 when it holds `maxval`, as scipy would keep, else int64."""
     return np.int32 if maxval < np.iinfo(np.int32).max else np.int64
@@ -673,9 +681,9 @@ class FormOperators:
         return self._upattern.free(self._grad_jumps
                                    + params.lam * self._DD_u)
 
-    def displacement_gap(self, params: ReducedParams, A_uu: np.ndarray,
-                         N_U: np.ndarray):
-        """(D, R) on the free dofs, D dense and R sparse, when the dense
+    def displacement_gap(self, params: ReducedParams, A_uu: sps.csr_matrix,
+                         N_U: sps.csr_matrix):
+        """(D, R) on the free dofs, D dense and R sparse, when the CSR
         A_uu and N_U are bitwise the displacement block of
         `block_system(params)` and its norm block (paper or natural); else
         None.
@@ -685,8 +693,8 @@ class FormOperators:
         of both.  R = GRAD + PEN + lam DD_u - N_U is the rounding error of
         N_U itself, from error-free transformations of its float64 sums
         and product: at large lam it holds what N_U lost of GRAD + PEN."""
-        if not (np.array_equal(A_uu, self._A_uu(params).toarray())
-                and np.array_equal(N_U, self._N_U(params).toarray())):
+        if not (_same_matrix(A_uu, self._A_uu(params))
+                and _same_matrix(N_U, self._N_U(params))):
             return None
         grad_jumps, e_sum = _two_sum(self._GRAD, self._PEN)
         divdiv, e_product = _two_product(params.lam, self._DD_u)

@@ -19,7 +19,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, blas, cholesky, lapack, solve_triangular
 
-from .assembly import BlockSystem, NormBlocks, block_diagonal, block_matrix
+from .assembly import BlockSystem, NormBlocks, _same_matrix, block_matrix
 
 
 class FactorizationFailure(RuntimeError):
@@ -102,19 +102,6 @@ def _factor(mat, name: str, spd: bool):
     return lu
 
 
-def _fill(lu) -> int:
-    """Stored entries of the L and U factors.  Each is copied out of the
-    factor to be counted, so the direct solver reads it only on demand."""
-    return int(lu.L.nnz) + int(lu.U.nnz)
-
-
-def _same_matrix(a: sps.csr_matrix, b: sps.csr_matrix) -> bool:
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
-
-
 # Last SPD factor per block name, for the systems of one FormOperators,
 # and the last whitened displacement block of their inf-sup pencils
 # (`_whitened_displacement`): they share its displacement FESpace, so each
@@ -128,10 +115,10 @@ class BlockPreconditioner:
     The displacement block is the assembled elasticity operator
     (a_h + lambda div-div); flux and pressure blocks are the norm matrices,
     and the pressure block, a positive diagonal, is inverted entrywise.
-    `memo` maps a block name to the last (matrix, factor, fill) factored
-    under it; a block bitwise equal to its entry reuses the factor, any
-    other replaces the entry.  `lu_fill` holds the fill of every factored
-    block.
+    `memo` maps a block name to the last (matrix, factor) factored under
+    it; a block bitwise equal to its entry reuses the factor, any other
+    replaces the entry.  `lu_fill` holds the fill of every factored block,
+    SuperLU's count of the entries its L and U factors store.
     """
 
     def __init__(self, A_uu, N_V, N_P, memo: dict | None = None):
@@ -141,25 +128,18 @@ class BlockPreconditioner:
         memo = {} if memo is None else memo
         self.inv_U = self._inverse(self.blocks[0], "displacement", memo)
         self.inv_V = self._inverse(self.blocks[1], "flux", memo)
-        P = self.blocks[2]
-        diag = P.diagonal()
-        rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
-        if np.any(P.data[rows != P.indices] != 0) or np.any(diag <= 0):
-            raise SingularNormMatrix(
-                "pressure block is not the positive diagonal of a cellwise-"
-                "constant mass: it was assembled inconsistently")
-        inv = 1.0 / diag
+        inv = 1.0 / _pressure_diagonal(self.blocks[2],
+                                       "preconditioner matrix")
         self.inv_P = lambda x: inv * x
 
     def _inverse(self, mat: sps.csr_matrix, name: str, memo: dict):
         last = memo.get(name)
         if last is not None and _same_matrix(last[0], mat):
-            _, lu, fill = last
+            lu = last[1]
         else:
             lu = _factor(mat, name, spd=True)
-            fill = _fill(lu)
-            memo[name] = (mat.copy(), lu, fill)
-        self.lu_fill[name] = fill
+            memo[name] = (mat.copy(), lu)
+        self.lu_fill[name] = lu.nnz
 
         def solve(x):
             y = lu.solve(x)
@@ -169,10 +149,6 @@ class BlockPreconditioner:
             return y
 
         return solve
-
-    def matrix(self) -> sps.csr_matrix:
-        """The SPD matrix whose inverse this preconditioner applies."""
-        return block_diagonal(self.blocks)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         nu, nv, npp = self.sizes
@@ -375,8 +351,8 @@ class DirectSolver:
 
     @property
     def lu_fill(self) -> int:
-        """Stored entries of the L and U factors."""
-        return _fill(self.lu)
+        """Stored entries of the L and U factors, as SuperLU counts them."""
+        return self.lu.nnz
 
     def solve(self, rhs: np.ndarray):
         """Returns (x, multiplier) for the stacked free-dof load rhs; for a
@@ -481,67 +457,76 @@ def estimate_condition(system: BlockSystem, precond: BlockPreconditioner,
     if ndof > max_dofs:
         raise ValueError(f"dense condition estimate limited to {max_dofs} "
                          f"dofs, got {ndof}")
-    theta = np.abs(_mean_zero_pencil(system, precond.matrix(),
+    theta = np.abs(_mean_zero_pencil(system, precond.blocks,
                                      "preconditioner matrix", extremes=True))
     return float(theta.max() / theta.min())
 
 
-def _mean_zero_pencil(system: BlockSystem, N, label: str,
+def _mean_zero_pencil(system: BlockSystem, norms, label: str,
                       extremes: bool = False) -> np.ndarray:
     """Eigenvalues theta of A x = theta N x on the mean-zero pressure
-    subspace, A the monolithic operator and N block diagonal: those
-    either side of zero, which hold min |theta|, and with `extremes` the
-    smallest and largest, which hold max |theta|.
+    subspace, A the operator of `system` and N = diag(N_U, N_V, N_P) of
+    the sparse `norms` blocks: those either side of zero, which hold
+    min |theta|, and with `extremes` the smallest and largest, which hold
+    max |theta|.
 
-    The reduced pencil is whitened blockwise: with L = diag(L_U, L_V, L_P)
-    the Cholesky factors of N's diagonal blocks (the pressure block
-    reduced), W = L^-1 A L^-T has the eigenvalues theta and a zero (u, v)
-    block, and `_dense_pencil` solves it.  Its displacement block comes
-    from `_whitened_displacement`.  N is read from its lower triangle:
-    an entry there that couples two blocks raises EigFailure, and a block
-    whose Cholesky factorization fails raises SingularNormMatrix naming
-    it.
+    Neither A nor N is formed whole; the pencil is whitened block by
+    block.  L_U and L_V are the Cholesky factors of N_U and N_V.  The
+    pressures are p = S H q, S = diag(N_P)^-1/2 and H the reflector whose
+    last column is along S areas (`_pressure_reflector`); the mean-zero
+    pressures are the q with last entry zero, on which the pressure norm
+    is the identity.  W = L^-1 Z^T A Z L^-T, with L = diag(L_U, L_V, I)
+    and Z = diag(I, I, S H[:, :-1]), has the eigenvalues theta and a zero
+    (u, v) block, and `_dense_pencil` solves it.  Its displacement block
+    comes from `_whitened_displacement`.  A norm block that is not SPD,
+    or an N_P that is not a positive diagonal, raises SingularNormMatrix
+    naming it.
     """
-    nu, nv, _ = system.block_sizes
-    A = system.monolithic()
-    # the displacement rows of the sparse pair identify its whitened block
-    key = [*_leading_rows(A.tocsr(), nu), *_leading_rows(N.tocsr(), nu)]
-    A, N = reduce_pressure_pencil(system, A, N)
-    u, v, p = slice(0, nu), slice(nu, nu + nv), slice(nu + nv, None)
-    blocks = {"displacement": u, "flux": v, "pressure": p}
-    for low, high in (("flux", "displacement"), ("pressure", "displacement"),
-                      ("pressure", "flux")):
-        if np.any(N[blocks[low], blocks[high]]):
-            raise EigFailure(f"{label} couples its {high} block with its "
-                             f"{low} block: the inf-sup pencil needs a "
-                             "block-diagonal norm matrix")
-    L_U, W_uu = _whitened_displacement(system, key, A[u, u], N[u, u], label)
-    L_V = _block_factor(N[v, v], label, "flux")
-    L_P = _block_factor(N[p, p], label, "pressure")
-    W = np.zeros_like(A, order="F")
+    N_U, N_V, N_P = norms
+    nu, nv, npp = system.block_sizes
+    scale = 1.0 / np.sqrt(_pressure_diagonal(N_P, label))
+    v = _pressure_reflector(scale * system.mesh.signed_areas())
+
+    def reduced(M):
+        """(S H M)[:-1], the rows of Z^T M for pressure rows M."""
+        M = scale[:, None] * M
+        M -= 2.0 * np.outer(v, v @ M)
+        return M[:-1]
+
+    L_U, W_uu = _whitened_displacement(system, N_U.tocsr(), label)
+    L_V = _block_factor(N_V.toarray(), label, "flux")
+    W = np.zeros((nu + nv + npp - 1,) * 2, order="F")
+    u, f, p = slice(0, nu), slice(nu, nu + nv), slice(nu + nv, None)
     W[u, u] = W_uu
-    W[v, v] = _whiten(L_V, A[v, v], L_V)
-    W[p, u] = _whiten(L_P, A[p, u], L_U)
-    W[p, v] = _whiten(L_P, A[p, v], L_V)
-    W[p, p] = _whiten(L_P, A[p, p], L_P)
+    W[f, f] = _whiten_lower(L_V, system.A_vv.toarray())
+    W[p, u] = _whiten(None, reduced(system.B_up.T.toarray()), L_U)
+    W[p, f] = _whiten(None, reduced(system.B_vp.T.toarray()), L_V)
+    W[p, p] = reduced(reduced(system.C_pp.toarray()).T)
     try:
         return _dense_pencil(W, extremes=extremes)
     except LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
 
 
-def _leading_rows(M: sps.csr_matrix, n: int):
-    """indptr, indices and data of the first n rows of M."""
-    end = M.indptr[n]
-    return M.indptr[:n + 1], M.indices[:end], M.data[:end]
+def _pressure_diagonal(N_P, label: str) -> np.ndarray:
+    """The diagonal of the pressure norm block, which must hold all of it
+    and be positive, as the cellwise-constant mass gamma M_p does."""
+    N_P = N_P.tocsr()
+    diag = N_P.diagonal()
+    rows = np.repeat(np.arange(N_P.shape[0]), np.diff(N_P.indptr))
+    if np.any(N_P.data[rows != N_P.indices] != 0) or not np.all(diag > 0):
+        raise SingularNormMatrix(
+            f"{label}: pressure block is not the positive diagonal of a "
+            "cellwise-constant mass: it was assembled inconsistently")
+    return diag
 
 
-def _whitened_displacement(system: BlockSystem, key, A_uu: np.ndarray,
-                           N_U: np.ndarray, label: str):
+def _whitened_displacement(system: BlockSystem, N_U: sps.csr_matrix,
+                           label: str):
     """(L_U, W_uu): the Cholesky factor of N_U and the whitened
     displacement block I + L_U^-1 D L_U^-T, D = A_uu - N_U.
 
-    D is 0 when A_uu is N_U, as in a preconditioner's matrix.  For a
+    D is 0 when A_uu is N_U, as in a preconditioner's blocks.  For a
     system and norm blocks of one `FormOperators` at one lambda
     (`displacement_gap`) D is the lambda-free a_h - (GRAD + PEN) of their
     Grams, where forming A_uu and N_U in floating point rounds that part
@@ -551,22 +536,22 @@ def _whitened_displacement(system: BlockSystem, key, A_uu: np.ndarray,
     E = L_U^-1 R L_U^-T, W_uu = I + G - (E G + G E)/2.  E lives on the
     nearly divergence-free fields, which the pressure block does not see,
     so the coupling block needs no correction.  Any other pair takes the
-    floating-point difference.  The pair is kept for the last `key`
-    (arrays that hold A_uu and N_U, matched bitwise) per displacement
-    space, so a lambda-major sweep factors N_U once per lambda.
+    floating-point difference.  The pair is kept for the last CSR A_uu
+    and N_U, matched bitwise, per displacement space, so a lambda-major
+    sweep factors N_U once per lambda.
     """
+    A_uu = system.A_uu.tocsr()
     memo = _FACTORS.setdefault(system.uspace, {})
     last = memo.get("whitened displacement")
-    if last is not None and all(np.array_equal(a, b) for a, b
-                                in zip(last[0], key, strict=True)):
+    if last is not None and all(map(_same_matrix, last[0], (A_uu, N_U))):
         return last[1], last[2]
-    L = _block_factor(N_U, label, "displacement")
+    L = _block_factor(N_U.toarray(), label, "displacement")
     W = np.eye(L.shape[0])
-    if not np.array_equal(A_uu, N_U):
+    if not _same_matrix(A_uu, N_U):
         split = (system.ops.displacement_gap(system.params, A_uu, N_U)
                  if system.ops is not None else None)
         if split is None:
-            W += _whiten(L, A_uu - N_U, L)
+            W += _whiten(L, (A_uu - N_U).toarray(), L)
         else:
             D, R = split
             G = _whiten(L, D, L)
@@ -574,7 +559,7 @@ def _whitened_displacement(system: BlockSystem, key, A_uu: np.ndarray,
             EG = blas.dtrsm(1.0, L, R @ blas.dtrsm(1.0, L, G, lower=1,
                                                    trans_a=1), lower=1)
             W += G - 0.5 * (EG + EG.T)
-    memo["whitened displacement"] = ([a.copy() for a in key], L, W)
+    memo["whitened displacement"] = ((A_uu.copy(), N_U.copy()), L, W)
     return L, W
 
 
@@ -587,47 +572,45 @@ def _block_factor(block: np.ndarray, label: str, name: str) -> np.ndarray:
             f"{label}: {name} block is not SPD: {exc}") from exc
 
 
-def _whiten(L: np.ndarray, M: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """L^-1 M R^-T for lower triangular L and R (BLAS dtrsm from the left,
-    then from the right)."""
-    return blas.dtrsm(1.0, R, blas.dtrsm(1.0, L, M, lower=1), side=1,
-                      lower=1, trans_a=1, overwrite_b=1)
+def _whiten(L: np.ndarray | None, M: np.ndarray,
+            R: np.ndarray) -> np.ndarray:
+    """L^-1 M R^-T for lower triangular L and R, or M R^-T without L (BLAS
+    dtrsm from the left, then from the right)."""
+    if L is not None:
+        M = blas.dtrsm(1.0, L, M, lower=1)
+    return blas.dtrsm(1.0, R, M, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
-def _dense_pencil(A: np.ndarray, N: np.ndarray | None = None,
-                  extremes: bool = False) -> np.ndarray:
-    """Given N, all eigenvalues of the symmetric-definite pencil
-    A x = theta N x, ascending (LAPACK's dsygvd).  Without N, only the
-    eigenvalues of the dense symmetric matrix A that |theta| reads: the
-    two either side of zero and, with `extremes`, the smallest and the
-    largest.  A and N are read from their lower triangles and may be
-    overwritten.
+def _whiten_lower(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The lower triangle of L^-1 M L^-T for symmetric M read from its
+    lower triangle, in half the flops of `_whiten` (LAPACK dsygst); the
+    upper triangle is left as it was."""
+    return lapack.dsygst(M, L, lower=1)[0]
 
-    Without N, the blocked reduction dsytrd takes A to a tridiagonal T,
-    a Sturm count (`_negative_pivots`) finds where zero falls in T's
-    spectrum, and bisection (dstebz) computes the wanted eigenvalues
-    alone, with the tightest tolerance it takes (2 * tiny).  dsygvd
-    keeps 2n of its workspace and hands the rest to dsytrd, which, like a
-    call of its own, falls back to the unblocked BLAS-2 dsytd2 unless it
-    gets the n * blocksize that dsytrd_lwork reports.  Raises ValueError
-    on a non-finite entry and LinAlgError when N is not positive definite
-    or a LAPACK call fails.
+
+def _dense_pencil(A: np.ndarray, extremes: bool = False) -> np.ndarray:
+    """The eigenvalues of the dense symmetric matrix A that |theta|
+    reads: the two either side of zero and, with `extremes`, the smallest
+    and the largest.  A is read from its lower triangle and may be
+    overwritten; a generalized pencil is whitened (`_whiten`,
+    `_whiten_lower`) first.
+
+    The blocked reduction dsytrd takes A to a tridiagonal T, a Sturm
+    count (`_negative_pivots`) finds where zero falls in T's spectrum,
+    and bisection (dstebz) computes the wanted eigenvalues alone, with
+    the tightest tolerance it takes (2 * tiny).  Where bisection loses
+    the eigenvalues of a tight cluster (dstebz's info 2, as at the top of
+    the Korn pencil's spectrum, a cluster at 1), dsterf computes all of
+    T's eigenvalues instead.  dsytrd falls back to the unblocked BLAS-2
+    dsytd2 unless it gets the n * blocksize that dsytrd_lwork reports.
+    Raises ValueError on a non-finite entry and LinAlgError when a LAPACK
+    call fails.
     """
     A = np.asarray_chkfinite(A)
     n = A.shape[0]
-    reduction = int(lapack.dsytrd_lwork(n, lower=1)[0])
-    if N is not None:
-        theta, _, info = lapack.dsygvd(A, np.asarray_chkfinite(N), jobz="N",
-                                       uplo="L", lwork=2 * n + reduction,
-                                       overwrite_a=1, overwrite_b=1)
-        if info > n:
-            raise LinAlgError(f"the leading minor of order {info - n} of N "
-                              "is not positive definite")
-        if info != 0:
-            raise LinAlgError(f"LAPACK eigen driver failed with info {info}")
-        return theta
-    _, d, e, _, info = lapack.dsytrd(A, lower=1, lwork=reduction,
-                                     overwrite_a=1)
+    _, d, e, _, info = lapack.dsytrd(
+        A, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]),
+        overwrite_a=1)
     if info != 0:
         raise LinAlgError(f"LAPACK dsytrd failed with info {info}")
     j = _negative_pivots(d, e)
@@ -637,11 +620,18 @@ def _dense_pencil(A: np.ndarray, N: np.ndarray | None = None,
     e = e if n > 1 else np.zeros(1)
     theta = []
     for low, high in wanted:
+        low, high = max(low, 0), min(high, n - 1)
         count, w, _, _, info = lapack.dstebz(
-            d, e, 2, 0.0, 0.0, max(low, 0) + 1, min(high, n - 1) + 1,
-            2 * np.finfo(float).tiny, "E")
+            d, e, 2, 0.0, 0.0, low + 1, high + 1, 2 * np.finfo(float).tiny,
+            "E")
+        if info == 2:
+            # bisection lost eigenvalues of a cluster at the range's
+            # edge; LAPACK's cure is to compute them all and pick
+            w, info = lapack.dsterf(d, e[:n - 1])
+            w, count = w[low:], high + 1 - low
         if info != 0:
-            raise LinAlgError(f"LAPACK dstebz failed with info {info}")
+            raise LinAlgError(f"LAPACK tridiagonal eigensolver failed with "
+                              f"info {info}")
         theta.append(w[:count])
     return np.concatenate(theta)
 
@@ -670,38 +660,12 @@ def _negative_pivots(d: np.ndarray, e: np.ndarray) -> int:
     return count
 
 
-def _pressure_reflector(areas: np.ndarray) -> np.ndarray:
+def _pressure_reflector(w: np.ndarray) -> np.ndarray:
     """Unit v such that the last column of H = I - 2 v v^T is a multiple
-    of areas; its other columns then span the mean-zero pressures."""
-    v = np.array(areas, dtype=float)
+    of w; its other columns then span the vectors orthogonal to w (the
+    mean-zero pressures, for w the cell areas)."""
+    v = np.array(w, dtype=float)
     v /= np.linalg.norm(v)
     # the sign keeps this sum free of cancellation
     v[-1] += np.copysign(1.0, v[-1])
     return v / np.linalg.norm(v)
-
-
-def pressure_reduction_basis(areas: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the mean-zero pressure subspace: the first
-    npp - 1 columns of the reflector of `_pressure_reflector`."""
-    v = _pressure_reflector(areas)
-    return (np.eye(v.size) - 2.0 * np.outer(v, v))[:, :-1]
-
-
-def reduce_pressure_pencil(system: BlockSystem, A, N):
-    """Congruently restrict monolithic (A, N) to mean-zero pressures.
-
-    Returns dense (Z^T A Z, Z^T N Z) with Z = diag(I, H[:, :-1]): the
-    reflector H is applied to the pressure rows and columns as rank-1
-    updates, and the last row and column, along the area vector, dropped.
-    """
-    p0 = sum(system.block_sizes[:2])
-    v = _pressure_reflector(system.mesh.signed_areas())
-    out = []
-    for M in (A, N):
-        M = M.toarray()
-        cols = M[:, p0:]
-        cols -= 2.0 * np.outer(cols @ v, v)
-        rows = M[p0:]
-        rows -= 2.0 * np.outer(v, v @ rows)
-        out.append(M[:-1, :-1])
-    return tuple(out)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 # One BLAS thread, as CI and the benchmark run, unless the caller chose:
@@ -82,6 +83,15 @@ def pulled_back_values(space, cells, phys_pts):
         gen = (np.einsum("...ab,...gqb->...gqa", J, gen)
                / space.detJ[cells][..., None, None, None])
     return np.einsum("...gi,...gqa->...iqa", space.coeff[cells], gen)
+
+
+def norm_system(system, blocks):
+    """`system` with its operator replaced by the block-diagonal norm
+    `blocks` (N_U, N_V, N_P) and its couplings zeroed: every theta of its
+    pencil against those blocks is 1."""
+    return dataclasses.replace(system, A_uu=blocks[0], A_vv=blocks[1],
+                               C_pp=blocks[2], B_up=0.0 * system.B_up,
+                               B_vp=0.0 * system.B_vp)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""The standard path of `solver._dense_pencil` computes only the
+"""`solver._dense_pencil` computes only the
 eigenvalues |theta| reads: a Sturm count on the tridiagonal that dsytrd
 makes of W says where zero falls in its spectrum, and bisection (dstebz)
 computes the two eigenvalues either side of it, plus the extremes for the
@@ -15,7 +15,7 @@ from biotfem.assembly import FormOperators
 from biotfem.params import ReducedParams
 from biotfem.solver import (_dense_pencil, _negative_pivots,
                             build_preconditioner, estimate_condition)
-from conftest import AP_GRID, LAM_GRID, RP_GRID
+from conftest import AP_GRID, LAM_GRID, RP_GRID, norm_system
 
 
 def _spd(m, seed=5):
@@ -40,14 +40,13 @@ def _tridiagonal(A):
 
 
 def _recording(monkeypatch):
-    """Copies of every matrix the standard path of `_dense_pencil` gets."""
+    """Copies of every matrix `_dense_pencil` gets."""
     seen = []
     real = solver._dense_pencil
 
-    def recorded(A, N=None, extremes=False):
-        if N is None:
-            seen.append(np.array(A))
-        return real(A, N, extremes)
+    def recorded(A, extremes=False):
+        seen.append(np.array(A))
+        return real(A, extremes)
 
     monkeypatch.setattr(solver, "_dense_pencil", recorded)
     return seen
@@ -77,28 +76,14 @@ def test_sturm_count_is_the_number_of_negative_eigenvalues(name):
         np.linalg.eigvalsh(A) < 0)
 
 
-class _NormSystem:
-    """The system of `pr` on `ops` with its operator replaced by the
-    matrix N, as in the identity-pencil tests: every theta is 1."""
-
-    def __init__(self, ops, pr, N):
-        base = ops.block_system(pr)
-        self.block_sizes, self.mesh = base.block_sizes, base.mesh
-        self.uspace, self.params = base.uspace, pr
-        self.families, self._N = base.families, N
-
-    def monolithic(self):
-        return self._N
-
-
 def test_sturm_count_on_the_identity_pencils(ops_bdm, monkeypatch):
     ops, pr = ops_bdm[2], ReducedParams(1.0, 1.0, 0.0)
-    nb = ops.norm_blocks(pr)
-    pc = build_preconditioner(nb, ops.block_system(pr))
+    bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
+    pc = build_preconditioner(nb, bs)
     seen = _recording(monkeypatch)
-    assert infsup_constant(_NormSystem(ops, pr, nb.monolithic()),
+    assert infsup_constant(norm_system(bs, (nb.N_U, nb.N_V, nb.N_P)),
                            nb).beta0 == pytest.approx(1.0, abs=1e-10)
-    assert estimate_condition(_NormSystem(ops, pr, pc.matrix()),
+    assert estimate_condition(norm_system(bs, pc.blocks),
                               pc) == pytest.approx(1.0, abs=1e-10)
     assert len(seen) == 2
     for W in seen:
@@ -129,6 +114,23 @@ def test_dense_pencil_selects_the_eigenvalues_either_side_of_zero(
     want = full[sorted(k for k in picks if 0 <= k < len(full))]
     got = np.unique(_dense_pencil(A.copy(order="F"), extremes=extremes))
     assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def test_dense_pencil_finds_the_top_of_a_tight_cluster():
+    """Half the spectrum at 1, which rounding spreads over a few ulps, as
+    at the top of the Korn pencil: bisection for the largest eigenvalue
+    alone loses it (dstebz's info 2), and the helper computes the whole
+    spectrum of the tridiagonal instead."""
+    m = 40
+    theta = np.r_[np.linspace(0.3, 0.9, m // 2), np.ones(m // 2)]
+    A = _with_spectrum(theta, seed=2)
+    d, e = _tridiagonal(A)
+    *_, info = lapack.dstebz(d, e, 2, 0.0, 0.0, m, m,
+                             2 * np.finfo(float).tiny, "E")
+    assert info == 2
+    got = _dense_pencil(A.copy(order="F"), extremes=True)
+    assert got.max() == pytest.approx(1.0, abs=1e-14)
+    assert got.min() == pytest.approx(0.3, abs=1e-14)
 
 
 def test_dense_pencil_names_a_non_finite_entry():

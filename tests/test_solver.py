@@ -10,16 +10,15 @@ import scipy.sparse as sps
 from biotfem import solver
 from biotfem.analysis import (error_norms, infsup_constant, manufactured_case,
                               minres_sweep, solve_manufactured)
-from biotfem.assembly import FormOperators, NormBlocks
+from biotfem.assembly import FormOperators, NormBlocks, block_diagonal
 from biotfem.meshing import structured_mesh
 from biotfem.params import ReducedParams
-from biotfem.solver import (BlockPreconditioner, DirectSolver, EigFailure,
+from biotfem.solver import (BlockPreconditioner, DirectSolver,
                             FactorizationFailure, SingularNormMatrix,
-                            build_preconditioner, estimate_condition,
-                            minres_solve, pressure_reduction_basis,
-                            reduce_pressure_pencil, solve_direct)
+                            _pressure_reflector, build_preconditioner,
+                            estimate_condition, minres_solve, solve_direct)
 
-from conftest import AP_GRID, LAM_GRID, RP_GRID
+from conftest import AP_GRID, LAM_GRID, RP_GRID, norm_system
 
 
 def _system(ops, lam, rp, ap, with_rhs=True):
@@ -34,14 +33,14 @@ def test_preconditioner_inverse_pair(ops_bdm, rng):
     bs, pr = _system(ops_bdm[2], 1.0, 1.0, 0.0, with_rhs=False)
     pc = build_preconditioner(ops_bdm[2].norm_blocks(pr), bs)
     r = rng.standard_normal(sum(pc.sizes))
-    back = pc.matrix() @ pc.apply(r)
+    back = block_diagonal(pc.blocks) @ pc.apply(r)
     assert np.abs(back - r).max() <= 1e-12 * np.abs(r).max()
 
 
 def test_preconditioner_matches_dense_inverse_columns(ops_bdm):
     bs, pr = _system(ops_bdm[2], 1.0, 1.0, 0.0, with_rhs=False)
     pc = build_preconditioner(ops_bdm[2].norm_blocks(pr), bs)
-    dense = np.linalg.inv(pc.matrix().toarray())
+    dense = np.linalg.inv(block_diagonal(pc.blocks).toarray())
     n = sum(pc.sizes)
     for j in (0, 7, n - 3):
         e = np.zeros(n)
@@ -65,7 +64,8 @@ def test_pressure_block_factored_only_off_the_positive_diagonal(ops_bdm,
     """The paper's N_P is a positive diagonal and is inverted entrywise,
     also when it stores an explicit zero off the diagonal; a positive N_P
     with one off-diagonal entry, or a zero mass, is refused, not
-    factored."""
+    factored, by the preconditioner and by the inf-sup pencil alike,
+    which share the check."""
     bs, pr = _system(ops_bdm[2], 1.0, 1.0, 1.0, with_rhs=False)
     nb = ops_bdm[2].norm_blocks(pr)
     nu, nv, npp = bs.block_sizes
@@ -78,12 +78,17 @@ def test_pressure_block_factored_only_off_the_positive_diagonal(ops_bdm,
         z = BlockPreconditioner(bs.A_uu, nb.N_V, N_P).apply(r)[nu + nv:]
         assert np.abs(N_P @ z - r[nu + nv:]).max() \
             <= 1e-14 * np.abs(r).max()
+    assert infsup_constant(bs, NormBlocks(nb.N_U, nb.N_V, stored_zero)) \
+        .beta0 == infsup_constant(bs, nb).beta0
     coupled = nb.N_P + 0.25 * nb.N_P[0, 0] * pair
     zero_mass = nb.N_P.copy()
     zero_mass.data[0] = 0.0
     for N_P in (coupled, zero_mass):
         with pytest.raises(SingularNormMatrix, match="pressure block"):
             BlockPreconditioner(bs.A_uu, nb.N_V, N_P)
+        with pytest.raises(SingularNormMatrix,
+                           match="^paper norm matrix: pressure block"):
+            infsup_constant(bs, NormBlocks(nb.N_U, nb.N_V, N_P))
 
 
 @pytest.mark.parametrize("lam,rp,ap", [(1, 1, 0), (1e8, 1e-8, 1)])
@@ -165,7 +170,7 @@ def test_factor_memo_dies_with_form_operators():
     bs, pr = _system(ops, 1.0, 1.0, 0.0, with_rhs=False)
     pc = build_preconditioner(ops.norm_blocks(pr), bs)
     assert set(solver._FACTORS[ops.uspace]) == {"displacement", "flux"}
-    assert pc.lu_fill == {name: entry[2] for name, entry in
+    assert pc.lu_fill == {name: lu.nnz for name, (_, lu) in
                           solver._FACTORS[ops.uspace].items()}
     space = weakref.ref(ops.uspace)
     entries = len(solver._FACTORS)
@@ -513,17 +518,7 @@ def test_condition_identity_pencil(ops_bdm):
     bs, pr = _system(ops_bdm[2], 1.0, 1.0, 0.0, with_rhs=False)
     pc = build_preconditioner(ops_bdm[2].norm_blocks(pr), bs)
 
-    class _SpdSystem:
-        def __init__(self, base, N):
-            self._N = N
-            self.block_sizes = base.block_sizes
-            self.mesh = base.mesh
-            self.uspace = base.uspace
-
-        def monolithic(self):
-            return self._N
-
-    kappa = estimate_condition(_SpdSystem(bs, pc.matrix()), pc)
+    kappa = estimate_condition(norm_system(bs, pc.blocks), pc)
     assert kappa == pytest.approx(1.0, abs=1e-10)
 
 
@@ -560,9 +555,16 @@ def test_condition_rejects_large_problems(ops_bdm):
         estimate_condition(bs, pc, max_dofs=10)
 
 
+def _reduction_basis(areas):
+    """The first npp - 1 columns of the reflector of `_pressure_reflector`
+    along the area vector."""
+    v = _pressure_reflector(areas)
+    return (np.eye(v.size) - 2.0 * np.outer(v, v))[:, :-1]
+
+
 def test_pressure_reduction_basis(ops_bdm):
     areas = ops_bdm[2].areas
-    Z = pressure_reduction_basis(areas)
+    Z = _reduction_basis(areas)
     assert Z.shape == (len(areas), len(areas) - 1)
     assert np.abs(areas @ Z).max() <= 1e-12
     assert np.abs(Z.T @ Z - np.eye(len(areas) - 1)).max() <= 1e-12
@@ -599,7 +601,7 @@ def test_pencil_reduction_matches_null_space_oracle_on_perturbed_mesh(
     want = np.abs(_null_space_pencil(bs, nb.monolithic())).min()
     assert infsup_constant(bs, nb).beta0 == pytest.approx(want, rel=rel)
     pc = build_preconditioner(nb, bs)
-    theta = np.abs(_null_space_pencil(bs, pc.matrix()))
+    theta = np.abs(_null_space_pencil(bs, block_diagonal(pc.blocks)))
     assert estimate_condition(bs, pc) == pytest.approx(
         theta.max() / theta.min(), rel=rel)
 
@@ -607,18 +609,10 @@ def test_pencil_reduction_matches_null_space_oracle_on_perturbed_mesh(
 def test_pressure_reduction_basis_on_perturbed_mesh(perturbed_mesh):
     areas = perturbed_mesh[4].signed_areas()
     assert np.ptp(areas) > 0.1 * areas.mean()
-    Z = pressure_reduction_basis(areas)
+    Z = _reduction_basis(areas)
     assert Z.shape == (len(areas), len(areas) - 1)
     assert np.abs(areas @ Z).max() <= 1e-15
     assert np.abs(Z.T @ Z - np.eye(len(areas) - 1)).max() <= 1e-14
-
-
-def _eigh_pencil(system, N):
-    """Oracle: scipy's eigh on the same reduced pencil."""
-    from scipy.linalg import eigh
-
-    return eigh(*reduce_pressure_pencil(system, system.monolithic(), N),
-                eigvals_only=True)
 
 
 @pytest.mark.parametrize("kind", ["structured", "perturbed"])
@@ -626,9 +620,10 @@ def test_dense_pencil_matches_eigh_over_the_grid(ops_bdm, perturbed_mesh,
                                                  kind):
     """At every acceptance-grid point with lambda <= 1e2 on n = 4 the
     whitened pencil agrees with eigh (dsygvd with its minimal workspace)
-    on the same reduced pencil: beta0 and kappa in the paper's norms to
-    1e-12 relative.  The natural-norm beta0 sits far below the rest of its
-    spectrum, so the two rounding orders may part by more: 1e-8.  At
+    on the monolithic pencil reduced by the SVD null-space basis: beta0
+    and kappa in the paper's norms to 1e-12 relative.  The natural-norm
+    beta0 sits far below the rest of its spectrum, so the two rounding
+    orders may part by more: 1e-8.  At
     lambda >= 1e4 eigh's float64 pencil rounds away the lambda-free parts
     of A_uu and N_U; tests/test_pencil_oracle.py checks those points
     against a certified long-double reference instead."""
@@ -640,15 +635,17 @@ def test_dense_pencil_matches_eigh_over_the_grid(ops_bdm, perturbed_mesh,
                 pr = ReducedParams(lam, rp, ap)
                 bs = ops.block_system(pr)
                 nb = ops.norm_blocks(pr)
-                want = np.abs(_eigh_pencil(bs, nb.monolithic())).min()
+                want = np.abs(_null_space_pencil(bs, nb.monolithic())).min()
                 assert infsup_constant(bs, nb).beta0 == pytest.approx(
                     want, rel=1e-12)
                 pc = build_preconditioner(nb, bs)
-                theta = np.abs(_eigh_pencil(bs, pc.matrix()))
+                theta = np.abs(_null_space_pencil(
+                    bs, block_diagonal(pc.blocks)))
                 assert estimate_condition(bs, pc) == pytest.approx(
                     theta.max() / theta.min(), rel=1e-12)
                 natural = ops.natural_norm_blocks(pr)
-                want = np.abs(_eigh_pencil(bs, natural.monolithic())).min()
+                want = np.abs(_null_space_pencil(
+                    bs, natural.monolithic())).min()
                 assert infsup_constant(bs, natural).beta0 == pytest.approx(
                     want, rel=1e-8)
 
@@ -670,9 +667,9 @@ def _recorded_lwork(monkeypatch, driver: str):
 
 def test_dense_pencil_gives_the_blocked_reduction_its_workspace(
         ops_bdm, monkeypatch):
-    """The tridiagonal reduction dsytrd of the whitened inf-sup pencil
-    gets the workspace dsytrd_lwork asks for, and dsygvd (the Korn pencil)
-    hands it all but 2n of its own; dsytrd runs blocked only with that."""
+    """The tridiagonal reduction dsytrd of the whitened inf-sup pencil and
+    of the whitened Korn pencil gets the workspace dsytrd_lwork asks for;
+    dsytrd runs blocked only with that."""
     from biotfem.analysis import korn_equivalence_bounds
     from scipy.linalg import lapack
 
@@ -683,11 +680,11 @@ def test_dense_pencil_gives_the_blocked_reduction_its_workspace(
     assert m == sum(ops_bdm[4].block_system(pr).block_sizes) - 1
     assert lwork >= lapack.dsytrd_lwork(m, lower=1)[0]
 
-    seen = _recorded_lwork(monkeypatch, "dsygvd")
+    seen.clear()
     korn_equivalence_bounds(ops_bdm[4])
     [(n, lwork)] = seen
     assert n == ops_bdm[4].uspace.free_dofs.size
-    assert lwork >= 2 * n + lapack.dsytrd_lwork(n, lower=1)[0]
+    assert lwork >= lapack.dsytrd_lwork(n, lower=1)[0]
 
 
 def test_nan_in_the_norm_matrix_raises_value_error(ops_bdm):
@@ -739,52 +736,20 @@ def test_condition_names_the_indefinite_preconditioner_block(ops_bdm,
                if other != block)
 
 
-def test_eig_failure_when_coupled_norm_matrix_is_indefinite(ops_bdm):
-    """Each diagonal block is SPD, so only the dense solve can see that the
-    whole matrix is not; its failure surfaces as EigFailure."""
-    pr = ReducedParams(1.0, 1.0, 0.0)
-    bs = ops_bdm[2].block_system(pr)
-    nb = ops_bdm[2].norm_blocks(pr)
-    nu = bs.block_sizes[0]
-    N = nb.monolithic().tolil()
-    N[0, nu] = N[nu, 0] = 10.0 * abs(N).max()
-
-    class _Coupled:
-        kind = "coupled"
-
-        def monolithic(self):
-            return N.tocsr()
-
-    with pytest.raises(EigFailure):
-        infsup_constant(bs, _Coupled())
-
-
-@pytest.mark.parametrize("rows,cols", [("flux", "displacement"),
-                                       ("pressure", "displacement"),
-                                       ("pressure", "flux")])
-def test_eig_failure_names_the_coupling_of_an_spd_norm_matrix(ops_bdm, rows,
-                                                              cols):
-    """A small coupling keeps the norm matrix SPD, but the pencil is
-    whitened block by block, which needs it block diagonal: EigFailure
-    names the coupled blocks instead of a wrong answer."""
-    pr = ReducedParams(1.0, 1.0, 0.0)
-    bs = ops_bdm[2].block_system(pr)
-    nb = ops_bdm[2].norm_blocks(pr)
-    first = dict(zip(BLOCKS, np.cumsum((0,) + bs.block_sizes)))
-    N = nb.monolithic().tolil()
-    i, j = first[rows], first[cols]
-    N[i, j] = N[j, i] = 1e-3 * min(N[i, i], N[j, j])
-    np.linalg.cholesky(N.toarray())  # still SPD
-
-    class _Coupled:
-        kind = "coupled"
-
-        def monolithic(self):
-            return N.tocsr()
-
-    with pytest.raises(EigFailure, match=f"couples its {cols} block") as info:
-        infsup_constant(bs, _Coupled())
-    assert rows in str(info.value)
+@pytest.mark.parametrize("lam", [1.0, 1e2])
+def test_infsup_with_a_generic_pressure_norm(perturbed_mesh, rng, lam):
+    """A pressure norm that is a positive diagonal but no multiple of the
+    cell areas: the pressures are scaled by its inverse square root, so
+    the reflector is not along the area vector; beta0 agrees with the
+    SVD null-space oracle to 1e-12."""
+    ops = FormOperators(perturbed_mesh[4])
+    pr = ReducedParams(lam, 1e-2, 1.0)
+    bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
+    npp = bs.block_sizes[2]
+    norms = NormBlocks(nb.N_U, nb.N_V,
+                       sps.diags(rng.uniform(0.1, 10.0, npp)).tocsr())
+    want = np.abs(_null_space_pencil(bs, norms.monolithic())).min()
+    assert infsup_constant(bs, norms).beta0 == pytest.approx(want, rel=1e-12)
 
 
 def test_whitened_displacement_is_kept_per_lambda(ops_bdm, monkeypatch):
@@ -829,17 +794,17 @@ def test_displacement_gap_only_for_the_operators_own_blocks(ops_bdm):
     lambda, for the paper and the natural norms alike."""
     ops = ops_bdm[2]
     pr = ReducedParams(1e8, 1.0, 0.0)
-    A_uu = ops.block_system(pr).A_uu.toarray()
+    A_uu = ops.block_system(pr).A_uu
     want = (ops.ah_matrix() - ops.grad_norm_gram()).toarray()
     for norms in (ops.norm_blocks(pr), ops.natural_norm_blocks(pr)):
-        gap, _ = ops.displacement_gap(pr, A_uu, norms.N_U.toarray())
+        gap, _ = ops.displacement_gap(pr, A_uu, norms.N_U)
         assert np.abs(gap - want).max() <= 1e-14 * np.abs(want).max()
-    other = ops.norm_blocks(ReducedParams(1e4, 1.0, 0.0)).N_U.toarray()
+    other = ops.norm_blocks(ReducedParams(1e4, 1.0, 0.0)).N_U
     assert ops.displacement_gap(pr, A_uu, other) is None
-    assert ops.displacement_gap(pr, 2.0 * A_uu,
-                                ops.norm_blocks(pr).N_U.toarray()) is None
+    assert ops.displacement_gap(pr, (2.0 * A_uu).tocsr(),
+                                ops.norm_blocks(pr).N_U) is None
     # far from the gap: lambda DD_u does not cancel in floating point
-    assert np.abs((A_uu - ops.norm_blocks(pr).N_U.toarray())
+    assert np.abs((A_uu - ops.norm_blocks(pr).N_U).toarray()
                   - want).max() > 1e-12 * np.abs(want).max()
 
 
@@ -856,23 +821,22 @@ def test_whitened_displacement_reads_the_lambda_free_gap(ops_bdm):
     pr = ReducedParams(1e8, 1.0, 0.0)
     bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
     pc = build_preconditioner(nb, bs)
-    A_uu = bs.A_uu.toarray()
-    for N, label in ((nb.monolithic(), "paper norm matrix"),
-                     (pc.matrix(), "preconditioner matrix")):
+    for blocks, label in (((nb.N_U, nb.N_V, nb.N_P), "paper norm matrix"),
+                          (pc.blocks, "preconditioner matrix")):
         solver._FACTORS.pop(ops.uspace, None)
-        solver._mean_zero_pencil(bs, N, label)
+        solver._mean_zero_pencil(bs, blocks, label)
         _, L, W = solver._FACTORS[ops.uspace]["whitened displacement"]
-        N_U = N[:len(L), :len(L)].toarray()
-        assert np.array_equal(L, cholesky(N_U, lower=True))
+        assert np.array_equal(L, cholesky(blocks[0].toarray(), lower=True))
         eye = np.eye(len(L))
         if label == "preconditioner matrix":
             assert np.array_equal(W, eye)
             continue
-        D, R = ops.displacement_gap(pr, A_uu, N_U)
+        D, R = ops.displacement_gap(pr, bs.A_uu, blocks[0])
         G, E = solver._whiten(L, D, L), solver._whiten(L, R.toarray(), L)
         want = eye + G - 0.5 * (E @ G + G @ E)
         assert np.abs(W - want).max() <= 1e-12 * np.abs(want).max()
-        rounded = eye + solver._whiten(L, A_uu - N_U, L)
+        rounded = eye + solver._whiten(
+            L, (bs.A_uu - blocks[0]).toarray(), L)
         assert np.abs(rounded - W).max() > 1e-10 * np.abs(W).max()
         assert np.abs(eye + G - W).max() > 1e-10 * np.abs(W).max()
 
@@ -902,8 +866,8 @@ def test_displacement_gap_holds_the_rounding_of_the_norm_block(ops_bdm):
 
     ops = ops_bdm[2]
     pr = ReducedParams(1e8, 1.0, 0.0)
-    N_U = ops.norm_blocks(pr).N_U.toarray()
-    _, R = ops.displacement_gap(pr, ops.block_system(pr).A_uu.toarray(), N_U)
+    N_U = ops.norm_blocks(pr).N_U
+    _, R = ops.displacement_gap(pr, ops.block_system(pr).A_uu, N_U)
     stored = ops._grad_jumps + pr.lam * ops._DD_u  # N_U's lower data
     lost = np.array([float(Fraction(g) + Fraction(p) + Fraction(pr.lam)
                            * Fraction(d) - Fraction(n))
