@@ -1,10 +1,10 @@
 """Stability, conservation and convergence diagnostics.
 
 The discrete inf-sup constant of the three-field form is measured as the
-smallest generalized eigenvalue magnitude of the monolithic operator against
-the block-diagonal norm Gram matrix, with the pressure reduced to its
-mean-zero subspace; the same machinery drives the negative experiment that
-contrasts the reweighted norms against the plain ones.
+smallest generalized eigenvalue magnitude of the operator's blocks against
+the norm blocks, each whitened on its own, with the pressure reduced to
+its mean-zero subspace; the same machinery drives the negative experiment
+that contrasts the reweighted norms against the plain ones.
 """
 
 from __future__ import annotations
@@ -481,9 +481,10 @@ def infsup_sweep(n_list, lam_list, rp_list, ap_list,
 
     The pencils of one mesh are independent. With more than one CPU they
     are split in contiguous chunks over forked worker processes, which
-    inherit the operators (fork, so nothing is pickled but the records);
-    a chunk of the lambda-major grid meets few lambdas, and each pays
-    the per-lambda whitening of the displacement block once. Each point
+    inherit the operators and their per-mesh whitening factors, built
+    first (fork, so nothing is pickled but the records); a chunk of the
+    lambda-major grid meets few lambdas, and each pays the per-lambda
+    whitening of the displacement block once. Each point
     runs the same calls as in the calling process, so the records are
     bitwise those of a serial loop. The workers are joined before this
     returns or raises.
@@ -497,6 +498,7 @@ def infsup_sweep(n_list, lam_list, rp_list, ap_list,
     records = []
     for n in n_list:
         ops = FormOperators(structured_mesh(n), families, cfg)
+        ops._whitening  # built here, so that the forked workers share it
         workers = _worker_count(len(points))
         if workers <= 1:
             records += _infsup_points(ops, points, norms)

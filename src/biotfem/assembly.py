@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.linalg import cholesky, solve_triangular
 # counting-sort kernels of scipy's own format conversions
 from scipy.sparse import _sparsetools
 
@@ -101,8 +102,8 @@ class BlockSystem:
     params: ReducedParams
     cfg: DGConfig
     families: tuple[str, str, str]
-    # the operators that assembled the blocks, whose Grams the inf-sup
-    # pencil reads (`FormOperators.displacement_gap`)
+    # the operators that assembled the blocks, whose per-mesh factors
+    # whiten the inf-sup pencil (`FormOperators._whitening`)
     ops: FormOperators | None = field(default=None, repr=False,
                                       compare=False)
 
@@ -129,8 +130,8 @@ class BlockSystem:
 @dataclass
 class NormBlocks:
     """Gram matrices of the parameter-dependent norms on the constrained
-    spaces (pressure still on all cells; reduce separately for eigenvalue
-    work)."""
+    spaces, the pressure on all cells (the pencils reduce it to mean-zero
+    pressures)."""
 
     N_U: sps.csr_matrix
     N_V: sps.csr_matrix
@@ -601,6 +602,24 @@ class FormOperators:
     def _B_vp_free(self):
         return _read_only(self.B_vp[self.vspace.free_dofs].tocsr())
 
+    @cached_property
+    def _whitening(self):
+        """(U, sigma, M_p^1/2 V, G) on the free displacement dofs, with
+        K = GRAD + PEN = L L^T: the thin SVD U diag(sigma) V^T of
+        L^-1 B_up M_p^-1/2, and G = L^-1 (a_h - K) L^-T.  The divergences
+        are cellwise constant, so DD_u = B_up M_p^-1 B_up^T and
+        N_U = L (I + lam U diag(sigma^2) U^T) L^T for every lam."""
+        free = self._upattern.free
+        L = cholesky(free(self._grad_jumps).toarray(), lower=True)
+        root = np.sqrt(self.areas)
+        U, sigma, Vt = np.linalg.svd(solve_triangular(
+            L, self._B_up_free.toarray() / root, lower=True),
+            full_matrices=False)
+        half = solve_triangular(L, free(self._ah - self._grad_jumps)
+                                .toarray(), lower=True)
+        return U, sigma, root[:, None] * Vt.T, solve_triangular(
+            L, half.T, lower=True)
+
     def _A_uu(self, params: ReducedParams) -> sps.csr_matrix:
         return self._upattern.free(self._ah + params.lam * self._DD_u)
 
@@ -681,28 +700,6 @@ class FormOperators:
         return self._upattern.free(self._grad_jumps
                                    + params.lam * self._DD_u)
 
-    def displacement_gap(self, params: ReducedParams, A_uu: sps.csr_matrix,
-                         N_U: sps.csr_matrix):
-        """(D, R) on the free dofs, D dense and R sparse, when the CSR
-        A_uu and N_U are bitwise the displacement block of
-        `block_system(params)` and its norm block (paper or natural); else
-        None.
-
-        D = a_h - (GRAD + PEN) is A_uu - N_U with lam DD_u cancelled
-        exactly, where their floating-point difference keeps the rounding
-        of both.  R = GRAD + PEN + lam DD_u - N_U is the rounding error of
-        N_U itself, from error-free transformations of its float64 sums
-        and product: at large lam it holds what N_U lost of GRAD + PEN."""
-        if not (_same_matrix(A_uu, self._A_uu(params))
-                and _same_matrix(N_U, self._N_U(params))):
-            return None
-        grad_jumps, e_sum = _two_sum(self._GRAD, self._PEN)
-        divdiv, e_product = _two_product(params.lam, self._DD_u)
-        _, e_total = _two_sum(grad_jumps, divdiv)
-        free = self._upattern.free
-        return (free(self._ah - self._grad_jumps).toarray(),
-                free(e_sum + e_product + e_total))
-
     def norm_blocks(self, params: ReducedParams) -> NormBlocks:
         N_V = self._vpattern.free(params.rp_inv * self._M_v
                                   + (1.0 / params.gamma) * self._DD_v)
@@ -715,28 +712,6 @@ class FormOperators:
         N_V = self._vpattern.free(params.rp_inv * (self._M_v + self._DD_v))
         N_P = self.M_p.copy().tocsr()
         return NormBlocks(self._N_U(params), N_V, N_P, kind="natural")
-
-
-def _two_sum(a, b):
-    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
-    total = a + b
-    b_part = total - a
-    return total, (a - (total - b_part)) + (b - b_part)
-
-
-def _two_product(a, b):
-    """fl(a * b) and its rounding error, exactly (Dekker's TwoProduct with
-    Veltkamp's splitting), for products far from overflow."""
-    product = a * b
-    (a1, a2), (b1, b2) = _split(a), _split(b)
-    return product, ((a1 * b1 - product) + a1 * b2 + a2 * b1) + a2 * b2
-
-
-def _split(a):
-    """a as hi + lo with 26-bit halves, so that their products are exact."""
-    scaled = 134217729.0 * a  # 2^27 + 1
-    hi = scaled - (scaled - a)
-    return hi, a - hi
 
 
 def _check_div_compatibility(space: FESpace, name: str):

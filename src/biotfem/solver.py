@@ -103,7 +103,7 @@ def _factor(mat, name: str, spd: bool):
 
 
 # Last SPD factor per block name, for the systems of one FormOperators,
-# and the last whitened displacement block of their inf-sup pencils
+# and the last whitened displacement of their pencils
 # (`_whitened_displacement`): they share its displacement FESpace, so each
 # entry dies with them.
 _FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -471,16 +471,16 @@ def _mean_zero_pencil(system: BlockSystem, norms, label: str,
     max |theta|.
 
     Neither A nor N is formed whole; the pencil is whitened block by
-    block.  L_U and L_V are the Cholesky factors of N_U and N_V.  The
-    pressures are p = S H q, S = diag(N_P)^-1/2 and H the reflector whose
-    last column is along S areas (`_pressure_reflector`); the mean-zero
-    pressures are the q with last entry zero, on which the pressure norm
-    is the identity.  W = L^-1 Z^T A Z L^-T, with L = diag(L_U, L_V, I)
-    and Z = diag(I, I, S H[:, :-1]), has the eigenvalues theta and a zero
-    (u, v) block, and `_dense_pencil` solves it.  Its displacement block
-    comes from `_whitened_displacement`.  A norm block that is not SPD,
-    or an N_P that is not a positive diagonal, raises SingularNormMatrix
-    naming it.
+    block.  The displacements are u = Z_U y with Z_U^T N_U Z_U = I
+    (`_whitened_displacement`), the fluxes v = L_V^-T w with L_V the
+    Cholesky factor of N_V, and the pressures p = S H q, S =
+    diag(N_P)^-1/2 and H the reflector whose last column is along
+    S areas (`_pressure_reflector`); the mean-zero pressures are the q
+    with last entry zero, on which the pressure norm is the identity.
+    The whitened A, W, has the eigenvalues theta and a zero (u, v) block,
+    and `_dense_pencil` solves it.  A norm block that is not SPD, or an
+    N_P that is not a positive diagonal, raises SingularNormMatrix naming
+    it.
     """
     N_U, N_V, N_P = norms
     nu, nv, npp = system.block_sizes
@@ -493,13 +493,13 @@ def _mean_zero_pencil(system: BlockSystem, norms, label: str,
         M -= 2.0 * np.outer(v, v @ M)
         return M[:-1]
 
-    L_U, W_uu = _whitened_displacement(system, N_U.tocsr(), label)
+    W_uu, coupling = _whitened_displacement(system, N_U.tocsr(), label)
     L_V = _block_factor(N_V.toarray(), label, "flux")
     W = np.zeros((nu + nv + npp - 1,) * 2, order="F")
     u, f, p = slice(0, nu), slice(nu, nu + nv), slice(nu + nv, None)
     W[u, u] = W_uu
     W[f, f] = _whiten_lower(L_V, system.A_vv.toarray())
-    W[p, u] = _whiten(None, reduced(system.B_up.T.toarray()), L_U)
+    W[p, u] = reduced(coupling)
     W[p, f] = _whiten(None, reduced(system.B_vp.T.toarray()), L_V)
     W[p, p] = reduced(reduced(system.C_pp.toarray()).T)
     try:
@@ -523,44 +523,48 @@ def _pressure_diagonal(N_P, label: str) -> np.ndarray:
 
 def _whitened_displacement(system: BlockSystem, N_U: sps.csr_matrix,
                            label: str):
-    """(L_U, W_uu): the Cholesky factor of N_U and the whitened
-    displacement block I + L_U^-1 D L_U^-T, D = A_uu - N_U.
+    """(Z^T A_uu Z, B_up^T Z) for a Z with Z^T N_U Z = I.
 
-    D is 0 when A_uu is N_U, as in a preconditioner's blocks.  For a
-    system and norm blocks of one `FormOperators` at one lambda
-    (`displacement_gap`) D is the lambda-free a_h - (GRAD + PEN) of their
-    Grams, where forming A_uu and N_U in floating point rounds that part
-    away at large lambda; and the rounding R of N_U itself, which the
-    factor L_U whitens in place of the exact GRAD + PEN + lambda DD_u, is
-    corrected to first order: with G = L_U^-1 D L_U^-T and
-    E = L_U^-1 R L_U^-T, W_uu = I + G - (E G + G E)/2.  E lives on the
-    nearly divergence-free fields, which the pressure block does not see,
-    so the coupling block needs no correction.  Any other pair takes the
-    floating-point difference.  The pair is kept for the last CSR A_uu
-    and N_U, matched bitwise, per displacement space, so a lambda-major
-    sweep factors N_U once per lambda.
+    For the blocks of the system's own operators at its lambda, paper
+    and natural N_U alike, Z comes in closed form (`_closed_form`).  Any
+    other blocks take Z = L_U^-T, L_U the Cholesky factor of N_U, and
+    Z^T A_uu Z = I + L_U^-1 (A_uu - N_U) L_U^-T, which is I when A_uu is
+    N_U, as in a preconditioner's blocks.  The pair is kept for the last
+    CSR A_uu, N_U and B_up, matched bitwise, per displacement space, so
+    a lambda-major sweep whitens once per lambda.
     """
-    A_uu = system.A_uu.tocsr()
+    key = (system.A_uu.tocsr(), N_U, system.B_up.tocsr())
     memo = _FACTORS.setdefault(system.uspace, {})
     last = memo.get("whitened displacement")
-    if last is not None and all(map(_same_matrix, last[0], (A_uu, N_U))):
-        return last[1], last[2]
-    L = _block_factor(N_U.toarray(), label, "displacement")
-    W = np.eye(L.shape[0])
-    if not _same_matrix(A_uu, N_U):
-        split = (system.ops.displacement_gap(system.params, A_uu, N_U)
-                 if system.ops is not None else None)
-        if split is None:
+    if last is not None and all(map(_same_matrix, last[0], key)):
+        return last[1]
+    A_uu, _, B_up = key
+    ops, params = system.ops, system.params
+    if (ops is not None and B_up is ops._B_up_free
+            and _same_matrix(A_uu, ops._A_uu(params))
+            and _same_matrix(N_U, ops._N_U(params))):
+        pair = _closed_form(ops, params.lam)
+    else:
+        L = _block_factor(N_U.toarray(), label, "displacement")
+        W = np.eye(len(L))
+        if not _same_matrix(A_uu, N_U):
             W += _whiten(L, (A_uu - N_U).toarray(), L)
-        else:
-            D, R = split
-            G = _whiten(L, D, L)
-            # E G = L_U^-1 R L_U^-T G, with R sparse
-            EG = blas.dtrsm(1.0, L, R @ blas.dtrsm(1.0, L, G, lower=1,
-                                                   trans_a=1), lower=1)
-            W += G - 0.5 * (EG + EG.T)
-    memo["whitened displacement"] = ((A_uu.copy(), N_U.copy()), L, W)
-    return L, W
+        pair = W, _whiten(None, B_up.T.toarray(), L)
+    memo["whitened displacement"] = (tuple(m.copy() for m in key), pair)
+    return pair
+
+
+def _closed_form(ops, lam: float):
+    """`_whitened_displacement` of N_U = GRAD + PEN + lam DD_u from the
+    per-mesh factors of `ops` (`FormOperators._whitening`): with
+    s = (1 + lam sigma^2)^-1/2 and P = I - U diag(1 - s) U^T, Z = L^-T P
+    whitens N_U exactly, Z^T A_uu Z = I + P G P and
+    B_up^T Z = M_p^1/2 V diag(sigma s) U^T."""
+    U, sigma, V, G = ops._whitening
+    s = 1.0 / np.sqrt(1.0 + lam * sigma**2)
+    eye = np.eye(len(U))
+    P = eye - (U * (1.0 - s)) @ U.T
+    return eye + P @ G @ P, (V * (sigma * s)) @ U.T
 
 
 def _block_factor(block: np.ndarray, label: str, name: str) -> np.ndarray:

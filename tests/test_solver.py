@@ -752,28 +752,33 @@ def test_infsup_with_a_generic_pressure_norm(perturbed_mesh, rng, lam):
     assert infsup_constant(bs, norms).beta0 == pytest.approx(want, rel=1e-12)
 
 
+def _count_closed_forms(monkeypatch) -> list:
+    """The lambdas `solver._closed_form` whitens at, from now on."""
+    lams, real = [], solver._closed_form
+
+    def counted(ops, lam):
+        lams.append(lam)
+        return real(ops, lam)
+
+    monkeypatch.setattr(solver, "_closed_form", counted)
+    return lams
+
+
 def test_whitened_displacement_is_kept_per_lambda(ops_bdm, monkeypatch):
-    """A lambda-major sweep factors N_U once per lambda; a point whose
-    displacement blocks repeat reuses the whitened block and gets bitwise
-    the value of a fresh computation, and a changed A_uu with the same N_U
-    is whitened again."""
+    """A lambda-major sweep whitens the displacement block once per
+    lambda; a point whose displacement blocks repeat reuses it and gets
+    bitwise the value of a fresh computation, and a changed A_uu with the
+    same N_U is whitened again, by the Cholesky route."""
     ops = ops_bdm[4]
-    factored = []
-    real = solver._block_factor
-
-    def counted(block, label, name):
-        factored.append(name)
-        return real(block, label, name)
-
-    monkeypatch.setattr(solver, "_block_factor", counted)
     solver._FACTORS.pop(ops.uspace, None)
+    whitened = _count_closed_forms(monkeypatch)
     values = {}
     for lam in LAM_GRID:
         for rp in RP_GRID:
             pr = ReducedParams(lam, rp, 0.0)
             values[pr] = infsup_constant(ops.block_system(pr),
                                          ops.norm_blocks(pr)).beta0
-    assert factored.count("displacement") == len(LAM_GRID)
+    assert whitened == LAM_GRID
     for pr, beta0 in values.items():
         solver._FACTORS.pop(ops.uspace, None)
         assert infsup_constant(ops.block_system(pr),
@@ -781,98 +786,103 @@ def test_whitened_displacement_is_kept_per_lambda(ops_bdm, monkeypatch):
     pr = ReducedParams(1e4, 1.0, 0.0)
     bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
     infsup_constant(bs, nb)
+    del whitened[:]
     stiffer = dataclasses.replace(bs, A_uu=(2.0 * bs.A_uu).tocsr())
     assert infsup_constant(stiffer, nb).beta0 != values[pr]
     solver._FACTORS.pop(ops.uspace, None)
     assert infsup_constant(stiffer, nb).beta0 == infsup_constant(
         stiffer, nb).beta0
+    assert whitened == []
 
 
-def test_displacement_gap_only_for_the_operators_own_blocks(ops_bdm):
-    """The lambda-free gap a_h - (GRAD + PEN) stands in for A_uu - N_U
-    only when both are bitwise the operators' blocks at the system's
-    lambda, for the paper and the natural norms alike."""
+@pytest.mark.parametrize("kind,n", [("structured", 2), ("structured", 4),
+                                    ("structured", 6), ("perturbed", 4)])
+def test_factored_divdiv_is_the_gram(perturbed_mesh, kind, n):
+    """The divergences are cellwise constant, so the displacement div-div
+    Gram on the free dofs is B_up M_p^-1 B_up^T, to a few ulp of its
+    largest entry in float64: the identity the closed-form whitening
+    rests on."""
+    ops = FormOperators(perturbed_mesh[n] if kind == "perturbed"
+                        else structured_mesh(n))
+    B = ops._B_up_free
+    factored = (B @ sps.diags(1.0 / ops.areas) @ B.T).toarray()
+    gram = ops._upattern.free(ops._DD_u).toarray()
+    assert np.abs(factored - gram).max() <= 4 * np.spacing(
+        np.abs(gram).max())
+
+
+def test_closed_form_whitening_only_for_the_operators_own_blocks(
+        ops_bdm, monkeypatch):
+    """The closed form stands in for the Cholesky route only when A_uu,
+    N_U and B_up are the operators' own blocks at the system's lambda,
+    for the paper and the natural norms alike; N_U at another lambda,
+    2 A_uu or a zeroed coupling take the Cholesky route."""
     ops = ops_bdm[2]
-    pr = ReducedParams(1e8, 1.0, 0.0)
-    A_uu = ops.block_system(pr).A_uu
-    want = (ops.ah_matrix() - ops.grad_norm_gram()).toarray()
-    for norms in (ops.norm_blocks(pr), ops.natural_norm_blocks(pr)):
-        gap, _ = ops.displacement_gap(pr, A_uu, norms.N_U)
-        assert np.abs(gap - want).max() <= 1e-14 * np.abs(want).max()
-    other = ops.norm_blocks(ReducedParams(1e4, 1.0, 0.0)).N_U
-    assert ops.displacement_gap(pr, A_uu, other) is None
-    assert ops.displacement_gap(pr, (2.0 * A_uu).tocsr(),
-                                ops.norm_blocks(pr).N_U) is None
-    # far from the gap: lambda DD_u does not cancel in floating point
-    assert np.abs((A_uu - ops.norm_blocks(pr).N_U).toarray()
-                  - want).max() > 1e-12 * np.abs(want).max()
-
-
-def test_whitened_displacement_reads_the_lambda_free_gap(ops_bdm):
-    """At lambda = 1e8 the whitened displacement block is built from the
-    Grams: I + G - (E G + G E) / 2 with G = L_U^-1 (a_h - GRAD - PEN)
-    L_U^-T and E = L_U^-1 R L_U^-T, R the rounding error of N_U, not from
-    the floating-point difference A_uu - N_U, which rounds the gap by
-    about lambda eps; for a preconditioner's matrix (A_uu as N_U) it is
-    I."""
-    from scipy.linalg import cholesky
-
-    ops = ops_bdm[4]
     pr = ReducedParams(1e8, 1.0, 0.0)
     bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
-    pc = build_preconditioner(nb, bs)
-    for blocks, label in (((nb.N_U, nb.N_V, nb.N_P), "paper norm matrix"),
-                          (pc.blocks, "preconditioner matrix")):
+    whitened = _count_closed_forms(monkeypatch)
+    for system, norms in (
+            (bs, nb), (bs, ops.natural_norm_blocks(pr)),
+            (bs, dataclasses.replace(
+                nb, N_U=ops.norm_blocks(ReducedParams(1e4, 1.0, 0.0)).N_U)),
+            (dataclasses.replace(bs, A_uu=(2.0 * bs.A_uu).tocsr()), nb),
+            (dataclasses.replace(bs, B_up=0.0 * bs.B_up), nb)):
         solver._FACTORS.pop(ops.uspace, None)
-        solver._mean_zero_pencil(bs, blocks, label)
-        _, L, W = solver._FACTORS[ops.uspace]["whitened displacement"]
-        assert np.array_equal(L, cholesky(blocks[0].toarray(), lower=True))
-        eye = np.eye(len(L))
-        if label == "preconditioner matrix":
-            assert np.array_equal(W, eye)
-            continue
-        D, R = ops.displacement_gap(pr, bs.A_uu, blocks[0])
-        G, E = solver._whiten(L, D, L), solver._whiten(L, R.toarray(), L)
-        want = eye + G - 0.5 * (E @ G + G @ E)
-        assert np.abs(W - want).max() <= 1e-12 * np.abs(want).max()
-        rounded = eye + solver._whiten(
-            L, (bs.A_uu - blocks[0]).toarray(), L)
-        assert np.abs(rounded - W).max() > 1e-10 * np.abs(W).max()
-        assert np.abs(eye + G - W).max() > 1e-10 * np.abs(W).max()
+        infsup_constant(system, norms)
+    # a preconditioner's displacement block is A_uu itself
+    solver._FACTORS.pop(ops.uspace, None)
+    W_uu, _ = solver._whitened_displacement(
+        bs, build_preconditioner(nb, bs).blocks[0], "preconditioner matrix")
+    assert np.array_equal(W_uu, np.eye(len(W_uu)))
+    assert whitened == [pr.lam, pr.lam]
 
 
-def test_error_free_transformations_are_exact(rng):
-    """TwoSum and TwoProduct return fl(a op b) and its exact rounding
-    error, over magnitudes from 1e-8 to 1e8 and both signs."""
-    from fractions import Fraction
+@pytest.mark.parametrize("lam", LAM_GRID)
+@pytest.mark.parametrize("mesh", ["structured4", "perturbed4"])
+def test_closed_form_whitens_the_displacement_block(ops_bdm, perturbed_mesh,
+                                                    mesh, lam):
+    """Z = L^-T P, with K = GRAD + PEN = L L^T and the per-mesh SVD,
+    whitens N_U, and the closed form returns Z^T A_uu Z and B_up^T Z;
+    checked in float64, whose products of the lambda-sized N_U and A_uu
+    with Z round at about lambda eps."""
+    from scipy.linalg import cholesky, solve_triangular
 
-    from biotfem.assembly import _two_product, _two_sum
+    ops = (ops_bdm[4] if mesh == "structured4"
+           else FormOperators(perturbed_mesh[4]))
+    pr = ReducedParams(lam, 1.0, 0.0)
+    bs, N_U = ops.block_system(pr), ops.norm_blocks(pr).N_U
+    U, sigma, _, _ = ops._whitening
+    s = 1.0 / np.sqrt(1.0 + lam * sigma**2)
+    P = np.eye(len(U)) - (U * (1.0 - s)) @ U.T
+    L = cholesky(ops.grad_norm_gram().toarray(), lower=True)
+    Z = solve_triangular(L.T, P)
+    W_uu, coupling = solver._closed_form(ops, lam)
+    tol = 1e-14 * max(1.0, lam)
+    assert np.abs(Z.T @ (N_U @ Z) - np.eye(len(Z))).max() <= tol
+    assert np.abs(Z.T @ (bs.A_uu @ Z) - W_uu).max() <= tol * np.abs(
+        W_uu).max()
+    assert np.abs(bs.B_up.T @ Z - coupling).max() <= tol * np.abs(
+        coupling).max()
 
-    a = rng.standard_normal(400) * 10.0 ** rng.uniform(-8, 8, 400)
-    b = rng.standard_normal(400) * 10.0 ** rng.uniform(-8, 8, 400)
-    total, err = _two_sum(a, b)
-    product, perr = _two_product(a, b)
-    assert np.array_equal(total, a + b) and np.array_equal(product, a * b)
-    for x, y, s, e, p, f in zip(a, b, total, err, product, perr):
-        assert Fraction(s) + Fraction(e) == Fraction(x) + Fraction(y)
-        assert Fraction(p) + Fraction(f) == Fraction(x) * Fraction(y)
 
-
-def test_displacement_gap_holds_the_rounding_of_the_norm_block(ops_bdm):
-    """R of `displacement_gap` is GRAD + PEN + lambda DD_u - N_U, the
-    part of the exact norm block that float64 N_U lost, to its own
-    rounding."""
-    from fractions import Fraction
-
-    ops = ops_bdm[2]
-    pr = ReducedParams(1e8, 1.0, 0.0)
-    N_U = ops.norm_blocks(pr).N_U
-    _, R = ops.displacement_gap(pr, ops.block_system(pr).A_uu, N_U)
-    stored = ops._grad_jumps + pr.lam * ops._DD_u  # N_U's lower data
-    lost = np.array([float(Fraction(g) + Fraction(p) + Fraction(pr.lam)
-                           * Fraction(d) - Fraction(n))
-                     for g, p, d, n in zip(ops._GRAD, ops._PEN, ops._DD_u,
-                                           stored)])
-    want = ops._upattern.free(lost).toarray()
-    assert np.abs(want).max() > 0
-    assert np.abs(R.toarray() - want).max() <= 1e-15 * np.abs(want).max()
+@pytest.mark.parametrize("mesh", ["structured4", "perturbed4"])
+def test_closed_form_whitening_matches_the_cholesky_route(
+        ops_bdm, perturbed_mesh, monkeypatch, mesh):
+    """Up to lambda = 1e4 the closed form and the Cholesky route (the
+    same system without its operators) give beta0 to 1e-12, paper and
+    natural norms, over the grid."""
+    ops = (ops_bdm[4] if mesh == "structured4"
+           else FormOperators(perturbed_mesh[4]))
+    whitened = _count_closed_forms(monkeypatch)
+    for lam in LAM_GRID[:-1]:
+        for rp in RP_GRID:
+            for ap in AP_GRID:
+                pr = ReducedParams(lam, rp, ap)
+                bs = ops.block_system(pr)
+                for nb in (ops.norm_blocks(pr), ops.natural_norm_blocks(pr)):
+                    values = []
+                    for system in (bs, dataclasses.replace(bs, ops=None)):
+                        solver._FACTORS.pop(ops.uspace, None)
+                        values.append(infsup_constant(system, nb).beta0)
+                    assert values[0] == pytest.approx(values[1], rel=1e-12)
+    assert len(whitened) == 2 * len(AP_GRID) * len(RP_GRID) * 3
