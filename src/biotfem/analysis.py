@@ -481,13 +481,13 @@ def infsup_sweep(n_list, lam_list, rp_list, ap_list,
 
     The pencils of one mesh are independent. With more than one CPU they
     are split in contiguous chunks over forked worker processes, which
-    inherit the operators and their per-mesh whitening factors, built
-    first (fork, so nothing is pickled but the records); a chunk of the
-    lambda-major grid meets few lambdas, and each pays the per-lambda
-    whitening of the displacement block once. Each point
-    runs the same calls as in the calling process, so the records are
-    bitwise those of a serial loop. The workers are joined before this
-    returns or raises.
+    inherit the operators and their per-mesh whitening factors of the
+    displacement and flux blocks, built first (fork, so nothing is
+    pickled but the records); a chunk of the lambda-major grid meets few
+    lambdas, and each pays the per-lambda whitening of the displacement
+    block once. Each point runs the same calls as in the calling
+    process, so the records are bitwise those of a serial loop. The
+    workers are joined before this returns or raises.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -498,7 +498,8 @@ def infsup_sweep(n_list, lam_list, rp_list, ap_list,
     records = []
     for n in n_list:
         ops = FormOperators(structured_mesh(n), families, cfg)
-        ops._whitening  # built here, so that the forked workers share it
+        # built here, so that the forked workers share them
+        ops._whitening, ops._flux_whitening
         workers = _worker_count(len(points))
         if workers <= 1:
             records += _infsup_points(ops, points, norms)

@@ -103,7 +103,8 @@ class BlockSystem:
     cfg: DGConfig
     families: tuple[str, str, str]
     # the operators that assembled the blocks, whose per-mesh factors
-    # whiten the inf-sup pencil (`FormOperators._whitening`)
+    # whiten the inf-sup pencil (`FormOperators._whitening`,
+    # `FormOperators._flux_whitening`)
     ops: FormOperators | None = field(default=None, repr=False,
                                       compare=False)
 
@@ -620,13 +621,36 @@ class FormOperators:
         return U, sigma, root[:, None] * Vt.T, solve_triangular(
             L, half.T, lower=True)
 
+    @cached_property
+    def _flux_whitening(self):
+        """(sigma, T) on the free flux dofs, with M_v = L L^T and H_r the
+        first npp - 1 columns of the reflector along M_p^1/2 1
+        (`_pressure_reflector`): the SVD U diag(sigma) V^T of
+        Y = L^-1 B_vp M_p^-1/2 H_r, V square, and T = V^T H_r^T M_p^-1/2,
+        which takes pressures to coefficients in the basis
+        M_p^-1/2 H_r V of the mean-zero pressures.  The divergences are
+        cellwise constant, so DD_v = B_vp M_p^-1 B_vp^T, and the free
+        fluxes have no normal trace, so B_vp maps the constants to zero
+        and rp_inv M_v + c DD_v = L (rp_inv I + c Y Y^T) L^T for every c."""
+        root = np.sqrt(self.areas)
+        v = _pressure_reflector(root)
+        H_r = np.eye(v.size)[:, :-1] - 2.0 * np.outer(v, v[:-1])
+        L = cholesky(self._vpattern.free(self._M_v).toarray(), lower=True)
+        Y = solve_triangular(L, self._B_vp_free.toarray() / root,
+                             lower=True) @ H_r
+        _, sigma, Vt = np.linalg.svd(Y)
+        return sigma, (Vt @ H_r.T) / root
+
     def _A_uu(self, params: ReducedParams) -> sps.csr_matrix:
         return self._upattern.free(self._ah + params.lam * self._DD_u)
+
+    def _A_vv(self, params: ReducedParams) -> sps.csr_matrix:
+        return self._vpattern.free(params.rp_inv * self._M_v)
 
     def block_system(self, params: ReducedParams, f=None, g=None,
                      g_cells=None) -> BlockSystem:
         A_uu = self._A_uu(params)
-        A_vv = self._vpattern.free(params.rp_inv * self._M_v)
+        A_vv = self._A_vv(params)
         M_p = self.M_p
         C_pp = _shared_csr(-params.alpha_p * M_p.data, M_p.indices,
                            M_p.indptr, M_p.shape)
@@ -700,11 +724,14 @@ class FormOperators:
         return self._upattern.free(self._grad_jumps
                                    + params.lam * self._DD_u)
 
+    def _N_V(self, params: ReducedParams) -> sps.csr_matrix:
+        return self._vpattern.free(params.rp_inv * self._M_v
+                                   + (1.0 / params.gamma) * self._DD_v)
+
     def norm_blocks(self, params: ReducedParams) -> NormBlocks:
-        N_V = self._vpattern.free(params.rp_inv * self._M_v
-                                  + (1.0 / params.gamma) * self._DD_v)
         N_P = (params.gamma * self.M_p).tocsr()
-        return NormBlocks(self._N_U(params), N_V, N_P, kind="paper")
+        return NormBlocks(self._N_U(params), self._N_V(params), N_P,
+                          kind="paper")
 
     def natural_norm_blocks(self, params: ReducedParams) -> NormBlocks:
         """Norms without the gamma reweighting: the flux div term carries
@@ -731,6 +758,17 @@ def _check_div_compatibility(space: FESpace, name: str):
             f"family {name!r}: divergence span on cell {k} has rank {rank}"
             f"{' and is not constant' if varies[k] else ''}, pressure space "
             f"expects cellwise constants")
+
+
+def _pressure_reflector(w: np.ndarray) -> np.ndarray:
+    """Unit v such that the last column of H = I - 2 v v^T is a multiple
+    of w; its other columns then span the vectors orthogonal to w (the
+    mean-zero pressures, for w the cell areas)."""
+    v = np.array(w, dtype=float)
+    v /= np.linalg.norm(v)
+    # the sign keeps this sum free of cancellation
+    v[-1] += np.copysign(1.0, v[-1])
+    return v / np.linalg.norm(v)
 
 
 def export_matrix_market(path, matrix):

@@ -19,7 +19,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, blas, cholesky, lapack, solve_triangular
 
-from .assembly import BlockSystem, NormBlocks, _same_matrix, block_matrix
+from .assembly import (BlockSystem, NormBlocks, _pressure_reflector,
+                       _same_matrix, block_matrix)
 
 
 class FactorizationFailure(RuntimeError):
@@ -104,8 +105,9 @@ def _factor(mat, name: str, spd: bool):
 
 # Last SPD factor per block name, for the systems of one FormOperators,
 # and the last whitened displacement of their pencils
-# (`_whitened_displacement`): they share its displacement FESpace, so each
-# entry dies with them.
+# (`_whitened_displacement`) and its coupling rotated to the closed-form
+# pressure basis (`_closed_flux`): they share its displacement FESpace, so
+# each entry dies with them.
 _FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -471,41 +473,97 @@ def _mean_zero_pencil(system: BlockSystem, norms, label: str,
     max |theta|.
 
     Neither A nor N is formed whole; the pencil is whitened block by
-    block.  The displacements are u = Z_U y with Z_U^T N_U Z_U = I
-    (`_whitened_displacement`), the fluxes v = L_V^-T w with L_V the
-    Cholesky factor of N_V, and the pressures p = S H q, S =
-    diag(N_P)^-1/2 and H the reflector whose last column is along
-    S areas (`_pressure_reflector`); the mean-zero pressures are the q
-    with last entry zero, on which the pressure norm is the identity.
-    The whitened A, W, has the eigenvalues theta and a zero (u, v) block,
-    and `_dense_pencil` solves it.  A norm block that is not SPD, or an
-    N_P that is not a positive diagonal, raises SingularNormMatrix naming
-    it.
+    block into W, whose eigenvalues are the theta and whose (u, v) block
+    is zero, and `_dense_pencil` solves it.  The displacements are
+    u = Z_U y with Z_U^T N_U Z_U = I (`_whitened_displacement`).  The
+    paper's own flux and pressure blocks (`_own_flux_blocks`) are
+    whitened in closed form (`_closed_flux`), which leaves out the
+    divergence-free fluxes; their theta = 1 is appended to the selected
+    eigenvalues.  Any other blocks take v = L_V^-T w,
+    L_V the Cholesky factor of N_V, and p = S H q, S = diag(N_P)^-1/2
+    and H the reflector whose last column is along S areas
+    (`_pressure_reflector`); the mean-zero pressures are the q with last
+    entry zero, on which the pressure norm is the identity.  A norm
+    block that is not SPD, or an N_P that is not a positive diagonal,
+    raises SingularNormMatrix naming it.
     """
     N_U, N_V, N_P = norms
     nu, nv, npp = system.block_sizes
-    scale = 1.0 / np.sqrt(_pressure_diagonal(N_P, label))
-    v = _pressure_reflector(scale * system.mesh.signed_areas())
-
-    def reduced(M):
-        """(S H M)[:-1], the rows of Z^T M for pressure rows M."""
-        M = scale[:, None] * M
-        M -= 2.0 * np.outer(v, v @ M)
-        return M[:-1]
-
+    diag = _pressure_diagonal(N_P, label)
     W_uu, coupling = _whitened_displacement(system, N_U.tocsr(), label)
-    L_V = _block_factor(N_V.toarray(), label, "flux")
-    W = np.zeros((nu + nv + npp - 1,) * 2, order="F")
-    u, f, p = slice(0, nu), slice(nu, nu + nv), slice(nu + nv, None)
-    W[u, u] = W_uu
-    W[f, f] = _whiten_lower(L_V, system.A_vv.toarray())
-    W[p, u] = reduced(coupling)
-    W[p, f] = _whiten(None, reduced(system.B_vp.T.toarray()), L_V)
-    W[p, p] = reduced(reduced(system.C_pp.toarray()).T)
+    if _own_flux_blocks(system, N_V.tocsr(), diag):
+        W = _closed_flux(system, W_uu, coupling)
+    else:
+        scale = 1.0 / np.sqrt(diag)
+        v = _pressure_reflector(scale * system.mesh.signed_areas())
+
+        def reduced(M):
+            """(S H M)[:-1], the rows of Z^T M for pressure rows M."""
+            M = scale[:, None] * M
+            M -= 2.0 * np.outer(v, v @ M)
+            return M[:-1]
+
+        L_V = _block_factor(N_V.toarray(), label, "flux")
+        W = np.zeros((nu + nv + npp - 1,) * 2, order="F")
+        u, f, p = slice(0, nu), slice(nu, nu + nv), slice(nu + nv, None)
+        W[u, u] = W_uu
+        W[f, f] = _whiten_lower(L_V, system.A_vv.toarray())
+        W[p, u] = reduced(coupling)
+        W[p, f] = _whiten(None, reduced(system.B_vp.T.toarray()), L_V)
+        W[p, p] = reduced(reduced(system.C_pp.toarray()).T)
     try:
-        return _dense_pencil(W, extremes=extremes)
+        theta = _dense_pencil(W, extremes=extremes)
     except LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
+    return np.append(theta, 1.0) if len(W) < nu + nv + npp - 1 else theta
+
+
+def _own_flux_blocks(system: BlockSystem, N_V: sps.csr_matrix,
+                     diag: np.ndarray) -> bool:
+    """Whether A_vv, B_vp and N_V are bitwise the paper's blocks of the
+    system's operators at its parameters, and `diag`, N_P's diagonal,
+    is bitwise their gamma M_p."""
+    ops, params = system.ops, system.params
+    return (ops is not None and system.B_vp is ops._B_vp_free
+            and _same_matrix(system.A_vv.tocsr(), ops._A_vv(params))
+            and _same_matrix(N_V, ops._N_V(params))
+            and np.array_equal(diag, params.gamma * ops.areas))
+
+
+def _closed_flux(system: BlockSystem, W_uu: np.ndarray,
+                 coupling: np.ndarray) -> np.ndarray:
+    """W of `_mean_zero_pencil` for the paper's own flux and pressure
+    blocks, from the per-mesh factors of `FormOperators._flux_whitening`.
+
+    With N_V = L (rp_inv I + Y Y^T / gamma) L^T, Y = U diag(sigma) V^T,
+    and N_P = gamma M_p, the fluxes L^-T U diag(rp_inv + sigma^2 /
+    gamma)^-1/2 and the pressures gamma^-1/2 M_p^-1/2 H_r V are
+    orthonormal.  In them the flux block is diag(rp_inv / (rp_inv +
+    sigma^2 / gamma)), the flux-pressure block diag(sigma (gamma rp_inv
+    + sigma^2)^-1/2), the pressure block -(alpha_p / gamma) I and the
+    displacement-pressure block gamma^-1/2 T B_up^T Z_U; the rotated
+    coupling T B_up^T Z_U is kept per whitened displacement, so a
+    lambda-major sweep forms it once per lambda.  The fluxes beyond U's
+    first len(sigma) columns are divergence-free, have theta = 1 and are
+    left out.
+    """
+    sigma, T = system.ops._flux_whitening
+    params = system.params
+    memo = _FACTORS.setdefault(system.uspace, {})
+    last = memo.get("rotated coupling")
+    if last is None or last[0] is not coupling:
+        last = memo["rotated coupling"] = (coupling, T @ coupling)
+    rp, g = params.rp_inv, params.gamma
+    nu, k, m = len(W_uu), sigma.size, len(T)
+    W = np.zeros((nu + k + m,) * 2, order="F")
+    W[:nu, :nu] = W_uu
+    W[nu + k:, :nu] = last[1] / np.sqrt(g)
+    f, p = np.arange(nu, nu + k), np.arange(nu + k, nu + k + m)
+    weight = g * rp + sigma**2
+    W[f, f] = g * rp / weight
+    W[f + k, f] = sigma / np.sqrt(weight)
+    W[p, p] = -params.alpha_p / g
+    return W
 
 
 def _pressure_diagonal(N_P, label: str) -> np.ndarray:
@@ -662,14 +720,3 @@ def _negative_pivots(d: np.ndarray, e: np.ndarray) -> int:
         else:
             pivot = max(pivot, pivmin)
     return count
-
-
-def _pressure_reflector(w: np.ndarray) -> np.ndarray:
-    """Unit v such that the last column of H = I - 2 v v^T is a multiple
-    of w; its other columns then span the vectors orthogonal to w (the
-    mean-zero pressures, for w the cell areas)."""
-    v = np.array(w, dtype=float)
-    v /= np.linalg.norm(v)
-    # the sign keeps this sum free of cancellation
-    v[-1] += np.copysign(1.0, v[-1])
-    return v / np.linalg.norm(v)

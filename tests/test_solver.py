@@ -669,7 +669,8 @@ def test_dense_pencil_gives_the_blocked_reduction_its_workspace(
         ops_bdm, monkeypatch):
     """The tridiagonal reduction dsytrd of the whitened inf-sup pencil and
     of the whitened Korn pencil gets the workspace dsytrd_lwork asks for;
-    dsytrd runs blocked only with that."""
+    dsytrd runs blocked only with that.  The inf-sup pencil is the closed
+    form's, without the divergence-free fluxes."""
     from biotfem.analysis import korn_equivalence_bounds
     from scipy.linalg import lapack
 
@@ -677,7 +678,8 @@ def test_dense_pencil_gives_the_blocked_reduction_its_workspace(
     pr = ReducedParams(1.0, 1.0, 0.0)
     infsup_constant(ops_bdm[4].block_system(pr), ops_bdm[4].norm_blocks(pr))
     [(m, lwork)] = seen
-    assert m == sum(ops_bdm[4].block_system(pr).block_sizes) - 1
+    nu, nv, npp = ops_bdm[4].block_system(pr).block_sizes
+    assert m == nu + npp - 1 + min(nv, npp - 1)
     assert lwork >= lapack.dsytrd_lwork(m, lower=1)[0]
 
     seen.clear()
@@ -798,17 +800,18 @@ def test_whitened_displacement_is_kept_per_lambda(ops_bdm, monkeypatch):
 @pytest.mark.parametrize("kind,n", [("structured", 2), ("structured", 4),
                                     ("structured", 6), ("perturbed", 4)])
 def test_factored_divdiv_is_the_gram(perturbed_mesh, kind, n):
-    """The divergences are cellwise constant, so the displacement div-div
-    Gram on the free dofs is B_up M_p^-1 B_up^T, to a few ulp of its
-    largest entry in float64: the identity the closed-form whitening
-    rests on."""
+    """The divergences are cellwise constant, so the displacement and
+    flux div-div Grams on the free dofs are B_up M_p^-1 B_up^T and
+    B_vp M_p^-1 B_vp^T, to a few ulp of their largest entry in float64:
+    the identities the closed-form whitening rests on."""
     ops = FormOperators(perturbed_mesh[n] if kind == "perturbed"
                         else structured_mesh(n))
-    B = ops._B_up_free
-    factored = (B @ sps.diags(1.0 / ops.areas) @ B.T).toarray()
-    gram = ops._upattern.free(ops._DD_u).toarray()
-    assert np.abs(factored - gram).max() <= 4 * np.spacing(
-        np.abs(gram).max())
+    for B, pattern, low in ((ops._B_up_free, ops._upattern, ops._DD_u),
+                            (ops._B_vp_free, ops._vpattern, ops._DD_v)):
+        factored = (B @ sps.diags(1.0 / ops.areas) @ B.T).toarray()
+        gram = pattern.free(low).toarray()
+        assert np.abs(factored - gram).max() <= 4 * np.spacing(
+            np.abs(gram).max())
 
 
 def test_closed_form_whitening_only_for_the_operators_own_blocks(
@@ -886,3 +889,125 @@ def test_closed_form_whitening_matches_the_cholesky_route(
                         values.append(infsup_constant(system, nb).beta0)
                     assert values[0] == pytest.approx(values[1], rel=1e-12)
     assert len(whitened) == 2 * len(AP_GRID) * len(RP_GRID) * 3
+
+
+def _pencil_orders(monkeypatch) -> list:
+    """The order of every matrix `solver._dense_pencil` gets, from now
+    on."""
+    orders, real = [], solver._dense_pencil
+
+    def recorded(A, extremes=False):
+        orders.append(len(A))
+        return real(A, extremes)
+
+    monkeypatch.setattr(solver, "_dense_pencil", recorded)
+    return orders
+
+
+def test_closed_flux_whitening_only_for_the_operators_own_blocks(
+        ops_bdm, rng, monkeypatch):
+    """The flux and pressure blocks are whitened in closed form, and the
+    divergence-free fluxes leave the pencil, only when A_vv, B_vp, N_V
+    and N_P are the operators' own at the system's parameters, paper
+    N_V and N_P, a preconditioner's included; N_V at another rp_inv,
+    2 A_vv, a zeroed B_vp or a random positive diagonal N_P take the
+    Cholesky route with the full pencil."""
+    ops = ops_bdm[4]
+    pr = ReducedParams(1e4, 1e-4, 1.0)
+    bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
+    nu, nv, npp = bs.block_sizes
+    closed, full = nu + npp - 1 + min(nv, npp - 1), nu + nv + npp - 1
+    assert closed < full
+    orders = _pencil_orders(monkeypatch)
+    infsup_constant(bs, nb)
+    estimate_condition(bs, build_preconditioner(nb, bs))
+    assert orders == [closed, closed]
+    del orders[:]
+    for system, norms in (
+            (bs, dataclasses.replace(
+                nb, N_V=ops.norm_blocks(ReducedParams(1e4, 1.0, 1.0)).N_V)),
+            (dataclasses.replace(bs, A_vv=(2.0 * bs.A_vv).tocsr()), nb),
+            (dataclasses.replace(bs, B_vp=0.0 * bs.B_vp), nb),
+            (bs, dataclasses.replace(nb, N_P=sps.diags(
+                rng.uniform(0.1, 10.0, npp)).tocsr()))):
+        infsup_constant(system, norms)
+    assert orders == [full] * 4
+
+
+def test_closed_flux_whitening_rotates_the_coupling_once_per_lambda(
+        ops_bdm):
+    """Points that share the whitened displacement share its coupling
+    rotated to the closed-form pressure basis, bitwise the value a fresh
+    computation gets."""
+    ops = ops_bdm[4]
+    solver._FACTORS.pop(ops.uspace, None)
+    rotated = []
+    for rp in RP_GRID:
+        pr = ReducedParams(1e2, rp, 0.0)
+        infsup_constant(ops.block_system(pr), ops.norm_blocks(pr))
+        rotated.append(solver._FACTORS[ops.uspace]["rotated coupling"][1])
+    assert all(r is rotated[0] for r in rotated)
+    solver._FACTORS.pop(ops.uspace, None)
+    infsup_constant(ops.block_system(pr), ops.norm_blocks(pr))
+    assert np.array_equal(
+        solver._FACTORS[ops.uspace]["rotated coupling"][1], rotated[0])
+
+
+@pytest.mark.parametrize("flux", ["bdm1", "p1cvec"])
+@pytest.mark.parametrize("mesh", ["structured4", "perturbed4"])
+def test_closed_flux_whitening_matches_the_cholesky_route_for_other_fluxes(
+        perturbed_mesh, monkeypatch, mesh, flux):
+    """The closed-form flux whitening agrees with the Cholesky route over
+    the grid for the bdm1 and the p1cvec flux, paper norms and the
+    preconditioner's blocks.  The Cholesky route gets the same system
+    with a copy of B_vp, so both whiten the displacement alike.
+
+    Each min and max |theta| agree to 1e-12 of the largest |theta|, the
+    size of W's rounding, by which Weyl's inequality bounds how far any
+    eigenvalue moves.  The stable bdm1 pairing also gives beta0 and kappa
+    to 1e-12 relative.  The p1cvec flux has 30 free dofs and 31 mean-zero
+    pressures on n = 4, so a pressure has no flux partner, and its beta0
+    falls to 1e-16 at small rp_inv, where no float64 route resolves it
+    relatively."""
+    ops = FormOperators(structured_mesh(4) if mesh == "structured4"
+                        else perturbed_mesh[4], ("bdm1", flux, "p0"))
+    nu, nv, npp = ops.block_system(ReducedParams(1.0, 1.0, 0.0)).block_sizes
+    assert (nv < npp - 1) == (flux == "p1cvec")
+    orders = _pencil_orders(monkeypatch)
+    for lam in LAM_GRID:
+        for rp in RP_GRID:
+            for ap in AP_GRID:
+                pr = ReducedParams(lam, rp, ap)
+                bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
+                pc = build_preconditioner(nb, bs)
+                copied = dataclasses.replace(bs, B_vp=bs.B_vp.copy())
+                for blocks in ((nb.N_U, nb.N_V, nb.N_P), pc.blocks):
+                    closed, cholesky = (np.abs(solver._mean_zero_pencil(
+                        system, blocks, "norm matrix", extremes=True))
+                        for system in (bs, copied))
+                    for pick in (np.min, np.max):
+                        assert abs(pick(closed) - pick(cholesky)) <= \
+                            1e-12 * cholesky.max(), (pr, pick)
+                if flux == "bdm1":
+                    assert infsup_constant(bs, nb).beta0 == pytest.approx(
+                        infsup_constant(copied, nb).beta0, rel=1e-12, abs=0)
+                    assert estimate_condition(bs, pc) == pytest.approx(
+                        estimate_condition(copied, pc), rel=1e-12, abs=0)
+    closed, full = nu + npp - 1 + min(nv, npp - 1), nu + nv + npp - 1
+    assert orders == [closed, full] * (2 * 40 * (2 if flux == "bdm1" else 1))
+
+
+def test_closed_flux_whitening_leaves_a_334_row_pencil_on_n6(monkeypatch):
+    """On n = 6, the mesh of the `infsup` benchmark, with paper norms:
+    192 displacements, 71 mean-zero pressures and as many fluxes; the
+    other 25 of the 96 free fluxes are divergence-free and leave, and
+    their theta = 1 comes back with the selected eigenvalues."""
+    ops = FormOperators(structured_mesh(6))
+    pr = ReducedParams(1e2, 1e-4, 1.0)
+    bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
+    orders = _pencil_orders(monkeypatch)
+    theta = solver._mean_zero_pencil(bs, (nb.N_U, nb.N_V, nb.N_P),
+                                     "paper norm matrix")
+    assert bs.block_sizes == (192, 96, 72)
+    assert orders == [334]
+    assert theta[-1] == 1.0
