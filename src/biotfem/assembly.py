@@ -22,6 +22,7 @@ small dot products too.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -236,6 +237,8 @@ class BlockLayout:
             n, *(np.concatenate(a) for a in zip(*coords)))
         for a in (self.indptr, self.indices, self.order):
             a.flags.writeable = False
+        self.template = _shared_csr(np.zeros(self.order.size), self.indices,
+                                    self.indptr, (n, n))
 
     def matches(self, blocks) -> bool:
         return all(b.shape == s and b.indptr is p and b.indices is i
@@ -255,8 +258,9 @@ def block_matrix(system: BlockSystem, bordered: bool = False):
 
     The saddle layout of the displacement space is kept while the five
     blocks keep the sparsity pattern it was built for, and its read-only
-    index arrays are handed out without copies.  A direct solver borders
-    its matrix once, so a bordered layout is built from the blocks and not
+    index arrays are handed out without copies, each matrix a copy of the
+    layout's template (`_from_template`).  A direct solver borders its
+    matrix once, so a bordered layout is built from the blocks and not
     kept."""
     blocks = [_canonical(b) for b in (system.A_uu, system.B_up, system.A_vv,
                                       system.B_vp, system.C_pp)]
@@ -268,9 +272,8 @@ def block_matrix(system: BlockSystem, bordered: bool = False):
         layout = _LAYOUTS.get(system.uspace)
         if layout is None or not layout.matches(blocks):
             layout = _LAYOUTS[system.uspace] = BlockLayout(blocks)
-    n = layout.indptr.size - 1
-    return _shared_csr(np.concatenate(data)[layout.order], layout.indices,
-                       layout.indptr, (n, n))
+    return _from_template(layout.template,
+                          np.concatenate(data)[layout.order])
 
 
 def block_diagonal(blocks) -> sps.csr_matrix:
@@ -300,7 +303,8 @@ class GramPattern:
     keeps the pattern's structural zeros, and sums of Grams are sums of
     data vectors.  The CSR matrices of one pattern share read-only index
     arrays: an in-place scipy call on one of them raises instead of
-    changing the others.
+    changing the others.  Each is a copy of the pattern's template on all
+    dofs or on the free dofs (`_from_template`).
     """
 
     def __init__(self, space: FESpace, *tables):
@@ -389,12 +393,20 @@ class GramPattern:
 
     def full(self, low) -> sps.csr_matrix:
         """The Gram with lower-pattern data `low` on all dofs."""
-        return _shared_csr(low[self.mirror], self.indices, self.indptr,
-                           (self.n, self.n))
+        return _from_template(self._full, low[self.mirror])
 
     def free(self, low) -> sps.csr_matrix:
         """The Gram with lower-pattern data `low` on the free dofs."""
-        return _shared_csr(low[self.free_mirror], self.free_indices,
+        return _from_template(self._free, low[self.free_mirror])
+
+    @cached_property
+    def _full(self) -> sps.csr_matrix:
+        return _shared_csr(np.zeros(self.mirror.size), self.indices,
+                           self.indptr, (self.n, self.n))
+
+    @cached_property
+    def _free(self) -> sps.csr_matrix:
+        return _shared_csr(np.zeros(self.free_mirror.size), self.free_indices,
                            self.free_indptr, (self.nfree, self.nfree))
 
 
@@ -404,6 +416,15 @@ def _shared_csr(data, indices, indptr, shape) -> sps.csr_matrix:
     # that a block layout recognises them by identity
     mat.indices, mat.indptr = indices, indptr
     mat.has_canonical_format = True  # sorted and unique by construction
+    return mat
+
+
+def _from_template(template: sps.csr_matrix, data) -> sps.csr_matrix:
+    """A shallow copy of the CSR `template` that holds `data`: it shares
+    the template's index arrays and format flags, so scipy checks them
+    once per template, not once per matrix."""
+    mat = copy.copy(template)
+    mat.data = data
     return mat
 
 
@@ -651,9 +672,7 @@ class FormOperators:
                      g_cells=None) -> BlockSystem:
         A_uu = self._A_uu(params)
         A_vv = self._A_vv(params)
-        M_p = self.M_p
-        C_pp = _shared_csr(-params.alpha_p * M_p.data, M_p.indices,
-                           M_p.indptr, M_p.shape)
+        C_pp = _from_template(self.M_p, -params.alpha_p * self.M_p.data)
         rhs_u, rhs_v, rhs_p = self.rhs(f=f, g=g, g_cells=g_cells)
         return BlockSystem(A_uu, self._B_up_free, A_vv, self._B_vp_free,
                            C_pp, rhs_u[self.uspace.free_dofs],
@@ -728,8 +747,14 @@ class FormOperators:
         return self._vpattern.free(params.rp_inv * self._M_v
                                    + (1.0 / params.gamma) * self._DD_v)
 
+    def _flux_shape(self, t: float) -> sps.csr_matrix:
+        """t M_v + DD_v on the free flux dofs: gamma times `_N_V` at
+        t = gamma rp_inv, so the paper's flux norms of one t differ by a
+        scalar."""
+        return self._vpattern.free(t * self._M_v + self._DD_v)
+
     def norm_blocks(self, params: ReducedParams) -> NormBlocks:
-        N_P = (params.gamma * self.M_p).tocsr()
+        N_P = _from_template(self.M_p, params.gamma * self.M_p.data)
         return NormBlocks(self._N_U(params), self._N_V(params), N_P,
                           kind="paper")
 
@@ -737,7 +762,7 @@ class FormOperators:
         """Norms without the gamma reweighting: the flux div term carries
         rp_inv and the pressure mass is unweighted (negative experiment)."""
         N_V = self._vpattern.free(params.rp_inv * (self._M_v + self._DD_v))
-        N_P = self.M_p.copy().tocsr()
+        N_P = _from_template(self.M_p, self.M_p.data.copy())
         return NormBlocks(self._N_U(params), N_V, N_P, kind="natural")
 
 

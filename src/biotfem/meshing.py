@@ -9,6 +9,7 @@ is the normal rotated by +90 degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,8 +72,15 @@ class TriMesh:
         return self.vertices[self.cells[k]]
 
     def signed_areas(self) -> np.ndarray:
+        """Cell areas, computed once per mesh and shared read-only."""
+        return self._areas
+
+    @cached_property
+    def _areas(self) -> np.ndarray:
         J = self.jacobians()
-        return 0.5 * (J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1])
+        areas = 0.5 * (J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1])
+        areas.flags.writeable = False
+        return areas
 
     def jacobians(self) -> np.ndarray:
         """Affine cell-map Jacobians J = [x1 - x0, x2 - x0], (nc, 2, 2)."""

@@ -117,48 +117,62 @@ class BlockPreconditioner:
     The displacement block is the assembled elasticity operator
     (a_h + lambda div-div); flux and pressure blocks are the norm matrices,
     and the pressure block, a positive diagonal, is inverted entrywise.
-    `memo` maps a block name to the last (matrix, factor) factored under
-    it; a block bitwise equal to its entry reuses the factor, any other
-    replaces the entry.  `lu_fill` holds the fill of every factored block,
+    `memo` maps a block name to the last (key, factor) factored under it.
+    A block is keyed on a copy of itself: one bitwise equal to its entry
+    reuses the factor, any other replaces the entry.  A flux block given
+    with `flux_shape` = (t, c, shape), where shape() is c N_V, is keyed on
+    the float t: shape()'s factor is kept under t and N_V^-1 applied as
+    c shape()^-1.  `lu_fill` holds the fill of every factored block,
     SuperLU's count of the entries its L and U factors store.
     """
 
-    def __init__(self, A_uu, N_V, N_P, memo: dict | None = None):
+    def __init__(self, A_uu, N_V, N_P, memo: dict | None = None,
+                 flux_shape: tuple | None = None):
         self.blocks = (A_uu.tocsr(), N_V.tocsr(), N_P.tocsr())
         self.sizes = tuple(b.shape[0] for b in self.blocks)
         self.lu_fill = {}
         memo = {} if memo is None else memo
         self.inv_U = self._inverse(self.blocks[0], "displacement", memo)
-        self.inv_V = self._inverse(self.blocks[1], "flux", memo)
+        self.inv_V = self._inverse(self.blocks[1], "flux", memo, flux_shape)
         inv = 1.0 / _pressure_diagonal(self.blocks[2],
                                        "preconditioner matrix")
-        self.inv_P = lambda x: inv * x
+        self.inv_P = lambda x, out: np.multiply(inv, x, out=out)
 
-    def _inverse(self, mat: sps.csr_matrix, name: str, memo: dict):
+    def _inverse(self, mat: sps.csr_matrix, name: str, memo: dict,
+                 shape: tuple | None = None):
+        key, scale, build = shape or (mat, 1.0, lambda: mat)
         last = memo.get(name)
-        if last is not None and _same_matrix(last[0], mat):
+        if last is not None and _same_key(last[0], key):
             lu = last[1]
         else:
-            lu = _factor(mat, name, spd=True)
-            memo[name] = (mat.copy(), lu)
+            lu = _factor(build(), name, spd=True)
+            memo[name] = (key if shape else mat.copy(), lu)
         self.lu_fill[name] = lu.nnz
 
-        def solve(x):
+        def solve(x, out):
             y = lu.solve(x)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise FactorizationFailure(f"{name} block produced non-finite"
                                            " values (singular factorization)")
-            return y
+            np.multiply(scale, y, out=out)
 
         return solve
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         nu, nv, npp = self.sizes
-        return np.concatenate([
-            self.inv_U(r[:nu]),
-            self.inv_V(r[nu:nu + nv]),
-            self.inv_P(r[nu + nv:]),
-        ])
+        out = np.empty(nu + nv + npp)
+        self.inv_U(r[:nu], out[:nu])
+        self.inv_V(r[nu:nu + nv], out[nu:nu + nv])
+        self.inv_P(r[nu + nv:], out[nu + nv:])
+        return out
+
+
+def _same_key(a, b) -> bool:
+    """Whether two factor-memo keys, each a CSR matrix or a float, agree
+    bitwise."""
+    if isinstance(a, float) or isinstance(b, float):
+        return isinstance(a, float) and isinstance(b, float) and a == b
+    return _same_matrix(a, b)
 
 
 def build_preconditioner(norms: NormBlocks,
@@ -167,10 +181,19 @@ def build_preconditioner(norms: NormBlocks,
 
     Systems assembled by one FormOperators share a factor memo, so a sweep
     factors `A_uu` once per lambda and a flux block once per distinct
-    norm instead of once per grid point.
+    norm instead of once per grid point.  The paper's own flux norm
+    (`_own_flux_norm`) is N_V = X_t / gamma with X_t = t M_v + DD_v and
+    t = gamma rp_inv, so X_t is factored once per distinct t: points whose
+    norms differ by a scalar share it.
     """
-    return BlockPreconditioner(system.A_uu, norms.N_V, norms.N_P,
-                               _FACTORS.setdefault(system.uspace, {}))
+    N_V = norms.N_V.tocsr()
+    shape = None
+    if _own_flux_norm(system, N_V):
+        ops, params = system.ops, system.params
+        t = float(params.gamma * params.rp_inv)
+        shape = (t, params.gamma, lambda: ops._flux_shape(t))
+    return BlockPreconditioner(system.A_uu, N_V, norms.N_P,
+                               _FACTORS.setdefault(system.uspace, {}), shape)
 
 
 def _mean_zero_projectors(system: BlockSystem):
@@ -234,19 +257,25 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
     eta = gamma
     s_prev = s = 0.0
     c_prev = c = 1.0
-    w_prev = np.zeros(n)
-    w = np.zeros(n)
+    w_prev, w, w_next, tmp = np.zeros((4, n))
     gamma_old = 1.0
     converged = False
     k = 0
+    # the vectors are updated in place, in the order of the textbook
+    # expressions, so every iterate is bitwise theirs
     for k in range(1, max_iter + 1):
         z /= gamma
-        Az = A @ z
-        delta = Az @ z
-        v_next = Az - (delta / gamma) * v - (gamma / gamma_old) * v_prev
+        # v_next = A z - (delta / gamma) v - (gamma / gamma_old) v_prev
+        v_next = A @ z
+        delta = v_next @ z
+        np.multiply(delta / gamma, v, out=tmp)
+        v_next -= tmp
+        np.multiply(gamma / gamma_old, v_prev, out=tmp)
+        v_next -= tmp
         z_next = project(precond.apply(v_next))
         gamma2 = z_next @ v_next
-        if gamma2 < -1e-13 * (np.abs(z_next) @ np.abs(v_next) + 1.0):
+        if gamma2 < 0 and gamma2 < -1e-13 * (np.abs(z_next)
+                                             @ np.abs(v_next) + 1.0):
             raise BreakdownDetected(
                 f"lost conjugacy at iteration {k}: z'v = {gamma2}")
         gamma_new = np.sqrt(max(gamma2, 0.0))
@@ -260,8 +289,14 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
         c_new = a0 / a1
         s_new = gamma_new / a1
 
-        w_next = (z - a3 * w_prev - a2 * w) / a1
-        x = x + (c_new * eta) * w_next
+        # w_next = (z - a3 w_prev - a2 w) / a1, x += (c_new eta) w_next
+        np.multiply(a3, w_prev, out=tmp)
+        np.subtract(z, tmp, out=w_next)
+        np.multiply(a2, w, out=tmp)
+        w_next -= tmp
+        w_next /= a1
+        np.multiply(c_new * eta, w_next, out=tmp)
+        x += tmp
         eta = -s_new * eta
 
         history.append(abs(eta) / norm_b)
@@ -276,7 +311,7 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
         v_prev, v = v, v_next
         z = z_next
         gamma_old, gamma = gamma, gamma_new
-        w_prev, w = w, w_next
+        w_prev, w, w_next = w, w_next, w_prev
         s_prev, s = s, s_new
         c_prev, c = c, c_new
 
@@ -524,10 +559,16 @@ def _own_flux_blocks(system: BlockSystem, N_V: sps.csr_matrix,
     system's operators at its parameters, and `diag`, N_P's diagonal,
     is bitwise their gamma M_p."""
     ops, params = system.ops, system.params
-    return (ops is not None and system.B_vp is ops._B_vp_free
+    return (_own_flux_norm(system, N_V) and system.B_vp is ops._B_vp_free
             and _same_matrix(system.A_vv.tocsr(), ops._A_vv(params))
-            and _same_matrix(N_V, ops._N_V(params))
             and np.array_equal(diag, params.gamma * ops.areas))
+
+
+def _own_flux_norm(system: BlockSystem, N_V: sps.csr_matrix) -> bool:
+    """Whether N_V is bitwise the paper's flux norm of the system's
+    operators at its parameters."""
+    ops = system.ops
+    return ops is not None and _same_matrix(N_V, ops._N_V(system.params))
 
 
 def _closed_flux(system: BlockSystem, W_uu: np.ndarray,

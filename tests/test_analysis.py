@@ -328,10 +328,18 @@ def test_infsup_sweep_records_equal_the_serial_loop(n, norms):
 @needs_fork
 def test_infsup_sweep_chunks_the_grid_over_forked_workers(monkeypatch):
     """Three workers on 40 points: contiguous chunks of 13, 13 and 14
-    points, each run by one child, back in grid order."""
+    points, each run by one child, back in grid order.  Each child waits
+    at its first point until all three have started, so none can finish
+    its chunk and take a second before the third child runs; a child that
+    waits in vain breaks the barrier, and the sweep raises."""
     real = analysis.infsup_constant
+    started = multiprocessing.get_context("fork").Barrier(3, timeout=60)
+    waited = []  # per child, after the fork: whether it has waited
 
     def tagged(system, norms):
+        if not waited:
+            waited.append(True)
+            started.wait()
         return dataclasses.replace(real(system, norms), triple=os.getpid())
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},

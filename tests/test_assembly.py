@@ -136,6 +136,55 @@ def test_in_place_call_on_a_block_raises():
             assert np.array_equal(getattr(mat, name), getattr(ref, name))
 
 
+def _handed_out(ops, pr):
+    """One CSR matrix of each kind the operators hand out: from the
+    displacement pattern on the free dofs and on all dofs, the flux
+    pattern, the saddle layout, and the templates of C_pp and N_P."""
+    system = ops.block_system(pr)
+    return {"free": system.A_uu, "full": ops.ah_full(), "flux": system.A_vv,
+            "saddle": system.monolithic(), "C_pp": system.C_pp,
+            "N_P": ops.norm_blocks(pr).N_P}
+
+
+@pytest.mark.parametrize("kind", ["free", "full", "flux", "saddle", "C_pp",
+                                  "N_P"])
+def test_handed_out_blocks_leave_their_template_alone(kind):
+    """Each block is a copy of a template that shares its read-only index
+    arrays: an in-place scipy call on it still raises, and neither that
+    call, its data nor its format flags reach the next block."""
+    ops = FormOperators(structured_mesh(4))
+    pr = ReducedParams(1e2, 1e-4, 1.0)
+    block = _handed_out(ops, pr)[kind]
+    kept = block.copy()
+    block.data[:] = 0.0
+    with pytest.raises(ValueError):
+        block.eliminate_zeros()
+    block.has_sorted_indices = False
+    with pytest.raises(ValueError):
+        block.sort_indices()
+    again = _handed_out(ops, pr)[kind]
+    assert again.data is not block.data
+    assert again.indices is block.indices and again.indptr is block.indptr
+    assert again.has_sorted_indices and again.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(again, name), getattr(kept, name))
+
+
+def test_patterns_and_layout_die_with_form_operators():
+    """The templates belong to their patterns and layout, which nothing
+    outside the operators keeps alive."""
+    import gc
+    import weakref
+
+    ops = FormOperators(structured_mesh(2))
+    _handed_out(ops, ReducedParams(1.0, 1.0, 0.0))
+    refs = [weakref.ref(obj) for obj in (ops._upattern, ops._vpattern,
+                                         assembly._LAYOUTS[ops.uspace])]
+    del ops
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+
+
 def test_pattern_rejects_a_dof_in_no_cell():
     space = FESpace(structured_mesh(2), "rt0")
 

@@ -25,6 +25,21 @@ def test_h_max():
                                                      rel=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["structured", "perturbed"])
+def test_signed_areas_are_computed_once_and_read_only(perturbed_mesh, kind):
+    """Every call returns the same read-only array: half the determinant
+    of each cell's Jacobian."""
+    m = structured_mesh(4) if kind == "structured" else perturbed_mesh[4]
+    areas = m.signed_areas()
+    assert m.signed_areas() is areas
+    assert not areas.flags.writeable
+    with pytest.raises(ValueError):
+        areas[0] = 1.0
+    J = m.jacobians()
+    assert np.array_equal(areas, 0.5 * (J[:, 0, 0] * J[:, 1, 1]
+                                        - J[:, 1, 0] * J[:, 0, 1]))
+
+
 def test_cells_counterclockwise_and_incidence():
     m = structured_mesh(3)
     assert np.all(m.signed_areas() > 0)

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from biotfem import solver
 from biotfem.analysis import (error_norms, infsup_constant, manufactured_case,
@@ -166,15 +167,21 @@ def test_changed_block_is_refactored_not_reused(ops_bdm, monkeypatch, rng):
 
 
 def test_factor_memo_dies_with_form_operators():
+    """The memo keeps the displacement factor under a copy of A_uu and the
+    paper's flux factor under its shape t = gamma rp_inv, and goes with
+    the operators' displacement space."""
     ops = FormOperators(structured_mesh(2))
-    bs, pr = _system(ops, 1.0, 1.0, 0.0, with_rhs=False)
+    bs, pr = _system(ops, 1.0, 1e-4, 1.0, with_rhs=False)
     pc = build_preconditioner(ops.norm_blocks(pr), bs)
-    assert set(solver._FACTORS[ops.uspace]) == {"displacement", "flux"}
-    assert pc.lu_fill == {name: lu.nnz for name, (_, lu) in
-                          solver._FACTORS[ops.uspace].items()}
+    memo = solver._FACTORS[ops.uspace]
+    assert set(memo) == {"displacement", "flux"}
+    assert memo["flux"][0] == pr.gamma * pr.rp_inv
+    assert memo["displacement"][0] is not bs.A_uu
+    assert solver._same_matrix(memo["displacement"][0], bs.A_uu)
+    assert pc.lu_fill == {name: lu.nnz for name, (_, lu) in memo.items()}
     space = weakref.ref(ops.uspace)
     entries = len(solver._FACTORS)
-    del ops, bs, pc
+    del ops, bs, pc, memo
     gc.collect()
     assert space() is None
     assert len(solver._FACTORS) == entries - 1
@@ -183,9 +190,10 @@ def test_factor_memo_dies_with_form_operators():
 @pytest.mark.parametrize("mesh", ["structured4", "perturbed4"])
 def test_reused_factor_matches_a_fresh_build(ops_bdm, perturbed_mesh,
                                              monkeypatch, rng, mesh):
-    """A point that shares lambda with the previous one reuses its A_uu
-    factor; applying the preconditioner gives, bit for bit, what one built
-    on fresh operators gives."""
+    """A point that shares lambda and the flux shape gamma rp_inv (here
+    1) with the previous one factors nothing; applying the
+    preconditioner gives, bit for bit, what one built on fresh operators
+    gives."""
     ops = (ops_bdm[4] if mesh == "structured4"
            else FormOperators(perturbed_mesh[4]))
     bs, pr = _system(ops, 1e4, 1.0, 0.0, with_rhs=False)
@@ -193,7 +201,7 @@ def test_reused_factor_matches_a_fresh_build(ops_bdm, perturbed_mesh,
     bs, pr = _system(ops, 1e4, 1e-4, 1.0, with_rhs=False)
     shapes = _count_lu_calls(monkeypatch)
     reused = build_preconditioner(ops.norm_blocks(pr), bs)
-    assert shapes == [(bs.block_sizes[1],) * 2]  # the flux block alone
+    assert shapes == []
     fresh_ops = FormOperators(ops.mesh)
     fresh = build_preconditioner(fresh_ops.norm_blocks(pr),
                                  fresh_ops.block_system(pr))
@@ -201,6 +209,95 @@ def test_reused_factor_matches_a_fresh_build(ops_bdm, perturbed_mesh,
     for _ in range(3):
         r = rng.standard_normal(sum(reused.sizes))
         assert np.array_equal(reused.apply(r), fresh.apply(r))
+
+
+def _grid_points():
+    return [ReducedParams(lam, rp, ap) for lam in LAM_GRID for rp in RP_GRID
+            for ap in AP_GRID]
+
+
+def _factored_names(monkeypatch) -> list:
+    """The block name of every `solver._factor` call from now on."""
+    names, real = [], solver._factor
+
+    def counted(mat, name, spd):
+        names.append(name)
+        return real(mat, name, spd)
+
+    monkeypatch.setattr(solver, "_factor", counted)
+    return names
+
+
+@pytest.mark.parametrize("kind", ["structured", "perturbed"])
+def test_paper_flux_factored_once_per_shape(perturbed_mesh, monkeypatch,
+                                            rng, kind):
+    """Over the lambda-major grid the paper's flux block is factored once
+    per run of equal gamma rp_inv, A_uu once per lambda, and the flux
+    part of every application solves with N_V to 1e-12."""
+    ops = FormOperators(structured_mesh(4) if kind == "structured"
+                        else perturbed_mesh[4])
+    names = _factored_names(monkeypatch)
+    shapes = [pr.gamma * pr.rp_inv for pr in _grid_points()]
+    runs = 1 + sum(a != b for a, b in zip(shapes, shapes[1:]))
+    nu, nv, _ = ops.block_system(ReducedParams(1, 1, 0)).block_sizes
+    for pr in _grid_points():
+        pc = build_preconditioner(ops.norm_blocks(pr), ops.block_system(pr))
+        r = rng.standard_normal(sum(pc.sizes))
+        expect = spla.spsolve(pc.blocks[1].tocsc(), r[nu:nu + nv])
+        got = pc.apply(r)[nu:nu + nv]
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(
+            expect), pr
+        assert solver._same_matrix(pc.blocks[1], ops.norm_blocks(pr).N_V)
+    assert names.count("displacement") == len(LAM_GRID)
+    assert names.count("flux") == runs < len(shapes) // 2
+
+
+def test_foreign_flux_block_keeps_the_bitwise_memo(ops_bdm, monkeypatch,
+                                                   rng):
+    """N_V scaled, or at another rp_inv, is not the operators' own: it is
+    factored itself and kept under a copy of itself, so repeating it
+    factors nothing and the paper's block after it is factored again."""
+    ops = ops_bdm[4]
+    pr = ReducedParams(1e2, 1e-4, 1.0)
+    bs, own = ops.block_system(pr), ops.norm_blocks(pr)
+    nu, nv, _ = bs.block_sizes
+    names = _factored_names(monkeypatch)
+    memo = solver._FACTORS.setdefault(ops.uspace, {})
+    for N_V in (2.0 * own.N_V,
+                ops.norm_blocks(ReducedParams(1e2, 1.0, 1.0)).N_V):
+        norms = dataclasses.replace(own, N_V=N_V)
+        for _ in range(2):
+            pc = build_preconditioner(norms, bs)
+        assert solver._same_matrix(memo["flux"][0], N_V)
+        r = rng.standard_normal(sum(pc.sizes))
+        expect = spla.spsolve(N_V.tocsc(), r[nu:nu + nv])
+        assert np.linalg.norm(pc.apply(r)[nu:nu + nv] - expect) \
+            <= 1e-12 * np.linalg.norm(expect)
+    build_preconditioner(own, bs)
+    assert memo["flux"][0] == pr.gamma * pr.rp_inv
+    assert names.count("flux") == 3
+
+
+def _first_pivot_negated(mat):
+    mat = mat.copy()
+    mat[0, 0] = -mat[0, 0]
+    return mat
+
+
+def test_indefinite_flux_block_raises_on_either_route(monkeypatch):
+    """The positive-pivot certificate guards the factored shape as it
+    guards a foreign flux block."""
+    ops = FormOperators(structured_mesh(2))
+    bs, pr = _system(ops, 1.0, 1.0, 0.0, with_rhs=False)
+    nb = ops.norm_blocks(pr)
+    foreign = dataclasses.replace(nb, N_V=_first_pivot_negated(nb.N_V))
+    with pytest.raises(SingularNormMatrix, match="flux block"):
+        build_preconditioner(foreign, bs)
+    real = ops._flux_shape
+    monkeypatch.setattr(ops, "_flux_shape",
+                        lambda t: _first_pivot_negated(real(t)))
+    with pytest.raises(SingularNormMatrix, match="flux block"):
+        build_preconditioner(nb, bs)
 
 
 # MINRES iterations (tol 1e-8) over the acceptance grid, lambda-major as in
@@ -231,6 +328,68 @@ def test_grid_iterations_match_kept_table(perturbed_mesh, mesh):
         assert rep.converged, pt
         iterations.append(rep.iterations)
     assert iterations == GRID_ITERATIONS[mesh]
+
+
+def _reference_minres(system, precond, tol, max_iter):
+    """The MINRES recurrence of `minres_solve` as plain expressions, each
+    allocating its result: (x, residual history)."""
+    A = system.monolithic()
+    project_dual, project = solver._mean_zero_projectors(system)
+    b = project_dual(system.rhs.copy())
+    x, v_prev, w_prev, w = (np.zeros(b.size) for _ in range(4))
+    v = b.copy()
+    z = project(precond.apply(v))
+    gamma = norm_b = eta = np.sqrt(z @ v)
+    s_prev = s = 0.0
+    c_prev = c = 1.0
+    gamma_old = 1.0
+    history = [1.0]
+    for _ in range(max_iter):
+        z = z / gamma
+        Az = A @ z
+        delta = Az @ z
+        v_next = Az - (delta / gamma) * v - (gamma / gamma_old) * v_prev
+        z_next = project(precond.apply(v_next))
+        gamma_new = np.sqrt(max(z_next @ v_next, 0.0))
+        a0 = c * delta - c_prev * s * gamma
+        a1 = np.hypot(a0, gamma_new)
+        a2 = s * delta + c_prev * c * gamma
+        a3 = s_prev * gamma
+        c_new, s_new = a0 / a1, gamma_new / a1
+        w_next = (z - a3 * w_prev - a2 * w) / a1
+        x = x + (c_new * eta) * w_next
+        eta = -s_new * eta
+        history.append(abs(eta) / norm_b)
+        if abs(eta) <= tol * norm_b or gamma_new == 0.0:
+            break
+        v_prev, v, z = v, v_next, z_next
+        gamma_old, gamma = gamma, gamma_new
+        w_prev, w = w, w_next
+        s_prev, s, c_prev, c = s, s_new, c, c_new
+    return x, history
+
+
+@pytest.mark.parametrize("route", ["own", "foreign"])
+@pytest.mark.parametrize("kind", ["structured", "perturbed"])
+def test_minres_iterates_are_the_plain_recurrence(perturbed_mesh, kind,
+                                                  route):
+    """The in-place loop computes, bit for bit, the iterates and
+    residuals of the plain expressions, over the grid, with the paper's
+    flux block and with a foreign one (2 N_V)."""
+    ops = FormOperators(structured_mesh(4) if kind == "structured"
+                        else perturbed_mesh[4])
+    for pr in _grid_points():
+        case = manufactured_case(pr)
+        bs = ops.block_system(pr, f=case.f, g=case.g)
+        nb = ops.norm_blocks(pr)
+        if route == "foreign":
+            nb = dataclasses.replace(nb, N_V=2.0 * nb.N_V)
+        pc = build_preconditioner(nb, bs)
+        x, rep = minres_solve(bs, pc, tol=1e-8, max_iter=500)
+        x_ref, history = _reference_minres(bs, pc, 1e-8, 500)
+        assert rep.converged, pr
+        assert np.array_equal(x, x_ref), pr
+        assert rep.residual_history == history, pr
 
 
 class _StubSystem:
@@ -873,7 +1032,10 @@ def test_closed_form_whitening_matches_the_cholesky_route(
         ops_bdm, perturbed_mesh, monkeypatch, mesh):
     """Up to lambda = 1e4 the closed form and the Cholesky route (the
     same system without its operators) give beta0 to 1e-12, paper and
-    natural norms, over the grid."""
+    natural norms, over the grid: relative alone for the paper norms,
+    with pytest's default absolute floor of 1e-12 for the natural norms,
+    whose beta0 falls to 1e-7 and whose two routes differ by up to
+    1.05e-12 relative."""
     ops = (ops_bdm[4] if mesh == "structured4"
            else FormOperators(perturbed_mesh[4]))
     whitened = _count_closed_forms(monkeypatch)
@@ -887,7 +1049,9 @@ def test_closed_form_whitening_matches_the_cholesky_route(
                     for system in (bs, dataclasses.replace(bs, ops=None)):
                         solver._FACTORS.pop(ops.uspace, None)
                         values.append(infsup_constant(system, nb).beta0)
-                    assert values[0] == pytest.approx(values[1], rel=1e-12)
+                    floor = 0.0 if nb.kind == "paper" else None
+                    assert values[0] == pytest.approx(values[1], rel=1e-12,
+                                                      abs=floor)
     assert len(whitened) == 2 * len(AP_GRID) * len(RP_GRID) * 3
 
 
