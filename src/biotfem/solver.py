@@ -691,6 +691,14 @@ def _whiten_lower(L: np.ndarray, M: np.ndarray) -> np.ndarray:
     return lapack.dsygst(M, L, lower=1)[0]
 
 
+# dsytrd's panel width, below the 32 that dsytrd_lwork reports: with one
+# OpenBLAS 0.3.30 thread it reduces the 334- and 606-row inf-sup pencils
+# of n = 6 and 8 14% and 10% faster, and no order from 30 to 2494 rows
+# (the n = 16 pencil) more than 3% slower (BENCH_panel_width.json).  The
+# width changes only the rounding of the reduction.
+_PANEL = 14
+
+
 def _dense_pencil(A: np.ndarray, extremes: bool = False) -> np.ndarray:
     """The eigenvalues of the dense symmetric matrix A that |theta|
     reads: the two either side of zero and, with `extremes`, the smallest
@@ -704,16 +712,16 @@ def _dense_pencil(A: np.ndarray, extremes: bool = False) -> np.ndarray:
     the tightest tolerance it takes (2 * tiny).  Where bisection loses
     the eigenvalues of a tight cluster (dstebz's info 2, as at the top of
     the Korn pencil's spectrum, a cluster at 1), dsterf computes all of
-    T's eigenvalues instead.  dsytrd falls back to the unblocked BLAS-2
-    dsytd2 unless it gets the n * blocksize that dsytrd_lwork reports.
+    T's eigenvalues instead.  dsytrd reduces lwork / n columns per
+    panel and the last 32 columns unblocked (dsytd2); it runs unblocked
+    throughout only when lwork / n < 2.  It gets n * `_PANEL`.
     Raises ValueError on a non-finite entry and LinAlgError when a LAPACK
     call fails.
     """
     A = np.asarray_chkfinite(A)
     n = A.shape[0]
-    _, d, e, _, info = lapack.dsytrd(
-        A, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]),
-        overwrite_a=1)
+    _, d, e, _, info = lapack.dsytrd(A, lower=1, lwork=n * _PANEL,
+                                     overwrite_a=1)
     if info != 0:
         raise LinAlgError(f"LAPACK dsytrd failed with info {info}")
     j = _negative_pivots(d, e)

@@ -1,13 +1,13 @@
 """Every dense eigenvalue problem in the package goes through one helper.
 
 `solver._dense_pencil` takes one symmetric matrix, which its callers
-have whitened, gives LAPACK's dsytrd the workspace that lets the
-tridiagonal reduction run blocked, computes by bisection only the
-eigenvalues its callers read, rejects non-finite input and turns every
-LAPACK failure into `LinAlgError`, which the callers map to their own
-errors.  scipy's `eigh` and its siblings run the same drivers with
-the minimal workspace and the unblocked BLAS-2 reduction, and compute
-every eigenvalue, so a second call site would quietly be the slow path.
+have whitened, runs LAPACK's tridiagonal reduction dsytrd in panels of
+the width measured fastest (`solver._PANEL`), computes by bisection only
+the eigenvalues its callers read, rejects non-finite input and turns
+every LAPACK failure into `LinAlgError`, which the callers map to their
+own errors.  scipy's `eigh` and its siblings reduce at the width their
+workspace gives and compute every eigenvalue, so a second call site
+would quietly be the slow path.
 The check parses the source, so it also covers imports and calls that no
 other test reaches.
 """

@@ -4,7 +4,9 @@ makes of W says where zero falls in its spectrum, and bisection (dstebz)
 computes the two eigenvalues either side of it, plus the extremes for the
 condition number.  These tests check the count against `eigvalsh`, the
 selected eigenvalues against the full spectrum, and beta0 and kappa over
-the acceptance grid against `eigvalsh` of the same whitened matrices."""
+the acceptance grid against the full spectrum of the same tridiagonal,
+which in turn lies within the backward-error bound of `eigvalsh` on the
+same whitened matrices."""
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -34,7 +36,7 @@ def _tridiagonal(A):
     """(d, e) of the tridiagonal dsytrd makes of A, as `_dense_pencil`
     calls it."""
     _, d, e, _, info = lapack.dsytrd(np.array(A, dtype=float, order="F"),
-                                     lower=1)
+                                     lower=1, lwork=len(A) * solver._PANEL)
     assert info == 0
     return d, e
 
@@ -49,6 +51,22 @@ def _recording(monkeypatch):
         return real(A, extremes)
 
     monkeypatch.setattr(solver, "_dense_pencil", recorded)
+    return seen
+
+
+def _reductions(monkeypatch):
+    """(W, d, e) of every dsytrd call from now on: a copy of the matrix it
+    gets and the tridiagonal it makes of it."""
+    seen = []
+    real = lapack.dsytrd
+
+    def recorded(a, *args, **kwargs):
+        W = np.array(a)
+        out = real(a, *args, **kwargs)
+        seen.append((W, out[1].copy(), out[2].copy()))
+        return out
+
+    monkeypatch.setattr(lapack, "dsytrd", recorded)
     return seen
 
 
@@ -116,19 +134,32 @@ def test_dense_pencil_selects_the_eigenvalues_either_side_of_zero(
     assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
-def test_dense_pencil_finds_the_top_of_a_tight_cluster():
+def test_dense_pencil_finds_the_top_of_a_tight_cluster(monkeypatch):
     """Half the spectrum at 1, which rounding spreads over a few ulps, as
-    at the top of the Korn pencil: bisection for the largest eigenvalue
-    alone loses it (dstebz's info 2), and the helper computes the whole
-    spectrum of the tridiagonal instead."""
+    at the top of the Korn pencil: on the tridiagonal the helper makes of
+    this matrix, bisection for the largest eigenvalue alone loses it
+    (dstebz's info 2), and the helper computes the whole spectrum of the
+    tridiagonal (dsterf) instead.  Whether a seed meets info 2 depends on
+    the rounding of the reduction, so on its panel width."""
     m = 40
     theta = np.r_[np.linspace(0.3, 0.9, m // 2), np.ones(m // 2)]
-    A = _with_spectrum(theta, seed=2)
-    d, e = _tridiagonal(A)
-    *_, info = lapack.dstebz(d, e, 2, 0.0, 0.0, m, m,
-                             2 * np.finfo(float).tiny, "E")
-    assert info == 2
+    A = _with_spectrum(theta, seed=10)
+    infos, calls = [], []
+    stebz, sterf = lapack.dstebz, lapack.dsterf
+
+    def recorded_stebz(*args):
+        out = stebz(*args)
+        infos.append(out[-1])
+        return out
+
+    def recorded_sterf(*args):
+        calls.append(len(args[0]))
+        return sterf(*args)
+
+    monkeypatch.setattr(lapack, "dstebz", recorded_stebz)
+    monkeypatch.setattr(lapack, "dsterf", recorded_sterf)
     got = _dense_pencil(A.copy(order="F"), extremes=True)
+    assert infos == [0, 0, 2] and calls == [m]
     assert got.max() == pytest.approx(1.0, abs=1e-14)
     assert got.min() == pytest.approx(0.3, abs=1e-14)
 
@@ -142,11 +173,26 @@ def test_dense_pencil_names_a_non_finite_entry():
 def test_grid_values_match_the_full_spectrum_of_the_same_matrix(
         ops_bdm, perturbed_mesh, monkeypatch, kind):
     """On n = 4, at all 40 grid points, paper and natural beta0 and the
-    preconditioner's kappa equal min |theta| and max / min |theta| of
-    `eigvalsh` on the whitened matrix W the helper got, to 1e-13."""
+    preconditioner's kappa equal min |theta| and max / min |theta| of the
+    full spectrum (dsterf) of the tridiagonal that the helper's own dsytrd
+    call made of W, to 1e-13.  That spectrum lies within the
+    backward-error bound m eps ||W||_2 of `eigvalsh` on W, whose own
+    reduction runs at another panel width and rounds otherwise: at
+    natural norms ||W||_2 reaches 1e4."""
     ops = ops_bdm[4] if kind == "structured" else FormOperators(
         perturbed_mesh[4])
-    seen = _recording(monkeypatch)
+    seen = _reductions(monkeypatch)
+
+    def spectrum():
+        [(W, d, e)] = seen
+        seen.clear()
+        theta, info = lapack.dsterf(d, e)
+        assert info == 0
+        full = np.linalg.eigvalsh(W)
+        bound = len(W) * np.finfo(float).eps * np.abs(full).max()
+        assert np.abs(np.sort(theta) - full).max() <= bound
+        return np.abs(theta)
+
     for lam in LAM_GRID:
         for rp in RP_GRID:
             for ap in AP_GRID:
@@ -154,11 +200,11 @@ def test_grid_values_match_the_full_spectrum_of_the_same_matrix(
                 bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
                 for blocks in (nb, ops.natural_norm_blocks(pr)):
                     beta0 = infsup_constant(bs, blocks).beta0
-                    theta = np.abs(np.linalg.eigvalsh(seen.pop()))
+                    theta = spectrum()
                     assert beta0 == pytest.approx(theta.min(), rel=1e-13), \
                         (pr, blocks.kind)
                 kappa = estimate_condition(bs, build_preconditioner(nb, bs))
-                theta = np.abs(np.linalg.eigvalsh(seen.pop()))
+                theta = spectrum()
                 assert kappa == pytest.approx(theta.max() / theta.min(),
                                               rel=1e-13), pr
     assert seen == []
