@@ -106,8 +106,7 @@ def infsup_constant(system: BlockSystem, norms: NormBlocks) -> InfSupResult:
     returns min |theta|; by symmetry this equals the two-sided inf-sup
     constant of the block form in the given norms.
     """
-    theta = _mean_zero_pencil(system, (norms.N_U, norms.N_V, norms.N_P),
-                              f"{norms.kind} norm matrix")
+    theta = _mean_zero_pencil(system, norms, f"{norms.kind} norm matrix")
     return InfSupResult(
         beta0=float(np.abs(theta).min()),
         mesh_n=mesh_subdivisions(system.mesh),

@@ -82,7 +82,7 @@ def _as_affine(load) -> AffineLoad:
                                                        dtype=float)[None])
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockSystem:
     """Assembled 3x3 symmetric indefinite system on the constrained dofs.
 
@@ -103,10 +103,10 @@ class BlockSystem:
     params: ReducedParams
     cfg: DGConfig
     families: tuple[str, str, str]
-    # the operators that assembled the blocks, whose per-mesh factors
-    # whiten the inf-sup pencil (`FormOperators._whitening`,
-    # `FormOperators._flux_whitening`)
-    ops: FormOperators | None = field(default=None, repr=False,
+    # the operators that assembled the blocks at `params`, set by
+    # `FormOperators.block_system` alone; `replace` drops it, so a system
+    # that has it holds their blocks, read-only (`_from_template`)
+    ops: FormOperators | None = field(init=False, default=None, repr=False,
                                       compare=False)
 
     @property
@@ -129,19 +129,27 @@ class BlockSystem:
         return x[:nu], x[nu:nu + nv], x[nu + nv:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormBlocks:
     """Gram matrices of the parameter-dependent norms on the constrained
     spaces, the pressure on all cells (the pencils reduce it to mean-zero
-    pressures)."""
+    pressures); iterating gives (N_U, N_V, N_P)."""
 
     N_U: sps.csr_matrix
     N_V: sps.csr_matrix
     N_P: sps.csr_matrix
     kind: str = "paper"
+    # (operators, parameters, (g, g c)) of the `FormOperators` norms the
+    # blocks are, N_P = g M_p and N_V = rp_inv M_v + c DD_v; as
+    # `BlockSystem.ops`, `replace` drops it
+    source: tuple | None = field(init=False, default=None, repr=False,
+                                 compare=False)
+
+    def __iter__(self):
+        return iter((self.N_U, self.N_V, self.N_P))
 
     def monolithic(self) -> sps.csr_matrix:
-        return block_diagonal((self.N_U, self.N_V, self.N_P))
+        return block_diagonal(self)
 
 
 # -- block layout ---------------------------------------------------------------
@@ -155,14 +163,6 @@ def _canonical(mat) -> sps.csr_matrix:
         mat = mat.copy()
         mat.sum_duplicates()
     return mat
-
-
-def _same_matrix(a: sps.csr_matrix, b: sps.csr_matrix) -> bool:
-    """Whether the CSR matrices a and b store bitwise the same arrays."""
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
 
 
 def _index_type(maxval: int):
@@ -420,10 +420,11 @@ def _shared_csr(data, indices, indptr, shape) -> sps.csr_matrix:
 
 
 def _from_template(template: sps.csr_matrix, data) -> sps.csr_matrix:
-    """A shallow copy of the CSR `template` that holds `data`: it shares
-    the template's index arrays and format flags, so scipy checks them
-    once per template, not once per matrix."""
+    """A shallow copy of the CSR `template` that holds `data`, made
+    read-only: it shares the template's index arrays and format flags, so
+    scipy checks them once per template, not once per matrix."""
     mat = copy.copy(template)
+    data.flags.writeable = False
     mat.data = data
     return mat
 
@@ -540,7 +541,7 @@ class FormOperators:
                               np.arange(0, nc * nloc + 1, nloc)),
                              shape=(nc, space.ndof)).T.tocsr()
         mat.eliminate_zeros()  # the divergence-free bdm1 functions
-        return mat
+        return _read_only(mat)
 
     # -- face terms ------------------------------------------------------------
 
@@ -662,23 +663,19 @@ class FormOperators:
         _, sigma, Vt = np.linalg.svd(Y)
         return sigma, (Vt @ H_r.T) / root
 
-    def _A_uu(self, params: ReducedParams) -> sps.csr_matrix:
-        return self._upattern.free(self._ah + params.lam * self._DD_u)
-
-    def _A_vv(self, params: ReducedParams) -> sps.csr_matrix:
-        return self._vpattern.free(params.rp_inv * self._M_v)
-
     def block_system(self, params: ReducedParams, f=None, g=None,
                      g_cells=None) -> BlockSystem:
-        A_uu = self._A_uu(params)
-        A_vv = self._A_vv(params)
+        A_uu = self._upattern.free(self._ah + params.lam * self._DD_u)
+        A_vv = self._vpattern.free(params.rp_inv * self._M_v)
         C_pp = _from_template(self.M_p, -params.alpha_p * self.M_p.data)
         rhs_u, rhs_v, rhs_p = self.rhs(f=f, g=g, g_cells=g_cells)
-        return BlockSystem(A_uu, self._B_up_free, A_vv, self._B_vp_free,
-                           C_pp, rhs_u[self.uspace.free_dofs],
-                           rhs_v[self.vspace.free_dofs], rhs_p,
-                           self.uspace, self.vspace, params, self.cfg,
-                           self.families, self)
+        system = BlockSystem(A_uu, self._B_up_free, A_vv, self._B_vp_free,
+                             C_pp, rhs_u[self.uspace.free_dofs],
+                             rhs_v[self.vspace.free_dofs], rhs_p,
+                             self.uspace, self.vspace, params, self.cfg,
+                             self.families)
+        object.__setattr__(system, "ops", self)
+        return system
 
     def rhs(self, f=None, g=None, g_cells=None):
         """Load vectors (f, w), 0, (g, q) on the full dof sets.
@@ -739,31 +736,32 @@ class FormOperators:
         """(g_i, q) for each component g_i of parts(x, y), (m, nc, nq)."""
         return project_qh(parts, self.mesh) * self.areas
 
-    def _N_U(self, params: ReducedParams) -> sps.csr_matrix:
-        return self._upattern.free(self._grad_jumps
-                                   + params.lam * self._DD_u)
-
-    def _N_V(self, params: ReducedParams) -> sps.csr_matrix:
-        return self._vpattern.free(params.rp_inv * self._M_v
-                                   + (1.0 / params.gamma) * self._DD_v)
-
     def _flux_shape(self, t: float) -> sps.csr_matrix:
-        """t M_v + DD_v on the free flux dofs: gamma times `_N_V` at
-        t = gamma rp_inv, so the paper's flux norms of one t differ by a
-        scalar."""
+        """t M_v + DD_v on the free flux dofs: N_V / c at t = rp_inv / c,
+        so the flux norms of one t differ by a scalar."""
         return self._vpattern.free(t * self._M_v + self._DD_v)
 
+    # The weights (g, g c) of each norm set, N_P = g M_p and
+    # N_V = rp_inv M_v + c DD_v, stated here alone: the solvers read them
+    # from `NormBlocks.source`.
+
     def norm_blocks(self, params: ReducedParams) -> NormBlocks:
-        N_P = _from_template(self.M_p, params.gamma * self.M_p.data)
-        return NormBlocks(self._N_U(params), self._N_V(params), N_P,
-                          kind="paper")
+        return self._norms("paper", params, params.gamma, 1.0)
 
     def natural_norm_blocks(self, params: ReducedParams) -> NormBlocks:
         """Norms without the gamma reweighting: the flux div term carries
         rp_inv and the pressure mass is unweighted (negative experiment)."""
-        N_V = self._vpattern.free(params.rp_inv * (self._M_v + self._DD_v))
-        N_P = _from_template(self.M_p, self.M_p.data.copy())
-        return NormBlocks(self._N_U(params), N_V, N_P, kind="natural")
+        return self._norms("natural", params, 1.0, params.rp_inv)
+
+    def _norms(self, kind: str, params: ReducedParams, g: float,
+               gc: float) -> NormBlocks:
+        N_U = self._upattern.free(self._grad_jumps + params.lam * self._DD_u)
+        N_V = self._vpattern.free(params.rp_inv * self._M_v
+                                  + (gc / g) * self._DD_v)
+        norms = NormBlocks(N_U, N_V,
+                           _from_template(self.M_p, g * self.M_p.data), kind)
+        object.__setattr__(norms, "source", (self, params, (g, gc)))
+        return norms
 
 
 def _check_div_compatibility(space: FESpace, name: str):

@@ -68,9 +68,6 @@ class TriMesh:
     def interior_edges(self) -> np.ndarray:
         return np.flatnonzero(self.edge_cells[:, 1] != BOUNDARY)
 
-    def cell_vertices(self, k: int) -> np.ndarray:
-        return self.vertices[self.cells[k]]
-
     def signed_areas(self) -> np.ndarray:
         """Cell areas, computed once per mesh and shared read-only."""
         return self._areas

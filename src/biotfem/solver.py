@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, blas, cholesky, lapack, solve_triangular
 
 from .assembly import (BlockSystem, NormBlocks, _pressure_reflector,
-                       _same_matrix, block_matrix)
+                       block_matrix)
 
 
 class FactorizationFailure(RuntimeError):
@@ -103,11 +103,13 @@ def _factor(mat, name: str, spd: bool):
     return lu
 
 
-# Last SPD factor per block name, for the systems of one FormOperators,
-# and the last whitened displacement of their pencils
-# (`_whitened_displacement`) and its coupling rotated to the closed-form
-# pressure basis (`_closed_flux`): they share its displacement FESpace, so
-# each entry dies with them.
+# Per displacement space, for the blocks of the one FormOperators that
+# owns it: the last factor of each preconditioner block, the displacement
+# under lambda and the flux under its shape t (`BlockPreconditioner`), the
+# last whitened displacement of their pencils under (whether N_U is A_uu,
+# lambda) (`_whitened_displacement`) and its coupling rotated to the
+# closed-form pressure basis under its identity (`_closed_flux`).  Each
+# entry dies with the space.
 _FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -117,36 +119,46 @@ class BlockPreconditioner:
     The displacement block is the assembled elasticity operator
     (a_h + lambda div-div); flux and pressure blocks are the norm matrices,
     and the pressure block, a positive diagonal, is inverted entrywise.
-    `memo` maps a block name to the last (key, factor) factored under it.
-    A block is keyed on a copy of itself: one bitwise equal to its entry
-    reuses the factor, any other replaces the entry.  A flux block given
-    with `flux_shape` = (t, c, shape), where shape() is c N_V, is keyed on
-    the float t: shape()'s factor is kept under t and N_V^-1 applied as
-    c shape()^-1.  `lu_fill` holds the fill of every factored block,
-    SuperLU's count of the entries its L and U factors store.
+    `blocks` holds the three as `NormBlocks` of kind "preconditioner".
+    Given `source`, the `NormBlocks.source` of norms whose operators
+    assembled A_uu at the same parameters, the factors of those operators
+    are reused: A_uu's is kept under lambda and, as N_V = c (t M_v + DD_v)
+    with t = rp_inv / c, the factor of t M_v + DD_v
+    (`FormOperators._flux_shape`) under t, N_V^-1 applied as c^-1 times
+    its inverse.  Without it both blocks are factored afresh.  `lu_fill`
+    holds the fill of every factored block, SuperLU's count of the
+    entries its L and U factors store.
     """
 
-    def __init__(self, A_uu, N_V, N_P, memo: dict | None = None,
-                 flux_shape: tuple | None = None):
-        self.blocks = (A_uu.tocsr(), N_V.tocsr(), N_P.tocsr())
-        self.sizes = tuple(b.shape[0] for b in self.blocks)
+    def __init__(self, A_uu, N_V, N_P, source: tuple | None = None):
+        self.blocks = blocks = NormBlocks(A_uu.tocsr(), N_V.tocsr(),
+                                          N_P.tocsr(), "preconditioner")
+        object.__setattr__(blocks, "source", source)
+        self.sizes = tuple(b.shape[0] for b in blocks)
         self.lu_fill = {}
-        memo = {} if memo is None else memo
-        self.inv_U = self._inverse(self.blocks[0], "displacement", memo)
-        self.inv_V = self._inverse(self.blocks[1], "flux", memo, flux_shape)
-        inv = 1.0 / _pressure_diagonal(self.blocks[2],
-                                       "preconditioner matrix")
+        memo, lam, t, scale = {}, None, None, 1.0
+        if source is not None:
+            ops, params, (g, gc) = source
+            memo = _FACTORS.setdefault(ops.uspace, {})
+            lam, t, scale = params.lam, g * params.rp_inv / gc, g / gc
+        self.inv_U = self._inverse("displacement", memo, lam,
+                                   lambda: blocks.N_U)
+        self.inv_V = self._inverse(
+            "flux", memo, t,
+            lambda: blocks.N_V if t is None else ops._flux_shape(t), scale)
+        inv = 1.0 / _pressure_diagonal(blocks.N_P, "preconditioner matrix")
         self.inv_P = lambda x, out: np.multiply(inv, x, out=out)
 
-    def _inverse(self, mat: sps.csr_matrix, name: str, memo: dict,
-                 shape: tuple | None = None):
-        key, scale, build = shape or (mat, 1.0, lambda: mat)
+    def _inverse(self, name: str, memo: dict, key, build,
+                 scale: float = 1.0):
+        """x -> scale build()^-1 x, the factor of build() kept in `memo`
+        under `key`."""
         last = memo.get(name)
-        if last is not None and _same_key(last[0], key):
+        if last is not None and last[0] == key:
             lu = last[1]
         else:
             lu = _factor(build(), name, spd=True)
-            memo[name] = (key if shape else mat.copy(), lu)
+            memo[name] = (key, lu)
         self.lu_fill[name] = lu.nnz
 
         def solve(x, out):
@@ -167,33 +179,28 @@ class BlockPreconditioner:
         return out
 
 
-def _same_key(a, b) -> bool:
-    """Whether two factor-memo keys, each a CSR matrix or a float, agree
-    bitwise."""
-    if isinstance(a, float) or isinstance(b, float):
-        return isinstance(a, float) and isinstance(b, float) and a == b
-    return _same_matrix(a, b)
+def _own(system: BlockSystem, norms: NormBlocks) -> bool:
+    """Whether the operators that assembled `system` built `norms` at its
+    parameters (`BlockSystem.ops`, `NormBlocks.source`): then every block
+    of both is theirs, and their per-mesh factors stand in for the
+    blocks."""
+    source = norms.source
+    return (source is not None and source[0] is system.ops
+            and source[1] == system.params)
 
 
 def build_preconditioner(norms: NormBlocks,
                          system: BlockSystem) -> BlockPreconditioner:
     """Canonical block-diagonal preconditioner for the assembled system.
 
-    Systems assembled by one FormOperators share a factor memo, so a sweep
-    factors `A_uu` once per lambda and a flux block once per distinct
-    norm instead of once per grid point.  The paper's own flux norm
-    (`_own_flux_norm`) is N_V = X_t / gamma with X_t = t M_v + DD_v and
-    t = gamma rp_inv, so X_t is factored once per distinct t: points whose
-    norms differ by a scalar share it.
+    For norms that the system's operators built at its parameters
+    (`_own`) it reuses their factors, so a lambda-major sweep factors
+    `A_uu` once per lambda and the flux block once per run of equal
+    t = gamma rp_inv (the paper's norms; the natural norms share t = 1)
+    instead of once per grid point.
     """
-    N_V = norms.N_V.tocsr()
-    shape = None
-    if _own_flux_norm(system, N_V):
-        ops, params = system.ops, system.params
-        t = float(params.gamma * params.rp_inv)
-        shape = (t, params.gamma, lambda: ops._flux_shape(t))
-    return BlockPreconditioner(system.A_uu, N_V, norms.N_P,
-                               _FACTORS.setdefault(system.uspace, {}), shape)
+    return BlockPreconditioner(system.A_uu, norms.N_V, norms.N_P,
+                               norms.source if _own(system, norms) else None)
 
 
 def _mean_zero_projectors(system: BlockSystem):
@@ -376,7 +383,7 @@ class DirectSolver:
         self.d = d = _norm_scaling(system)
         # d_i K_ij d_j, in an order that keeps K bitwise symmetric
         rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-        K.data *= d[rows] * d[K.indices]
+        K.data = K.data * (d[rows] * d[K.indices])
         self.K = K
         shift = np.zeros(K.shape[0])
         shift[sum(system.block_sizes[:2]):] = _SHIFT
@@ -499,35 +506,34 @@ def estimate_condition(system: BlockSystem, precond: BlockPreconditioner,
     return float(theta.max() / theta.min())
 
 
-def _mean_zero_pencil(system: BlockSystem, norms, label: str,
+def _mean_zero_pencil(system: BlockSystem, norms: NormBlocks, label: str,
                       extremes: bool = False) -> np.ndarray:
     """Eigenvalues theta of A x = theta N x on the mean-zero pressure
     subspace, A the operator of `system` and N = diag(N_U, N_V, N_P) of
-    the sparse `norms` blocks: those either side of zero, which hold
-    min |theta|, and with `extremes` the smallest and largest, which hold
-    max |theta|.
+    `norms`: those either side of zero, which hold min |theta|, and with
+    `extremes` the smallest and largest, which hold max |theta|.
 
     Neither A nor N is formed whole; the pencil is whitened block by
     block into W, whose eigenvalues are the theta and whose (u, v) block
     is zero, and `_dense_pencil` solves it.  The displacements are
-    u = Z_U y with Z_U^T N_U Z_U = I (`_whitened_displacement`).  The
-    paper's own flux and pressure blocks (`_own_flux_blocks`) are
-    whitened in closed form (`_closed_flux`), which leaves out the
-    divergence-free fluxes; their theta = 1 is appended to the selected
-    eigenvalues.  Any other blocks take v = L_V^-T w,
-    L_V the Cholesky factor of N_V, and p = S H q, S = diag(N_P)^-1/2
-    and H the reflector whose last column is along S areas
-    (`_pressure_reflector`); the mean-zero pressures are the q with last
-    entry zero, on which the pressure norm is the identity.  A norm
-    block that is not SPD, or an N_P that is not a positive diagonal,
-    raises SingularNormMatrix naming it.
+    u = Z_U y with Z_U^T N_U Z_U = I (`_whitened_displacement`).  When
+    the system's operators built `norms` at its parameters (`_own`), the
+    flux and pressure blocks are whitened in closed form (`_closed_flux`),
+    which leaves out the divergence-free fluxes; their theta = 1 is
+    appended to the selected eigenvalues.  Any other blocks take
+    v = L_V^-T w, L_V the Cholesky factor of N_V, and p = S H q,
+    S = diag(N_P)^-1/2 and H the reflector whose last column is along
+    S areas (`_pressure_reflector`); the mean-zero pressures are the q
+    with last entry zero, on which the pressure norm is the identity.  A
+    norm block that is not SPD, or an N_P that is not a positive
+    diagonal, raises SingularNormMatrix naming it.
     """
-    N_U, N_V, N_P = norms
     nu, nv, npp = system.block_sizes
-    diag = _pressure_diagonal(N_P, label)
-    W_uu, coupling = _whitened_displacement(system, N_U.tocsr(), label)
-    if _own_flux_blocks(system, N_V.tocsr(), diag):
-        W = _closed_flux(system, W_uu, coupling)
+    own = _own(system, norms)
+    diag = _pressure_diagonal(norms.N_P, label)
+    W_uu, coupling = _whitened_displacement(system, norms, label, own)
+    if own:
+        W = _closed_flux(system, W_uu, coupling, norms.source[2])
     else:
         scale = 1.0 / np.sqrt(diag)
         v = _pressure_reflector(scale * system.mesh.signed_areas())
@@ -538,7 +544,7 @@ def _mean_zero_pencil(system: BlockSystem, norms, label: str,
             M -= 2.0 * np.outer(v, v @ M)
             return M[:-1]
 
-        L_V = _block_factor(N_V.toarray(), label, "flux")
+        L_V = _block_factor(norms.N_V.toarray(), label, "flux")
         W = np.zeros((nu + nv + npp - 1,) * 2, order="F")
         u, f, p = slice(0, nu), slice(nu, nu + nv), slice(nu + nv, None)
         W[u, u] = W_uu
@@ -553,40 +559,22 @@ def _mean_zero_pencil(system: BlockSystem, norms, label: str,
     return np.append(theta, 1.0) if len(W) < nu + nv + npp - 1 else theta
 
 
-def _own_flux_blocks(system: BlockSystem, N_V: sps.csr_matrix,
-                     diag: np.ndarray) -> bool:
-    """Whether A_vv, B_vp and N_V are bitwise the paper's blocks of the
-    system's operators at its parameters, and `diag`, N_P's diagonal,
-    is bitwise their gamma M_p."""
-    ops, params = system.ops, system.params
-    return (_own_flux_norm(system, N_V) and system.B_vp is ops._B_vp_free
-            and _same_matrix(system.A_vv.tocsr(), ops._A_vv(params))
-            and np.array_equal(diag, params.gamma * ops.areas))
+def _closed_flux(system: BlockSystem, W_uu: np.ndarray, coupling: np.ndarray,
+                 weights: tuple) -> np.ndarray:
+    """W of `_mean_zero_pencil` for the flux and pressure blocks of the
+    system's operators, from their per-mesh factors
+    (`FormOperators._flux_whitening`) and the norms' `weights` (g, g c).
 
-
-def _own_flux_norm(system: BlockSystem, N_V: sps.csr_matrix) -> bool:
-    """Whether N_V is bitwise the paper's flux norm of the system's
-    operators at its parameters."""
-    ops = system.ops
-    return ops is not None and _same_matrix(N_V, ops._N_V(system.params))
-
-
-def _closed_flux(system: BlockSystem, W_uu: np.ndarray,
-                 coupling: np.ndarray) -> np.ndarray:
-    """W of `_mean_zero_pencil` for the paper's own flux and pressure
-    blocks, from the per-mesh factors of `FormOperators._flux_whitening`.
-
-    With N_V = L (rp_inv I + Y Y^T / gamma) L^T, Y = U diag(sigma) V^T,
-    and N_P = gamma M_p, the fluxes L^-T U diag(rp_inv + sigma^2 /
-    gamma)^-1/2 and the pressures gamma^-1/2 M_p^-1/2 H_r V are
-    orthonormal.  In them the flux block is diag(rp_inv / (rp_inv +
-    sigma^2 / gamma)), the flux-pressure block diag(sigma (gamma rp_inv
-    + sigma^2)^-1/2), the pressure block -(alpha_p / gamma) I and the
-    displacement-pressure block gamma^-1/2 T B_up^T Z_U; the rotated
-    coupling T B_up^T Z_U is kept per whitened displacement, so a
-    lambda-major sweep forms it once per lambda.  The fluxes beyond U's
-    first len(sigma) columns are divergence-free, have theta = 1 and are
-    left out.
+    With N_V = L (rp_inv I + c Y Y^T) L^T, Y = U diag(sigma) V^T, and
+    N_P = g M_p, the fluxes L^-T U diag(rp_inv + c sigma^2)^-1/2 and the
+    pressures g^-1/2 M_p^-1/2 H_r V are orthonormal.  In them the flux
+    block is diag(g rp_inv / w), w = g rp_inv + g c sigma^2, the
+    flux-pressure block diag(sigma w^-1/2), the pressure block
+    -(alpha_p / g) I and the displacement-pressure block
+    g^-1/2 T B_up^T Z_U; the rotated coupling T B_up^T Z_U is kept per
+    whitened displacement, so a lambda-major sweep forms it once per
+    lambda.  The fluxes beyond U's first len(sigma) columns are
+    divergence-free, have theta = 1 and are left out.
     """
     sigma, T = system.ops._flux_whitening
     params = system.params
@@ -594,14 +582,14 @@ def _closed_flux(system: BlockSystem, W_uu: np.ndarray,
     last = memo.get("rotated coupling")
     if last is None or last[0] is not coupling:
         last = memo["rotated coupling"] = (coupling, T @ coupling)
-    rp, g = params.rp_inv, params.gamma
+    g, gc = weights
     nu, k, m = len(W_uu), sigma.size, len(T)
     W = np.zeros((nu + k + m,) * 2, order="F")
     W[:nu, :nu] = W_uu
     W[nu + k:, :nu] = last[1] / np.sqrt(g)
     f, p = np.arange(nu, nu + k), np.arange(nu + k, nu + k + m)
-    weight = g * rp + sigma**2
-    W[f, f] = g * rp / weight
+    weight = g * params.rp_inv + gc * sigma**2
+    W[f, f] = g * params.rp_inv / weight
     W[f + k, f] = sigma / np.sqrt(weight)
     W[p, p] = -params.alpha_p / g
     return W
@@ -620,36 +608,34 @@ def _pressure_diagonal(N_P, label: str) -> np.ndarray:
     return diag
 
 
-def _whitened_displacement(system: BlockSystem, N_U: sps.csr_matrix,
-                           label: str):
+def _whitened_displacement(system: BlockSystem, norms: NormBlocks,
+                           label: str, own: bool):
     """(Z^T A_uu Z, B_up^T Z) for a Z with Z^T N_U Z = I.
 
-    For the blocks of the system's own operators at its lambda, paper
-    and natural N_U alike, Z comes in closed form (`_closed_form`).  Any
+    When the system's operators built `norms` at its parameters (`own`),
+    Z comes in closed form (`_closed_form`) for their paper and natural
+    N_U alike, and a preconditioner's N_U is A_uu, so Z^T A_uu Z = I.
+    The pair is then kept per displacement space under (whether N_U is
+    A_uu, lambda), so a lambda-major sweep whitens once per lambda.  Any
     other blocks take Z = L_U^-T, L_U the Cholesky factor of N_U, and
     Z^T A_uu Z = I + L_U^-1 (A_uu - N_U) L_U^-T, which is I when A_uu is
-    N_U, as in a preconditioner's blocks.  The pair is kept for the last
-    CSR A_uu, N_U and B_up, matched bitwise, per displacement space, so
-    a lambda-major sweep whitens once per lambda.
+    the object N_U, and keep nothing.
     """
-    key = (system.A_uu.tocsr(), N_U, system.B_up.tocsr())
-    memo = _FACTORS.setdefault(system.uspace, {})
+    precond = norms.kind == "preconditioner"
+    key = (precond, system.params.lam)
+    memo = _FACTORS.setdefault(system.uspace, {}) if own else {}
     last = memo.get("whitened displacement")
-    if last is not None and all(map(_same_matrix, last[0], key)):
+    if last is not None and last[0] == key:
         return last[1]
-    A_uu, _, B_up = key
-    ops, params = system.ops, system.params
-    if (ops is not None and B_up is ops._B_up_free
-            and _same_matrix(A_uu, ops._A_uu(params))
-            and _same_matrix(N_U, ops._N_U(params))):
-        pair = _closed_form(ops, params.lam)
+    if own and not precond:
+        pair = _closed_form(system.ops, system.params.lam)
     else:
-        L = _block_factor(N_U.toarray(), label, "displacement")
+        L = _block_factor(norms.N_U.toarray(), label, "displacement")
         W = np.eye(len(L))
-        if not _same_matrix(A_uu, N_U):
-            W += _whiten(L, (A_uu - N_U).toarray(), L)
-        pair = W, _whiten(None, B_up.T.toarray(), L)
-    memo["whitened displacement"] = (tuple(m.copy() for m in key), pair)
+        if not (own or system.A_uu is norms.N_U):
+            W += _whiten(L, (system.A_uu - norms.N_U).toarray(), L)
+        pair = W, _whiten(None, system.B_up.T.toarray(), L)
+    memo["whitened displacement"] = (key, pair)
     return pair
 
 

@@ -87,10 +87,11 @@ def pulled_back_values(space, cells, phys_pts):
 
 def norm_system(system, blocks):
     """`system` with its operator replaced by the block-diagonal norm
-    `blocks` (N_U, N_V, N_P) and its couplings zeroed: every theta of its
-    pencil against those blocks is 1."""
-    return dataclasses.replace(system, A_uu=blocks[0], A_vv=blocks[1],
-                               C_pp=blocks[2], B_up=0.0 * system.B_up,
+    `blocks` (N_U, N_V, N_P), a tuple or `NormBlocks`, and its couplings
+    zeroed: every theta of its pencil against those blocks is 1."""
+    N_U, N_V, N_P = blocks
+    return dataclasses.replace(system, A_uu=N_U, A_vv=N_V, C_pp=N_P,
+                               B_up=0.0 * system.B_up,
                                B_vp=0.0 * system.B_vp)
 
 

@@ -116,14 +116,16 @@ def test_blocks_at_two_points_share_their_pattern():
 
 
 def test_in_place_call_on_a_block_raises():
-    """An in-place scipy call that would rewrite the shared index arrays
-    raises and leaves the blocks that share them unchanged."""
+    """A write into a block's data, or an in-place scipy call that would
+    rewrite the shared index arrays, raises and leaves the blocks that
+    share them unchanged."""
     ops = FormOperators(structured_mesh(4))
     pr = ReducedParams(1.0, 1.0, 0.0)
     block = ops.block_system(pr).A_uu
     siblings = [ops.norm_blocks(pr).N_U, ops.block_system(pr).A_uu]
     kept = [mat.copy() for mat in siblings]
-    block.data[::2] = 0.0
+    with pytest.raises(ValueError):
+        block.data[::2] = 0.0
     with pytest.raises(ValueError):
         block.eliminate_zeros()
     block.has_sorted_indices = False
@@ -150,13 +152,15 @@ def _handed_out(ops, pr):
                                   "N_P"])
 def test_handed_out_blocks_leave_their_template_alone(kind):
     """Each block is a copy of a template that shares its read-only index
-    arrays: an in-place scipy call on it still raises, and neither that
-    call, its data nor its format flags reach the next block."""
+    arrays and holds read-only data: a write into the data or an in-place
+    scipy call on it raises, and neither that call nor its format flags
+    reach the next block."""
     ops = FormOperators(structured_mesh(4))
     pr = ReducedParams(1e2, 1e-4, 1.0)
     block = _handed_out(ops, pr)[kind]
     kept = block.copy()
-    block.data[:] = 0.0
+    with pytest.raises(ValueError):
+        block.data[:] = 0.0
     with pytest.raises(ValueError):
         block.eliminate_zeros()
     block.has_sorted_indices = False
@@ -549,21 +553,20 @@ def test_pressure_norm_is_scaled_cell_areas(ops_bdm):
 
 def test_returned_blocks_do_not_alias_cached_grams():
     """The free-dof Grams are restricted once per FormOperators, on first
-    use; writing into a returned block must not reach the next point.  The
-    coupling blocks every point shares are read-only, so the write
-    raises."""
+    use; a write into a returned block must not reach the next point.
+    Every returned block is read-only, so the write raises."""
     ops = FormOperators(structured_mesh(2))
     fresh = FormOperators(structured_mesh(2))
     assert not [k for k in vars(fresh) if k.endswith("_free")]
     pr = ReducedParams(1e4, 1e-4, 1.0)
     makers = ("block_system", "norm_blocks", "natural_norm_blocks")
     for name in makers:
-        for mat in vars(getattr(ops, name)(pr)).values():
-            if sps.issparse(mat) and mat.data.flags.writeable:
+        mats = [m for m in vars(getattr(ops, name)(pr)).values()
+                if sps.issparse(m)]
+        assert len(mats) == (5 if name == "block_system" else 3)
+        for mat in mats:
+            with pytest.raises(ValueError):
                 mat.data[:] = np.nan
-            elif sps.issparse(mat):
-                with pytest.raises(ValueError):
-                    mat.data[:] = np.nan
     for name in makers:
         got, want = (getattr(o, name)(pr) for o in (ops, fresh))
         for key, mat in vars(want).items():

@@ -113,13 +113,14 @@ def test_changed_pattern_rebuilds_the_layout(operators):
 
 
 def test_in_place_call_on_the_saddle_matrix_raises(operators):
-    """The saddle matrices of one layout share its read-only index arrays,
-    so an in-place call on a returned matrix raises and leaves the cached
-    layout intact."""
+    """The saddle matrices of one layout share its read-only index arrays
+    and hold read-only data, so a write into a returned matrix or an
+    in-place call on it raises and leaves the cached layout intact."""
     system = operators["structured-4"].block_system(
         ReducedParams(1.0, 1.0, 0.0))
     A = system.monolithic()
-    A.data[:] = 0.0
+    with pytest.raises(ValueError):
+        A.data[:] = 0.0
     with pytest.raises(ValueError):
         A.eliminate_zeros()
     _assert_bitwise(system.monolithic(), _bmat(system))

@@ -21,8 +21,8 @@ GUARDED = {
     "FormOperators": {"_cell_gram", "_build_volume", "_build_faces", "_GRAD",
                       "_DD_v", "_ah", "_grad_jumps", "ah_full", "ah_matrix",
                       "h_norm_gram", "grad_norm_gram", "_B_up_free",
-                      "_B_vp_free", "block_system", "_N_U", "norm_blocks",
-                      "natural_norm_blocks"},
+                      "_B_vp_free", "block_system", "norm_blocks",
+                      "natural_norm_blocks", "_norms", "_flux_shape"},
 }
 
 

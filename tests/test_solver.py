@@ -63,10 +63,11 @@ def test_pressure_block_scales_inverse_gamma(ops_bdm):
 def test_pressure_block_factored_only_off_the_positive_diagonal(ops_bdm,
                                                                 rng):
     """The paper's N_P is a positive diagonal and is inverted entrywise,
-    also when it stores an explicit zero off the diagonal; a positive N_P
-    with one off-diagonal entry, or a zero mass, is refused, not
-    factored, by the preconditioner and by the inf-sup pencil alike,
-    which share the check."""
+    also when it stores an explicit zero off the diagonal, which the
+    general pencil route reads as the paper's own N_P with its source
+    dropped does; a positive N_P with one off-diagonal entry, or a zero
+    mass, is refused, not factored, by the preconditioner and by the
+    inf-sup pencil alike, which share the check."""
     bs, pr = _system(ops_bdm[2], 1.0, 1.0, 1.0, with_rhs=False)
     nb = ops_bdm[2].norm_blocks(pr)
     nu, nv, npp = bs.block_sizes
@@ -80,7 +81,7 @@ def test_pressure_block_factored_only_off_the_positive_diagonal(ops_bdm,
         assert np.abs(N_P @ z - r[nu + nv:]).max() \
             <= 1e-14 * np.abs(r).max()
     assert infsup_constant(bs, NormBlocks(nb.N_U, nb.N_V, stored_zero)) \
-        .beta0 == infsup_constant(bs, nb).beta0
+        .beta0 == infsup_constant(bs, dataclasses.replace(nb)).beta0
     coupled = nb.N_P + 0.25 * nb.N_P[0, 0] * pair
     zero_mass = nb.N_P.copy()
     zero_mass.data[0] = 0.0
@@ -150,16 +151,21 @@ def test_minres_sweep_factors_each_displacement_block_once(ops_bdm,
 
 
 def test_changed_block_is_refactored_not_reused(ops_bdm, monkeypatch, rng):
+    """A replaced system, its blocks changed or not, has no operators, so
+    both preconditioner blocks are factored afresh."""
     bs, pr = _system(ops_bdm[2], 1e2, 1.0, 0.0, with_rhs=False)
     nb = ops_bdm[2].norm_blocks(pr)
     build_preconditioner(nb, bs)
     shapes = _count_lu_calls(monkeypatch)
     same = build_preconditioner(nb, bs)
     assert shapes == []
+    build_preconditioner(nb, dataclasses.replace(bs))
+    assert shapes == [bs.A_uu.shape, nb.N_V.shape]
+    del shapes[:]
     A = bs.A_uu.copy()
     A[0, 0] *= 2.0
     changed = build_preconditioner(nb, dataclasses.replace(bs, A_uu=A))
-    assert shapes == [A.shape]
+    assert shapes == [A.shape, nb.N_V.shape]
     r = rng.standard_normal(sum(same.sizes))
     expect = BlockPreconditioner(A, nb.N_V, nb.N_P).apply(r)
     assert np.array_equal(changed.apply(r), expect)
@@ -167,7 +173,7 @@ def test_changed_block_is_refactored_not_reused(ops_bdm, monkeypatch, rng):
 
 
 def test_factor_memo_dies_with_form_operators():
-    """The memo keeps the displacement factor under a copy of A_uu and the
+    """The memo keeps the displacement factor under lambda and the
     paper's flux factor under its shape t = gamma rp_inv, and goes with
     the operators' displacement space."""
     ops = FormOperators(structured_mesh(2))
@@ -176,8 +182,7 @@ def test_factor_memo_dies_with_form_operators():
     memo = solver._FACTORS[ops.uspace]
     assert set(memo) == {"displacement", "flux"}
     assert memo["flux"][0] == pr.gamma * pr.rp_inv
-    assert memo["displacement"][0] is not bs.A_uu
-    assert solver._same_matrix(memo["displacement"][0], bs.A_uu)
+    assert memo["displacement"][0] == pr.lam
     assert pc.lu_fill == {name: lu.nnz for name, (_, lu) in memo.items()}
     space = weakref.ref(ops.uspace)
     entries = len(solver._FACTORS)
@@ -241,41 +246,63 @@ def test_paper_flux_factored_once_per_shape(perturbed_mesh, monkeypatch,
     runs = 1 + sum(a != b for a, b in zip(shapes, shapes[1:]))
     nu, nv, _ = ops.block_system(ReducedParams(1, 1, 0)).block_sizes
     for pr in _grid_points():
-        pc = build_preconditioner(ops.norm_blocks(pr), ops.block_system(pr))
+        nb = ops.norm_blocks(pr)
+        pc = build_preconditioner(nb, ops.block_system(pr))
+        assert pc.blocks.N_V is nb.N_V
         r = rng.standard_normal(sum(pc.sizes))
-        expect = spla.spsolve(pc.blocks[1].tocsc(), r[nu:nu + nv])
+        expect = spla.spsolve(nb.N_V.tocsc(), r[nu:nu + nv])
         got = pc.apply(r)[nu:nu + nv]
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(
             expect), pr
-        assert solver._same_matrix(pc.blocks[1], ops.norm_blocks(pr).N_V)
     assert names.count("displacement") == len(LAM_GRID)
     assert names.count("flux") == runs < len(shapes) // 2
 
 
-def test_foreign_flux_block_keeps_the_bitwise_memo(ops_bdm, monkeypatch,
-                                                   rng):
-    """N_V scaled, or at another rp_inv, is not the operators' own: it is
-    factored itself and kept under a copy of itself, so repeating it
-    factors nothing and the paper's block after it is factored again."""
+def test_foreign_flux_block_is_factored_afresh(ops_bdm, monkeypatch, rng):
+    """N_V scaled, or at another rp_inv, is not the operators' own: norms
+    that hold it have no source, so every build factors both blocks
+    afresh and solves with that N_V, and the memo of the operators' own
+    factors is left as it was, so their block after it factors
+    nothing."""
     ops = ops_bdm[4]
     pr = ReducedParams(1e2, 1e-4, 1.0)
     bs, own = ops.block_system(pr), ops.norm_blocks(pr)
     nu, nv, _ = bs.block_sizes
+    build_preconditioner(own, bs)
+    kept = dict(solver._FACTORS[ops.uspace])
     names = _factored_names(monkeypatch)
-    memo = solver._FACTORS.setdefault(ops.uspace, {})
     for N_V in (2.0 * own.N_V,
                 ops.norm_blocks(ReducedParams(1e2, 1.0, 1.0)).N_V):
         norms = dataclasses.replace(own, N_V=N_V)
         for _ in range(2):
             pc = build_preconditioner(norms, bs)
-        assert solver._same_matrix(memo["flux"][0], N_V)
         r = rng.standard_normal(sum(pc.sizes))
         expect = spla.spsolve(N_V.tocsc(), r[nu:nu + nv])
         assert np.linalg.norm(pc.apply(r)[nu:nu + nv] - expect) \
             <= 1e-12 * np.linalg.norm(expect)
     build_preconditioner(own, bs)
-    assert memo["flux"][0] == pr.gamma * pr.rp_inv
-    assert names.count("flux") == 3
+    assert names == ["displacement", "flux"] * 4
+    memo = solver._FACTORS[ops.uspace]
+    assert all(memo[name] is kept[name] for name in ("displacement", "flux"))
+
+
+def test_natural_flux_factored_once_over_the_grid(monkeypatch):
+    """The natural N_V is rp_inv (M_v + DD_v), one shape t = 1 for every
+    point, so a grid sweep factors it once; each application solves with
+    N_V to 1e-12."""
+    ops = FormOperators(structured_mesh(2))
+    names = _factored_names(monkeypatch)
+    rng = np.random.default_rng(5)
+    for pr in _grid_points():
+        nb = ops.natural_norm_blocks(pr)
+        pc = build_preconditioner(nb, ops.block_system(pr))
+        nu, nv, _ = pc.sizes
+        r = rng.standard_normal(sum(pc.sizes))
+        expect = spla.spsolve(nb.N_V.tocsc(), r[nu:nu + nv])
+        assert np.linalg.norm(pc.apply(r)[nu:nu + nv] - expect) \
+            <= 1e-12 * np.linalg.norm(expect), pr
+    assert names.count("flux") == 1
+    assert names.count("displacement") == len(LAM_GRID)
 
 
 def _first_pivot_negated(mat):
@@ -973,10 +1000,13 @@ def test_factored_divdiv_is_the_gram(perturbed_mesh, kind, n):
 
 def test_closed_form_whitening_only_for_the_operators_own_blocks(
         ops_bdm, monkeypatch):
-    """The closed form stands in for the Cholesky route only when A_uu,
-    N_U and B_up are the operators' own blocks at the system's lambda,
-    for the paper and the natural norms alike; N_U at another lambda,
-    2 A_uu or a zeroed coupling take the Cholesky route."""
+    """The closed form stands in for the Cholesky route only when the
+    system's operators built the norms at its parameters, paper and
+    natural norms alike; N_U at another lambda, 2 A_uu, a zeroed
+    coupling, or any `replace` of the system or of the norms, which drops
+    their source, take the Cholesky route.  A preconditioner's N_U is
+    A_uu itself, so its whitened block is the identity, with a source or
+    without."""
     ops = ops_bdm[2]
     pr = ReducedParams(1e8, 1.0, 0.0)
     bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
@@ -986,14 +1016,17 @@ def test_closed_form_whitening_only_for_the_operators_own_blocks(
             (bs, dataclasses.replace(
                 nb, N_U=ops.norm_blocks(ReducedParams(1e4, 1.0, 0.0)).N_U)),
             (dataclasses.replace(bs, A_uu=(2.0 * bs.A_uu).tocsr()), nb),
-            (dataclasses.replace(bs, B_up=0.0 * bs.B_up), nb)):
+            (dataclasses.replace(bs, B_up=0.0 * bs.B_up), nb),
+            (dataclasses.replace(bs), nb), (bs, dataclasses.replace(nb))):
         solver._FACTORS.pop(ops.uspace, None)
         infsup_constant(system, norms)
-    # a preconditioner's displacement block is A_uu itself
-    solver._FACTORS.pop(ops.uspace, None)
-    W_uu, _ = solver._whitened_displacement(
-        bs, build_preconditioner(nb, bs).blocks[0], "preconditioner matrix")
-    assert np.array_equal(W_uu, np.eye(len(W_uu)))
+    for pc in (build_preconditioner(nb, bs),
+               BlockPreconditioner(bs.A_uu, nb.N_V, nb.N_P)):
+        solver._FACTORS.pop(ops.uspace, None)
+        W_uu, _ = solver._whitened_displacement(
+            bs, pc.blocks, "preconditioner matrix",
+            solver._own(bs, pc.blocks))
+        assert np.array_equal(W_uu, np.eye(len(W_uu)))
     assert whitened == [pr.lam, pr.lam]
 
 
@@ -1028,11 +1061,12 @@ def test_closed_form_whitens_the_displacement_block(ops_bdm, perturbed_mesh,
 @pytest.mark.parametrize("mesh", ["structured4", "perturbed4"])
 def test_closed_form_whitening_matches_the_cholesky_route(
         ops_bdm, perturbed_mesh, monkeypatch, mesh):
-    """Up to lambda = 1e4 the closed form and the Cholesky route (the
-    same system without its operators) give beta0 to 1e-12 relative at
-    the paper norms and to 4e-12 relative at the natural norms, whose
-    beta0 falls to 1e-7 and whose two routes differ by up to 1.15e-12
-    relative (one and two BLAS threads), over the grid."""
+    """Up to lambda = 1e4 the closed forms of the displacement and the
+    flux and the Cholesky route (the same system replaced, without its
+    operators) give beta0 to 1e-12 relative at the paper norms and to
+    4e-12 relative at the natural norms, whose beta0 falls to 1e-7 and
+    whose two routes differ by up to 1.08e-12 relative (one and two
+    BLAS threads), over the grid."""
     ops = (ops_bdm[4] if mesh == "structured4"
            else FormOperators(perturbed_mesh[4]))
     whitened = _count_closed_forms(monkeypatch)
@@ -1043,7 +1077,7 @@ def test_closed_form_whitening_matches_the_cholesky_route(
                 bs = ops.block_system(pr)
                 for nb in (ops.norm_blocks(pr), ops.natural_norm_blocks(pr)):
                     values = []
-                    for system in (bs, dataclasses.replace(bs, ops=None)):
+                    for system in (bs, dataclasses.replace(bs)):
                         solver._FACTORS.pop(ops.uspace, None)
                         values.append(infsup_constant(system, nb).beta0)
                     rel = 1e-12 if nb.kind == "paper" else 4e-12
@@ -1068,11 +1102,13 @@ def _pencil_orders(monkeypatch) -> list:
 def test_closed_flux_whitening_only_for_the_operators_own_blocks(
         ops_bdm, rng, monkeypatch):
     """The flux and pressure blocks are whitened in closed form, and the
-    divergence-free fluxes leave the pencil, only when A_vv, B_vp, N_V
-    and N_P are the operators' own at the system's parameters, paper
-    N_V and N_P, a preconditioner's included; N_V at another rp_inv,
-    2 A_vv, a zeroed B_vp or a random positive diagonal N_P take the
-    Cholesky route with the full pencil."""
+    divergence-free fluxes leave the pencil, only when the system's
+    operators built the norms at its parameters: paper and natural
+    norms, a preconditioner's included.  N_V at another rp_inv, 2 A_vv,
+    a zeroed B_vp, a random positive diagonal N_P, or any `replace` of
+    the system or of the norms, which drops their source, take the
+    Cholesky route with the full pencil, as do norms of the same
+    operators at other parameters."""
     ops = ops_bdm[4]
     pr = ReducedParams(1e4, 1e-4, 1.0)
     bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
@@ -1081,18 +1117,24 @@ def test_closed_flux_whitening_only_for_the_operators_own_blocks(
     assert closed < full
     orders = _pencil_orders(monkeypatch)
     infsup_constant(bs, nb)
+    infsup_constant(bs, ops.natural_norm_blocks(pr))
     estimate_condition(bs, build_preconditioner(nb, bs))
-    assert orders == [closed, closed]
+    estimate_condition(bs, build_preconditioner(
+        ops.natural_norm_blocks(pr), bs))
+    assert orders == [closed] * 4
     del orders[:]
+    other = ReducedParams(1e4, 1.0, 1.0)
     for system, norms in (
-            (bs, dataclasses.replace(
-                nb, N_V=ops.norm_blocks(ReducedParams(1e4, 1.0, 1.0)).N_V)),
+            (bs, dataclasses.replace(nb, N_V=ops.norm_blocks(other).N_V)),
             (dataclasses.replace(bs, A_vv=(2.0 * bs.A_vv).tocsr()), nb),
             (dataclasses.replace(bs, B_vp=0.0 * bs.B_vp), nb),
             (bs, dataclasses.replace(nb, N_P=sps.diags(
-                rng.uniform(0.1, 10.0, npp)).tocsr()))):
+                rng.uniform(0.1, 10.0, npp)).tocsr())),
+            (dataclasses.replace(bs), nb), (bs, dataclasses.replace(nb)),
+            (bs, dataclasses.replace(nb, kind="natural")),
+            (bs, ops.norm_blocks(other))):
         infsup_constant(system, norms)
-    assert orders == [full] * 4
+    assert orders == [full] * 8
 
 
 def test_closed_flux_whitening_rotates_the_coupling_once_per_lambda(
@@ -1121,7 +1163,8 @@ def test_closed_flux_whitening_matches_the_cholesky_route_for_other_fluxes(
     """The closed-form flux whitening agrees with the Cholesky route over
     the grid for the bdm1 and the p1cvec flux, paper norms and the
     preconditioner's blocks.  The Cholesky route gets the same system
-    with a copy of B_vp, so both whiten the displacement alike.
+    replaced, without its operators, and its displacement whitened as
+    the system's, so the two routes differ in the flux whitening alone.
 
     Each min and max |theta| agree to 1e-12 of the largest |theta|, the
     size of W's rounding, by which Weyl's inequality bounds how far any
@@ -1135,14 +1178,19 @@ def test_closed_flux_whitening_matches_the_cholesky_route_for_other_fluxes(
     nu, nv, npp = ops.block_system(ReducedParams(1.0, 1.0, 0.0)).block_sizes
     assert (nv < npp - 1) == (flux == "p1cvec")
     orders = _pencil_orders(monkeypatch)
+    real = solver._whitened_displacement
     for lam in LAM_GRID:
         for rp in RP_GRID:
             for ap in AP_GRID:
                 pr = ReducedParams(lam, rp, ap)
                 bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
                 pc = build_preconditioner(nb, bs)
-                copied = dataclasses.replace(bs, B_vp=bs.B_vp.copy())
-                for blocks in ((nb.N_U, nb.N_V, nb.N_P), pc.blocks):
+                copied = dataclasses.replace(bs)
+                monkeypatch.setattr(
+                    solver, "_whitened_displacement",
+                    lambda system, norms, label, own, bs=bs: real(
+                        bs, norms, label, solver._own(bs, norms)))
+                for blocks in (nb, pc.blocks):
                     closed, cholesky = (np.abs(solver._mean_zero_pencil(
                         system, blocks, "norm matrix", extremes=True))
                         for system in (bs, copied))
@@ -1167,8 +1215,7 @@ def test_closed_flux_whitening_leaves_a_334_row_pencil_on_n6(monkeypatch):
     pr = ReducedParams(1e2, 1e-4, 1.0)
     bs, nb = ops.block_system(pr), ops.norm_blocks(pr)
     orders = _pencil_orders(monkeypatch)
-    theta = solver._mean_zero_pencil(bs, (nb.N_U, nb.N_V, nb.N_P),
-                                     "paper norm matrix")
+    theta = solver._mean_zero_pencil(bs, nb, "paper norm matrix")
     assert bs.block_sizes == (192, 96, 72)
     assert orders == [334]
     assert theta[-1] == 1.0
