@@ -329,9 +329,12 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
 
 # The bordered matrix is scaled to unit norm-block diagonal, so these are
 # dimensionless: the shift of its pressure and multiplier pivots, the bound
-# on the scaled relative residual, and the GMRES restart length and cycles.
+# on the scaled relative residual, the factor by which a classical
+# refinement step must shrink that residual not to stall, and the GMRES
+# restart length and cycles.
 _SHIFT = 1e-6
 _REFINE_TOL = 1e-12
+_STALL = 0.5
 _RESTART = 50
 _CYCLES = 4
 
@@ -368,14 +371,23 @@ class DirectSolver:
     paper's parameter-robust norm blocks (`_norm_scaling`).  Its pressure
     and multiplier pivots are shifted by -1e-6 and the result factored with
     static diagonal pivoting (symmetric minimum degree, no row exchanges).
-    Each solve runs GMRES (`_gmres`) on the unshifted scaled K with that
-    factor as preconditioner until the scaled relative residual
-    ||D(b - Kx)|| / ||D b|| is at most 1e-12, so the shift costs
-    iterations, not accuracy.  One step of classical refinement with the
-    factor then polishes the solution; a zero load returns zero without
-    touching the factor.  `refine_iterations` (GMRES iterations),
-    `refine_solves` (factor applications) and `refine_residual` (the final
-    scaled relative residual) report the last solve.
+    Each solve refines on the unshifted scaled K, so the shift costs
+    factor applications, not accuracy.  Classical steps
+    y += lu^-1 (b - K y) correct the solution while each at least halves
+    the scaled residual; the first step that does not hands the rest of
+    the solve over to GMRES with the factor as preconditioner (`_gmres`,
+    GMRES-IR), started from the current iterate, after which classical
+    steps polish again.  The solve stops as soon as the scaled relative
+    residual ||D(b - Kx)|| / ||D b|| is at most 1e-12 and every
+    mass-balance row meets |r_K| <= 1e-12 (|g_K| + 1) |K| in unscaled
+    units, g_K the cell's mass source: a hundredth of criterion 1's
+    budget.  A row whose own rounding, gamma_m (|b| + |K| |y|) for m
+    stored entries, exceeds that budget, as only for loads far from a
+    physical balance, is held to its rounding instead.  A zero load
+    returns zero without touching the factor.
+    `refine_iterations` (GMRES iterations, 0 when classical steps
+    suffice), `refine_solves` (factor applications) and `refine_residual`
+    (the final scaled relative residual) report the last solve.
     """
 
     def __init__(self, system: BlockSystem):
@@ -385,8 +397,19 @@ class DirectSolver:
         rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
         K.data = K.data * (d[rows] * d[K.indices])
         self.K = K
+        self._mass = mass = slice(sum(system.block_sizes[:2]),
+                                  K.shape[0] - 1)
+        # the mass-row certificate's |K| term in scaled units, d_K |K|,
+        # and the rounding bound gamma_m (|b| + |K| |y|) of computing a
+        # row of b - K y with m stored entries (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed., section 3.5)
+        self._areas = d[mass] * np.abs(system.mesh.signed_areas())
+        self._mass_abs = abs(K[mass])
+        m = np.diff(self._mass_abs.indptr) + 1.0
+        eps = np.finfo(float).eps
+        self._gamma = m * eps / (1.0 - m * eps)
         shift = np.zeros(K.shape[0])
-        shift[sum(system.block_sizes[:2]):] = _SHIFT
+        shift[mass.start:] = _SHIFT
         self.lu = _factor(K - sps.diags(shift), "bordered saddle-point",
                           spd=False)
         self.refine_iterations: int | None = None
@@ -401,46 +424,72 @@ class DirectSolver:
     def solve(self, rhs: np.ndarray):
         """Returns (x, multiplier) for the stacked free-dof load rhs; for a
         source with vanishing mean the multiplier is zero up to solver
-        roundoff.  Raises FactorizationFailure when the refinement misses
-        its bound within `_CYCLES` restarts of `_RESTART` iterations."""
+        roundoff.  Raises FactorizationFailure when a classical step
+        stalls after GMRES (at most `_CYCLES` restarts of `_RESTART`
+        iterations) short of either certificate."""
         b = self.d * np.append(rhs, 0.0)
-        K, lu = self.K, self.lu
+        K, lu, mass = self.K, self.lu, self._mass
         norm_b = np.linalg.norm(b)
-        y, residual, iterations, solves = np.zeros_like(b), 0.0, 0, 0
-        if norm_b:
-            y, r, iterations, solves = _gmres(K, lu, b, norm_b)
-            # GMRES stops just under the bound, which can leave the small
-            # mass-balance rows far above roundoff; one step of classical
-            # refinement with the factor takes the residual down to roundoff
-            polished = y + lu.solve(r)
+        # the mass rows' certificate in scaled units: d_K r_K against
+        # d_K 1e-12 (|g_K| + 1) |K|, or against the rounding of r_K
+        # where that is larger
+        budget = _REFINE_TOL * (np.abs(b[mass]) + self._areas)
+
+        def shortfall(y, r):
+            """The largest mass row's share of its bound."""
+            rounding = self._gamma * (np.abs(b[mass])
+                                      + self._mass_abs @ np.abs(y))
+            return np.max(np.abs(r[mass]) / np.maximum(budget, rounding))
+
+        def certified(y, r, norm_r):
+            return norm_r <= _REFINE_TOL * norm_b and (
+                np.all(np.abs(r[mass]) <= budget) or shortfall(y, r) <= 1.0)
+
+        y, r, norm_r = np.zeros_like(b), b, norm_b
+        iterations = solves = 0
+        handed_over = False
+        while not certified(y, r, norm_r):
+            y_next = y + lu.solve(r)
             solves += 1
-            r_polished = b - K @ polished
-            if np.linalg.norm(r_polished) < np.linalg.norm(r):
-                y, r = polished, r_polished
-            residual = np.linalg.norm(r) / norm_b
-        if not residual <= _REFINE_TOL:
-            raise FactorizationFailure(
-                f"bordered saddle-point block: scaled relative residual "
-                f"{residual:.3g} after {iterations} GMRES iterations, bound "
-                f"{_REFINE_TOL:g}")
+            r_next = b - K @ y_next
+            norm_next = np.linalg.norm(r_next)
+            stalled = not norm_next <= _STALL * norm_r
+            if norm_next < norm_r:
+                y, r, norm_r = y_next, r_next, norm_next
+            if not stalled:
+                continue
+            if handed_over:
+                raise FactorizationFailure(
+                    f"bordered saddle-point block: scaled relative residual "
+                    f"{norm_r / norm_b:.3g}, bound {_REFINE_TOL:g}, largest "
+                    f"mass row {shortfall(y, r):.3g} of its bound, after "
+                    f"{iterations} GMRES iterations")
+            y, r, its, applied = _gmres(K, lu, b, norm_b, y, r)
+            norm_r = np.linalg.norm(r)
+            iterations += its
+            solves += applied
+            handed_over = True
         self.refine_iterations = iterations
         self.refine_solves = solves
-        self.refine_residual = float(residual)
+        self.refine_residual = float(norm_r / norm_b) if norm_b else 0.0
         x = self.d * y
         return x[:-1], float(x[-1])
 
 
-def _gmres(K, lu, b: np.ndarray, norm_b: float):
-    """Restarted GMRES on lu^-1 K y = lu^-1 b, the GMRES-IR of Carson &
-    Higham (SISC 2017): each cycle starts from lu.solve(r) and each
-    iteration applies the factor once.  A cycle stops when its
+def _gmres(K, lu, b: np.ndarray, norm_b: float, y: np.ndarray | None = None,
+           r: np.ndarray | None = None):
+    """Restarted GMRES on the correction equation lu^-1 K e = lu^-1 r
+    from the iterate y, r = b - K y (zero by default), the GMRES-IR of
+    Carson & Higham (SISC 2017): each cycle starts from lu.solve(r) and
+    each iteration applies the factor once.  A cycle stops when its
     preconditioned residual has fallen by the factor the true residual
     still has to fall, or on breakdown; the true residual is then
     recomputed, and the restarts end once it meets the bound.
 
     Returns (y, b - K y, GMRES iterations, factor applications).
     """
-    y, r = np.zeros_like(b), b
+    if y is None:
+        y, r = np.zeros_like(b), b
     iterations = solves = 0
     V = np.empty((_RESTART + 1, b.size))
     for _ in range(_CYCLES):

@@ -310,7 +310,7 @@ STEP_REPORT = {"steps", "lam", "rp_inv", "alpha_p", "gamma"}
 
 
 def test_direct_solve_reports_refinement(tmp_path):
-    """The GMRES refinement of the direct path reports its iteration count,
+    """The refinement of the direct path reports its GMRES iteration count,
     factor applications and final scaled residual in the JSON records,
     never in a CSV."""
     out = tmp_path / "r"
@@ -320,10 +320,10 @@ def test_direct_solve_reports_refinement(tmp_path):
     rec = json.loads((out / "report.json").read_text())
     assert set(rec) == DIRECT_RECORD
     assert isinstance(rec["refine_iterations"], int)
-    assert rec["refine_iterations"] >= 1
-    # one factor application per iteration and per restart, one to polish
+    assert rec["refine_iterations"] >= 0
+    # classical steps may meet both certificates without GMRES
     assert isinstance(rec["refine_solves"], int)
-    assert rec["refine_solves"] >= rec["refine_iterations"] + 2
+    assert rec["refine_solves"] >= 1
     assert 0.0 <= rec["refine_residual"] <= 1e-12
     assert not list(out.glob("*.csv"))
 
@@ -337,11 +337,24 @@ def test_direct_solve_reports_refinement(tmp_path):
     steps = report["steps"]
     assert all(set(r) == STEP_RECORD for r in steps)
     assert all(isinstance(r["refine_iterations"], int)
-               and r["refine_iterations"] >= 1
-               and r["refine_solves"] >= r["refine_iterations"] + 2
+               and r["refine_iterations"] >= 0
+               and r["refine_solves"] == 2
                for r in steps)
     header = (out / "timestep_conservation.csv").read_text().splitlines()[0]
     assert header == "step,time,conservation_max"
+
+
+def test_timestep_steps_apply_the_factor_three_times():
+    """With the README's physical data every backward Euler step on n=8
+    meets both certificates of the direct solve after three classical
+    steps, without GMRES."""
+    records, _ = timestep_drive(_cfg([
+        "timestep", "--n", "8", "--mu", "0.5", "--lambda-phys", "2",
+        "--alpha", "1", "--K", "1e-2", "--c-pp", "0.05", "--tau", "0.25",
+        "--steps", "8"]))
+    assert [(r["refine_iterations"], r["refine_solves"]) for r in records] \
+        == [(0, 3)] * 8
+    assert all(r["conservation_max"] <= 1e-14 for r in records)
 
 
 def test_solve_minres_writes_history(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import types
 import weakref
 
@@ -9,9 +10,11 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from biotfem import solver
-from biotfem.analysis import (error_norms, infsup_constant, manufactured_case,
-                              minres_sweep, solve_manufactured)
-from biotfem.assembly import FormOperators, NormBlocks, block_diagonal
+from biotfem.analysis import (conservation_audit, error_norms, infsup_constant,
+                              manufactured_case, minres_sweep,
+                              solve_manufactured)
+from biotfem.assembly import (FormOperators, NormBlocks, block_diagonal,
+                              block_matrix)
 from biotfem.meshing import structured_mesh
 from biotfem.params import ReducedParams
 from biotfem.solver import (BlockPreconditioner, DirectSolver,
@@ -625,17 +628,16 @@ def _scaled_residual(direct, rhs, x, mult):
 
 
 def test_refinement_applies_the_factor_once_per_iteration():
-    """At the time stepper's point (2, 400, 0.05) a solve takes two GMRES
-    iterations and four factor applications: one to start the cycle, one
-    per iteration and one to polish."""
+    """At the time stepper's point (2, 400, 0.05) two classical steps meet
+    both certificates: no GMRES iteration and two factor applications."""
     pr = ReducedParams(2.0, 400.0, 0.05)
     case = manufactured_case(pr)
     bs = FormOperators(structured_mesh(8)).block_system(pr, f=case.f,
                                                         g=case.g)
     direct = _counting_solver(bs)
     x, mult = direct.solve(bs.rhs)
-    assert direct.refine_iterations == 2
-    assert direct.refine_solves == direct.lu.calls == 4
+    assert direct.refine_iterations == 0
+    assert direct.refine_solves == direct.lu.calls == 2
     assert _scaled_residual(direct, bs.rhs, x, mult) <= 1e-12
 
 
@@ -661,6 +663,78 @@ def test_hard_corner_meets_the_bound():
     assert direct.refine_residual <= 1e-12
     assert direct.refine_iterations < solver._CYCLES * solver._RESTART
     assert direct.refine_solves == direct.lu.calls
+
+
+def _mass_row_shortfall(system, x, mult):
+    """The largest |r_K| / (1e-12 (|g_K| + 1) |K|) over the mass-balance
+    rows of the unscaled bordered system, g_K = rhs_p / |K|."""
+    nu, nv, _ = system.block_sizes
+    K = block_matrix(system, bordered=True)
+    r = np.append(system.rhs, 0.0) - K @ np.append(x, mult)
+    areas = np.abs(system.mesh.signed_areas())
+    g = system.rhs_p / areas
+    return np.max(np.abs(r[nu + nv:-1]) / (1e-12 * (np.abs(g) + 1.0)
+                                            * areas))
+
+
+def test_stalled_classical_step_hands_over_to_gmres():
+    """At (1e8, 1e8, 0) on n=32 classical steps stall short of the bound;
+    GMRES takes over from the current iterate, and the solve meets both
+    certificates, recomputed here."""
+    pr = ReducedParams(1e8, 1e8, 0.0)
+    case = manufactured_case(pr)
+    bs = FormOperators(structured_mesh(32)).block_system(pr, f=case.f,
+                                                         g=case.g)
+    direct = _counting_solver(bs)
+    x, mult = direct.solve(bs.rhs)
+    assert direct.refine_iterations >= 1
+    assert direct.refine_solves == direct.lu.calls
+    assert direct.refine_solves > direct.refine_iterations
+    assert _scaled_residual(direct, bs.rhs, x, mult) <= 1e-12
+    assert _mass_row_shortfall(bs, x, mult) <= 1.0
+
+
+def test_perturbed_grid_meets_both_certificates(perturbed_mesh):
+    """On the perturbed n=8 mesh, at every point of the acceptance grid,
+    the direct solve of the manufactured load meets the scaled residual
+    bound and the cellwise mass balance, audited outside the solver, is
+    within 1e-12 (|g_K| + 1)."""
+    ops = FormOperators(perturbed_mesh[8])
+    for lam, rp, ap in itertools.product(LAM_GRID, RP_GRID, AP_GRID):
+        bs, _ = _system(ops, lam, rp, ap)
+        direct = DirectSolver(bs)
+        x, mult = direct.solve(bs.rhs)
+        assert _scaled_residual(direct, bs.rhs, x, mult) <= 1e-12
+        assert _mass_row_shortfall(bs, x, mult) <= 1.0
+        g = bs.rhs_p / bs.mesh.signed_areas()
+        audit = conservation_audit(bs, x)
+        assert np.all(np.abs(audit) <= 1e-12 * (np.abs(g) + 1.0)), (
+            lam, rp, ap)
+
+
+def test_load_far_from_balance_is_certified_at_its_rounding(ops_bdm, rng):
+    """A random load at (1e4, 1e-4, 1) drives fluxes so large that the
+    rounding of the mass rows' residual, gamma_m (|b| + |K| |y|), exceeds
+    1e-12 (|g_K| + 1) |K|: the solve returns, its mass rows within that
+    rounding."""
+    bs, _ = _system(ops_bdm[4], 1e4, 1e-4, 1.0, with_rhs=False)
+    nu, nv, npp = bs.block_sizes
+    bs = dataclasses.replace(bs, rhs_u=rng.standard_normal(nu),
+                             rhs_v=rng.standard_normal(nv),
+                             rhs_p=rng.standard_normal(npp))
+    direct = DirectSolver(bs)
+    x, mult = direct.solve(bs.rhs)
+    assert _scaled_residual(direct, bs.rhs, x, mult) <= 1e-12
+    assert _mass_row_shortfall(bs, x, mult) > 1.0
+    K = block_matrix(bs, bordered=True)
+    y = np.append(x, mult)
+    b = np.append(bs.rhs, 0.0)
+    rows = slice(nu + nv, -1)
+    m = np.diff(K.indptr)[rows] + 1.0
+    eps = np.finfo(float).eps
+    rounding = m * eps / (1.0 - m * eps) * (np.abs(b[rows])
+                                            + abs(K[rows]) @ np.abs(y))
+    assert np.all(np.abs((b - K @ y)[rows]) <= rounding)
 
 
 def test_gmres_stops_on_breakdown():
