@@ -82,7 +82,7 @@ def _factor(mat, name: str, spd: bool):
     diagonal.  Nothing then guards the pivots, so a certificate replaces
     partial pivoting: the row and column orders must agree.  An SPD block
     (`spd`) must also have positive pivots, which makes its factor a
-    scaled Cholesky factor.  The shifted bordered saddle point is
+    scaled Cholesky factor.  The clamped bordered saddle point is
     indefinite, and its certificate reads no pivot; the refinement of
     `DirectSolver` answers for its accuracy.
     """
@@ -328,10 +328,10 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
 
 
 # The bordered matrix is scaled to unit norm-block diagonal, so these are
-# dimensionless: the shift of its pressure and multiplier pivots, the bound
-# on the scaled relative residual, the factor by which a classical
-# refinement step must shrink that residual not to stall, and the GMRES
-# restart length and cycles.
+# dimensionless: the clamp of its pressure and multiplier pivots (each is
+# factored as at most -_SHIFT), the bound on the scaled relative residual,
+# the factor by which a classical refinement step must shrink that residual
+# not to stall, and the GMRES restart length and cycles.
 _SHIFT = 1e-6
 _REFINE_TOL = 1e-12
 _STALL = 0.5
@@ -369,23 +369,26 @@ class DirectSolver:
 
     The bordered matrix K is scaled symmetrically by the diagonal of the
     paper's parameter-robust norm blocks (`_norm_scaling`).  Its pressure
-    and multiplier pivots are shifted by -1e-6 and the result factored with
-    static diagonal pivoting (symmetric minimum degree, no row exchanges).
-    Each solve refines on the unshifted scaled K, so the shift costs
-    factor applications, not accuracy.  Classical steps
-    y += lu^-1 (b - K y) correct the solution while each at least halves
-    the scaled residual; the first step that does not hands the rest of
-    the solve over to GMRES with the factor as preconditioner (`_gmres`,
-    GMRES-IR), started from the current iterate, after which classical
-    steps polish again.  The solve stops as soon as the scaled relative
-    residual ||D(b - Kx)|| / ||D b|| is at most 1e-12 and every
-    mass-balance row meets |r_K| <= 1e-12 (|g_K| + 1) |K| in unscaled
-    units, g_K the cell's mass source: a hundredth of criterion 1's
-    budget.  A row whose own rounding, gamma_m (|b| + |K| |y|) for m
-    stored entries, exceeds that budget, as only for loads far from a
-    physical balance, is held to its rounding instead.  A zero load
-    returns zero without touching the factor.
-    `refine_iterations` (GMRES iterations, 0 when classical steps
+    and multiplier pivots are clamped to at most -1e-6, min(K_ii, -1e-6),
+    and the result factored with static diagonal pivoting (symmetric
+    minimum degree, no row exchanges): static pivoting replaces only the
+    tiny pivots (Li & Demmel, SC 1998).  Where alpha_p / gamma >= 1e-6
+    that factors K but for its multiplier entry; at alpha_p = 0 it shifts
+    every pressure pivot by -1e-6.  Each solve refines on the scaled K
+    itself, so the clamp costs factor applications, not accuracy.
+    Classical steps y += lu^-1 (b - K y) correct the solution while each
+    at least halves the scaled residual; the first step that does not
+    hands the rest of the solve over to GMRES with the factor as
+    preconditioner (`_gmres`, GMRES-IR), started from the current
+    iterate, after which classical steps polish again.  The solve stops
+    as soon as the scaled relative residual ||D(b - Kx)|| / ||D b|| is at
+    most 1e-12 and every mass-balance row meets
+    |r_K| <= 1e-12 (|g_K| + 1) |K| in unscaled units, g_K the cell's mass
+    source: a hundredth of criterion 1's budget.  A row whose own
+    rounding, gamma_m (|b| + |K| |y|) for m stored entries, exceeds that
+    budget, as only for loads far from a physical balance, is held to its
+    rounding instead.  A zero load returns zero without touching the
+    factor.  `refine_iterations` (GMRES iterations, 0 when classical steps
     suffice), `refine_solves` (factor applications) and `refine_residual`
     (the final scaled relative residual) report the last solve.
     """
@@ -408,8 +411,11 @@ class DirectSolver:
         m = np.diff(self._mass_abs.indptr) + 1.0
         eps = np.finfo(float).eps
         self._gamma = m * eps / (1.0 - m * eps)
+        # K_ii - shift_i = min(K_ii, -_SHIFT), as K_ii = -alpha_p / gamma
+        # <= 0 on the pressure and 0 on the multiplier
         shift = np.zeros(K.shape[0])
-        shift[mass.start:] = _SHIFT
+        shift[mass.start:] = np.maximum(_SHIFT + K.diagonal()[mass.start:],
+                                        0.0)
         self.lu = _factor(K - sps.diags(shift), "bordered saddle-point",
                           spd=False)
         self.refine_iterations: int | None = None

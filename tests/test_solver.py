@@ -628,8 +628,8 @@ def _scaled_residual(direct, rhs, x, mult):
 
 
 def test_refinement_applies_the_factor_once_per_iteration():
-    """At the time stepper's point (2, 400, 0.05) two classical steps meet
-    both certificates: no GMRES iteration and two factor applications."""
+    """At the time stepper's point (2, 400, 0.05) one classical step meets
+    both certificates: no GMRES iteration and one factor application."""
     pr = ReducedParams(2.0, 400.0, 0.05)
     case = manufactured_case(pr)
     bs = FormOperators(structured_mesh(8)).block_system(pr, f=case.f,
@@ -637,7 +637,7 @@ def test_refinement_applies_the_factor_once_per_iteration():
     direct = _counting_solver(bs)
     x, mult = direct.solve(bs.rhs)
     assert direct.refine_iterations == 0
-    assert direct.refine_solves == direct.lu.calls == 2
+    assert direct.refine_solves == direct.lu.calls == 1
     assert _scaled_residual(direct, bs.rhs, x, mult) <= 1e-12
 
 
@@ -771,6 +771,76 @@ def test_unshifted_saddle_point_fails_the_pivot_certificate(ops_bdm,
     with pytest.raises(FactorizationFailure,
                        match="bordered saddle-point block: an off-diagonal"):
         DirectSolver(bs)
+
+
+def _factored_bordered(system, monkeypatch):
+    """The DirectSolver of `system` and the matrix it handed to
+    `solver._factor`."""
+    factor, factored = solver._factor, []
+
+    def spy(mat, name, spd):
+        factored.append(mat.tocsr())
+        return factor(mat, name, spd)
+
+    monkeypatch.setattr(solver, "_factor", spy)
+    direct = DirectSolver(system)
+    return direct, factored[0]
+
+
+def test_clamp_at_zero_alpha_p_is_the_uniform_shift(ops_bdm, monkeypatch):
+    """At alpha_p = 0 the pressure and multiplier diagonal of K is zero,
+    so the clamp factors K shifted by -1e-6 there, bit for bit."""
+    bs, _ = _system(ops_bdm[4], 1.0, 1.0, 0.0)
+    direct, mat = _factored_bordered(bs, monkeypatch)
+    start = direct._mass.start
+    assert np.all(mat.diagonal()[start:] == -solver._SHIFT)
+    shift = np.zeros(direct.K.shape[0])
+    shift[start:] = solver._SHIFT
+    shifted = (direct.K - sps.diags(shift)).tocsr()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mat, attr), getattr(shifted, attr))
+
+
+def test_clamp_keeps_large_pressure_pivots(monkeypatch):
+    """At the time stepper's point (2, 400, 0.05) the scaled pressure
+    diagonal is -alpha_p / gamma = -0.1: the factored matrix is K except
+    for its multiplier entry, -1e-6."""
+    bs, _ = _system(FormOperators(structured_mesh(8)), 2.0, 400.0, 0.05)
+    direct, mat = _factored_bordered(bs, monkeypatch)
+    diff = (mat - direct.K).tocoo()
+    diff.eliminate_zeros()
+    last = direct.K.shape[0] - 1
+    assert (diff.row.tolist(), diff.col.tolist()) == ([last], [last])
+    assert diff.data[0] == mat[last, last] == -solver._SHIFT
+
+
+def test_clamp_raises_small_pressure_pivots(ops_bdm, monkeypatch):
+    """Where 0 < alpha_p / gamma < 1e-6 each pressure pivot is clamped to
+    exactly -1e-6; nothing off the diagonal moves."""
+    bs, _ = _system(ops_bdm[4], 1.0, 1.0, 1e-9)
+    direct, mat = _factored_bordered(bs, monkeypatch)
+    start = direct._mass.start
+    assert np.all(-solver._SHIFT < direct.K.diagonal()[start:-1])
+    assert np.all(mat.diagonal()[start:] == -solver._SHIFT)
+    diff = (mat - direct.K).tocoo()
+    diff.eliminate_zeros()
+    assert np.array_equal(diff.row, diff.col)
+
+
+def test_small_alpha_p_meets_both_certificates():
+    """Around the clamp's threshold, alpha_p / gamma near 1e-6, and well
+    below it, every direct solve on n=8 meets the scaled residual bound
+    and the mass-row certificate, recomputed from the unscaled bordered
+    matrix."""
+    ops = FormOperators(structured_mesh(8))
+    for lam, rp, ap in itertools.product([1.0, 1e8], [1e-8, 1.0, 1e8],
+                                         [1e-12, 5e-7, 2e-6]):
+        bs, _ = _system(ops, lam, rp, ap)
+        direct = DirectSolver(bs)
+        x, mult = direct.solve(bs.rhs)
+        assert _scaled_residual(direct, bs.rhs, x, mult) <= 1e-12, (
+            lam, rp, ap)
+        assert _mass_row_shortfall(bs, x, mult) <= 1.0, (lam, rp, ap)
 
 
 def test_condition_identity_pencil(ops_bdm):
