@@ -10,14 +10,14 @@ matrix on all dofs or on the free dofs is one gather over shared,
 read-only index arrays, so sums of Grams and free-dof restrictions are
 arithmetic on data vectors.  Every CSR pattern, the Grams' and the
 monolithic matrices', is one counting sort of coordinates (`_sorted_csr`).
-The monolithic matrices are laid out in one place: `block_matrix` keeps
-the read-only CSR index arrays of the saddle matrix per sparsity pattern
-of its blocks and gathers each parameter point's block data into them,
-lays out the matrix bordered for the direct solver straight from its
-blocks, and `block_diagonal` concatenates the norm blocks.  Loads that
-are affine in the parameters (`AffineLoad`) are assembled once per
-component on first use, so the load vectors of a parameter point are
-small dot products too.
+The monolithic matrices are laid out in one place: `block_matrix` gathers
+each parameter point's block data into the read-only CSR index arrays of
+the saddle layout its operators keep (`FormOperators._saddle`), lays out
+any other blocks and the matrix bordered for the direct solver straight
+from the blocks, and `block_diagonal` concatenates the norm blocks.
+Loads that are affine in the parameters (`AffineLoad`) are assembled
+once per component on first use, so the load vectors of a parameter
+point are small dot products too.
 """
 
 from __future__ import annotations
@@ -196,11 +196,6 @@ class BlockLayout:
     a second time transposed, and one counting sort (`_sorted_csr`) lays
     them out.  The arrays are read-only, so the matrices of one layout can
     share them.
-
-    The layout keeps the blocks' index arrays, not copies.  It matches
-    later blocks that hold the same read-only arrays, as every system of
-    one `FormOperators` does; a writeable array may have changed since,
-    so it never matches.
     """
 
     def __init__(self, blocks, bordered: bool = False):
@@ -211,7 +206,6 @@ class BlockLayout:
             raise ValueError(f"block shapes {[b.shape for b in blocks]} do "
                              f"not form a saddle matrix of sizes "
                              f"{(nu, nv, npp)}")
-        self.patterns = [(b.indptr, b.indices) for b in blocks]
         src = np.cumsum([0] + [b.nnz for b in blocks])
         n = nu + nv + npp + bordered
         # the coupling blocks are stored twice, the areas twice
@@ -220,7 +214,8 @@ class BlockLayout:
         coords = []  # (rows, columns, data positions) of the entries
         corners = ((0, 0), (0, nu + nv), (nu, nu), (nu, nu + nv),
                    (nu + nv, nu + nv))
-        for (p, i), (r0, c0), s in zip(self.patterns, corners, src):
+        for b, (r0, c0), s in zip(blocks, corners, src):
+            p, i = b.indptr, b.indices
             r = np.repeat(np.arange(r0, r0 + p.size - 1, dtype=itype),
                           np.diff(p))
             c = i.astype(itype) + c0
@@ -240,38 +235,25 @@ class BlockLayout:
         self.template = _shared_csr(np.zeros(self.order.size), self.indices,
                                     self.indptr, (n, n))
 
-    def matches(self, blocks) -> bool:
-        return all(b.shape == s and b.indptr is p and b.indices is i
-                   and not (p.flags.writeable or i.flags.writeable)
-                   for (p, i), s, b in zip(self.patterns, self.shapes, blocks))
-
-
-# Last saddle layout per displacement space, the same rule as the factor
-# memo of the solver: the systems of one FormOperators share it.
-_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def block_matrix(system: BlockSystem, bordered: bool = False):
     """The saddle matrix of `system` in CSR; with `bordered`, also the
     column of cell areas and its transpose as last row, which pin the
     pressure mean.
 
-    The saddle layout of the displacement space is kept while the five
-    blocks keep the sparsity pattern it was built for, and its read-only
+    The blocks of the operators that assembled `system` (`BlockSystem.ops`)
+    take their saddle layout (`FormOperators._saddle`), whose read-only
     index arrays are handed out without copies, each matrix a copy of the
-    layout's template (`_from_template`).  A direct solver borders its
-    matrix once, so a bordered layout is built from the blocks and not
-    kept."""
+    layout's template (`_from_template`).  Any other blocks, and the
+    bordered matrix, which a direct solver builds once, get a layout of
+    their own that is not kept."""
     blocks = [_canonical(b) for b in (system.A_uu, system.B_up, system.A_vv,
                                       system.B_vp, system.C_pp)]
     data = [b.data for b in blocks]
     if bordered:
-        layout = BlockLayout(blocks, bordered=True)
         data.append(system.mesh.signed_areas())
-    else:
-        layout = _LAYOUTS.get(system.uspace)
-        if layout is None or not layout.matches(blocks):
-            layout = _LAYOUTS[system.uspace] = BlockLayout(blocks)
+    layout = (system.ops._saddle if system.ops is not None and not bordered
+              else BlockLayout(blocks, bordered))
     return _from_template(layout.template,
                           np.concatenate(data)[layout.order])
 
@@ -412,9 +394,6 @@ class GramPattern:
 
 def _shared_csr(data, indices, indptr, shape) -> sps.csr_matrix:
     mat = sps.csr_matrix((data, indices, indptr), shape=shape)
-    # the shared arrays themselves, not the views scipy's checks leave, so
-    # that a block layout recognises them by identity
-    mat.indices, mat.indptr = indices, indptr
     mat.has_canonical_format = True  # sorted and unique by construction
     return mat
 
@@ -492,6 +471,14 @@ class FormOperators:
         # a plain callable's one-off parts goes when its call returns
         self._f_cache = weakref.WeakKeyDictionary()
         self._g_cache = weakref.WeakKeyDictionary()
+        # the solvers' memo for the blocks these operators assemble: the
+        # last factor of each preconditioner block, the displacement under
+        # lambda and the flux under its shape t (`BlockPreconditioner`),
+        # the last whitened displacement of their pencils under (whether
+        # N_U is A_uu, lambda) (`_whitened_displacement`) and its coupling
+        # rotated to the closed-form pressure basis under its identity
+        # (`_closed_flux`)
+        self._factors = {}
 
     # -- volume terms ---------------------------------------------------------
     # Derivatives are constant on each cell, so their Grams are |K| times
@@ -624,6 +611,13 @@ class FormOperators:
     @cached_property
     def _B_vp_free(self):
         return _read_only(self.B_vp[self.vspace.free_dofs].tocsr())
+
+    @cached_property
+    def _saddle(self) -> BlockLayout:
+        """The layout of every saddle matrix of these operators' systems
+        (`block_matrix`), from the templates their blocks copy."""
+        return BlockLayout((self._upattern._free, self._B_up_free,
+                            self._vpattern._free, self._B_vp_free, self.M_p))
 
     @cached_property
     def _whitening(self):

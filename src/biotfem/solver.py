@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,16 +102,6 @@ def _factor(mat, name: str, spd: bool):
     return lu
 
 
-# Per displacement space, for the blocks of the one FormOperators that
-# owns it: the last factor of each preconditioner block, the displacement
-# under lambda and the flux under its shape t (`BlockPreconditioner`), the
-# last whitened displacement of their pencils under (whether N_U is A_uu,
-# lambda) (`_whitened_displacement`) and its coupling rotated to the
-# closed-form pressure basis under its identity (`_closed_flux`).  Each
-# entry dies with the space.
-_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 class BlockPreconditioner:
     """Exact block-diagonal application of the preconditioner.
 
@@ -139,7 +128,7 @@ class BlockPreconditioner:
         memo, lam, t, scale = {}, None, None, 1.0
         if source is not None:
             ops, params, (g, gc) = source
-            memo = _FACTORS.setdefault(ops.uspace, {})
+            memo = ops._factors
             lam, t, scale = params.lam, g * params.rp_inv / gc, g / gc
         self.inv_U = self._inverse("displacement", memo, lam,
                                    lambda: blocks.N_U)
@@ -482,20 +471,17 @@ class DirectSolver:
         return x[:-1], float(x[-1])
 
 
-def _gmres(K, lu, b: np.ndarray, norm_b: float, y: np.ndarray | None = None,
-           r: np.ndarray | None = None):
+def _gmres(K, lu, b: np.ndarray, norm_b: float, y: np.ndarray, r: np.ndarray):
     """Restarted GMRES on the correction equation lu^-1 K e = lu^-1 r
-    from the iterate y, r = b - K y (zero by default), the GMRES-IR of
-    Carson & Higham (SISC 2017): each cycle starts from lu.solve(r) and
-    each iteration applies the factor once.  A cycle stops when its
-    preconditioned residual has fallen by the factor the true residual
-    still has to fall, or on breakdown; the true residual is then
-    recomputed, and the restarts end once it meets the bound.
+    from the iterate y, r = b - K y, the GMRES-IR of Carson & Higham
+    (SISC 2017): each cycle starts from lu.solve(r) and each iteration
+    applies the factor once.  A cycle stops when its preconditioned
+    residual has fallen by the factor the true residual still has to
+    fall, or on breakdown; the true residual is then recomputed, and the
+    restarts end once it meets the bound.
 
     Returns (y, b - K y, GMRES iterations, factor applications).
     """
-    if y is None:
-        y, r = np.zeros_like(b), b
     iterations = solves = 0
     V = np.empty((_RESTART + 1, b.size))
     for _ in range(_CYCLES):
@@ -633,7 +619,7 @@ def _closed_flux(system: BlockSystem, W_uu: np.ndarray, coupling: np.ndarray,
     """
     sigma, T = system.ops._flux_whitening
     params = system.params
-    memo = _FACTORS.setdefault(system.uspace, {})
+    memo = system.ops._factors
     last = memo.get("rotated coupling")
     if last is None or last[0] is not coupling:
         last = memo["rotated coupling"] = (coupling, T @ coupling)
@@ -670,18 +656,18 @@ def _whitened_displacement(system: BlockSystem, norms: NormBlocks,
     When the system's operators built `norms` at its parameters (`own`),
     Z comes in closed form (`_closed_form`) for their paper and natural
     N_U alike, and a preconditioner's N_U is A_uu, so Z^T A_uu Z = I.
-    The pair is then kept per displacement space under (whether N_U is
-    A_uu, lambda), so a lambda-major sweep whitens once per lambda.  Any
-    other blocks take Z = L_U^-T, L_U the Cholesky factor of N_U, and
+    The operators then keep the pair under (whether N_U is A_uu, lambda),
+    so a lambda-major sweep whitens once per lambda.  Any other blocks
+    take Z = L_U^-T, L_U the Cholesky factor of N_U, and
     Z^T A_uu Z = I + L_U^-1 (A_uu - N_U) L_U^-T, which is I when A_uu is
     the object N_U, and keep nothing.
     """
     precond = norms.kind == "preconditioner"
     key = (precond, system.params.lam)
-    memo = _FACTORS.setdefault(system.uspace, {}) if own else {}
-    last = memo.get("whitened displacement")
-    if last is not None and last[0] == key:
-        return last[1]
+    if own:
+        last = system.ops._factors.get("whitened displacement")
+        if last is not None and last[0] == key:
+            return last[1]
     if own and not precond:
         pair = _closed_form(system.ops, system.params.lam)
     else:
@@ -690,7 +676,8 @@ def _whitened_displacement(system: BlockSystem, norms: NormBlocks,
         if not (own or system.A_uu is norms.N_U):
             W += _whiten(L, (system.A_uu - norms.N_U).toarray(), L)
         pair = W, _whiten(None, system.B_up.T.toarray(), L)
-    memo["whitened displacement"] = (key, pair)
+    if own:
+        system.ops._factors["whitened displacement"] = (key, pair)
     return pair
 
 

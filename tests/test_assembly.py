@@ -99,7 +99,8 @@ def test_grams_of_a_space_share_one_pattern():
 
 def test_blocks_at_two_points_share_their_pattern():
     """The free-dof blocks of two parameter points share index arrays, so
-    the second saddle matrix reuses the block layout of the first."""
+    both saddle matrices take the operators' one block layout and share
+    its index arrays."""
     ops = FormOperators(structured_mesh(4))
     points = (ReducedParams(1.0, 1.0, 0.0), ReducedParams(1e8, 1e-8, 1.0))
     systems = [ops.block_system(pr) for pr in points]
@@ -109,10 +110,10 @@ def test_blocks_at_two_points_share_their_pattern():
                  (systems[0].A_vv, norms[1].N_V)):
         assert np.shares_memory(a.indices, b.indices)
         assert np.shares_memory(a.indptr, b.indptr)
-    systems[0].monolithic()
-    layout = assembly._LAYOUTS[ops.uspace]
-    systems[1].monolithic()
-    assert assembly._LAYOUTS[ops.uspace] is layout
+    template = ops._saddle.template
+    for system in systems:
+        A = system.monolithic()
+        assert A.indices is template.indices and A.indptr is template.indptr
 
 
 def test_in_place_call_on_a_block_raises():
@@ -183,7 +184,7 @@ def test_patterns_and_layout_die_with_form_operators():
     ops = FormOperators(structured_mesh(2))
     _handed_out(ops, ReducedParams(1.0, 1.0, 0.0))
     refs = [weakref.ref(obj) for obj in (ops._upattern, ops._vpattern,
-                                         assembly._LAYOUTS[ops.uspace])]
+                                         ops._saddle)]
     del ops
     gc.collect()
     assert [ref() for ref in refs] == [None] * 3

@@ -1,9 +1,10 @@
 """The cached block layout reproduces sps.bmat / sps.block_diag bitwise.
 
-`assembly.block_matrix` fills the saddle matrix from a CSR layout kept per
-displacement space (and the matrix bordered by the cell-area column from
-a layout built for it), both laid out by one counting sort of block
-coordinates, and `assembly.block_diagonal` concatenates CSR arrays.  Every
+`assembly.block_matrix` fills the saddle matrix from the CSR layout its
+operators keep (and any other blocks, and the matrix bordered by the
+cell-area column, from a layout built for them), each laid out by one
+counting sort of block coordinates, and `assembly.block_diagonal`
+concatenates CSR arrays.  Every
 matrix built that way must equal, in indptr, indices and data, the scipy
 reference built here, over the whole coefficient grid, on structured and
 perturbed meshes, and after a block changes its sparsity pattern.
@@ -36,6 +37,13 @@ def _bmat(system, bordered=False):
                                                       None]]
         blocks[2][3] = col
     return sps.bmat(blocks, format="csr")
+
+
+def _scaled(K, d):
+    """d_i K_ij d_j, as the direct solver scales its bordered matrix."""
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    K.data *= d[rows] * d[K.indices]
+    return K
 
 
 def _assert_bitwise(got, want):
@@ -72,19 +80,51 @@ def test_layout_matches_scipy_over_the_grid(operators, name):
         pc = build_preconditioner(norms, system)
         _assert_bitwise(block_diagonal(pc.blocks),
                         sps.block_diag(pc.blocks, format="csr"))
-    # the grid shares one pattern, so it shares one layout
-    assert assembly._LAYOUTS[ops.uspace].matches(
-        [system.A_uu, system.B_up, system.A_vv, system.B_vp, system.C_pp])
+    # the grid shares one pattern, so it shares the operators' layout
+    assert system.monolithic().indices is ops._saddle.template.indices
+
+
+def _count_layouts(monkeypatch) -> list:
+    """The `bordered` flag of every `BlockLayout` built from now on."""
+    built, real = [], assembly.BlockLayout.__init__
+
+    def counted(self, blocks, bordered=False):
+        built.append(bordered)
+        real(self, blocks, bordered)
+
+    monkeypatch.setattr(assembly.BlockLayout, "__init__", counted)
+    return built
+
+
+def test_one_layout_per_operators_over_the_grid(monkeypatch):
+    """Every saddle matrix of one operator set over the lambda-major grid
+    takes the operators' layout, built once.  A direct solver and a
+    `replace`d system, which has no operators, each build a layout of
+    their own, leave the operators' as it was, and give scipy's
+    matrix."""
+    ops = FormOperators(structured_mesh(4))
+    built = _count_layouts(monkeypatch)
+    systems = [ops.block_system(ReducedParams(*pt)) for pt in GRID]
+    for system in systems:
+        _assert_bitwise(system.monolithic(), _bmat(system))
+    assert built == [False]
+    layout = ops._saddle
+    for system in systems:
+        del built[:]
+        solver = DirectSolver(system)
+        _assert_bitwise(solver.K, _scaled(_bmat(system, bordered=True),
+                                          solver.d))
+        copied = dataclasses.replace(system)
+        _assert_bitwise(copied.monolithic(), _bmat(copied))
+        assert built == [True, False]
+        assert ops._saddle is layout
 
 
 def test_direct_solver_scales_the_bordered_reference(operators):
     system = operators["perturbed-4"].block_system(
         ReducedParams(1e4, 1e-4, 1.0))
     solver = DirectSolver(system)
-    K = _bmat(system, bordered=True)
-    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-    K.data *= solver.d[rows] * solver.d[K.indices]
-    _assert_bitwise(solver.K, K)
+    _assert_bitwise(solver.K, _scaled(_bmat(system, bordered=True), solver.d))
 
 
 def test_direct_solver_leaves_no_layout_behind():
@@ -92,14 +132,16 @@ def test_direct_solver_leaves_no_layout_behind():
     layout alive for the life of the operators."""
     ops = FormOperators(structured_mesh(2))
     DirectSolver(ops.block_system(ReducedParams(1.0, 1.0, 0.0)))
-    assert ops.uspace not in assembly._LAYOUTS
+    assert "_saddle" not in vars(ops)
 
 
 def test_changed_pattern_rebuilds_the_layout(operators):
+    """A block with one more entry, in a `replace`d system, gets a layout
+    of its own, and the operators' layout still serves their systems."""
     ops = operators["perturbed-4"]
     system = ops.block_system(ReducedParams(1e2, 1.0, 0.0))
     system.monolithic()
-    kept = assembly._LAYOUTS[ops.uspace]
+    kept = ops._saddle
     A = system.A_uu.tolil()
     cols = A.rows[0]
     A[0, next(j for j in range(A.shape[1]) if j not in cols)] = 0.5
@@ -109,7 +151,7 @@ def test_changed_pattern_rebuilds_the_layout(operators):
         _assert_bitwise(sys_.monolithic(), _bmat(sys_))
         _assert_bitwise(block_matrix(sys_, bordered=True),
                         _bmat(sys_, bordered=True))
-    assert assembly._LAYOUTS[ops.uspace] is not kept
+    assert ops._saddle is kept
 
 
 def test_in_place_call_on_the_saddle_matrix_raises(operators):
@@ -163,10 +205,11 @@ def test_mismatched_block_shapes_raise(operators):
 
 def test_layout_keeps_the_shared_read_only_blocks():
     """The systems of one FormOperators share their coupling blocks and
-    C_pp's index arrays with M_p, all read-only, so the layout keeps the
-    blocks' index arrays without copying them.  Blocks with equal but
-    writeable index arrays may change after the layout is built, so they
-    get a layout of their own."""
+    C_pp's index arrays with M_p, all read-only, so the operators' one
+    layout, built from the templates of their blocks, serves them all.
+    A `replace`d system holds blocks that may change after a layout is
+    built, copies or writeable arrays, so its matrix is laid out from
+    its own blocks."""
     ops = FormOperators(structured_mesh(4))
     first, second = (ops.block_system(ReducedParams(*pt))
                      for pt in ((1.0, 1.0, 0.0), (1e8, 1e-8, 1.0)))
@@ -179,17 +222,19 @@ def test_layout_keeps_the_shared_read_only_blocks():
         with pytest.raises(ValueError):
             mat.data[0] = 0.0
     first.monolithic()
-    layout = assembly._LAYOUTS[ops.uspace]
+    layout = ops._saddle
     _assert_bitwise(second.monolithic(), _bmat(second))
-    assert assembly._LAYOUTS[ops.uspace] is layout
     blocks = (second.A_uu, second.B_up, second.A_vv, second.B_vp,
               second.C_pp)
-    for (indptr, indices), block in zip(layout.patterns, blocks):
-        assert np.shares_memory(indptr, block.indptr)
-        assert np.shares_memory(indices, block.indices)
+    templates = (ops._upattern._free, ops._B_up_free, ops._vpattern._free,
+                 ops._B_vp_free, ops.M_p)
+    for template, block in zip(templates, blocks):
+        assert np.shares_memory(template.indptr, block.indptr)
+        assert np.shares_memory(template.indices, block.indices)
     copied = dataclasses.replace(second, A_uu=second.A_uu.copy())
-    assert not layout.matches([copied.A_uu, *blocks[1:]])
-    writeable = [b.copy() for b in blocks]
-    assert not assembly.BlockLayout(writeable).matches(writeable)
-    _assert_bitwise(copied.monolithic(), _bmat(copied))
-    assert assembly._LAYOUTS[ops.uspace] is not layout
+    writeable = dataclasses.replace(
+        second, **{name: getattr(second, name).copy() for name in
+                   ("A_uu", "B_up", "A_vv", "B_vp", "C_pp")})
+    for system in (copied, writeable):
+        _assert_bitwise(system.monolithic(), _bmat(system))
+    assert ops._saddle is layout

@@ -176,23 +176,33 @@ def test_changed_block_is_refactored_not_reused(ops_bdm, monkeypatch, rng):
 
 
 def test_factor_memo_dies_with_form_operators():
-    """The memo keeps the displacement factor under lambda and the
-    paper's flux factor under its shape t = gamma rp_inv, and goes with
-    the operators' displacement space."""
+    """The operators keep the displacement factor under lambda and the
+    paper's flux factor under its shape t = gamma rp_inv.  With a
+    preconditioned solve, a condition estimate and an inf-sup constant
+    they also keep the whitened displacement and the rotated coupling.
+    Nothing outside the operators keeps any of it, nor their saddle
+    layout, alive; the SuperLU factors take no weak reference and are
+    checked through the operators that hold them."""
     ops = FormOperators(structured_mesh(2))
-    bs, pr = _system(ops, 1.0, 1e-4, 1.0, with_rhs=False)
-    pc = build_preconditioner(ops.norm_blocks(pr), bs)
-    memo = solver._FACTORS[ops.uspace]
+    bs, pr = _system(ops, 1.0, 1e-4, 1.0)
+    nb = ops.norm_blocks(pr)
+    pc = build_preconditioner(nb, bs)
+    memo = ops._factors
     assert set(memo) == {"displacement", "flux"}
     assert memo["flux"][0] == pr.gamma * pr.rp_inv
     assert memo["displacement"][0] == pr.lam
     assert pc.lu_fill == {name: lu.nnz for name, (_, lu) in memo.items()}
-    space = weakref.ref(ops.uspace)
-    entries = len(solver._FACTORS)
-    del ops, bs, pc, memo
+    minres_solve(bs, pc)
+    estimate_condition(bs, pc)
+    infsup_constant(bs, nb)
+    assert set(memo) == {"displacement", "flux", "whitened displacement",
+                         "rotated coupling"}
+    W_uu, coupling = memo["whitened displacement"][1]
+    refs = [weakref.ref(obj) for obj in (
+        ops, ops._saddle, W_uu, coupling, memo["rotated coupling"][1])]
+    del ops, bs, nb, pc, memo, W_uu, coupling
     gc.collect()
-    assert space() is None
-    assert len(solver._FACTORS) == entries - 1
+    assert [ref() for ref in refs] == [None] * 5
 
 
 @pytest.mark.parametrize("mesh", ["structured4", "perturbed4"])
@@ -272,7 +282,7 @@ def test_foreign_flux_block_is_factored_afresh(ops_bdm, monkeypatch, rng):
     bs, own = ops.block_system(pr), ops.norm_blocks(pr)
     nu, nv, _ = bs.block_sizes
     build_preconditioner(own, bs)
-    kept = dict(solver._FACTORS[ops.uspace])
+    kept = dict(ops._factors)
     names = _factored_names(monkeypatch)
     for N_V in (2.0 * own.N_V,
                 ops.norm_blocks(ReducedParams(1e2, 1.0, 1.0)).N_V):
@@ -285,7 +295,7 @@ def test_foreign_flux_block_is_factored_afresh(ops_bdm, monkeypatch, rng):
             <= 1e-12 * np.linalg.norm(expect)
     build_preconditioner(own, bs)
     assert names == ["displacement", "flux"] * 4
-    memo = solver._FACTORS[ops.uspace]
+    memo = ops._factors
     assert all(memo[name] is kept[name] for name in ("displacement", "flux"))
 
 
@@ -744,7 +754,7 @@ def test_gmres_stops_on_breakdown():
     K = sps.identity(6, format="csr")
     b = np.arange(1.0, 7.0)
     y, r, iterations, solves = solver._gmres(K, solver._factor(
-        K, "identity", spd=True), b, np.linalg.norm(b))
+        K, "identity", spd=True), b, np.linalg.norm(b), np.zeros_like(b), b)
     assert (iterations, solves) == (1, 2)
     assert np.linalg.norm(r) <= 1e-15 * np.linalg.norm(b)
     assert np.allclose(y, b, rtol=1e-15, atol=0)
@@ -1100,7 +1110,7 @@ def test_whitened_displacement_is_kept_per_lambda(ops_bdm, monkeypatch):
     bitwise the value of a fresh computation, and a changed A_uu with the
     same N_U is whitened again, by the Cholesky route."""
     ops = ops_bdm[4]
-    solver._FACTORS.pop(ops.uspace, None)
+    ops._factors.clear()
     whitened = _count_closed_forms(monkeypatch)
     values = {}
     for lam in LAM_GRID:
@@ -1110,7 +1120,7 @@ def test_whitened_displacement_is_kept_per_lambda(ops_bdm, monkeypatch):
                                          ops.norm_blocks(pr)).beta0
     assert whitened == LAM_GRID
     for pr, beta0 in values.items():
-        solver._FACTORS.pop(ops.uspace, None)
+        ops._factors.clear()
         assert infsup_constant(ops.block_system(pr),
                                ops.norm_blocks(pr)).beta0 == beta0
     pr = ReducedParams(1e4, 1.0, 0.0)
@@ -1119,7 +1129,7 @@ def test_whitened_displacement_is_kept_per_lambda(ops_bdm, monkeypatch):
     del whitened[:]
     stiffer = dataclasses.replace(bs, A_uu=(2.0 * bs.A_uu).tocsr())
     assert infsup_constant(stiffer, nb).beta0 != values[pr]
-    solver._FACTORS.pop(ops.uspace, None)
+    ops._factors.clear()
     assert infsup_constant(stiffer, nb).beta0 == infsup_constant(
         stiffer, nb).beta0
     assert whitened == []
@@ -1162,11 +1172,11 @@ def test_closed_form_whitening_only_for_the_operators_own_blocks(
             (dataclasses.replace(bs, A_uu=(2.0 * bs.A_uu).tocsr()), nb),
             (dataclasses.replace(bs, B_up=0.0 * bs.B_up), nb),
             (dataclasses.replace(bs), nb), (bs, dataclasses.replace(nb))):
-        solver._FACTORS.pop(ops.uspace, None)
+        ops._factors.clear()
         infsup_constant(system, norms)
     for pc in (build_preconditioner(nb, bs),
                BlockPreconditioner(bs.A_uu, nb.N_V, nb.N_P)):
-        solver._FACTORS.pop(ops.uspace, None)
+        ops._factors.clear()
         W_uu, _ = solver._whitened_displacement(
             bs, pc.blocks, "preconditioner matrix",
             solver._own(bs, pc.blocks))
@@ -1222,7 +1232,7 @@ def test_closed_form_whitening_matches_the_cholesky_route(
                 for nb in (ops.norm_blocks(pr), ops.natural_norm_blocks(pr)):
                     values = []
                     for system in (bs, dataclasses.replace(bs)):
-                        solver._FACTORS.pop(ops.uspace, None)
+                        ops._factors.clear()
                         values.append(infsup_constant(system, nb).beta0)
                     rel = 1e-12 if nb.kind == "paper" else 4e-12
                     assert values[0] == pytest.approx(values[1], rel=rel,
@@ -1287,17 +1297,17 @@ def test_closed_flux_whitening_rotates_the_coupling_once_per_lambda(
     rotated to the closed-form pressure basis, bitwise the value a fresh
     computation gets."""
     ops = ops_bdm[4]
-    solver._FACTORS.pop(ops.uspace, None)
+    ops._factors.clear()
     rotated = []
     for rp in RP_GRID:
         pr = ReducedParams(1e2, rp, 0.0)
         infsup_constant(ops.block_system(pr), ops.norm_blocks(pr))
-        rotated.append(solver._FACTORS[ops.uspace]["rotated coupling"][1])
+        rotated.append(ops._factors["rotated coupling"][1])
     assert all(r is rotated[0] for r in rotated)
-    solver._FACTORS.pop(ops.uspace, None)
+    ops._factors.clear()
     infsup_constant(ops.block_system(pr), ops.norm_blocks(pr))
     assert np.array_equal(
-        solver._FACTORS[ops.uspace]["rotated coupling"][1], rotated[0])
+        ops._factors["rotated coupling"][1], rotated[0])
 
 
 @pytest.mark.parametrize("flux", ["bdm1", "p1cvec"])
