@@ -286,7 +286,10 @@ class GramPattern:
     data vectors.  The CSR matrices of one pattern share read-only index
     arrays: an in-place scipy call on one of them raises instead of
     changing the others.  Each is a copy of the pattern's template on all
-    dofs or on the free dofs (`_from_template`).
+    dofs or on the free dofs (`_from_template`).  The free-dof pattern is
+    laid out from the lower pattern's free rows and columns; the pattern
+    on all dofs, which only the Gram properties and `ah_full` read, on
+    the first `full` call.
     """
 
     def __init__(self, space: FESpace, *tables):
@@ -325,8 +328,31 @@ class GramPattern:
         bounds = np.cumsum([0] + [t.size for t in takes])
         self._maps = [(t, slots[a:b].copy())
                       for t, a, b in zip(takes, bounds, bounds[1:])]
-        # the strict lower part (each lower row ends with its diagonal),
-        # transposed by a second counting sort, is the strict upper part
+        self._lower = lptr, lcol  # for the pattern on all dofs
+        # the lower pattern's free rows and columns, renumbered
+        free = np.zeros(n, dtype=bool)
+        free[space.free_dofs] = True
+        kept = free[lcol] & np.repeat(free, np.diff(lptr))
+        counted = np.cumsum(np.append(False, kept), dtype=itype)
+        self.nfree = space.free_dofs.size
+        renumber = np.cumsum(free, dtype=itype) - 1
+        self.free_indptr, self.free_indices, self.free_mirror = (
+            self._symmetric(counted[np.append(lptr[space.free_dofs], nlow)],
+                            renumber[lcol[kept]],
+                            np.flatnonzero(kept).astype(itype)))
+        for a in (self.free_indptr, self.free_indices, self.free_mirror):
+            a.flags.writeable = False
+
+    @staticmethod
+    def _symmetric(lptr, lcol, slots):
+        """(indptr, indices, mirror) of the symmetric pattern whose lower
+        part is the CSR pattern (lptr, lcol), each row ending with its
+        diagonal; mirror gathers each stored entry from `slots`, the
+        lower-pattern slots of the lower part's entries."""
+        n, nlow = lptr.size - 1, lcol.size
+        itype = lptr.dtype
+        # the strict lower part, transposed by a counting sort, is the
+        # strict upper part
         strict = np.ones(nlow, dtype=bool)
         strict[lptr[1:] - 1] = False
         nup = nlow - n
@@ -334,33 +360,18 @@ class GramPattern:
         ucol = np.empty(nup, dtype=itype)
         uslot = np.empty(nup, dtype=itype)
         _sparsetools.csr_tocsc(n, n, lptr - np.arange(n + 1, dtype=itype),
-                               lcol[strict],
-                               np.flatnonzero(strict).astype(itype),
-                               uptr, ucol, uslot)
+                               lcol[strict], slots[strict], uptr, ucol,
+                               uslot)
         # a row of the pattern is its lower part, then its upper part
         lpos = np.arange(nlow, dtype=itype) + np.repeat(uptr[:-1],
                                                         np.diff(lptr))
         upos = np.arange(nup, dtype=itype) + np.repeat(lptr[1:],
                                                        np.diff(uptr))
-        self.indptr = lptr + uptr
-        self.indices = np.empty(nlow + nup, dtype=itype)
-        self.indices[lpos], self.indices[upos] = lcol, ucol
-        self.mirror = np.empty(nlow + nup, dtype=np.intp)
-        self.mirror[lpos], self.mirror[upos] = np.arange(nlow), uslot
-        # free-dof sub-pattern: the entries whose row and column are free
-        free = np.zeros(n, dtype=bool)
-        free[space.free_dofs] = True
-        kept = free[self.indices] & np.repeat(free, np.diff(self.indptr))
-        counted = np.cumsum(np.append(False, kept), dtype=itype)
-        self.nfree = space.free_dofs.size
-        self.free_indptr = counted[np.append(self.indptr[space.free_dofs],
-                                             self.indptr[-1])]
-        renumber = np.cumsum(free, dtype=itype) - 1
-        self.free_indices = renumber[self.indices[kept]]
-        self.free_mirror = self.mirror[kept]
-        for a in (self.indptr, self.indices, self.mirror, self.free_indptr,
-                  self.free_indices, self.free_mirror):
-            a.flags.writeable = False
+        indices = np.empty(nlow + nup, dtype=itype)
+        indices[lpos], indices[upos] = lcol, ucol
+        mirror = np.empty(nlow + nup, dtype=np.intp)
+        mirror[lpos], mirror[upos] = slots, uslot
+        return lptr + uptr, indices, mirror
 
     def lower(self, elem, table: int = 0) -> np.ndarray:
         """Lower-pattern data of the sum of local matrices elem (m, k, k)
@@ -375,16 +386,24 @@ class GramPattern:
 
     def full(self, low) -> sps.csr_matrix:
         """The Gram with lower-pattern data `low` on all dofs."""
-        return _from_template(self._full, low[self.mirror])
+        template, mirror = self._full
+        return _from_template(template, low[mirror])
 
     def free(self, low) -> sps.csr_matrix:
         """The Gram with lower-pattern data `low` on the free dofs."""
         return _from_template(self._free, low[self.free_mirror])
 
     @cached_property
-    def _full(self) -> sps.csr_matrix:
-        return _shared_csr(np.zeros(self.mirror.size), self.indices,
-                           self.indptr, (self.n, self.n))
+    def _full(self):
+        """The template on all dofs and the lower-pattern slot of each of
+        its stored entries."""
+        lptr, lcol = self._lower
+        indptr, indices, mirror = self._symmetric(
+            lptr, lcol, np.arange(self.nlow, dtype=lptr.dtype))
+        for a in (indptr, indices, mirror):
+            a.flags.writeable = False
+        return _shared_csr(np.zeros(mirror.size), indices, indptr,
+                           (self.n, self.n)), mirror
 
     @cached_property
     def _free(self) -> sps.csr_matrix:
@@ -506,7 +525,9 @@ class FormOperators:
         self._M_v = self._vpattern.lower(np.einsum("kq,kiqa,kjqa->kij", wK,
                                                    val, val, optimize=True))
         self.B_vp = self._coupling(self.vspace)
-        self.M_p = _read_only(sps.diags(self.areas).tocsr())
+        cells = np.arange(self.mesh.num_cells + 1, dtype=np.int32)
+        self.M_p = _read_only(_shared_csr(self.areas.copy(), cells[:-1],
+                                          cells, (cells[-1],) * 2))
 
     # Grams that only the norms read, built on first use: a direct solve
     # never pays for them.
@@ -764,7 +785,9 @@ def _check_div_compatibility(space: FESpace, name: str):
     vanish there."""
     rule = triangle_rule(4)
     div = space.tabulate(rule.points, what=("div",))["div"]
-    low, high = div.min(axis=2), div.max(axis=2)
+    # the point axis first: a reduction along the broadcast axis is slow
+    points = np.moveaxis(div, 2, 0)
+    low, high = points.min(axis=0), points.max(axis=0)
     tol = 1e-10 * (max(high.max(), -low.min()) or 1.0)
     varies = (high - low).max(axis=1) > tol
     bad = np.flatnonzero(varies | (np.abs(high).max(axis=1) <= tol))

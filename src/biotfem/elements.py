@@ -35,7 +35,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .meshing import BOUNDARY, TriMesh, from_arrays
 
@@ -83,11 +82,39 @@ def _dunavant4() -> QuadRule:
     return QuadRule(4, np.asarray(bary), 0.5 * np.asarray(weights))
 
 
+# m-point Gauss-Jacobi(1, 0) nodes and weights on [-1, 1], m = 3..7, for
+# the collapsed rules of degrees 5-12: scipy.special.roots_jacobi(m, 1, 0)
+# as printed by scipy 1.17.1, kept here so that importing the package
+# does not load scipy.special
+_GAUSS_JACOBI = {
+    3: ((-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+        (0.8037276549558384, 0.9169644254383448, 0.2793079196058167)),
+    4: ((-0.8857916077709646, -0.44631397272375245, 0.16718086473783364,
+         0.7204802713124389),
+        (0.5420276537259541, 0.8138582720410844, 0.5193901904329293,
+         0.12472388380003234)),
+    5: ((-0.9203802858970626, -0.6039731642527836, -0.1240503795052277,
+         0.39092854670727223, 0.8029298284023472),
+        (0.3871263609066059, 0.6686985523774788, 0.5855479483386794,
+         0.2956354802904667, 0.0629916580867692)),
+    6: ((-0.9413671456804301, -0.7038428006630314, -0.3260306194376914,
+         0.1173430375431003, 0.538467724060109, 0.8538913426394822),
+        (0.2892413229020356, 0.5421699889260747, 0.5631702151527953,
+         0.3946446035626208, 0.17582066220203585, 0.034953207254438116)),
+    7: ((-0.955041227122575, -0.7706418936781917, -0.4684203544308209,
+         -0.09430725266111074, 0.2947505657736607, 0.6395186165262152,
+         0.8874748789261557),
+        (0.22386945369396347, 0.4420370327634976, 0.5095635891983541,
+         0.42850026278349523, 0.2655387858619663, 0.10963342688749395,
+         0.020857448811229563)),
+}
+
+
 def _conical(degree: int) -> QuadRule:
     # collapsed Gauss-Legendre x Gauss-Jacobi(1,0) product rule
     m = (degree + 2) // 2
     xg, wg = leggauss(m)
-    xj, wj = roots_jacobi(m, 1.0, 0.0)
+    xj, wj = (np.array(a) for a in _GAUSS_JACOBI[m])
     xi = 0.5 * (xg + 1.0)
     eta = 0.5 * (xj + 1.0)
     wxi = 0.5 * wg
@@ -101,9 +128,11 @@ def _conical(degree: int) -> QuadRule:
 
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadRule:
-    """Quadrature exact for polynomials up to `degree`."""
+    """Quadrature exact for polynomials up to `degree`, at most 12."""
     if degree <= 4:
         return _dunavant4()
+    if degree > 12:
+        raise ValueError(f"triangle rules go up to degree 12, got {degree}")
     return _conical(degree)
 
 
@@ -300,8 +329,9 @@ class FESpace:
                               + np.arange(nde)).reshape(nc, 3 * nde)
             self.boundary_dofs = (nde * mesh.boundary_edges()[:, None]
                                   + np.arange(nde)).ravel()
-        self.free_dofs = np.setdiff1d(np.arange(self.ndof),
-                                      self.boundary_dofs)
+        free = np.ones(self.ndof, dtype=bool)
+        free[self.boundary_dofs] = False
+        self.free_dofs = np.flatnonzero(free)
 
     # -- physical nodal coefficients ----------------------------------------
 

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ def exact_triangle_monomial(a, b):
     return factorial(a) * factorial(b) / factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("degree", [4, 8, 12])
+@pytest.mark.parametrize("degree", range(13))
 def test_triangle_rule_exactness(degree):
     rule = triangle_rule(degree)
     assert np.all(rule.weights > 0)
@@ -29,6 +33,39 @@ def test_triangle_rule_exactness(degree):
                          * rule.points[:, 1]**b)
             assert got == pytest.approx(exact_triangle_monomial(a, b),
                                         abs=2e-15)
+
+
+def test_gauss_jacobi_tables_match_scipy():
+    """The literal Gauss-Jacobi(1, 0) tables of the collapsed rules are
+    scipy's nodes and weights, to within an ulp."""
+    from scipy.special import roots_jacobi
+
+    for m, (nodes, weights) in elements._GAUSS_JACOBI.items():
+        want = roots_jacobi(m, 1.0, 0.0)
+        np.testing.assert_array_max_ulp(np.array(nodes), want[0], maxulp=1)
+        np.testing.assert_array_max_ulp(np.array(weights), want[1],
+                                        maxulp=1)
+    # every collapsed rule of degrees 5-12 reads one of them
+    assert sorted(elements._GAUSS_JACOBI) == sorted(
+        {(d + 2) // 2 for d in range(5, 13)})
+
+
+def test_triangle_rule_rejects_degree_above_12():
+    with pytest.raises(ValueError, match="degree 12"):
+        triangle_rule(13)
+
+
+def test_import_does_not_load_scipy_special():
+    """The collapsed rules read literal Gauss-Jacobi tables, so importing
+    the package leaves scipy.special, and its memory, out."""
+    code = "import sys, biotfem; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(elements.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+           if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_edge_rule_exactness():
