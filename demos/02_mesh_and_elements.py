@@ -32,7 +32,7 @@ for e in mesh.interior_edges():
     k1, k2 = mesh.edge_cells[e]
     xa, xb = mesh.vertices[mesh.edge_vertices[e]]
     pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
-    tr = space.tabulate_at(np.array([k1, k2]), np.stack([pts, pts]))["val"]
+    tr = space.tabulate_at(np.array([k1, k2]), np.stack([pts, pts]))
     v1 = np.einsum("i,iqa->qa", coeffs[space.cell_dofs[k1]], tr[0])
     v2 = np.einsum("i,iqa->qa", coeffs[space.cell_dofs[k2]], tr[1])
     worst = max(worst, np.abs((v1 - v2) @ mesh.edge_normal[e]).max())

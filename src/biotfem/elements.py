@@ -286,7 +286,6 @@ class FESpace:
         self.mesh = mesh
         self.family = family
         self.ref = ref_basis(family)
-        self._tab_cache: dict = {}
 
         self.J = mesh.jacobians()
         self.detJ = (self.J[:, 0, 0] * self.J[:, 1, 1]
@@ -392,37 +391,26 @@ class FESpace:
 
     # -- tabulation ----------------------------------------------------------
 
-    def tabulate(self, ref_pts, what=("val", "div")):
-        """Physical basis data at reference points xi, x0 + J xi in every cell.
-
-        Returns a dict with requested arrays:
-        val (nc, nloc, nq, 2), div (nc, nloc, nq), grad (nc, nloc, nq, 2, 2).
-        A vector family's val is a view of an array laid out basis-last.
-        Scalar families return val without the trailing component axis and
-        offer nothing else.  Every family is affine on each cell, so div and
-        grad are read-only views of `cell_div` and `cell_grad` broadcast
-        over the points.
+    def tabulate(self, ref_pts):
+        """Physical basis values at reference points xi, x0 + J xi in every
+        cell, (nc, nloc, nq, 2), a view of an array laid out basis-last.
+        p0's values are ones without the trailing component axis.
+        Derivatives are constant on each cell: read `cell_grad` and
+        `cell_div`.
         """
         ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
-        key = (ref_pts.tobytes(), tuple(sorted(what)))
-        if key not in self._tab_cache:
-            self._tab_cache[key] = self._tabulate_ref(ref_pts, what)
-        return self._tab_cache[key]
+        return self._tabulate_for(slice(None),
+                                  ref_pts @ np.swapaxes(self.J, 1, 2))
 
-    def _tabulate_ref(self, ref_pts, what):
-        """`tabulate` without its cache, for a table that is read once."""
-        return self._tabulate_for(slice(None), np.asarray(
-            ref_pts, dtype=float) @ np.swapaxes(self.J, 1, 2), what)
-
-    def tabulate_at(self, cells, phys_pts, what=("val",)):
-        """Physical basis data of `cells`, of any shape, at physical points
-        phys_pts (cells.shape + (nq, 2), or broadcastable to it) that lie
-        in the respective cells; arrays as in `tabulate`, with cells.shape
-        in place of the cell axis.
+    def tabulate_at(self, cells, phys_pts):
+        """Physical basis values of `cells`, of any shape, at physical
+        points phys_pts (cells.shape + (nq, 2), or broadcastable to it) that
+        lie in the respective cells; laid out as in `tabulate`, with
+        cells.shape in place of the cell axis.
         """
         cells = np.asarray(cells, dtype=int)
         dx = np.asarray(phys_pts) - self.x0[cells][..., None, :]
-        return self._tabulate_for(cells, dx, what)
+        return self._tabulate_for(cells, dx)
 
     def edge_traces(self, edges, pts):
         """Basis values from both sides of the given edges.
@@ -434,65 +422,49 @@ class FESpace:
         """
         k1, k2 = self.mesh.edge_cells[edges].T
         cells = np.stack((k1, np.where(k2 == BOUNDARY, k1, k2)))
-        return cells, self.tabulate_at(cells, pts)["val"]
+        return cells, self.tabulate_at(cells, pts)
 
-    def _check_what(self, what):
-        offered = ("val",) if self.family == "p0" else ("val", "div", "grad")
-        for name in what:
-            if name not in offered:
-                raise ValueError(f"family {self.family!r} offers tabulations "
-                                 f"{offered}, not {name!r}")
-
-    def _tabulate_for(self, cells, dx, what):
-        """Basis data of `cells`, an index array of any shape or a slice,
+    def _tabulate_for(self, cells, dx):
+        """Basis values of `cells`, an index array of any shape or a slice,
         at the points x0 + dx of each cell, dx (selected cells' shape, nq,
         2).  Every vector family's values are the affine field
         cell_val0 + cell_grad dx; p0's are ones."""
-        self._check_what(what)
         lead, nq = dx.shape[:-2], dx.shape[-2]
-        out = {}
-        if "val" in what and self.family == "p0":
-            out["val"] = np.ones(lead + (1, nq))
-        elif "val" in what:
-            # one batched matmul dx (q, b) @ grad (b, (a, i)) lays the values
-            # out basis-last, (..., point, component, basis), so that a
-            # contraction over (point, component) reshapes them without a copy
-            grad = np.swapaxes(self.cell_grad[cells], -3, -1)
-            val = (dx @ grad.reshape(grad.shape[:-2] + (-1,))).reshape(
-                lead + (nq,) + grad.shape[-2:])
-            val += np.swapaxes(self.cell_val0[cells], -1, -2)[..., None, :, :]
-            out["val"] = np.moveaxis(val, -1, len(lead))
-        k = len(lead) + 1  # the point axis follows the basis axis
-        for name in set(what) - {"val"}:
-            arr = getattr(self, "cell_" + name)[cells]
-            out[name] = np.broadcast_to(np.expand_dims(arr, k),
-                                        arr.shape[:k] + (nq,) + arr.shape[k:])
-        return out
+        if self.family == "p0":
+            return np.ones(lead + (1, nq))
+        # one batched matmul dx (q, b) @ grad (b, (a, i)) lays the values out
+        # basis-last, (..., point, component, basis), so that a contraction
+        # over (point, component) reshapes them without a copy
+        grad = np.swapaxes(self.cell_grad[cells], -3, -1)
+        val = (dx @ grad.reshape(grad.shape[:-2] + (-1,))).reshape(
+            lead + (nq,) + grad.shape[-2:])
+        val += np.swapaxes(self.cell_val0[cells], -1, -2)[..., None, :, :]
+        return np.moveaxis(val, -1, len(lead))
 
     # -- discrete field helpers ----------------------------------------------
 
+    def _local_coeffs(self, coeffs) -> np.ndarray:
+        """A vector field's coefficients on each cell, (nc, nloc)."""
+        if self.family == "p0":
+            raise ValueError("family 'p0' is constant on each cell and "
+                             "offers no derivatives")
+        return np.asarray(coeffs, dtype=float)[self.cell_dofs]
+
     def cell_divergence(self, coeffs) -> np.ndarray:
-        """Cell-mean divergence of a discrete field (exact for all families,
-        since every divergence here is constant per cell)."""
-        self._check_what(("div",))
-        coeffs = np.asarray(coeffs, dtype=float)
-        return _cell_contract(coeffs[self.cell_dofs],
+        """Divergence of a discrete field on each cell, (nc,), constant
+        there for every vector family."""
+        return _cell_contract(self._local_coeffs(coeffs),
                               self.cell_div[:, :, None])[:, 0]
 
-    def eval_field(self, coeffs, ref_pts, what=("val",)):
-        """Evaluate a discrete field at reference points in every cell; div
-        and grad, constant on each cell, are contracted once per cell and
-        returned as read-only views broadcast over the points."""
-        tab = self.tabulate(np.atleast_2d(ref_pts), what=what)
+    def cell_gradient(self, coeffs) -> np.ndarray:
+        """Gradient of a discrete field on each cell, (nc, 2, 2), constant
+        there for every vector family."""
+        return _cell_contract(self._local_coeffs(coeffs), self.cell_grad)
+
+    def eval_field(self, coeffs, ref_pts) -> np.ndarray:
+        """Values of a discrete field at reference points in every cell."""
         local = np.asarray(coeffs, dtype=float)[self.cell_dofs]
-        out = {}
-        for name, arr in tab.items():
-            if name == "val":
-                out[name] = _cell_contract(local, arr)
-            else:  # constant on each cell: contract the first point only
-                out[name] = np.broadcast_to(_cell_contract(
-                    local, arr[:, :, :1]), arr.shape[:1] + arr.shape[2:])
-        return out
+        return _cell_contract(local, self.tabulate(ref_pts))
 
     # -- canonical interpolation ----------------------------------------------
 

@@ -362,8 +362,7 @@ def _trace_identity_residuals(rng, mesh):
                 sign = mesh.cell_edge_sign[k, j]
                 xa, xb = mesh.vertices[mesh.edge_vertices[e]]
                 pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
-                tr = sp.tabulate_at(np.array([k]), pts[None],
-                                    what=("val",))["val"][0]
+                tr = sp.tabulate_at(np.array([k]), pts[None])[0]
                 vn = np.einsum("i,iqa,a->q", cv[sp.cell_dofs[k]], tr,
                                sign * mesh.edge_normal[e])
                 lhs += 0.5 * mesh.edge_length[e] * np.einsum(
@@ -372,15 +371,13 @@ def _trace_identity_residuals(rng, mesh):
             k1, k2 = mesh.edge_cells[e]
             xa, xb = mesh.vertices[mesh.edge_vertices[e]]
             pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
-            tr1 = sp.tabulate_at(np.array([k1]), pts[None],
-                                 what=("val",))["val"][0]
+            tr1 = sp.tabulate_at(np.array([k1]), pts[None])[0]
             v1 = np.einsum("i,iqa->qa", cv[sp.cell_dofs[k1]], tr1)
             if k2 < 0:
                 avg = v1 @ mesh.edge_normal[e]
                 jump = q_on(k1, pts)
             else:
-                tr2 = sp.tabulate_at(np.array([k2]), pts[None],
-                                     what=("val",))["val"][0]
+                tr2 = sp.tabulate_at(np.array([k2]), pts[None])[0]
                 v2 = np.einsum("i,iqa->qa", cv[sp.cell_dofs[k2]], tr2)
                 avg = 0.5 * (v1 + v2) @ mesh.edge_normal[e]
                 jump = q_on(k1, pts) - q_on(k2, pts)

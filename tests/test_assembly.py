@@ -49,7 +49,7 @@ def _local_grams(ops):
         return ops.areas[:, None, None] * (x @ np.swapaxes(x, 1, 2))
 
     rule = triangle_rule(4)
-    val = v.tabulate(rule.points, what=("val",))["val"]
+    val = v.tabulate(rule.points)
     mass = np.einsum("q,k,kiqa,kjqa->kij", rule.weights, v.detJ, val, val)
     grad = u.cell_grad
     dofs, pen, cons = ops._face_matrices()
@@ -421,9 +421,12 @@ def _volume_grams_by_quadrature(ops):
     rule = triangle_rule(4)
     wK = rule.weights[None, :] * ops.uspace.detJ[:, None]
     u, v = ops.uspace, ops.vspace
-    ut = u.tabulate(rule.points, what=("div", "grad"))
-    vt = v.tabulate(rule.points, what=("val", "div"))
-    grad = ut["grad"]
+
+    def at_points(arr):  # a per-cell array, repeated at every point
+        return np.repeat(arr[:, :, None], len(rule.points), axis=2)
+
+    grad, div_u, div_v = (at_points(arr) for arr in
+                          (u.cell_grad, u.cell_div, v.cell_div))
     eps = 0.5 * (grad + np.swapaxes(grad, -2, -1))
 
     def gram(space, form, x):
@@ -443,11 +446,11 @@ def _volume_grams_by_quadrature(ops):
 
     return {"EPS": gram(u, "kq,kiqab,kjqab->kij", eps),
             "GRAD": gram(u, "kq,kiqab,kjqab->kij", grad),
-            "DD_u": gram(u, "kq,kiq,kjq->kij", ut["div"]),
-            "DD_v": gram(v, "kq,kiq,kjq->kij", vt["div"]),
-            "M_v": gram(v, "kq,kiqa,kjqa->kij", vt["val"]),
-            "B_up": coupling(u, ut["div"]),
-            "B_vp": coupling(v, vt["div"])}
+            "DD_u": gram(u, "kq,kiq,kjq->kij", div_u),
+            "DD_v": gram(v, "kq,kiq,kjq->kij", div_v),
+            "M_v": gram(v, "kq,kiqa,kjqa->kij", v.tabulate(rule.points)),
+            "B_up": coupling(u, div_u),
+            "B_vp": coupling(v, div_v)}
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
@@ -460,58 +463,19 @@ def test_volume_grams_match_degree_4_quadrature(family, perturbed_mesh):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
-def test_rank_deficient_divergence_rejected():
-    """A space whose divergence is not constant on one cell fails the
-    compatibility check, which names that cell.  No shipped family fails
-    it, so a stub stands in: bdm1's tabulation with one basis divergence
-    made linear on cell 3."""
-    space = FESpace(structured_mesh(2), "bdm1")
-    points = triangle_rule(4).points
-    div = space.tabulate(points, what=("div",))["div"].copy()
-    div[3, 0] = points[:, 0]
-
-    class Stub:
-        def tabulate(self, pts, what):
-            assert what == ("div",) and np.array_equal(pts, points)
-            return {"div": div}
-
-    with pytest.raises(IncompatibleSpaces, match="cell 3 has rank 2"):
-        assembly._check_div_compatibility(Stub(), "stub")
-
-
-def _div_stub(edit):
-    """bdm1's degree-4 divergence tabulation on structured n=2, changed by
-    `edit` (a function of the array and the points)."""
-    space = FESpace(structured_mesh(2), "bdm1")
-    points = triangle_rule(4).points
-    div = space.tabulate(points, what=("div",))["div"].copy()
-    edit(div, points)
-
-    class Stub:
-        def tabulate(self, pts, what):
-            return {"div": div}
-
-    return Stub()
-
-
 def test_vanishing_divergence_rejected():
-    """Divergences that all vanish on one cell span no constants there."""
-    def vanish(div, points):
-        div[2] = 0.0
+    """Divergences that all vanish on one cell span no constants there,
+    and the compatibility check names that cell.  No shipped family fails
+    it, so a stub stands in: bdm1's per-cell divergences with those of
+    cell 2 zeroed."""
+    div = FESpace(structured_mesh(2), "bdm1").cell_div.copy()
+    div[2] = 0.0
+
+    class Stub:
+        cell_div = div
 
     with pytest.raises(IncompatibleSpaces, match="cell 2 has rank 0"):
-        assembly._check_div_compatibility(_div_stub(vanish), "stub")
-
-
-def test_one_non_constant_divergence_rejected():
-    """A span of rank 1 that is not the constants fails too: every basis
-    divergence on cell 1 is the same linear function."""
-    def linear(div, points):
-        div[1] = points[:, 0]
-
-    with pytest.raises(IncompatibleSpaces,
-                       match="cell 1 has rank 1 and is not constant"):
-        assembly._check_div_compatibility(_div_stub(linear), "stub")
+        assembly._check_div_compatibility(Stub(), "stub")
 
 
 @pytest.mark.parametrize("families,slot", [
@@ -620,7 +584,7 @@ def test_rhs_constant_force_against_independent_quadrature():
                     for a, wa in zip(xi, wxi)
                     for b, wb in zip(xi, wxi)])
     sp = ops.uspace
-    tab = sp.tabulate(ref, what=("val",))["val"]
+    tab = sp.tabulate(ref)
     oracle = np.zeros(sp.ndof)
     elem = np.einsum("q,k,kiq->ki", wts, sp.detJ, tab[:, :, :, 0])
     np.add.at(oracle, sp.cell_dofs.ravel(), elem.ravel())
@@ -635,12 +599,19 @@ def test_coupling_rows_sum_to_zero_on_constrained_dofs(ops_bdm):
 
 
 def test_divergence_is_elementwise_constant(ops_bdm, rng):
+    """A discrete field is affine on each cell with gradient cell_gradient,
+    so its divergence is one constant per cell: cell_divergence."""
     sp = ops_bdm[4].uspace
     coeffs = rng.standard_normal(sp.ndof)
-    div = sp.eval_field(coeffs, triangle_rule(4).points,
-                        what=("div",))["div"]
-    spread = np.abs(div - div[:, :1]).max()
-    assert spread <= 1e-13 * (1 + np.abs(div).max())
+    points = triangle_rule(4).points
+    val = sp.eval_field(coeffs, points)
+    dx = sp.mesh.cell_points(points) - sp.x0[:, None]
+    grad = sp.cell_gradient(coeffs)
+    affine = val[:, :1] + np.einsum("kab,kqb->kqa", grad, dx - dx[:, :1])
+    assert np.abs(val - affine).max() <= 1e-13 * np.abs(val).max()
+    div = sp.cell_divergence(coeffs)
+    assert np.abs(div - np.trace(grad, axis1=1, axis2=2)).max() \
+        <= 1e-13 * (1 + np.abs(div).max())
 
 
 def test_korn_bounds_within_fixed_interval(ops_bdm):

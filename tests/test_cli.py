@@ -579,9 +579,9 @@ class TestTimestep:
         solved = []
         audit = analysis.conservation_audit
 
-        def recorded(system, x, g=None):
+        def recorded(system, x):
             solved.append((system, x))
-            return audit(system, x, g)
+            return audit(system, x)
 
         monkeypatch.setattr(analysis, "conservation_audit", recorded)
         cfg = _cfg(["timestep", "--n", "8", "--mu", "0.5", "--lambda-phys",

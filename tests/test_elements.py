@@ -10,9 +10,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from biotfem import elements
-from biotfem.elements import (DegenerateCell, FESpace, _cell_contract,
-                              _dof_matrices, edge_rule, interpolate_pi_div,
-                              project_qh, ref_basis, triangle_rule)
+from biotfem.elements import (DegenerateCell, FESpace, _dof_matrices,
+                              edge_rule, interpolate_pi_div, project_qh,
+                              ref_basis, triangle_rule)
 from biotfem.meshing import BOUNDARY, from_arrays, structured_mesh
 
 from conftest import pulled_back_values
@@ -125,8 +125,7 @@ def test_rt0_edge_flux_equals_dof(rng, perturbed_mesh):
                 a, b = mesh.edge_vertices[e]
                 xa, xb = mesh.vertices[a], mesh.vertices[b]
                 pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
-                tr = sp.tabulate_at(np.array([k]), pts[None],
-                                    what=("val",))["val"][0]
+                tr = sp.tabulate_at(np.array([k]), pts[None])[0]
                 for i in range(3):
                     mean_flux = 0.5 * np.einsum("q,qa,a->", swts, tr[i],
                                                 mesh.edge_normal[e])
@@ -145,8 +144,7 @@ def test_normal_trace_continuity(family, rng, perturbed_mesh):
             k1, k2 = mesh.edge_cells[e]
             xa, xb = mesh.vertices[mesh.edge_vertices[e]]
             pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
-            tr = sp.tabulate_at(np.array([k1, k2]), np.stack([pts, pts]),
-                                what=("val",))["val"]
+            tr = sp.tabulate_at(np.array([k1, k2]), np.stack([pts, pts]))
             v1 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k1]], tr[0])
             v2 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k2]], tr[1])
             worst = max(worst, np.abs((v1 - v2) @ mesh.edge_normal[e]).max())
@@ -197,14 +195,12 @@ def test_physical_dofs_of_the_basis_are_the_identity(family, mesh_name,
 @pytest.mark.parametrize("mesh_name", COEFFICIENT_MESHES)
 def test_first_moment_bdm1_functions_are_divergence_free(mesh_name,
                                                          perturbed_mesh):
-    """The P_1-moment BDM1 functions have divergence exactly zero, in the
-    per-cell array and in every tabulation of it."""
+    """The P_1-moment BDM1 functions have divergence exactly zero on every
+    cell, and the P_0-moment functions do not."""
     mesh = _coefficient_mesh(mesh_name, perturbed_mesh)
     sp = FESpace(mesh, "bdm1")
     assert np.all(sp.cell_div[:, 1::2] == 0.0)
     assert np.all(sp.cell_div[:, 0::2] != 0.0)
-    div = sp.tabulate(triangle_rule(4).points, what=("div",))["div"]
-    assert np.all(div[:, 1::2] == 0.0)
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0"])
@@ -229,17 +225,6 @@ def test_space_inverts_no_cell_matrix(family, perturbed_mesh, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
-def test_cell_divergence_reads_the_cell_array(family, perturbed_mesh, rng):
-    """cell_divergence equals, bitwise, the contraction of the centroid
-    tabulation it replaced."""
-    sp = FESpace(perturbed_mesh[4], family)
-    coeffs = rng.standard_normal(sp.ndof)
-    tab = sp.tabulate(np.array([[1.0 / 3.0, 1.0 / 3.0]]), what=("div",))
-    expected = _cell_contract(coeffs[sp.cell_dofs], tab["div"])[:, 0]
-    assert np.array_equal(sp.cell_divergence(coeffs), expected)
-
-
 def _central_differences(sp, cells, pts, delta):
     """grad[..., a, b] = d v_a / d x_b from pulled-back physical values;
     exact for basis functions of degree at most two, up to roundoff /
@@ -252,25 +237,69 @@ def _central_differences(sp, cells, pts, delta):
                      for b in range(2)], axis=-1)
 
 
+_REF_PTS = np.array([[1 / 3, 1 / 3], [0.2, 0.6], [0.6, 0.2], [0.2, 0.2]])
+
+
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
 def test_physical_derivatives_match_finite_differences(family,
                                                        perturbed_mesh):
-    """grad of the physical basis agrees with central differences of its
-    values at physical points, and div with the trace of grad, on congruent
-    and on perturbed cells."""
-    ref_pts = np.array([[1 / 3, 1 / 3], [0.2, 0.6], [0.6, 0.2], [0.2, 0.2]])
+    """cell_grad agrees with central differences of the physical basis
+    values at every point of each cell, and cell_div with the trace of
+    cell_grad, on congruent and on perturbed cells."""
     for mesh in (structured_mesh(3), perturbed_mesh[4]):
         sp = FESpace(mesh, family)
         cells = np.arange(mesh.num_cells)
-        pts = mesh.cell_points(ref_pts)
-        tab = sp.tabulate_at(cells, pts, what=("val", "div", "grad"))
+        pts = mesh.cell_points(_REF_PTS)
         delta = 0.05 * mesh.h_cell.min()
         grad = _central_differences(sp, cells, pts, delta)
-        vmax = np.abs(tab["val"]).max()
-        assert np.abs(tab["grad"] - grad).max() <= 1e-12 * vmax / delta
-        assert np.abs(tab["div"] - np.trace(tab["grad"], axis1=-2,
-                                            axis2=-1)).max() \
-            <= 1e-13 * np.abs(tab["grad"]).max()
+        vmax = np.abs(pulled_back_values(sp, cells, pts)).max()
+        assert np.abs(sp.cell_grad[cells][:, :, None] - grad).max() \
+            <= 1e-12 * vmax / delta
+        assert np.abs(sp.cell_div - np.trace(sp.cell_grad, axis1=-2,
+                                             axis2=-1)).max() \
+            <= 1e-13 * np.abs(sp.cell_grad).max()
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_cell_divergence_reads_the_cell_array(family, perturbed_mesh, rng):
+    """cell_divergence contracts each cell's coefficients with cell_div, and
+    equals the trace of cell_gradient."""
+    sp = FESpace(perturbed_mesh[4], family)
+    coeffs = rng.standard_normal(sp.ndof)
+    div = sp.cell_divergence(coeffs)
+    expected = np.einsum("ki,ki->k", coeffs[sp.cell_dofs], sp.cell_div)
+    assert div.shape == (sp.mesh.num_cells,)
+    assert np.abs(div - expected).max() <= 1e-14 * np.abs(expected).max()
+    trace = np.trace(sp.cell_gradient(coeffs), axis1=-2, axis2=-1)
+    assert np.abs(div - trace).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
+def test_cell_gradient_matches_finite_differences(family, perturbed_mesh,
+                                                  rng):
+    """cell_gradient of a discrete field agrees with central differences of
+    its pulled-back values at every point of each cell."""
+    mesh = perturbed_mesh[4]
+    sp = FESpace(mesh, family)
+    coeffs = rng.standard_normal(sp.ndof)
+    cells = np.arange(mesh.num_cells)
+    pts = mesh.cell_points(_REF_PTS)
+    delta = 0.05 * mesh.h_cell.min()
+    local = coeffs[sp.cell_dofs]
+    want = np.einsum("ki,kiqab->kqab", local,
+                     _central_differences(sp, cells, pts, delta))
+    vmax = np.abs(np.einsum("ki,kiqa->kqa", local,
+                            pulled_back_values(sp, cells, pts))).max()
+    got = sp.cell_gradient(coeffs)
+    assert got.shape == (mesh.num_cells, 2, 2)
+    assert np.abs(got[:, None] - want).max() <= 1e-12 * vmax / delta
+
+
+@pytest.mark.parametrize("method", ["cell_divergence", "cell_gradient"])
+def test_p0_offers_no_derivatives(method):
+    sp = FESpace(structured_mesh(2), "p0")
+    with pytest.raises(ValueError, match="'p0'"):
+        getattr(sp, method)(np.ones(sp.ndof))
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
@@ -291,74 +320,11 @@ def test_affine_values_match_the_pulled_back_basis(family, perturbed_mesh):
     assert np.array_equal(traced, sides)
     inside = pulled_back_values(sp, cells, cell_pts)
     for got, want in (
-            (sp.tabulate(ref_pts, what=("val",))["val"], inside),
-            (sp.tabulate_at(cells, cell_pts)["val"], inside),
+            (sp.tabulate(ref_pts), inside),
+            (sp.tabulate_at(cells, cell_pts), inside),
             (traces, pulled_back_values(sp, sides, edge_pts))):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
-def test_eval_field_derivatives_read_the_cell_arrays(family, perturbed_mesh,
-                                                     rng):
-    """eval_field's div and grad are one contraction per cell, broadcast over
-    the points as read-only views, and agree with contracting the broadcast
-    tabulation at every point."""
-    sp = FESpace(perturbed_mesh[4], family)
-    coeffs = rng.standard_normal(sp.ndof)
-    pts = triangle_rule(8).points
-    got = sp.eval_field(coeffs, pts, what=("val", "div", "grad"))
-    tab = sp.tabulate(pts, what=("val", "div", "grad"))
-    for name, arr in got.items():
-        want = _cell_contract(coeffs[sp.cell_dofs], tab[name])
-        assert arr.shape == want.shape
-        assert np.abs(arr - want).max() <= 1e-15 * np.abs(want).max()
-    for name in ("div", "grad"):
-        assert not got[name].flags.writeable
-        assert got[name].strides[1] == 0
-
-
-def _owner(arr):
-    """The array that owns the memory `arr` views."""
-    while isinstance(arr.base, np.ndarray):
-        arr = arr.base
-    return arr
-
-
-@pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
-def test_derivatives_stored_once_per_cell(family, perturbed_mesh):
-    """Affine families have constant derivatives on each cell, so grad and
-    div hold one entry per cell and basis function, broadcast over the
-    points as read-only views."""
-    mesh = perturbed_mesh[4]
-    sp = FESpace(mesh, family)
-    pts = triangle_rule(8).points
-    tab = sp.tabulate(pts, what=("val", "div", "grad"))
-    nc, nloc = mesh.num_cells, sp.ref.dofs_per_cell
-    for name, size in (("grad", 4), ("div", 1)):
-        arr = tab[name]
-        assert arr.shape[:3] == (nc, nloc, len(pts))
-        assert not arr.flags.writeable
-        assert arr.strides[2] == 0
-        assert _owner(arr).size == nc * nloc * size
-
-
-@pytest.mark.parametrize("family,method,what,bad", [
-    ("bdm1", "tabulate", ("hess",), "hess"),
-    ("rt0", "tabulate_at", ("value",), "value"),
-    ("p0", "tabulate", ("div", "grad"), "div"),
-], ids=["hess", "value", "p0-div"])
-def test_unsupported_tabulation_rejected(family, method, what, bad):
-    """A name the family does not offer fails before the cache lookup, and
-    the error names it and the family."""
-    mesh = structured_mesh(2)
-    sp = FESpace(mesh, family)
-    pts = triangle_rule(4).points
-    args = ((pts,) if method == "tabulate"
-            else (np.array([0]), mesh.cell_points(pts)[:1]))
-    with pytest.raises(ValueError, match=f"{family!r}.*{bad!r}"):
-        getattr(sp, method)(*args, what=what)
-    assert sp._tab_cache == {}
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0"])
@@ -378,7 +344,7 @@ def test_interpolation_reproduces_space(family, rng):
 
     dofs = sp.interpolate(field)
     rule = triangle_rule(4)
-    uh = sp.eval_field(dofs, rule.points)["val"]
+    uh = sp.eval_field(dofs, rule.points)
     xy = np.einsum("kab,qb->kqa", sp.J, rule.points) + sp.x0[:, None, :]
     exact = field(xy[..., 0], xy[..., 1])
     assert np.abs(uh - exact).max() <= 1e-12
@@ -504,13 +470,12 @@ def test_interpolation_approximation_orders():
         rule = triangle_rule(8)
         wK = rule.weights[None, :] * sp.detJ[:, None]
         xy = np.einsum("kab,qb->kqa", sp.J, rule.points) + sp.x0[:, None, :]
-        fld = sp.eval_field(dofs, rule.points, what=("val", "grad"))
         e0 = np.sqrt(np.einsum("kq,kqa->", wK,
                                (u(xy[..., 0], xy[..., 1])
-                                - fld["val"])**2))
+                                - sp.eval_field(dofs, rule.points))**2))
         e1 = np.sqrt(np.einsum("kq,kqab->", wK,
                                (grad_u(xy[..., 0], xy[..., 1])
-                                - fld["grad"])**2))
+                                - sp.cell_gradient(dofs)[:, None])**2))
         errs0.append(e0)
         errs1.append(e1)
     orders0 = np.log2(np.array(errs0[:-1]) / np.array(errs0[1:]))
@@ -525,9 +490,9 @@ def test_interpolation_approximation_orders():
 def test_divergence_span_rank(family, rank):
     mesh = structured_mesh(2)
     sp = FESpace(mesh, family)
-    div = sp.tabulate(triangle_rule(4).points, what=("div",))["div"]
     for k in range(mesh.num_cells):
-        assert np.linalg.matrix_rank(div[k].T, tol=1e-10) == rank
+        assert np.linalg.matrix_rank(sp.cell_div[k][None],
+                                     tol=1e-10) == rank
 
 
 def test_interpolate_rejects_pressure_family():

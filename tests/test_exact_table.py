@@ -18,7 +18,8 @@ from biotfem.analysis import (best_approximation_errors, convergence_study,
                               error_norms, expand_solution, manufactured_case,
                               solve_manufactured, triple_error_norms)
 from biotfem.assembly import FormOperators
-from biotfem.elements import edge_rule, project_qh, triangle_rule
+from biotfem.elements import (_cell_contract, edge_rule, project_qh,
+                              triangle_rule)
 from biotfem.meshing import BOUNDARY, structured_mesh
 from biotfem.params import ReducedParams
 
@@ -35,12 +36,15 @@ def unshared_error_norms(uspace, vspace, cu, cv, p_cells, case):
     wK = rule.weights[None, :] * uspace.detJ[:, None]
     X, Y = xy[..., 0], xy[..., 1]
 
-    uh = uspace.eval_field(cu, rule.points, what=("grad", "div"))
-    e_grad = np.einsum("kq,kqab->", wK, (case.grad_u(X, Y) - uh["grad"])**2,
+    # the derivatives are constant per cell: contract the per-cell arrays
+    local = cu[uspace.cell_dofs]
+    grad = _cell_contract(local, uspace.cell_grad)[:, None]
+    div = _cell_contract(local, uspace.cell_div[:, :, None])
+    e_grad = np.einsum("kq,kqab->", wK, (case.grad_u(X, Y) - grad)**2,
                        optimize=True)
     e_hess = np.einsum("k,kq,kqabc->", mesh.h_cell**2, wK,
                        case.hess_u(X, Y)**2, optimize=True)
-    e_div = np.einsum("kq,kq->", wK, (case.div_u(X, Y) - uh["div"])**2,
+    e_div = np.einsum("kq,kq->", wK, (case.div_u(X, Y) - div)**2,
                       optimize=True)
     snodes, sweights = edge_rule(4)
     pts = mesh.edge_points(snodes)
@@ -54,10 +58,11 @@ def unshared_error_norms(uspace, vspace, cu, cv, p_cells, case):
     e_jump = 0.5 * np.einsum("q,eq->", sweights, err_t**2, optimize=True)
     err_U = np.sqrt(e_grad + e_jump + e_hess + params.lam * e_div)
 
-    vh = vspace.eval_field(cv, rule.points, what=("val", "div"))
-    e_v = np.einsum("kq,kqa->", wK, (case.v(X, Y) - vh["val"])**2,
+    vh = _cell_contract(cv[vspace.cell_dofs], vspace.tabulate(rule.points))
+    e_v = np.einsum("kq,kqa->", wK, (case.v(X, Y) - vh)**2,
                     optimize=True)
-    e_dv = np.einsum("kq,kq->", wK, (case.div_v(X, Y) - vh["div"])**2,
+    div_v = _cell_contract(cv[vspace.cell_dofs], vspace.cell_div[:, :, None])
+    e_dv = np.einsum("kq,kq->", wK, (case.div_v(X, Y) - div_v)**2,
                      optimize=True)
     err_V = np.sqrt(params.rp_inv * e_v + e_dv / params.gamma)
 

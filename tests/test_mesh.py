@@ -91,8 +91,7 @@ def test_continuous_linear_has_no_jump(rng):
         k1, k2 = m.edge_cells[e]
         va, vb = m.vertices[m.edge_vertices[e]]
         pts = 0.5 * (va + vb) + 0.5 * np.outer(snod, vb - va)
-        tr = sp.tabulate_at(np.array([k1, k2]), np.stack([pts, pts]),
-                            what=("val",))["val"]
+        tr = sp.tabulate_at(np.array([k1, k2]), np.stack([pts, pts]))
         v1 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k1]], tr[0])
         v2 = np.einsum("i,iqa->qa", coeffs[sp.cell_dofs[k2]], tr[1])
         worst = max(worst, np.abs(v1 - v2).max())
@@ -128,8 +127,7 @@ def _check_trace_identity(m, rng):
                 e = m.cell_edges[k, j]
                 sign = m.cell_edge_sign[k, j]
                 pts = _edge_points(m, e, snod)
-                tr = sp.tabulate_at(np.array([k]), pts[None],
-                                    what=("val",))["val"][0]
+                tr = sp.tabulate_at(np.array([k]), pts[None])[0]
                 vn = np.einsum("i,iqa,a->q", cv[sp.cell_dofs[k]], tr,
                                sign * m.edge_normal[e])
                 lhs += 0.5 * m.edge_length[e] * np.einsum(
@@ -138,15 +136,13 @@ def _check_trace_identity(m, rng):
         for e in range(m.num_edges):
             k1, k2 = m.edge_cells[e]
             pts = _edge_points(m, e, snod)
-            tr1 = sp.tabulate_at(np.array([k1]), pts[None],
-                                 what=("val",))["val"][0]
+            tr1 = sp.tabulate_at(np.array([k1]), pts[None])[0]
             v1 = np.einsum("i,iqa->qa", cv[sp.cell_dofs[k1]], tr1)
             if k2 == BOUNDARY:
                 avg = v1 @ m.edge_normal[e]
                 jump = q_on(k1, pts)
             else:
-                tr2 = sp.tabulate_at(np.array([k2]), pts[None],
-                                     what=("val",))["val"][0]
+                tr2 = sp.tabulate_at(np.array([k2]), pts[None])[0]
                 v2 = np.einsum("i,iqa->qa", cv[sp.cell_dofs[k2]], tr2)
                 avg = 0.5 * (v1 + v2) @ m.edge_normal[e]
                 jump = q_on(k1, pts) - q_on(k2, pts)

@@ -234,8 +234,7 @@ class TestComposeTimestepRhs:
                 a, b = mesh.edge_vertices[e]
                 xa, xb = mesh.vertices[a], mesh.vertices[b]
                 pts = 0.5 * (xa + xb) + 0.5 * np.outer(snod, xb - xa)
-                tr = sp_u.tabulate_at(np.array([k]), pts[None],
-                                      what=("val",))["val"][0]
+                tr = sp_u.tabulate_at(np.array([k]), pts[None])[0]
                 vals = np.einsum("i,iqa->qa", u_prev[sp_u.cell_dofs[k]], tr)
                 flux = 0.5 * mesh.edge_length[e] * np.einsum(
                     "q,qa,a->", swts, vals, mesh.edge_normal[e])
