@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, blas, cholesky, lapack, solve_triangular
+from scipy.linalg import LinAlgError, blas, cholesky, lapack
 
 from .assembly import (BlockSystem, NormBlocks, _pressure_reflector,
                        block_matrix)
@@ -301,7 +301,6 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
             break
         if gamma_new == 0.0:
             # invariant subspace exhausted; residual cannot decrease further
-            converged = abs(eta) <= tol * norm_b
             break
 
         v_prev, v = v, v_next
@@ -320,7 +319,8 @@ def minres_solve(system: BlockSystem, precond: BlockPreconditioner,
 # dimensionless: the clamp of its pressure and multiplier pivots (each is
 # factored as at most -_SHIFT), the bound on the scaled relative residual,
 # the factor by which a classical refinement step must shrink that residual
-# not to stall, and the GMRES restart length and cycles.
+# not to stall, and the restart length and outer cycles of scipy's gmres,
+# which a stalled step hands over to.
 _SHIFT = 1e-6
 _REFINE_TOL = 1e-12
 _STALL = 0.5
@@ -367,9 +367,9 @@ class DirectSolver:
     itself, so the clamp costs factor applications, not accuracy.
     Classical steps y += lu^-1 (b - K y) correct the solution while each
     at least halves the scaled residual; the first step that does not
-    hands the rest of the solve over to GMRES with the factor as
-    preconditioner (`_gmres`, GMRES-IR), started from the current
-    iterate, after which classical steps polish again.  The solve stops
+    hands the rest of the solve over to scipy's restarted GMRES on the
+    correction equation, with the factor as preconditioner (`_gmres`,
+    GMRES-IR), after which classical steps polish again.  The solve stops
     as soon as the scaled relative residual ||D(b - Kx)|| / ||D b|| is at
     most 1e-12 and every mass-balance row meets
     |r_K| <= 1e-12 (|g_K| + 1) |K| in unscaled units, g_K the cell's mass
@@ -472,55 +472,31 @@ class DirectSolver:
 
 
 def _gmres(K, lu, b: np.ndarray, norm_b: float, y: np.ndarray, r: np.ndarray):
-    """Restarted GMRES on the correction equation lu^-1 K e = lu^-1 r
-    from the iterate y, r = b - K y, the GMRES-IR of Carson & Higham
-    (SISC 2017): each cycle starts from lu.solve(r) and each iteration
-    applies the factor once.  A cycle stops when its preconditioned
-    residual has fallen by the factor the true residual still has to
-    fall, or on breakdown; the true residual is then recomputed, and the
-    restarts end once it meets the bound.
+    """scipy's restarted GMRES on the correction equation K e = r from
+    e = 0, r = b - K y, left-preconditioned by the factor: the GMRES-IR of
+    Carson & Higham (SISC 2017).  At most `_CYCLES` cycles of `_RESTART`
+    iterations; it stops once the correction's residual is at most
+    `_REFINE_TOL` ||b|| or on breakdown.
 
-    Returns (y, b - K y, GMRES iterations, factor applications).
+    Returns (y + e, b - K (y + e), GMRES iterations, factor applications).
     """
-    iterations = solves = 0
-    V = np.empty((_RESTART + 1, b.size))
-    for _ in range(_CYCLES):
-        z = lu.solve(r)
-        solves += 1
-        beta = np.linalg.norm(z)
-        target = beta * _REFINE_TOL * norm_b / np.linalg.norm(r)
-        V[0] = z / beta
-        H = np.zeros((_RESTART + 1, _RESTART))
-        cs, sn = np.zeros(_RESTART), np.zeros(_RESTART)
-        g = np.zeros(_RESTART + 1)
-        g[0] = beta
-        for j in range(_RESTART):
-            w = lu.solve(K @ V[j])
-            iterations += 1
-            solves += 1
-            size = np.linalg.norm(w)
-            for i in range(j + 1):  # modified Gram-Schmidt
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            # read before the rotation below folds H[j+1, j] into H[j, j]
-            breakdown = H[j + 1, j] <= np.finfo(float).eps * size
-            if not breakdown:
-                V[j + 1] = w / H[j + 1, j]
-            for i in range(j):
-                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-            rho = np.hypot(H[j, j], H[j + 1, j])
-            cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
-            H[j, j] = rho
-            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
-            if abs(g[j + 1]) <= target or breakdown:
-                break
-        y = y + solve_triangular(H[:j + 1, :j + 1], g[:j + 1]) @ V[:j + 1]
-        r = b - K @ y
-        if np.linalg.norm(r) <= _REFINE_TOL * norm_b:
-            break
-    return y, r, iterations, solves
+    counts = [0, 0]
+
+    def apply(x):
+        counts[1] += 1
+        return lu.solve(x)
+
+    def iteration(_):
+        counts[0] += 1
+
+    # the dtype is given, so the operator spends no factor application
+    # probing for it
+    e, _ = spla.gmres(K, r, rtol=0.0, atol=_REFINE_TOL * norm_b,
+                      restart=_RESTART, maxiter=_CYCLES,
+                      M=spla.LinearOperator(K.shape, apply, dtype=float),
+                      callback=iteration, callback_type="pr_norm")
+    y = y + e
+    return y, b - K @ y, *counts
 
 
 def solve_direct(system: BlockSystem):
