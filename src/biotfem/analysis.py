@@ -90,10 +90,6 @@ class ConvergenceTable:
     triple: str
     rows: list[ConvergenceRow] = field(default_factory=list)
 
-    def orders_at_finest(self):
-        r = self.rows[-1]
-        return (r.order_U, r.order_V, r.order_P)
-
 
 def mesh_subdivisions(mesh: TriMesh) -> int:
     return int(round(np.sqrt(mesh.num_cells / 2)))

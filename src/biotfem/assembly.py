@@ -5,10 +5,10 @@ once per (mesh, families, penalty), those that only the norms read on first
 use, and then combined with scalar weights for each parameter point, so
 sweeps over the coefficient grid cost almost nothing beyond the first
 assembly.  The Grams of a space share one symmetric CSR pattern
-(`GramPattern`): each is one bincount onto its lower triangle, and every
-matrix on all dofs or on the free dofs is one gather over shared,
-read-only index arrays, so sums of Grams and free-dof restrictions are
-arithmetic on data vectors.  Every CSR pattern, the Grams' and the
+(`GramPattern`): each is one bincount onto its lower triangle, and its
+matrix on the free dofs is one gather over shared, read-only index
+arrays, so sums of Grams and free-dof restrictions are arithmetic on
+data vectors.  Every CSR pattern, the Grams' and the
 monolithic matrices', is one counting sort of coordinates (`_sorted_csr`).
 The monolithic matrices are laid out in one place: `block_matrix` gathers
 each parameter point's block data into the read-only CSR index arrays of
@@ -273,27 +273,24 @@ def block_diagonal(blocks) -> sps.csr_matrix:
 
 
 class GramPattern:
-    """One symmetric CSR pattern for every Gram of a space, and its
-    restriction to the free dofs.
+    """The lower part of one symmetric CSR pattern for every Gram of a
+    space, and the symmetric pattern on the free dofs.
 
     The pattern is the union of the dofs[m] x dofs[m] blocks of the
     space's cell dofs and of any further dof tables.  A Gram is kept as
     the data of the lower pattern (global row >= column): one bincount
     sums the lower-triangle entries of its local matrices there.  Every
-    stored entry of a CSR matrix on all dofs or on the free dofs is then
-    one gather from that data, so the matrix is exactly symmetric and
-    keeps the pattern's structural zeros, and sums of Grams are sums of
-    data vectors.  The CSR matrices of one pattern share read-only index
-    arrays: an in-place scipy call on one of them raises instead of
-    changing the others.  Each is a copy of the pattern's template on all
-    dofs or on the free dofs (`_from_template`).  The free-dof pattern is
-    laid out from the lower pattern's free rows and columns; the pattern
-    on all dofs, which only the Gram properties and `ah_full` read, on
-    the first `full` call.
+    stored entry of its CSR matrix on the free dofs is then one gather
+    from that data, so the matrix is exactly symmetric and keeps the
+    pattern's structural zeros, and sums of Grams are sums of data
+    vectors.  The free-dof pattern is laid out from the lower pattern's
+    free rows and columns.  Its CSR matrices are copies of one template
+    (`_from_template`) and share read-only index arrays: an in-place
+    scipy call on one of them raises instead of changing the others.
     """
 
     def __init__(self, space: FESpace, *tables):
-        n = self.n = space.ndof
+        n = space.ndof
         tables = (space.cell_dofs,) + tables
         itype = _index_type(max(n + 1, sum(d.shape[0] * d.shape[1] ** 2
                                            for d in tables)))
@@ -328,7 +325,6 @@ class GramPattern:
         bounds = np.cumsum([0] + [t.size for t in takes])
         self._maps = [(t, slots[a:b].copy())
                       for t, a, b in zip(takes, bounds, bounds[1:])]
-        self._lower = lptr, lcol  # for the pattern on all dofs
         # the lower pattern's free rows and columns, renumbered
         free = np.zeros(n, dtype=bool)
         free[space.free_dofs] = True
@@ -384,26 +380,9 @@ class GramPattern:
         """Drop the maps of a dof table no further Gram is summed over."""
         self._maps[table] = None
 
-    def full(self, low) -> sps.csr_matrix:
-        """The Gram with lower-pattern data `low` on all dofs."""
-        template, mirror = self._full
-        return _from_template(template, low[mirror])
-
     def free(self, low) -> sps.csr_matrix:
         """The Gram with lower-pattern data `low` on the free dofs."""
         return _from_template(self._free, low[self.free_mirror])
-
-    @cached_property
-    def _full(self):
-        """The template on all dofs and the lower-pattern slot of each of
-        its stored entries."""
-        lptr, lcol = self._lower
-        indptr, indices, mirror = self._symmetric(
-            lptr, lcol, np.arange(self.nlow, dtype=lptr.dtype))
-        for a in (indptr, indices, mirror):
-            a.flags.writeable = False
-        return _shared_csr(np.zeros(mirror.size), indices, indptr,
-                           (self.n, self.n)), mirror
 
     @cached_property
     def _free(self) -> sps.csr_matrix:
@@ -435,13 +414,6 @@ def _read_only(mat: sps.csr_matrix) -> sps.csr_matrix:
     return mat
 
 
-def _gram(low: str, pattern: str, doc: str) -> property:
-    """A Gram of `FormOperators` read as CSR on all dofs from its
-    lower-pattern data `low` on the pattern `pattern`."""
-    return property(lambda ops: getattr(ops, pattern).full(getattr(ops, low)),
-                    doc=doc)
-
-
 class FormOperators:
     """Parameter-independent Gram matrices for one mesh/family choice.
 
@@ -450,18 +422,12 @@ class FormOperators:
     trace weakly; normal traces are eliminated strongly downstream.
 
     Each Gram is kept as its data on the lower pattern of its space
-    (`GramPattern`) and read as CSR, so every block of a parameter point
-    is one sum of such data vectors and one gather.
+    (`GramPattern`): the displacement's strain `_EPS`, div-div `_DD_u`,
+    1/h_e-weighted tangential-jump `_PEN` (without eta), symmetric
+    consistency `_CONS` and broken gradient `_GRAD`, the flux's mass
+    `_M_v` and div-div `_DD_v`.  Every block of a parameter point is one
+    sum of such data vectors and one gather onto the free dofs.
     """
-
-    EPS = _gram("_EPS", "_upattern", "Strain Gram (eps u, eps w).")
-    DD_u = _gram("_DD_u", "_upattern", "Displacement div-div Gram.")
-    PEN = _gram("_PEN", "_upattern",
-                "Tangential-jump Gram, 1/h_e-weighted, without eta.")
-    CONS = _gram("_CONS", "_upattern", "Symmetric consistency Gram.")
-    GRAD = _gram("_GRAD", "_upattern", "Broken-gradient Gram.")
-    M_v = _gram("_M_v", "_vpattern", "Flux mass Gram.")
-    DD_v = _gram("_DD_v", "_vpattern", "Flux div-div Gram.")
 
     def __init__(self, mesh: TriMesh, families=("bdm1", "rt0", "p0"),
                  cfg: DGConfig | None = None):
@@ -601,10 +567,6 @@ class FormOperators:
     @cached_property
     def _grad_jumps(self) -> np.ndarray:
         return self._GRAD + self._PEN
-
-    def ah_full(self) -> sps.csr_matrix:
-        """a_h on all displacement dofs (no boundary elimination)."""
-        return self._upattern.full(self._ah)
 
     def ah_matrix(self) -> sps.csr_matrix:
         return self._upattern.free(self._ah)

@@ -16,7 +16,7 @@ vertex x0 and gradients stored once per cell, with no pull-back to the
 reference cell; an H(div) divergence comes from the divergence theorem,
 which leaves the first-moment BDM1 functions exactly divergence-free.
 
-Families (2D triangles):
+Vector families (2D triangles):
 
 ==========  ====================================  ====
 name        local space                           dofs
@@ -24,8 +24,11 @@ name        local space                           dofs
 ``bdm1``    full linear vectors                   6
 ``rt0``     lowest-order Raviart-Thomas           3
 ``p1cvec``  continuous linear vectors (nodal)     6
-``p0``      cellwise constants                    1
 ==========  ====================================  ====
+
+The pressure space p0, the cellwise constants, needs no basis: its mass
+matrix is the diagonal of cell areas (`assembly.FormOperators.M_p`) and
+its projection the cell means (`project_qh`).
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def edge_rule(npts: int = 4):
 
 # Generator g of a vector family is the affine field c_g + G_g x on the
 # reference cell, stored as the 2x3 matrix [c_g | G_g] acting on (1, x, y):
-# G_g is its gradient and tr G_g its divergence.  p0's one generator is 1.
+# G_g is its gradient and tr G_g its divergence.
 _BARY = [[1, -1, -1], [0, 1, 0], [0, 0, 1]]  # 1 - x - y, x, y
 _AFFINE = {
     # (1, 0), (x, 0), (y, 0), (0, 1), (0, x), (0, y)
@@ -163,10 +166,7 @@ _AFFINE = {
 
 
 def _gen_eval(family, pts):
-    """Raw generator values at points (..., 2), shape (ngen, ..., 2) (or
-    (1, ...) for p0)."""
-    if family == "p0":
-        return np.ones((1,) + pts.shape[:-1])
+    """Raw generator values at points (..., 2), shape (ngen, ..., 2)."""
     xh = np.concatenate((np.ones(pts.shape[:-1] + (1,)), pts), axis=-1)
     return np.einsum("gac,...c->g...a", _AFFINE[family], xh, optimize=True)
 
@@ -248,12 +248,12 @@ class RefBasis:
     """
 
     def __init__(self, family: str):
-        if family not in VECTOR_FAMILIES + ("p0",):
+        if family not in VECTOR_FAMILIES:
             raise ValueError(f"unknown element family {family!r}")
         self.family = family
         ngen = _gen_eval(family, np.zeros((1, 2))).shape[0]
         self.dofs_per_cell = ngen
-        if family in ("p0", "p1cvec"):
+        if family == "p1cvec":
             self._coeff = np.eye(ngen)  # generators are already nodal
         else:
             self._coeff = np.linalg.inv(self._ref_dof_matrix())
@@ -302,11 +302,7 @@ class FESpace:
     def _build_dof_layout(self):
         mesh, fam = self.mesh, self.family
         nc, ne = mesh.num_cells, mesh.num_edges
-        if fam == "p0":
-            self.ndof = nc
-            self.cell_dofs = np.arange(nc, dtype=int)[:, None]
-            self.boundary_dofs = np.empty(0, dtype=int)
-        elif fam == "p1cvec":
+        if fam == "p1cvec":
             self.ndof = 2 * mesh.num_vertices
             cd = np.empty((nc, 6), dtype=int)
             cd[:, 0::2] = 2 * mesh.cells
@@ -336,7 +332,7 @@ class FESpace:
 
     def _build_cell_coeff(self):
         nloc = self.ref.dofs_per_cell
-        if self.family in ("p0", "p1cvec"):
+        if self.family == "p1cvec":
             self.coeff = np.broadcast_to(np.eye(nloc),
                                          (self.mesh.num_cells, nloc, nloc))
             return
@@ -394,7 +390,6 @@ class FESpace:
     def tabulate(self, ref_pts):
         """Physical basis values at reference points xi, x0 + J xi in every
         cell, (nc, nloc, nq, 2), a view of an array laid out basis-last.
-        p0's values are ones without the trailing component axis.
         Derivatives are constant on each cell: read `cell_grad` and
         `cell_div`.
         """
@@ -427,11 +422,8 @@ class FESpace:
     def _tabulate_for(self, cells, dx):
         """Basis values of `cells`, an index array of any shape or a slice,
         at the points x0 + dx of each cell, dx (selected cells' shape, nq,
-        2).  Every vector family's values are the affine field
-        cell_val0 + cell_grad dx; p0's are ones."""
+        2): the affine field cell_val0 + cell_grad dx."""
         lead, nq = dx.shape[:-2], dx.shape[-2]
-        if self.family == "p0":
-            return np.ones(lead + (1, nq))
         # one batched matmul dx (q, b) @ grad (b, (a, i)) lays the values out
         # basis-last, (..., point, component, basis), so that a contraction
         # over (point, component) reshapes them without a copy
@@ -444,10 +436,7 @@ class FESpace:
     # -- discrete field helpers ----------------------------------------------
 
     def _local_coeffs(self, coeffs) -> np.ndarray:
-        """A vector field's coefficients on each cell, (nc, nloc)."""
-        if self.family == "p0":
-            raise ValueError("family 'p0' is constant on each cell and "
-                             "offers no derivatives")
+        """A field's coefficients on each cell, (nc, nloc)."""
         return np.asarray(coeffs, dtype=float)[self.cell_dofs]
 
     def cell_divergence(self, coeffs) -> np.ndarray:
@@ -463,8 +452,8 @@ class FESpace:
 
     def eval_field(self, coeffs, ref_pts) -> np.ndarray:
         """Values of a discrete field at reference points in every cell."""
-        local = np.asarray(coeffs, dtype=float)[self.cell_dofs]
-        return _cell_contract(local, self.tabulate(ref_pts))
+        return _cell_contract(self._local_coeffs(coeffs),
+                              self.tabulate(ref_pts))
 
     # -- canonical interpolation ----------------------------------------------
 
@@ -476,8 +465,6 @@ class FESpace:
         are resolved well below the test tolerances.
         """
         mesh, fam = self.mesh, self.family
-        if fam == "p0":
-            raise ValueError("use project_qh for the pressure space")
         if fam == "p1cvec":
             vals = func(mesh.vertices[:, 0], mesh.vertices[:, 1])
             dofs = np.zeros(self.ndof)

@@ -68,8 +68,8 @@ class PhysicalParams:
 class ReducedParams:
     """Dimensionless coefficient triple of the rescaled static system.
 
-    rho and gamma are always recomputed from (lam, rp_inv, alpha_p); they are
-    stored for convenience but never set independently.
+    rho = min(lam, rp_inv) and gamma = max(1/rho, alpha_p) are properties,
+    computed from (lam, rp_inv, alpha_p) on every read.
     """
 
     lam: float

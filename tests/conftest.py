@@ -11,10 +11,13 @@ for _name in BLAS_THREADS:
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+import scipy.sparse as sps  # noqa: E402
+from scipy.sparse import _sparsetools  # noqa: E402
 
-from biotfem.assembly import FormOperators  # noqa: E402
+from biotfem.assembly import FormOperators, _index_type  # noqa: E402
 from biotfem.elements import HDIV_FAMILIES, _gen_eval  # noqa: E402
-from biotfem.meshing import from_arrays, structured_mesh  # noqa: E402
+from biotfem.meshing import (BOUNDARY, from_arrays,  # noqa: E402
+                             structured_mesh)
 
 
 def pytest_report_header(config):
@@ -83,6 +86,94 @@ def pulled_back_values(space, cells, phys_pts):
         gen = (np.einsum("...ab,...gqb->...gqa", J, gen)
                / space.detJ[cells][..., None, None, None])
     return np.einsum("...gi,...gqa->...iqa", space.coeff[cells], gen)
+
+
+def coordinate_pattern(space, *tables):
+    """Oracle: every array of the pattern, from the coordinates of every
+    local lower-triangle entry, by way of the pattern on all dofs."""
+    n = space.ndof
+    tables = (space.cell_dofs,) + tables
+    itype = _index_type(max(n + 1, sum(d.shape[0] * d.shape[1] ** 2
+                                       for d in tables)))
+    takes, rows, cols = [], [], []
+    for dofs in tables:
+        m, k = dofs.shape
+        dofs = dofs.astype(itype)
+        r = np.broadcast_to(dofs[:, :, None], (m, k, k)).reshape(-1)
+        c = np.broadcast_to(dofs[:, None, :], (m, k, k)).reshape(-1)
+        take = np.flatnonzero(r >= c)
+        takes.append(take)
+        rows.append(r[take])
+        cols.append(c[take])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    nent = rows.size
+    ptr = np.empty(n + 1, dtype=itype)
+    col = np.empty(nent, dtype=itype)
+    entry = np.empty(nent, dtype=itype)
+    _sparsetools.coo_tocsr(n, n, nent, rows, cols,
+                           np.arange(nent, dtype=itype), ptr, col, entry)
+    _sparsetools.csr_sort_indices(n, ptr, col, entry)
+    first = np.ones(nent, dtype=bool)
+    first[1:] = col[1:] != col[:-1]
+    first[ptr[:-1]] = True
+    slot = np.cumsum(first, dtype=itype) - 1
+    nlow = int(slot[-1]) + 1
+    lptr = np.append(slot[ptr[:-1]], slot[-1] + 1)
+    lcol = col[first]
+    slots = np.empty(nent, dtype=np.intp)
+    slots[entry] = slot
+    bounds = np.cumsum([0] + [t.size for t in takes])
+    maps = [(t, slots[a:b].copy())
+            for t, a, b in zip(takes, bounds, bounds[1:])]
+    strict = np.ones(nlow, dtype=bool)
+    strict[lptr[1:] - 1] = False
+    nup = nlow - n
+    uptr = np.empty(n + 1, dtype=itype)
+    ucol = np.empty(nup, dtype=itype)
+    uslot = np.empty(nup, dtype=itype)
+    _sparsetools.csr_tocsc(n, n, lptr - np.arange(n + 1, dtype=itype),
+                           lcol[strict], np.flatnonzero(strict).astype(itype),
+                           uptr, ucol, uslot)
+    lpos = np.arange(nlow, dtype=itype) + np.repeat(uptr[:-1], np.diff(lptr))
+    upos = np.arange(nup, dtype=itype) + np.repeat(lptr[1:], np.diff(uptr))
+    indptr = lptr + uptr
+    indices = np.empty(nlow + nup, dtype=itype)
+    indices[lpos], indices[upos] = lcol, ucol
+    mirror = np.empty(nlow + nup, dtype=np.intp)
+    mirror[lpos], mirror[upos] = np.arange(nlow), uslot
+    free = np.zeros(n, dtype=bool)
+    free[space.free_dofs] = True
+    kept = free[indices] & np.repeat(free, np.diff(indptr))
+    counted = np.cumsum(np.append(False, kept), dtype=itype)
+    renumber = np.cumsum(free, dtype=itype) - 1
+    return {"nlow": nlow, "maps": maps,
+            "indptr": indptr, "indices": indices, "mirror": mirror,
+            "free_indptr": counted[np.append(indptr[space.free_dofs],
+                                             indptr[-1])],
+            "free_indices": renumber[indices[kept]],
+            "free_mirror": mirror[kept]}
+
+
+def edge_dofs(ops):
+    """The two-sided edge dof table of the operators' face terms."""
+    mesh, space = ops.mesh, ops.uspace
+    edges = (mesh.boundary_edges() if space.family == "p1cvec"
+             else np.arange(mesh.num_edges))
+    k1, k2 = mesh.edge_cells[edges].T
+    cells = np.stack((k1, np.where(k2 == BOUNDARY, k1, k2)))
+    return space.cell_dofs[cells.T].reshape(len(edges), -1)
+
+
+def full_gram(ops, low, flux=False) -> sps.csr_matrix:
+    """Oracle: the Gram of `ops` with lower-pattern data `low` as CSR on
+    all dofs, boundary dofs included, laid out by `coordinate_pattern`
+    from the displacement pattern (cell and edge blocks) or, with `flux`,
+    from the flux pattern."""
+    space, tables = ((ops.vspace, ()) if flux
+                     else (ops.uspace, (edge_dofs(ops),)))
+    want = coordinate_pattern(space, *tables)
+    return sps.csr_matrix((low[want["mirror"]], want["indices"],
+                           want["indptr"]), shape=(space.ndof, space.ndof))
 
 
 def norm_system(system, blocks):

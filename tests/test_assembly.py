@@ -11,7 +11,7 @@ from biotfem.elements import FESpace, edge_rule, triangle_rule
 from biotfem.meshing import from_arrays, structured_mesh
 from biotfem.params import ReducedParams
 
-from conftest import pulled_back_values
+from conftest import full_gram, pulled_back_values
 
 
 def test_block_sizes_n2(ops_bdm):
@@ -63,6 +63,14 @@ def _local_grams(ops):
             "DD_v": (cell(v.cell_div), v.cell_dofs, v.ndof)}
 
 
+def _free_gram(ops, name):
+    """The Gram `name` of `ops` as CSR on the free dofs of its space, and
+    those dofs."""
+    pattern, space = ((ops._vpattern, ops.vspace) if name in ("M_v", "DD_v")
+                      else (ops._upattern, ops.uspace))
+    return pattern.free(getattr(ops, "_" + name)), space.free_dofs
+
+
 def _is_canonical(mat):
     """Sorted, unique column indices, judged afresh from the arrays."""
     return sps.csr_matrix((mat.data, mat.indices.copy(), mat.indptr.copy()),
@@ -71,11 +79,13 @@ def _is_canonical(mat):
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
 def test_grams_are_the_tril_mirror(family, perturbed_mesh):
-    """Each of the seven Grams equals the tril + tril^T + diag mirror of
-    its COO sum to roundoff, is exactly symmetric and is canonical CSR."""
+    """Each of the seven Grams on the free dofs equals the free rows and
+    columns of the tril + tril^T + diag mirror of its COO sum to roundoff,
+    is exactly symmetric and is canonical CSR."""
     ops = FormOperators(perturbed_mesh[8], (family, "rt0", "p0"))
     for name, (elem, dofs, n) in _local_grams(ops).items():
-        got, ref = getattr(ops, name), _tril_mirror(_coo_sum(elem, dofs, n))
+        got, free = _free_gram(ops, name)
+        ref = _tril_mirror(_coo_sum(elem, dofs, n))[free][:, free]
         scale = np.abs(ref).max()
         assert np.abs(got - ref).max() <= 1e-15 * scale, name
         assert (got != got.T).nnz == 0, name
@@ -83,11 +93,12 @@ def test_grams_are_the_tril_mirror(family, perturbed_mesh):
 
 
 def test_grams_of_a_space_share_one_pattern():
-    """The Grams of one space store their data over one read-only pair of
-    index arrays, which holds the union of their sparsity patterns."""
+    """The Grams of one space store their free-dof data over one
+    read-only pair of index arrays, which holds the union of their
+    sparsity patterns."""
     ops = FormOperators(structured_mesh(4))
     for names in (("EPS", "DD_u", "PEN", "CONS", "GRAD"), ("M_v", "DD_v")):
-        mats = [getattr(ops, name) for name in names]
+        mats = [_free_gram(ops, name)[0] for name in names]
         first = mats[0]
         assert not first.indices.flags.writeable
         assert not first.indptr.flags.writeable
@@ -141,16 +152,15 @@ def test_in_place_call_on_a_block_raises():
 
 def _handed_out(ops, pr):
     """One CSR matrix of each kind the operators hand out: from the
-    displacement pattern on the free dofs and on all dofs, the flux
-    pattern, the saddle layout, and the templates of C_pp and N_P."""
+    displacement and flux patterns on the free dofs, the saddle layout,
+    and the templates of C_pp and N_P."""
     system = ops.block_system(pr)
-    return {"free": system.A_uu, "full": ops.ah_full(), "flux": system.A_vv,
+    return {"free": system.A_uu, "flux": system.A_vv,
             "saddle": system.monolithic(), "C_pp": system.C_pp,
             "N_P": ops.norm_blocks(pr).N_P}
 
 
-@pytest.mark.parametrize("kind", ["free", "full", "flux", "saddle", "C_pp",
-                                  "N_P"])
+@pytest.mark.parametrize("kind", ["free", "flux", "saddle", "C_pp", "N_P"])
 def test_handed_out_blocks_leave_their_template_alone(kind):
     """Each block is a copy of a template that shares its read-only index
     arrays and holds read-only data: a write into the data or an in-place
@@ -225,7 +235,7 @@ def test_norm_only_grams_are_built_on_first_use(monkeypatch):
     ops.norm_blocks(ReducedParams(1.0, 1.0, 0.0))
     ops.natural_norm_blocks(pr)
     ops.grad_norm_gram()
-    ops.GRAD, ops.DD_v
+    ops._GRAD, ops._DD_v
     assert len(calls) == 2
 
 
@@ -241,7 +251,7 @@ def test_rigid_translation_boundary_penalty_only(ops_bdm):
     c = np.array([0.7, -0.3])
     dofs = ops.uspace.interpolate(
         lambda x, y: np.broadcast_to(c, np.shape(x) + (2,)))
-    val = dofs @ (ops.ah_full() @ dofs)
+    val = dofs @ (full_gram(ops, ops._ah) @ dofs)
     expected = 0.0
     for e in mesh.boundary_edges():
         n = mesh.edge_normal[e]
@@ -320,8 +330,8 @@ def _sympy_bdm1_element_matrix(eta):
 
 def test_single_reference_triangle_matches_symbolic_oracle():
     mesh = from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    got = FormOperators(mesh, ("bdm1", "rt0", "p0"),
-                        DGConfig(10.0)).ah_full().toarray()
+    ops = FormOperators(mesh, ("bdm1", "rt0", "p0"), DGConfig(10.0))
+    got = full_gram(ops, ops._ah).toarray()
     want = _sympy_bdm1_element_matrix(10)
     assert got.shape == (6, 6)
     assert np.abs(got - got.T).max() == 0.0
@@ -344,8 +354,10 @@ def test_continuous_interior_field_pure_strain_energy(rng):
     for v in inner:
         coeffs[2 * v] = rng.standard_normal()
         coeffs[2 * v + 1] = rng.standard_normal()
-    a_val = coeffs @ (ops.ah_full() @ coeffs)
-    strain = coeffs @ (ops.EPS @ coeffs)
+    # the boundary dofs hold zeros, so the free ones carry the field
+    coeffs = coeffs[sp.free_dofs]
+    a_val = coeffs @ (ops.ah_matrix() @ coeffs)
+    strain = coeffs @ (ops._upattern.free(ops._EPS) @ coeffs)
     assert a_val == pytest.approx(strain, rel=1e-13)
 
 
@@ -407,10 +419,12 @@ def test_face_terms_match_per_edge_reference(family, perturbed_mesh, rng):
     PEN, CONS, seminorm = _face_terms_per_edge(ops, coeffs, u)
     # rt0 strains are multiples of the identity, so CONS vanishes exactly
     # and is compared on the scale of the strain Gram
-    cons_scale = np.abs(ops.EPS).max() if family == "rt0" else \
+    cons_scale = np.abs(ops._EPS).max() if family == "rt0" else \
         np.abs(CONS).max()
-    assert np.abs(ops.PEN.toarray() - PEN).max() <= 1e-14 * np.abs(PEN).max()
-    assert np.abs(ops.CONS.toarray() - CONS).max() <= 1e-14 * cons_scale
+    pen, cons = (full_gram(ops, low).toarray() for low in (ops._PEN,
+                                                           ops._CONS))
+    assert np.abs(pen - PEN).max() <= 1e-14 * np.abs(PEN).max()
+    assert np.abs(cons - CONS).max() <= 1e-14 * cons_scale
     assert _error_jump_seminorm(ops.uspace, coeffs, _edge_exact(
         ops.uspace, u)) == pytest.approx(seminorm, rel=1e-14)
 
@@ -456,10 +470,15 @@ def _volume_grams_by_quadrature(ops):
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
 def test_volume_grams_match_degree_4_quadrature(family, perturbed_mesh):
     """The Grams built from per-cell derivatives times |K| equal the sums
-    over the degree-4 rule on a perturbed mesh."""
+    over the degree-4 rule on a perturbed mesh, on the free dofs (the
+    couplings on all dofs)."""
     ops = FormOperators(perturbed_mesh[4], (family, "rt0", "p0"))
     for name, ref in _volume_grams_by_quadrature(ops).items():
-        got = getattr(ops, name).toarray()
+        if name in ("B_up", "B_vp"):
+            got = getattr(ops, name).toarray()
+        else:
+            got, free = _free_gram(ops, name)
+            got, ref = got.toarray(), ref[np.ix_(free, free)]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 

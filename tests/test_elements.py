@@ -78,7 +78,7 @@ def test_edge_rule_exactness():
 
 
 @pytest.mark.parametrize("family,ndofs", [
-    ("bdm1", 6), ("rt0", 3), ("p1cvec", 6), ("p0", 1),
+    ("bdm1", 6), ("rt0", 3), ("p1cvec", 6),
 ])
 def test_dof_counts(family, ndofs):
     assert ref_basis(family).dofs_per_cell == ndofs
@@ -295,11 +295,13 @@ def test_cell_gradient_matches_finite_differences(family, perturbed_mesh,
     assert np.abs(got[:, None] - want).max() <= 1e-12 * vmax / delta
 
 
-@pytest.mark.parametrize("method", ["cell_divergence", "cell_gradient"])
-def test_p0_offers_no_derivatives(method):
-    sp = FESpace(structured_mesh(2), "p0")
-    with pytest.raises(ValueError, match="'p0'"):
-        getattr(sp, method)(np.ones(sp.ndof))
+def test_p0_is_no_element_family():
+    """The pressure space needs no basis (`FormOperators.M_p`,
+    `project_qh`), so p0 builds neither a reference basis nor a space."""
+    with pytest.raises(ValueError, match="unknown element family 'p0'"):
+        ref_basis("p0")
+    with pytest.raises(ValueError, match="unknown element family 'p0'"):
+        FESpace(structured_mesh(2), "p0")
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])

@@ -2,7 +2,7 @@
 
 `assembly.GramPattern` lays out one symmetric CSR pattern per space.  Each
 Gram is one bincount onto its lower part, and every matrix handed out on
-all dofs or on the free dofs is one gather over its shared index arrays.
+the free dofs is one gather over its shared index arrays.
 A COO conversion, a `sum_duplicates` or a chained fancy index such as
 `mat[rows][:, cols]` in the code that builds Grams or in the free-dof
 helpers would bring back a second, per-matrix index path that sorts on
@@ -19,7 +19,7 @@ BANNED_CALLS = {"coo_matrix", "coo_array", "tocoo", "sum_duplicates"}
 GUARDED = {
     "GramPattern": None,  # every method
     "FormOperators": {"_cell_gram", "_build_volume", "_build_faces", "_GRAD",
-                      "_DD_v", "_ah", "_grad_jumps", "ah_full", "ah_matrix",
+                      "_DD_v", "_ah", "_grad_jumps", "ah_matrix",
                       "h_norm_gram", "grad_norm_gram", "_B_up_free",
                       "_B_vp_free", "block_system", "norm_blocks",
                       "natural_norm_blocks", "_norms", "_flux_shape"},
@@ -56,8 +56,7 @@ def test_guarded_functions_exist():
     found = {(owner, func.name) for owner, func in _guarded_functions()}
     want = {("FormOperators", name) for name in GUARDED["FormOperators"]}
     assert want <= found
-    assert {("GramPattern", name) for name in ("lower", "full", "free")} \
-        <= found
+    assert {("GramPattern", name) for name in ("lower", "free")} <= found
 
 
 def test_grams_take_the_shared_pattern_path():

@@ -161,8 +161,9 @@ def test_reduced_solve_equals_scaled_physical_solve():
     fu = ops.uspace.free_dofs
     fv = ops.vspace.free_dofs
     two_mu = 2.0 * phys.mu
-    A_uu = (two_mu * ops.ah_full() + phys.lam * ops.DD_u)[fu][:, fu]
-    A_vv = ((phys.tau / phys.K) * ops.M_v)[fv][:, fv]
+    A_uu = (two_mu * ops.ah_matrix()
+            + phys.lam * ops._upattern.free(ops._DD_u))
+    A_vv = (phys.tau / phys.K) * ops._vpattern.free(ops._M_v)
     B_up = (phys.alpha * ops.B_up)[fu]
     B_vp = (phys.tau * ops.B_vp)[fv]
     C_pp = -phys.c_pp * ops.M_p
