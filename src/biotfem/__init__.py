@@ -12,9 +12,8 @@ from .assembly import (AffineLoad, BlockSystem, DGConfig, FormOperators,
 from .analysis import (ConvergenceTable, InfSupResult, ManufacturedCase,
                        conservation_audit, convergence_study, error_norms,
                        infsup_constant, manufactured_case)
-from .elements import (FESpace, QuadRule, RefBasis, DegenerateCell,
-                       interpolate_pi_div, project_qh, ref_basis,
-                       triangle_rule)
+from .elements import (FESpace, QuadRule, DegenerateCell,
+                       interpolate_pi_div, project_qh, triangle_rule)
 from .meshing import TriMesh, structured_mesh
 from .params import (FieldScaling, PhysicalParams, RangeViolation,
                      ReducedParams, DimensionMismatch, compose_timestep_rhs,

@@ -336,10 +336,10 @@ def conservation_audit(system: BlockSystem, x: np.ndarray):
     the identity is algebraically exact up to solver roundoff.
     """
     cu, cv, p_cells = expand_solution(system, x)
-    g_cells = system.rhs_p / system.mesh.signed_areas()
+    g_means = system.rhs_p / system.mesh.signed_areas()
     div_u = system.uspace.cell_divergence(cu)
     div_v = system.vspace.cell_divergence(cv)
-    return -div_u - div_v - system.params.alpha_p * p_cells - g_cells
+    return -div_u - div_v - system.params.alpha_p * p_cells - g_means
 
 
 def solve_manufactured(ops: FormOperators, params: ReducedParams,

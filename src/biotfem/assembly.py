@@ -101,7 +101,6 @@ class BlockSystem:
     uspace: FESpace
     vspace: FESpace
     params: ReducedParams
-    cfg: DGConfig
     families: tuple[str, str, str]
     # the operators that assembled the blocks at `params`, set by
     # `FormOperators.block_system` alone; `replace` drops it, so a system
@@ -283,10 +282,12 @@ class GramPattern:
     stored entry of its CSR matrix on the free dofs is then one gather
     from that data, so the matrix is exactly symmetric and keeps the
     pattern's structural zeros, and sums of Grams are sums of data
-    vectors.  The free-dof pattern is laid out from the lower pattern's
-    free rows and columns.  Its CSR matrices are copies of one template
-    (`_from_template`) and share read-only index arrays: an in-place
-    scipy call on one of them raises instead of changing the others.
+    vectors.  The free-dof pattern is one counting sort (`_sorted_csr`)
+    of the lower pattern's entries in free rows and columns and of the
+    transposes of their strict part.  Its CSR matrices are copies of one
+    template (`_from_template`) and share read-only index arrays: an
+    in-place scipy call on one of them raises instead of changing the
+    others.
     """
 
     def __init__(self, space: FESpace, *tables):
@@ -316,7 +317,7 @@ class GramPattern:
         first[1:] = col[1:] != col[:-1]
         first[ptr[:-1]] = True
         slot = np.cumsum(first, dtype=itype) - 1
-        nlow = self.nlow = int(slot[-1]) + 1
+        self.nlow = int(slot[-1]) + 1
         lptr = np.append(slot[ptr[:-1]], slot[-1] + 1)
         lcol = col[first]
         # numpy gathers through intp maps without converting them
@@ -325,49 +326,24 @@ class GramPattern:
         bounds = np.cumsum([0] + [t.size for t in takes])
         self._maps = [(t, slots[a:b].copy())
                       for t, a, b in zip(takes, bounds, bounds[1:])]
-        # the lower pattern's free rows and columns, renumbered
+        # the lower pattern's entries in free rows and columns, renumbered,
+        # and the transposes of the strict ones: one counting sort lays out
+        # the symmetric free-dof pattern, each entry's id its lower slot
         free = np.zeros(n, dtype=bool)
         free[space.free_dofs] = True
-        kept = free[lcol] & np.repeat(free, np.diff(lptr))
-        counted = np.cumsum(np.append(False, kept), dtype=itype)
-        self.nfree = space.free_dofs.size
         renumber = np.cumsum(free, dtype=itype) - 1
-        self.free_indptr, self.free_indices, self.free_mirror = (
-            self._symmetric(counted[np.append(lptr[space.free_dofs], nlow)],
-                            renumber[lcol[kept]],
-                            np.flatnonzero(kept).astype(itype)))
+        lrow = np.repeat(np.arange(n, dtype=itype), np.diff(lptr))
+        kept = np.flatnonzero(free[lrow] & free[lcol]).astype(itype)
+        rows, cols = renumber[lrow[kept]], renumber[lcol[kept]]
+        strict = rows != cols
+        self.nfree = space.free_dofs.size
+        self.free_indptr, self.free_indices, mirror = _sorted_csr(
+            self.nfree, np.concatenate((rows, cols[strict])),
+            np.concatenate((cols, rows[strict])),
+            np.concatenate((kept, kept[strict])))
+        self.free_mirror = mirror.astype(np.intp)  # an intp map, as slots
         for a in (self.free_indptr, self.free_indices, self.free_mirror):
             a.flags.writeable = False
-
-    @staticmethod
-    def _symmetric(lptr, lcol, slots):
-        """(indptr, indices, mirror) of the symmetric pattern whose lower
-        part is the CSR pattern (lptr, lcol), each row ending with its
-        diagonal; mirror gathers each stored entry from `slots`, the
-        lower-pattern slots of the lower part's entries."""
-        n, nlow = lptr.size - 1, lcol.size
-        itype = lptr.dtype
-        # the strict lower part, transposed by a counting sort, is the
-        # strict upper part
-        strict = np.ones(nlow, dtype=bool)
-        strict[lptr[1:] - 1] = False
-        nup = nlow - n
-        uptr = np.empty(n + 1, dtype=itype)
-        ucol = np.empty(nup, dtype=itype)
-        uslot = np.empty(nup, dtype=itype)
-        _sparsetools.csr_tocsc(n, n, lptr - np.arange(n + 1, dtype=itype),
-                               lcol[strict], slots[strict], uptr, ucol,
-                               uslot)
-        # a row of the pattern is its lower part, then its upper part
-        lpos = np.arange(nlow, dtype=itype) + np.repeat(uptr[:-1],
-                                                        np.diff(lptr))
-        upos = np.arange(nup, dtype=itype) + np.repeat(lptr[1:],
-                                                       np.diff(uptr))
-        indices = np.empty(nlow + nup, dtype=itype)
-        indices[lpos], indices[upos] = lcol, ucol
-        mirror = np.empty(nlow + nup, dtype=np.intp)
-        mirror[lpos], mirror[upos] = slots, uslot
-        return lptr + uptr, indices, mirror
 
     def lower(self, elem, table: int = 0) -> np.ndarray:
         """Lower-pattern data of the sum of local matrices elem (m, k, k)
@@ -481,7 +457,6 @@ class FormOperators:
         self._EPS = self._cell_gram(self._upattern,
                                     0.5 * (grad + np.swapaxes(grad, -2, -1)))
         self._DD_u = self._cell_gram(self._upattern, self.uspace.cell_div)
-        self.B_up = self._coupling(self.uspace)
 
         self._vpattern = GramPattern(self.vspace)
         rule = triangle_rule(4)
@@ -489,7 +464,6 @@ class FormOperators:
         val = self.vspace.tabulate(rule.points)
         self._M_v = self._vpattern.lower(np.einsum("kq,kiqa,kjqa->kij", wK,
                                                    val, val, optimize=True))
-        self.B_vp = self._coupling(self.vspace)
         cells = np.arange(self.mesh.num_cells + 1, dtype=np.int32)
         self.M_p = _read_only(_shared_csr(self.areas.copy(), cells[:-1],
                                           cells, (cells[-1],) * 2))
@@ -506,13 +480,18 @@ class FormOperators:
         return self._cell_gram(self._vpattern, self.vspace.cell_div)
 
     def _coupling(self, space: FESpace) -> sps.csr_matrix:
-        # -(p, div w) with cellwise-constant p: column k gets -int_K div w_i,
-        # so row k of the transpose lists the dofs of cell k
-        nc, nloc = space.cell_dofs.shape
+        # -(p, div w) with cellwise-constant p on the free dofs: column k
+        # gets -int_K div w_i, so row k of the transpose lists the free
+        # dofs of cell k
+        renumber = np.full(space.ndof, -1)
+        renumber[space.free_dofs] = np.arange(space.free_dofs.size)
+        dofs = renumber[space.cell_dofs]
+        kept = dofs >= 0
         vals = -self.areas[:, None] * space.cell_div
-        mat = sps.csr_matrix((vals.ravel(), space.cell_dofs.ravel(),
-                              np.arange(0, nc * nloc + 1, nloc)),
-                             shape=(nc, space.ndof)).T.tocsr()
+        mat = sps.csr_matrix((vals[kept], dofs[kept],
+                              np.append(0, np.cumsum(kept.sum(axis=1)))),
+                             shape=(dofs.shape[0], space.free_dofs.size)
+                             ).T.tocsr()
         mat.eliminate_zeros()  # the divergence-free bdm1 functions
         return _read_only(mat)
 
@@ -588,11 +567,11 @@ class FormOperators:
 
     @cached_property
     def _B_up_free(self):
-        return _read_only(self.B_up[self.uspace.free_dofs].tocsr())
+        return self._coupling(self.uspace)
 
     @cached_property
     def _B_vp_free(self):
-        return _read_only(self.B_vp[self.vspace.free_dofs].tocsr())
+        return self._coupling(self.vspace)
 
     @cached_property
     def _saddle(self) -> BlockLayout:
@@ -639,26 +618,23 @@ class FormOperators:
         _, sigma, Vt = np.linalg.svd(Y)
         return sigma, (Vt @ H_r.T) / root
 
-    def block_system(self, params: ReducedParams, f=None, g=None,
-                     g_cells=None) -> BlockSystem:
+    def block_system(self, params: ReducedParams, f=None,
+                     g=None) -> BlockSystem:
         A_uu = self._upattern.free(self._ah + params.lam * self._DD_u)
         A_vv = self._vpattern.free(params.rp_inv * self._M_v)
         C_pp = _from_template(self.M_p, -params.alpha_p * self.M_p.data)
-        rhs_u, rhs_v, rhs_p = self.rhs(f=f, g=g, g_cells=g_cells)
+        rhs_u, rhs_v, rhs_p = self.rhs(f=f, g=g)
         system = BlockSystem(A_uu, self._B_up_free, A_vv, self._B_vp_free,
                              C_pp, rhs_u[self.uspace.free_dofs],
                              rhs_v[self.vspace.free_dofs], rhs_p,
-                             self.uspace, self.vspace, params, self.cfg,
-                             self.families)
+                             self.uspace, self.vspace, params, self.families)
         object.__setattr__(system, "ops", self)
         return system
 
-    def rhs(self, f=None, g=None, g_cells=None):
+    def rhs(self, f=None, g=None):
         """Load vectors (f, w), 0, (g, q) on the full dof sets.
 
-        f and g are callables of (x, y) or `AffineLoad`s; alternatively
-        pass g_cells with per-cell values of a piecewise-constant source
-        (exact for the cellwise-constant pressure test space).  The load
+        f and g are callables of (x, y) or `AffineLoad`s.  The load
         vectors of an `AffineLoad`'s components are assembled on its first
         use and kept per `parts`, so each later load is one small dot
         product with its coefficients; a plain callable is one component,
@@ -667,17 +643,11 @@ class FormOperators:
         mean-free source survives extreme coefficient scales; degree 8
         suffices for the vector load.
         """
-        if g is not None and g_cells is not None:
-            raise ValueError("pass either g or g_cells, not both")
         rhs_u = (np.zeros(self.uspace.ndof) if f is None
                  else self._load(f, self._f_vectors, self._f_cache))
         rhs_v = np.zeros(self.vspace.ndof)
-        if g is not None:
-            rhs_p = self._load(g, self._g_vectors, self._g_cache)
-        elif g_cells is not None:
-            rhs_p = np.asarray(g_cells, dtype=float) * self.areas
-        else:
-            rhs_p = np.zeros(self.mesh.num_cells)
+        rhs_p = (np.zeros(self.mesh.num_cells) if g is None
+                 else self._load(g, self._g_vectors, self._g_cache))
         return rhs_u, rhs_v, rhs_p
 
     @staticmethod

@@ -404,8 +404,6 @@ class TimeStepState:
 
     u_prev: np.ndarray
     p_prev: np.ndarray
-    step: int
-    tau: float
 
 
 def timestep_drive(cfg: RunConfig):
@@ -423,8 +421,7 @@ def timestep_drive(cfg: RunConfig):
     ops = FormOperators(structured_mesh(cfg.mesh_n), cfg.families(),
                         DGConfig(cfg.eta))
     state = TimeStepState(u_prev=np.zeros(ops.uspace.ndof),
-                          p_prev=np.zeros(ops.mesh.num_cells),
-                          step=0, tau=phys.tau)
+                          p_prev=np.zeros(ops.mesh.num_cells))
 
     g_fn = _TIMESTEP_SOURCES.get(cfg.g_mode)
     if g_fn is None:
@@ -432,7 +429,7 @@ def timestep_drive(cfg: RunConfig):
     rule = triangle_rule(8)
     xy = ops.mesh.cell_points(rule.points)
     # the source does not depend on time, so it is integrated once
-    g_cells = np.einsum("kq,q->k", g_fn(xy[..., 0], xy[..., 1]),
+    g_means = np.einsum("kq,q->k", g_fn(xy[..., 0], xy[..., 1]),
                         rule.weights, optimize=True) \
         * ops.uspace.detJ / ops.areas
     system = ops.block_system(red)
@@ -440,15 +437,14 @@ def timestep_drive(cfg: RunConfig):
     records = []
     for k in range(1, cfg.steps + 1):
         t_k = k * phys.tau
-        gk_red = compose_timestep_rhs(g_cells, state.u_prev, state.p_prev,
+        gk_red = compose_timestep_rhs(g_means, state.u_prev, state.p_prev,
                                       phys, ops.uspace)
-        system = replace(system, rhs_p=ops.rhs(g_cells=gk_red)[2])
+        system = replace(system, rhs_p=gk_red * ops.areas)
         x, mult = solver.solve(system.rhs)
         cu, cv, p_cells = analysis.expand_solution(system, x)
         audit = analysis.conservation_audit(system, x)
         state = TimeStepState(u_prev=cu / scaling.u_scale,
-                              p_prev=p_cells / scaling.p_scale,
-                              step=k, tau=phys.tau)
+                              p_prev=p_cells / scaling.p_scale)
         records.append({
             "step": k,
             "time": t_k,

@@ -3,9 +3,10 @@
 Vector families are H(div)-style: degrees of freedom are normal-component
 moments on edges, taken with a global edge orientation (lower vertex index
 to higher).
-The reference basis inverts the matrix of dof functionals applied to the
-polynomial generators once.  Physical bases need no inversion: the
-contravariant Piola map carries each reference normal moment to the
+The nodal reference basis of an H(div) family inverts the matrix of dof
+functionals applied to the polynomial generators once (`_ref_coeff`);
+p1cvec's generators are already nodal.  Physical bases need no inversion:
+the contravariant Piola map carries each reference normal moment to the
 physical one up to a closed-form factor (the edge-length ratio, the sign of
 the stored normal and, for the first moment, the sign between the two edge
 parametrizations), so each cell's coefficients are the reference ones with
@@ -63,7 +64,6 @@ class DegenerateCell(ValueError):
 class QuadRule:
     """Quadrature on the reference triangle; weights sum to the area 1/2."""
 
-    degree: int
     bary: np.ndarray
     weights: np.ndarray
 
@@ -82,7 +82,7 @@ def _dunavant4() -> QuadRule:
         for pt in ((b, a, a), (a, b, a), (a, a, b)):
             bary.append(pt)
             weights.append(w)
-    return QuadRule(4, np.asarray(bary), 0.5 * np.asarray(weights))
+    return QuadRule(np.asarray(bary), 0.5 * np.asarray(weights))
 
 
 # m-point Gauss-Jacobi(1, 0) nodes and weights on [-1, 1], m = 3..7, for
@@ -126,7 +126,7 @@ def _conical(degree: int) -> QuadRule:
     y = np.tile(eta, m)
     w = np.outer(wxi, weta).ravel()
     bary = np.column_stack((1.0 - x - y, x, y))
-    return QuadRule(degree, bary, w)
+    return QuadRule(bary, w)
 
 
 @lru_cache(maxsize=None)
@@ -242,29 +242,14 @@ def _dof_scale(family, mesh: TriMesh) -> np.ndarray:
     return d.reshape(mesh.num_cells, -1)
 
 
-class RefBasis:
-    """Nodal reference basis of one family: the dof functionals applied to
-    the basis give the identity matrix.
-    """
-
-    def __init__(self, family: str):
-        if family not in VECTOR_FAMILIES:
-            raise ValueError(f"unknown element family {family!r}")
-        self.family = family
-        ngen = _gen_eval(family, np.zeros((1, 2))).shape[0]
-        self.dofs_per_cell = ngen
-        if family == "p1cvec":
-            self._coeff = np.eye(ngen)  # generators are already nodal
-        else:
-            self._coeff = np.linalg.inv(self._ref_dof_matrix())
-
-    def _ref_dof_matrix(self) -> np.ndarray:
-        return _dof_matrices(self.family, _REF_CELL)[0]
-
-
 @lru_cache(maxsize=None)
-def ref_basis(family: str) -> RefBasis:
-    return RefBasis(family)
+def _ref_coeff(family: str) -> np.ndarray:
+    """Generator coefficients of the nodal reference basis of an H(div)
+    family, read-only: the dof functionals applied to the basis give the
+    identity matrix."""
+    coeff = np.linalg.inv(_dof_matrices(family, _REF_CELL)[0])
+    coeff.flags.writeable = False
+    return coeff
 
 
 def _cell_contract(local, tab):
@@ -283,9 +268,10 @@ class FESpace:
     """Global dof layout plus per-cell physical basis coefficients."""
 
     def __init__(self, mesh: TriMesh, family: str):
+        if family not in VECTOR_FAMILIES:
+            raise ValueError(f"unknown element family {family!r}")
         self.mesh = mesh
         self.family = family
-        self.ref = ref_basis(family)
 
         self.J = mesh.jacobians()
         self.detJ = (self.J[:, 0, 0] * self.J[:, 1, 1]
@@ -331,13 +317,13 @@ class FESpace:
     # -- physical nodal coefficients ----------------------------------------
 
     def _build_cell_coeff(self):
-        nloc = self.ref.dofs_per_cell
-        if self.family == "p1cvec":
+        if self.family == "p1cvec":  # the generators are already nodal
+            nloc = len(_AFFINE["p1cvec"])
             self.coeff = np.broadcast_to(np.eye(nloc),
                                          (self.mesh.num_cells, nloc, nloc))
             return
         # closed form of the inverse of the cell's dof matrix diag(d) D_ref
-        self.coeff = (self.ref._coeff
+        self.coeff = (_ref_coeff(self.family)
                       / _dof_scale(self.family, self.mesh)[:, None, :])
 
     # -- the affine basis: values at x0, derivatives constant per cell -----

@@ -180,7 +180,7 @@ def reduce(phys: PhysicalParams) -> tuple[ReducedParams, FieldScaling]:
     return red, scaling
 
 
-def compose_timestep_rhs(g_cells, u_prev, p_prev, phys: PhysicalParams,
+def compose_timestep_rhs(g_means, u_prev, p_prev, phys: PhysicalParams,
                          uspace) -> np.ndarray:
     """Per-step pressure-equation source for the backward Euler sweep.
 
@@ -193,19 +193,19 @@ def compose_timestep_rhs(g_cells, u_prev, p_prev, phys: PhysicalParams,
 
     Parameters
     ----------
-    g_cells : per-cell means of the physical source at the new time level
+    g_means : per-cell means of the physical source at the new time level
     u_prev : physical displacement coefficients on `uspace`
     p_prev : physical per-cell pressure values
     phys : physical parameters (tau, alpha, c_pp are used)
     uspace : displacement FE space of u_prev (supplies cellwise divergence)
     """
     ncells = uspace.mesh.num_cells
-    g_cells = np.asarray(g_cells, dtype=float)
+    g_means = np.asarray(g_means, dtype=float)
     u_prev = np.asarray(u_prev, dtype=float)
     p_prev = np.asarray(p_prev, dtype=float)
-    if g_cells.shape != (ncells,):
+    if g_means.shape != (ncells,):
         raise DimensionMismatch(
-            f"g has {g_cells.shape}, expected ({ncells},)")
+            f"g has {g_means.shape}, expected ({ncells},)")
     if p_prev.shape != (ncells,):
         raise DimensionMismatch(
             f"p_prev has {p_prev.shape}, expected ({ncells},)")
@@ -213,6 +213,6 @@ def compose_timestep_rhs(g_cells, u_prev, p_prev, phys: PhysicalParams,
         raise DimensionMismatch(
             f"u_prev has {u_prev.shape}, expected ({uspace.ndof},)")
     div_u = uspace.cell_divergence(u_prev)
-    gk = -phys.tau * g_cells - phys.alpha * div_u - phys.c_pp * p_prev
+    gk = -phys.tau * g_means - phys.alpha * div_u - phys.c_pp * p_prev
     _, scaling = reduce(phys)
     return scaling.g_scale * gk

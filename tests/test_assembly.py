@@ -467,15 +467,36 @@ def _volume_grams_by_quadrature(ops):
             "B_vp": coupling(v, div_v)}
 
 
+def _coupling_rows_of_all_dofs(ops, space):
+    """The coupling of `space` laid out on all its dofs, the transpose of
+    one CSR row of -|K| div w_i per cell with its zeros eliminated, then
+    its free rows: the reference the free coupling equals bitwise."""
+    nc, nloc = space.cell_dofs.shape
+    vals = -ops.areas[:, None] * space.cell_div
+    mat = sps.csr_matrix((vals.ravel(), space.cell_dofs.ravel(),
+                          np.arange(0, nc * nloc + 1, nloc)),
+                         shape=(nc, space.ndof)).T.tocsr()
+    mat.eliminate_zeros()
+    return mat[space.free_dofs].tocsr()
+
+
 @pytest.mark.parametrize("family", ["bdm1", "rt0", "p1cvec"])
 def test_volume_grams_match_degree_4_quadrature(family, perturbed_mesh):
     """The Grams built from per-cell derivatives times |K| equal the sums
-    over the degree-4 rule on a perturbed mesh, on the free dofs (the
-    couplings on all dofs)."""
+    over the degree-4 rule on a perturbed mesh, on the free dofs.  The
+    couplings, built on the free dofs, hold bitwise the free rows of the
+    couplings on all dofs."""
     ops = FormOperators(perturbed_mesh[4], (family, "rt0", "p0"))
     for name, ref in _volume_grams_by_quadrature(ops).items():
         if name in ("B_up", "B_vp"):
-            got = getattr(ops, name).toarray()
+            space = ops.uspace if name == "B_up" else ops.vspace
+            got = getattr(ops, f"_{name}_free")
+            rows = _coupling_rows_of_all_dofs(ops, space)
+            for a in ("indices", "indptr", "data"):
+                want = getattr(rows, a)
+                assert getattr(got, a).dtype == want.dtype, (name, a)
+                assert getattr(got, a).tobytes() == want.tobytes(), (name, a)
+            got, ref = got.toarray(), ref[space.free_dofs]
         else:
             got, free = _free_gram(ops, name)
             got, ref = got.toarray(), ref[np.ix_(free, free)]

@@ -7,12 +7,13 @@ and preconditioner blocks.  A `bmat`, `block_diag`, `hstack` or `vstack`
 elsewhere in the package would build a second layout, convert every block
 through COO on each call and could drift from the first.
 
-`BlockLayout` and `GramPattern` sort their coordinates through
-`assembly._sorted_csr`, the one caller of scipy's private `coo_tocsr` and
-`csr_sort_indices` kernels; besides it, only `GramPattern`'s transpose
-(`csr_tocsc`) touches `_sparsetools`.  A second caller would be a second
-place to mend when that private API changes.  The checks parse the
-source, so they cover calls that no other test reaches.
+`BlockLayout` and `GramPattern`, its lower and its free-dof pattern
+alike, sort their coordinates through `assembly._sorted_csr`, the one
+caller of scipy's private `coo_tocsr` and `csr_sort_indices` kernels and
+the one place besides its import that touches `_sparsetools`.  A second
+caller would be a second place to mend when that private API changes.
+The checks parse the source, so they cover calls that no other test
+reaches.
 """
 import ast
 from pathlib import Path
@@ -27,8 +28,7 @@ SORT_KERNELS = {"coo_tocsr", "csr_sort_indices"}
 # (file, enclosing top-level definition, use) allowed to touch _sparsetools
 KERNEL_SITES = {("assembly.py", None, "import"),
                 ("assembly.py", "_sorted_csr", "coo_tocsr"),
-                ("assembly.py", "_sorted_csr", "csr_sort_indices"),
-                ("assembly.py", "GramPattern", "csr_tocsc")}
+                ("assembly.py", "_sorted_csr", "csr_sort_indices")}
 
 
 def _tops(path):

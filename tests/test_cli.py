@@ -487,14 +487,14 @@ class TestTimestep:
         ops = FormOperators(structured_mesh(2), ("bdm1", "rt0", "p0"))
         rule = triangle_rule(8)
         xy = ops.mesh.cell_points(rule.points)
-        g_cells = np.einsum("kq,q->k",
+        g_means = np.einsum("kq,q->k",
                             np.cos(np.pi * xy[..., 0])
                             * np.cos(np.pi * xy[..., 1]), rule.weights) \
             * ops.uspace.detJ / ops.areas
-        gk = compose_timestep_rhs(g_cells, np.zeros(ops.uspace.ndof),
+        gk = compose_timestep_rhs(g_means, np.zeros(ops.uspace.ndof),
                                   np.zeros(ops.mesh.num_cells), phys,
                                   ops.uspace)
-        system = ops.block_system(red, g_cells=gk)
+        system = replace(ops.block_system(red), rhs_p=gk * ops.areas)
         x, _ = solve_direct(system)
         cu, cv, pp = expand_solution(system, x)
         assert np.abs(cu / scal.u_scale - state.u_prev).max() <= 1e-12 * (
@@ -521,13 +521,13 @@ class TestTimestep:
         ops = FormOperators(structured_mesh(2), ("bdm1", "rt0", "p0"))
         rule = triangle_rule(8)
         xy = ops.mesh.cell_points(rule.points)
-        g_cells = np.einsum("kq,q->k",
+        g_means = np.einsum("kq,q->k",
                             np.cos(np.pi * xy[..., 0])
                             * np.cos(np.pi * xy[..., 1]), rule.weights) \
             * ops.uspace.detJ / ops.areas
-        gk2 = compose_timestep_rhs(g_cells, state1.u_prev, state1.p_prev,
+        gk2 = compose_timestep_rhs(g_means, state1.u_prev, state1.p_prev,
                                    phys, ops.uspace)
-        system = ops.block_system(red, g_cells=gk2)
+        system = replace(ops.block_system(red), rhs_p=gk2 * ops.areas)
         x, _ = solve_direct(system)
         cu, _, pp = expand_solution(system, x)
         assert np.abs(cu / scal.u_scale - state2.u_prev).max() <= 1e-11 * (

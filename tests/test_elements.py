@@ -10,9 +10,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from biotfem import elements
-from biotfem.elements import (DegenerateCell, FESpace, _dof_matrices,
-                              edge_rule, interpolate_pi_div, project_qh,
-                              ref_basis, triangle_rule)
+from biotfem.elements import (_REF_CELL, DegenerateCell, FESpace,
+                              _dof_matrices, _ref_coeff, edge_rule,
+                              interpolate_pi_div, project_qh, triangle_rule)
 from biotfem.meshing import BOUNDARY, from_arrays, structured_mesh
 
 from conftest import pulled_back_values
@@ -81,20 +81,19 @@ def test_edge_rule_exactness():
     ("bdm1", 6), ("rt0", 3), ("p1cvec", 6),
 ])
 def test_dof_counts(family, ndofs):
-    assert ref_basis(family).dofs_per_cell == ndofs
+    assert FESpace(structured_mesh(2), family).cell_dofs.shape[1] == ndofs
 
 
 def test_unknown_family_rejected():
     """rt1, whose divergence is not cellwise constant, is not a family."""
     with pytest.raises(ValueError, match="unknown element family"):
-        ref_basis("rt1")
+        FESpace(structured_mesh(2), "rt1")
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt0"])
 def test_reference_kronecker(family):
-    rb = ref_basis(family)
-    M = rb._ref_dof_matrix() @ rb._coeff
-    assert np.abs(M - np.eye(rb.dofs_per_cell)).max() <= 1e-12
+    M = _dof_matrices(family, _REF_CELL)[0] @ _ref_coeff(family)
+    assert np.abs(M - np.eye(len(M))).max() <= 1e-12
 
 
 def test_piola_degenerate_cell():
@@ -179,7 +178,7 @@ def test_physical_dofs_of_the_basis_are_the_identity(family, mesh_name,
     with the stored normals, applied to its basis give the identity."""
     mesh = _coefficient_mesh(mesh_name, perturbed_mesh)
     sp = FESpace(mesh, family)
-    nc, nloc = mesh.num_cells, sp.ref.dofs_per_cell
+    nc, nloc = sp.cell_dofs.shape
     snod, swts = edge_rule(10)
     edges = mesh.cell_edges  # (nc, 3)
     pts = mesh.edge_points(snod)[edges].reshape(nc, -1, 2)
@@ -218,7 +217,7 @@ def test_space_inverts_no_cell_matrix(family, perturbed_mesh, monkeypatch):
         calls.append(("inv", np.shape(a)))
         return inv(a)
 
-    ref_basis(family)  # the reference basis inverts its one matrix once
+    _ref_coeff(family)  # the reference basis inverts its one matrix once
     monkeypatch.setattr(elements, "_dof_matrices", spy_dofs)
     monkeypatch.setattr(np.linalg, "inv", spy_inv)
     FESpace(perturbed_mesh[8], family)
@@ -297,9 +296,7 @@ def test_cell_gradient_matches_finite_differences(family, perturbed_mesh,
 
 def test_p0_is_no_element_family():
     """The pressure space needs no basis (`FormOperators.M_p`,
-    `project_qh`), so p0 builds neither a reference basis nor a space."""
-    with pytest.raises(ValueError, match="unknown element family 'p0'"):
-        ref_basis("p0")
+    `project_qh`), so p0 builds no space."""
     with pytest.raises(ValueError, match="unknown element family 'p0'"):
         FESpace(structured_mesh(2), "p0")
 

@@ -164,8 +164,8 @@ def test_reduced_solve_equals_scaled_physical_solve():
     A_uu = (two_mu * ops.ah_matrix()
             + phys.lam * ops._upattern.free(ops._DD_u))
     A_vv = (phys.tau / phys.K) * ops._vpattern.free(ops._M_v)
-    B_up = (phys.alpha * ops.B_up)[fu]
-    B_vp = (phys.tau * ops.B_vp)[fv]
+    B_up = phys.alpha * ops._B_up_free
+    B_vp = phys.tau * ops._B_vp_free
     C_pp = -phys.c_pp * ops.M_p
     rhs_u, rhs_v, rhs_p = ops.rhs(f=f, g=g)
     A = sps.bmat([[A_uu, None, B_up], [None, A_vv, B_vp],

@@ -6,7 +6,9 @@ Each one must be read somewhere in the package outside `__init__.py`, in
 every public method, property and class-level attribute (dataclass fields
 included) of the package's classes, except that README prose does not
 count for them and a read inside the member's own definition does not
-count either.
+count either.  Members are matched by name alone, so the scan cannot
+see a member whose name is read on another object: a field `step`,
+`tau` or `cfg` would pass on any `x.step`, `x.tau` or `x.cfg` read.
 """
 import ast
 import re
@@ -52,12 +54,15 @@ def test_every_public_name_is_used_outside_the_tests():
 
 
 def _member_reads(tree):
-    """(line, name) of each read below `tree`: names, attributes and
+    """(line, name) of each member read below `tree`: attributes and
     string constants, since `getattr` reads members by name (as
-    `ManufacturedCase.at` reads its fields)."""
-    yield from _loads(tree)
+    `ManufacturedCase.at` reads its fields).  A bare name is a local or
+    global variable, not a member read, so it does not count."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                          ast.Load):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.lineno, node.value
 
 

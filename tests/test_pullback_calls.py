@@ -5,9 +5,9 @@ value as cell_val0 + cell_grad (x - x0).  Mapping physical points back to
 the reference cell through Jinv and re-evaluating the generators there is
 a second, per-point path to the same numbers.  In `src/`, `Jinv` is read
 only in `FESpace.cell_grad` (the chain rule), and the generators
-`_gen_eval` only by `_dof_matrices` and `RefBasis`, which work on the
-reference cell.  The check parses the source, so it covers code that no
-other test reaches.
+`_gen_eval` only by `_dof_matrices`, which applies the dof functionals to
+them (on the reference cell, for `_ref_coeff`).  The check parses the
+source, so it covers code that no other test reaches.
 """
 import ast
 from pathlib import Path
@@ -17,7 +17,7 @@ import biotfem
 SOURCES = sorted(Path(biotfem.__file__).parent.glob("*.py"))
 ALLOWED = {
     "Jinv": {"FESpace.cell_grad"},
-    "_gen_eval": {"_dof_matrices", "RefBasis"},
+    "_gen_eval": {"_dof_matrices"},
 }
 
 
@@ -52,8 +52,6 @@ def test_allowed_sites_read_their_names():
     found = {(owner, name) for _, owner, name, _ in _all_reads()}
     assert ("FESpace.cell_grad", "Jinv") in found
     assert ("_dof_matrices", "_gen_eval") in found
-    assert any(owner.startswith("RefBasis.") and name == "_gen_eval"
-               for owner, name in found)
 
 
 def test_no_per_point_pull_back():
