@@ -731,9 +731,3 @@ def _pressure_reflector(w: np.ndarray) -> np.ndarray:
     # the sign keeps this sum free of cancellation
     v[-1] += np.copysign(1.0, v[-1])
     return v / np.linalg.norm(v)
-
-
-def export_matrix_market(path, matrix):
-    """Dump any assembled block in Matrix Market coordinate format."""
-    from scipy.io import mmwrite
-    mmwrite(str(path), sps.coo_matrix(matrix))

@@ -21,13 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, output
-from .assembly import DGConfig, FormOperators, export_matrix_market
+from .assembly import DGConfig, FormOperators
 from .elements import VECTOR_FAMILIES, triangle_rule
 from .meshing import structured_mesh
-from .params import (PhysicalParams, RangeViolation, ReducedParams,
-                     compose_timestep_rhs, reduce)
-from .solver import DirectSolver, SolveReport, build_preconditioner, \
-    minres_solve
+from .params import (FieldScaling, PhysicalParams, RangeViolation,
+                     ReducedParams, compose_timestep_rhs, reduce)
+from .solver import DirectSolver, build_preconditioner, minres_solve
 
 
 class ConfigError(ValueError):
@@ -62,6 +61,12 @@ class RunConfig:
         return tuple(self.triple.split("-"))
 
     def reduced_params(self) -> ReducedParams:
+        return self.reduction()[0]
+
+    def reduction(self) -> tuple[ReducedParams, FieldScaling | None]:
+        """The reduced triple of the given parameter set and, for physical
+        data, its field scaling (None for a reduced triple).  A value outside
+        its admissible range, lambda < 2 mu included, is a ConfigError."""
         if (self.physical is None) == (self.reduced is None):
             raise ConfigError("exactly one of the physical or reduced "
                               "parameter sets must be given")
@@ -69,9 +74,8 @@ class RunConfig:
             if self.reduced is not None:
                 return ReducedParams(self.reduced["lambda_red"],
                                      self.reduced["rp_inv"],
-                                     self.reduced["alpha_p"])
-            red, _ = reduce(self.physical_params())
-            return red
+                                     self.reduced["alpha_p"]), None
+            return reduce(self.physical_params())
         except RangeViolation as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -322,34 +326,35 @@ def run_solve(cfg: RunConfig) -> int:
     f, g, case = _source_functions(cfg, params)
     system = ops.block_system(params, f=f, g=g)
     if cfg.dump_mesh:
-        (out / "mesh.txt").write_text(ops.mesh.dump())
+        output.write_mesh(ops.mesh, out / "mesh.txt")
     if cfg.export_blocks:
         for name, mat in (("A_uu", system.A_uu), ("B_up", system.B_up),
                           ("A_vv", system.A_vv), ("B_vp", system.B_vp),
                           ("C_pp", system.C_pp)):
-            export_matrix_market(out / f"{name}.mtx", mat)
-    extra = {}
+            output.write_matrix_market(mat, out / f"{name}.mtx")
+    record = {"method": cfg.method, "cond_estimate": None}
     if cfg.method == "minres":
         precond = build_preconditioner(ops.norm_blocks(params), system)
         x, report = minres_solve(system, precond, tol=cfg.tol,
                                  max_iter=cfg.max_iter)
-        report.write_history_csv(out / "residuals.csv")
-        extra["lu_fill"] = precond.lu_fill
+        output.write_csv(out / "residuals.csv", ["iter", "resnorm"],
+                         enumerate(report.residual_history))
+        record.update(iterations=report.iterations,
+                      residual_history=report.residual_history,
+                      converged=report.converged, tol=report.tol,
+                      wall_time=report.wall_time, lu_fill=precond.lu_fill)
     else:
         # the direct path refines to a fixed bound; it takes no tolerance
         t0 = time.perf_counter()
         solver = DirectSolver(system)
         x, mult = solver.solve(system.rhs)
-        report = SolveReport(iterations=0, residual_history=[],
-                             converged=True, tol=None,
-                             wall_time=time.perf_counter() - t0,
-                             method="direct")
-        extra["lu_fill"] = solver.lu_fill
-        extra["refine_iterations"] = solver.refine_iterations
-        extra["refine_solves"] = solver.refine_solves
-        extra["refine_residual"] = solver.refine_residual
+        record.update(iterations=0, residual_history=[], converged=True,
+                      tol=None, wall_time=time.perf_counter() - t0,
+                      lu_fill=solver.lu.nnz,
+                      refine_iterations=solver.refine_iterations,
+                      refine_solves=solver.refine_solves,
+                      refine_residual=solver.refine_residual)
     audit = analysis.conservation_audit(system, x)
-    record = json.loads(report.to_json(**extra))
     record["conservation_max"] = float(np.abs(audit).max())
     if case is not None:
         errs = analysis.error_norms(system, x, case)
@@ -416,8 +421,8 @@ def timestep_drive(cfg: RunConfig):
     solves against that factor, and audits local mass conservation.
     Returns (list of step records, state).
     """
+    red, scaling = cfg.reduction()
     phys = cfg.physical_params()
-    red, scaling = reduce(phys)
     ops = FormOperators(structured_mesh(cfg.mesh_n), cfg.families(),
                         DGConfig(cfg.eta))
     state = TimeStepState(u_prev=np.zeros(ops.uspace.ndof),

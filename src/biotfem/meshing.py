@@ -99,27 +99,6 @@ class TriMesh:
         return (0.5 * (xa + xb)[:, None, :]
                 + 0.5 * np.asarray(s)[None, :, None] * (xb - xa)[:, None, :])
 
-    def dump(self) -> str:
-        """Plain-text node/element/edge listing (debugging aid)."""
-
-        def g17(x):
-            return format(float(x), ".17g")
-
-        lines = [f"# vertices {self.num_vertices}"]
-        for i, (x, y) in enumerate(self.vertices):
-            lines.append(f"{i} {g17(x)} {g17(y)}")
-        lines.append(f"# cells {self.num_cells}")
-        for k, (a, b, c) in enumerate(self.cells):
-            lines.append(f"{k} {a} {b} {c}")
-        lines.append(f"# edges {self.num_edges}")
-        for e in range(self.num_edges):
-            a, b = self.edge_vertices[e]
-            k1, k2 = self.edge_cells[e]
-            nx, ny = self.edge_normal[e]
-            lines.append(f"{e} {a} {b} {k1} {k2} {g17(nx)} {g17(ny)} "
-                         f"{g17(self.edge_length[e])}")
-        return "\n".join(lines) + "\n"
-
 
 def _build_edges(vertices: np.ndarray, cells: np.ndarray):
     """Derive edge tables from cells; K1 is the cell left of the a->b edge.

@@ -1,7 +1,7 @@
-"""Deterministic CSV/JSON emission for experiment artifacts.
+"""Every file a run writes: CSV, JSON, the mesh listing and Matrix Market.
 
-Floats are written with 17 significant digits so binary64 values round-trip
-exactly and identical runs produce byte-identical files.
+Floats are written with 17 significant digits (`fmt`) so binary64 values
+round-trip exactly and identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -68,4 +68,32 @@ def write_json(record, path):
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def write_mesh(mesh, path):
+    """Plain-text vertex/cell/edge listing of `mesh` (debugging aid)."""
+    lines = [f"# vertices {mesh.num_vertices}"]
+    for i, (x, y) in enumerate(mesh.vertices):
+        lines.append(f"{i} {fmt(x)} {fmt(y)}")
+    lines.append(f"# cells {mesh.num_cells}")
+    for k, (a, b, c) in enumerate(mesh.cells):
+        lines.append(f"{k} {a} {b} {c}")
+    lines.append(f"# edges {mesh.num_edges}")
+    for e in range(mesh.num_edges):
+        a, b = mesh.edge_vertices[e]
+        k1, k2 = mesh.edge_cells[e]
+        nx, ny = mesh.edge_normal[e]
+        lines.append(f"{e} {a} {b} {k1} {k2} {fmt(nx)} {fmt(ny)} "
+                     f"{fmt(mesh.edge_length[e])}")
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def write_matrix_market(matrix, path):
+    """Sparse `matrix` in Matrix Market coordinate format."""
+    import scipy.sparse as sps
+    from scipy.io import mmwrite
+    mmwrite(str(path), sps.coo_matrix(matrix))
     return path

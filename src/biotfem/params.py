@@ -123,22 +123,16 @@ class FieldScaling:
 
     def to_reduced(self, u=None, v=None, p=None, f=None, g=None):
         """Scale any subset of physical fields/arrays to reduced scale."""
-        out = []
-        for field, fac in ((u, self.u_scale), (v, self.v_scale),
-                           (p, self.p_scale), (f, self.f_scale),
-                           (g, self.g_scale)):
-            if field is not None:
-                out.append(np.asarray(field) * fac)
-        return out[0] if len(out) == 1 else tuple(out)
+        return self._scaled(np.multiply, u, v, p, f, g)
 
     def to_physical(self, u=None, v=None, p=None, f=None, g=None):
         """Inverse of :meth:`to_reduced`."""
-        out = []
-        for field, fac in ((u, self.u_scale), (v, self.v_scale),
-                           (p, self.p_scale), (f, self.f_scale),
-                           (g, self.g_scale)):
-            if field is not None:
-                out.append(np.asarray(field) / fac)
+        return self._scaled(np.divide, u, v, p, f, g)
+
+    def _scaled(self, op, u, v, p, f, g):
+        out = [op(np.asarray(field), fac) for field, fac in (
+            (u, self.u_scale), (v, self.v_scale), (p, self.p_scale),
+            (f, self.f_scale), (g, self.g_scale)) if field is not None]
         return out[0] if len(out) == 1 else tuple(out)
 
 

@@ -9,7 +9,6 @@ preconditioner from any inner-solver effects.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -43,34 +42,13 @@ class EigFailure(RuntimeError):
 
 @dataclass
 class SolveReport:
-    """Iteration diagnostics of one solve."""
+    """Iteration diagnostics of one MINRES solve."""
 
     iterations: int
     residual_history: list[float]
     converged: bool
-    tol: float | None
+    tol: float
     wall_time: float
-    cond_estimate: float | None = None
-    method: str = "minres"
-
-    def to_json(self, **extra) -> str:
-        rec = {
-            "method": self.method,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "tol": self.tol,
-            "wall_time": self.wall_time,
-            "cond_estimate": self.cond_estimate,
-            "residual_history": [float(r) for r in self.residual_history],
-        }
-        rec.update(extra)
-        return json.dumps(rec, indent=2, sort_keys=True)
-
-    def write_history_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("iter,resnorm\n")
-            for i, r in enumerate(self.residual_history):
-                fh.write(f"{i},{format(float(r), '.17g')}\n")
 
 
 def _factor(mat, name: str, spd: bool):
@@ -411,11 +389,6 @@ class DirectSolver:
         self.refine_solves: int | None = None
         self.refine_residual: float | None = None
 
-    @property
-    def lu_fill(self) -> int:
-        """Stored entries of the L and U factors, as SuperLU counts them."""
-        return self.lu.nnz
-
     def solve(self, rhs: np.ndarray):
         """Returns (x, multiplier) for the stacked free-dof load rhs; for a
         source with vanishing mean the multiplier is zero up to solver
@@ -507,17 +480,20 @@ def solve_direct(system: BlockSystem):
     return DirectSolver(system).solve(system.rhs)
 
 
-def estimate_condition(system: BlockSystem, precond: BlockPreconditioner,
-                       max_dofs: int = 5000):
+# the largest system `estimate_condition` takes to a dense pencil
+_CONDITION_DOFS = 5000
+
+
+def estimate_condition(system: BlockSystem, precond: BlockPreconditioner):
     """Spectral condition number of the preconditioned operator.
 
     Dense generalized eigenvalues of (A, N) with N the SPD matrix defining
     the preconditioner, on the mean-zero pressure subspace.
     """
     ndof = sum(system.block_sizes)
-    if ndof > max_dofs:
-        raise ValueError(f"dense condition estimate limited to {max_dofs} "
-                         f"dofs, got {ndof}")
+    if ndof > _CONDITION_DOFS:
+        raise ValueError("dense condition estimate limited to "
+                         f"{_CONDITION_DOFS} dofs, got {ndof}")
     theta = np.abs(_mean_zero_pencil(system, precond.blocks,
                                      "preconditioner matrix", extremes=True))
     return float(theta.max() / theta.min())

@@ -4,11 +4,11 @@ import scipy.sparse as sps
 import sympy as sy
 
 from biotfem import assembly
-from biotfem.assembly import (DGConfig, FormOperators, IncompatibleSpaces,
-                              export_matrix_market)
+from biotfem.assembly import DGConfig, FormOperators, IncompatibleSpaces
 from biotfem.analysis import _edge_exact, _error_jump_seminorm
 from biotfem.elements import FESpace, edge_rule, triangle_rule
 from biotfem.meshing import from_arrays, structured_mesh
+from biotfem.output import write_matrix_market
 from biotfem.params import ReducedParams
 
 from conftest import full_gram, pulled_back_values
@@ -696,6 +696,6 @@ def test_matrix_market_roundtrip(tmp_path, ops_bdm):
 
     bs = ops_bdm[2].block_system(ReducedParams(1, 1, 0))
     path = tmp_path / "A_uu.mtx"
-    export_matrix_market(path, bs.A_uu)
+    write_matrix_market(bs.A_uu, path)
     back = mmread(path).tocsr()
     assert abs(back - bs.A_uu).max() <= 1e-15

@@ -1,4 +1,5 @@
 import json
+import runpy
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -246,6 +247,18 @@ def test_readme_command_lines_build_configs():
         assert cfg.command == argv[0] and cfg.output_dir == "out/"
 
 
+def test_fingerprint_runs_every_readme_command_line():
+    """tools/fingerprint.py fingerprints the files each README command line
+    writes, so a changed line shows as changed artifact entries."""
+    root = Path(__file__).resolve().parents[1]
+    runs = runpy.run_path(str(root / "tools" / "fingerprint.py"))[
+        "ARTIFACT_RUNS"]
+    fingerprinted = [argv.split() for argv in runs.values()]
+    for line in _command_lines((root / "README.md").read_text()):
+        assert line[-2:] == ["--out", "out/"]
+        assert line[:-2] in fingerprinted
+
+
 @pytest.mark.parametrize("given,expect", [
     (["--lambda", "1", "--rp-inv", "1e4", "--alpha-p", "1"], (1e4, 1.0)),
     # reduced from physical data
@@ -300,10 +313,11 @@ def test_solve_zero_sources_gives_zero_solution(tmp_path):
     assert isinstance(rec["lu_fill"], int) and rec["lu_fill"] > 0
 
 
-DIRECT_RECORD = {"method", "iterations", "converged", "tol", "wall_time",
+MINRES_RECORD = {"method", "iterations", "converged", "tol", "wall_time",
                  "cond_estimate", "residual_history", "lu_fill",
-                 "refine_iterations", "refine_solves", "refine_residual",
                  "conservation_max", "err_U", "err_V", "err_P"}
+DIRECT_RECORD = MINRES_RECORD | {"refine_iterations", "refine_solves",
+                                 "refine_residual"}
 STEP_RECORD = {"step", "time", "multiplier", "refine_iterations",
                "refine_solves", "conservation_max", "u_norm", "p_norm"}
 STEP_REPORT = {"steps", "lam", "rp_inv", "alpha_p", "gamma"}
@@ -364,7 +378,10 @@ def test_solve_minres_writes_history(tmp_path):
                "--alpha-p", "0", "--method", "minres", "--out", str(out)])
     assert rc == 0
     rec = json.loads((out / "report.json").read_text())
-    assert rec["converged"] is True
+    assert set(rec) == MINRES_RECORD
+    assert rec["method"] == "minres" and rec["cond_estimate"] is None
+    assert rec["converged"] is True and rec["tol"] == 1e-8
+    assert len(rec["residual_history"]) == rec["iterations"] + 1
     # fill of each factored preconditioner block; the pressure block is a
     # diagonal scaling
     assert set(rec["lu_fill"]) == {"displacement", "flux"}
@@ -425,6 +442,24 @@ def test_sweep_command(tmp_path):
 
 def test_error_record_on_bad_config(capsys):
     rc = main(["infsup", "--n", "2", "--lambda", "1"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+
+
+_INADMISSIBLE = {"negative mu": ["--mu", "-1", "--lambda-phys", "2"],
+                 "non-finite mu": ["--mu", "nan", "--lambda-phys", "2"],
+                 "lambda < 2 mu": ["--mu", "0.5", "--lambda-phys", "0.5"]}
+
+
+@pytest.mark.parametrize("command", ["solve", "timestep"])
+@pytest.mark.parametrize("material", list(_INADMISSIBLE))
+def test_inadmissible_material_is_a_config_error(tmp_path, capsys, command,
+                                                 material):
+    """Material data outside the admissible range exits 2 with a
+    ConfigError from every command, as any other bad input does."""
+    rc = main([command, "--n", "2", *_INADMISSIBLE[material], "--alpha",
+               "1", "--K", "1", "--tau", "0.5", "--out", str(tmp_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"

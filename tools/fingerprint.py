@@ -13,7 +13,7 @@ difference relative to the larger magnitude of the two, worst first; it
 exits with status 1 unless every entry of both is present in both and
 bitwise equal.
 
-The fixed set, which takes about 1 s on a 2-vCPU Xeon:
+The fixed set, which takes about 2 s on a 2-vCPU Xeon:
 - the lower-pattern and free-dof data of every Gram of the bdm1-rt0-p0
   and p1cvec-rt0-p0 operators on structured n = 4, 8 and on the
   benchmark's perturbed n = 8 mesh (`perturbed_mesh_arrays(8, 1, 0)`);
@@ -21,13 +21,19 @@ The fixed set, which takes about 1 s on a 2-vCPU Xeon:
   direct solution and multiplier of the manufactured problem, its
   `error_norms` and the paper-norm inf-sup constant;
 - the `timestep` workload's step records and final state (n = 16,
-  8 steps).
+  8 steps);
+- the bytes of every file written by the README's command lines and by a
+  zero-load solve that dumps its mesh and blocks (`ARTIFACT_RUNS`), run
+  through `cli.main`, with the `wall_time` value of report.json and the
+  `output_dir` value of resolved_config.txt blanked.
 """
 
 import hashlib
 import json
 import os
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +100,45 @@ def timestep(cfg) -> dict:
     return out
 
 
+# the README's command lines, then a solve that writes every other artifact
+ARTIFACT_RUNS = {
+    "infsup": "infsup --n 2 --triple bdm1-rt0-p0 --lambda 1 --rp-inv 1 "
+              "--alpha-p 0",
+    "infsup_natural": "infsup --n 4 --triple p1cvec-rt0-p0 --norms natural "
+                      "--lambda-list 1 --rp-inv-list 1,1e6 --alpha-p-list 0",
+    "solve_minres": "solve --n 8 --lambda 1e8 --rp-inv 1e-8 --alpha-p 1 "
+                    "--method minres",
+    "sweep": "sweep --n 8 --with-condition",
+    "convergence": "convergence --n-list 4,8,16 --lambda 1 --rp-inv 1 "
+                   "--alpha-p 0",
+    "timestep": "timestep --n 4 --mu 0.5 --lambda-phys 2 --alpha 1 "
+                "--K 1e-2 --tau 0.25 --c-pp 0.05 --steps 8",
+    "solve_dump": "solve --n 2 --lambda 1 --rp-inv 1 --alpha-p 0 "
+                  "--source zero --dump-mesh --export-blocks",
+}
+# the measured time and the directory differ from run to run
+VARYING = (re.compile(rb'("wall_time": )[^,\n]*'),
+           re.compile(rb"(?m)^(output_dir = ).*$"))
+
+
+def artifacts(runs: dict) -> dict:
+    """The bytes of every file each command line of `runs` writes, as
+    artifact.<run>.<file>, with the VARYING values blanked."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for run, argv in runs.items():
+            folder = Path(tmp) / run
+            if cli.main(argv.split() + ["--out", str(folder)]) != 0:
+                raise RuntimeError(f"biotfem {argv} failed")
+            for path in sorted(folder.iterdir()):
+                data = path.read_bytes()
+                for pattern in VARYING:
+                    data = pattern.sub(rb"\1", data)
+                out[f"artifact.{run}.{path.name}"] = np.frombuffer(
+                    data, np.uint8)
+    return out
+
+
 def fixed_set() -> dict:
     from perfbench import workloads
 
@@ -107,6 +152,7 @@ def fixed_set() -> dict:
         for rp in workloads.RP_GRID for ap in workloads.AP_GRID]))
     out.update(timestep(workloads.TimeStep(workloads.TimeStep.FULL,
                                            seed=1).cfg))
+    out.update(artifacts(ARTIFACT_RUNS))
     return out
 
 
