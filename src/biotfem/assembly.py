@@ -433,8 +433,9 @@ class FormOperators:
         self._f_cache = weakref.WeakKeyDictionary()
         self._g_cache = weakref.WeakKeyDictionary()
         # the solvers' memo for the blocks these operators assemble: the
-        # last factor of each preconditioner block, the displacement under
-        # lambda and the flux under its shape t (`BlockPreconditioner`),
+        # factors of the preconditioner blocks (`BlockPreconditioner`),
+        # the last displacement one under lambda and the flux ones under
+        # their shapes t, oldest first, within the displacement's fill,
         # the last whitened displacement of their pencils under (whether
         # N_U is A_uu, lambda) (`_whitened_displacement`) and its coupling
         # rotated to the closed-form pressure basis under its identity

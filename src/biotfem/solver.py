@@ -89,10 +89,11 @@ class BlockPreconditioner:
     `blocks` holds the three as `NormBlocks` of kind "preconditioner".
     Given `source`, the `NormBlocks.source` of norms whose operators
     assembled A_uu at the same parameters, the factors of those operators
-    are reused: A_uu's is kept under lambda and, as N_V = c (t M_v + DD_v)
-    with t = rp_inv / c, the factor of t M_v + DD_v
-    (`FormOperators._flux_shape`) under t, N_V^-1 applied as c^-1 times
-    its inverse.  Without it both blocks are factored afresh.  `lu_fill`
+    are reused (`_kept_factor`): A_uu's last one under lambda and, as
+    N_V = c (t M_v + DD_v) with t = rp_inv / c, the factor of
+    t M_v + DD_v (`FormOperators._flux_shape`) of every shape t met, as
+    many as fit in the fill of A_uu's, N_V^-1 applied as c^-1 times its
+    inverse.  Without it both blocks are factored afresh.  `lu_fill`
     holds the fill of every factored block, SuperLU's count of the
     entries its L and U factors store.
     """
@@ -102,40 +103,21 @@ class BlockPreconditioner:
                                           N_P.tocsr(), "preconditioner")
         object.__setattr__(blocks, "source", source)
         self.sizes = tuple(b.shape[0] for b in blocks)
-        self.lu_fill = {}
-        memo, lam, t, scale = {}, None, None, 1.0
-        if source is not None:
+        if source is None:
+            lu_U = _factor(blocks.N_U, "displacement", spd=True)
+            lu_V, scale = _factor(blocks.N_V, "flux", spd=True), 1.0
+        else:
             ops, params, (g, gc) = source
-            memo = ops._factors
-            lam, t, scale = params.lam, g * params.rp_inv / gc, g / gc
-        self.inv_U = self._inverse("displacement", memo, lam,
-                                   lambda: blocks.N_U)
-        self.inv_V = self._inverse(
-            "flux", memo, t,
-            lambda: blocks.N_V if t is None else ops._flux_shape(t), scale)
+            t, scale = g * params.rp_inv / gc, g / gc
+            lu_U = _kept_factor(ops._factors, "displacement", params.lam,
+                                lambda: blocks.N_U, 0)
+            lu_V = _kept_factor(ops._factors, "flux", t,
+                                lambda: ops._flux_shape(t), lu_U.nnz)
+        self.lu_fill = {"displacement": lu_U.nnz, "flux": lu_V.nnz}
+        self.inv_U = _inverse("displacement", lu_U)
+        self.inv_V = _inverse("flux", lu_V, scale)
         inv = 1.0 / _pressure_diagonal(blocks.N_P, "preconditioner matrix")
         self.inv_P = lambda x, out: np.multiply(inv, x, out=out)
-
-    def _inverse(self, name: str, memo: dict, key, build,
-                 scale: float = 1.0):
-        """x -> scale build()^-1 x, the factor of build() kept in `memo`
-        under `key`."""
-        last = memo.get(name)
-        if last is not None and last[0] == key:
-            lu = last[1]
-        else:
-            lu = _factor(build(), name, spd=True)
-            memo[name] = (key, lu)
-        self.lu_fill[name] = lu.nnz
-
-        def solve(x, out):
-            y = lu.solve(x)
-            if not np.isfinite(y).all():
-                raise FactorizationFailure(f"{name} block produced non-finite"
-                                           " values (singular factorization)")
-            np.multiply(scale, y, out=out)
-
-        return solve
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         nu, nv, npp = self.sizes
@@ -144,6 +126,36 @@ class BlockPreconditioner:
         self.inv_V(r[nu:nu + nv], out[nu:nu + nv])
         self.inv_P(r[nu + nv:], out[nu + nv:])
         return out
+
+
+def _kept_factor(memo: dict, name: str, key, build, budget: int):
+    """The SPD factor of build() kept in memo[name], a dict of factors by
+    `key`, oldest first.  A new factor is appended, and the oldest
+    others go until those kept hold no more fill (`lu.nnz`) than
+    `budget`: 0 keeps the last factor only."""
+    kept = memo.setdefault(name, {})
+    lu = kept.get(key)
+    if lu is None:
+        lu = kept[key] = _factor(build(), name, spd=True)
+        fill = sum(f.nnz for f in kept.values())
+        for old in list(kept)[:-1]:
+            if fill <= budget:
+                break
+            fill -= kept.pop(old).nnz
+    return lu
+
+
+def _inverse(name: str, lu, scale: float = 1.0):
+    """x, out -> out = scale lu^-1 x, refusing non-finite values."""
+
+    def solve(x, out):
+        y = lu.solve(x)
+        if not np.isfinite(y).all():
+            raise FactorizationFailure(f"{name} block produced non-finite"
+                                       " values (singular factorization)")
+        np.multiply(scale, y, out=out)
+
+    return solve
 
 
 def _own(system: BlockSystem, norms: NormBlocks) -> bool:
@@ -162,7 +174,7 @@ def build_preconditioner(norms: NormBlocks,
 
     For norms that the system's operators built at its parameters
     (`_own`) it reuses their factors, so a lambda-major sweep factors
-    `A_uu` once per lambda and the flux block once per run of equal
+    `A_uu` once per lambda and the flux block once per distinct
     t = gamma rp_inv (the paper's norms; the natural norms share t = 1)
     instead of once per grid point.
     """

@@ -177,7 +177,7 @@ def test_changed_block_is_refactored_not_reused(ops_bdm, monkeypatch, rng):
 
 def test_factor_memo_dies_with_form_operators():
     """The operators keep the displacement factor under lambda and the
-    paper's flux factor under its shape t = gamma rp_inv.  With a
+    paper's flux factors by their shape t = gamma rp_inv.  With a
     preconditioned solve, a condition estimate and an inf-sup constant
     they also keep the whitened displacement and the rotated coupling.
     Nothing outside the operators keeps any of it, nor their saddle
@@ -189,9 +189,10 @@ def test_factor_memo_dies_with_form_operators():
     pc = build_preconditioner(nb, bs)
     memo = ops._factors
     assert set(memo) == {"displacement", "flux"}
-    assert memo["flux"][0] == pr.gamma * pr.rp_inv
-    assert memo["displacement"][0] == pr.lam
-    assert pc.lu_fill == {name: lu.nnz for name, (_, lu) in memo.items()}
+    assert list(memo["flux"]) == [pr.gamma * pr.rp_inv]
+    assert list(memo["displacement"]) == [pr.lam]
+    assert pc.lu_fill == {name: lu.nnz for name, kept in memo.items()
+                          for lu in kept.values()}
     minres_solve(bs, pc)
     estimate_condition(bs, pc)
     infsup_constant(bs, nb)
@@ -250,8 +251,10 @@ def _factored_names(monkeypatch) -> list:
 def test_paper_flux_factored_once_per_shape(perturbed_mesh, monkeypatch,
                                             rng, kind):
     """Over the lambda-major grid the paper's flux block is factored once
-    per run of equal gamma rp_inv, A_uu once per lambda, and the flux
-    part of every application solves with N_V to 1e-12."""
+    per distinct gamma rp_inv, fewer times than the grid has runs of
+    equal shape, and all of them are kept; A_uu is factored once per
+    lambda, and the flux part of every application solves with N_V to
+    1e-12."""
     ops = FormOperators(structured_mesh(4) if kind == "structured"
                         else perturbed_mesh[4])
     names = _factored_names(monkeypatch)
@@ -267,8 +270,10 @@ def test_paper_flux_factored_once_per_shape(perturbed_mesh, monkeypatch,
         got = pc.apply(r)[nu:nu + nv]
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(
             expect), pr
+    distinct = list(dict.fromkeys(shapes))
     assert names.count("displacement") == len(LAM_GRID)
-    assert names.count("flux") == runs < len(shapes) // 2
+    assert names.count("flux") == len(distinct) == 5 < runs == 15
+    assert list(ops._factors["flux"]) == distinct
 
 
 def test_foreign_flux_block_is_factored_afresh(ops_bdm, monkeypatch, rng):
@@ -282,7 +287,8 @@ def test_foreign_flux_block_is_factored_afresh(ops_bdm, monkeypatch, rng):
     bs, own = ops.block_system(pr), ops.norm_blocks(pr)
     nu, nv, _ = bs.block_sizes
     build_preconditioner(own, bs)
-    kept = dict(ops._factors)
+    kept = {name: dict(ops._factors[name])
+            for name in ("displacement", "flux")}
     names = _factored_names(monkeypatch)
     for N_V in (2.0 * own.N_V,
                 ops.norm_blocks(ReducedParams(1e2, 1.0, 1.0)).N_V):
@@ -296,7 +302,39 @@ def test_foreign_flux_block_is_factored_afresh(ops_bdm, monkeypatch, rng):
     build_preconditioner(own, bs)
     assert names == ["displacement", "flux"] * 4
     memo = ops._factors
-    assert all(memo[name] is kept[name] for name in ("displacement", "flux"))
+    for name, factors in kept.items():
+        assert list(memo[name]) == list(factors)
+        assert all(memo[name][key] is lu for key, lu in factors.items())
+
+
+def test_flux_factors_kept_within_the_displacement_fill(monkeypatch, rng):
+    """A scan of 30 flux shapes t = rp_inv at lambda = 1 keeps the newest
+    flux factors, oldest dropped first, whose fill together is no more
+    than that of the displacement factor kept beside them.  A dropped
+    shape met again is factored anew, and its preconditioner applies
+    bitwise as the first one did."""
+    ops = FormOperators(structured_mesh(4))
+    scan = [ReducedParams(1.0, rp, 0.0) for rp in np.logspace(0, 8, 30)]
+    shapes = [pr.gamma * pr.rp_inv for pr in scan]
+    assert len(set(shapes)) == len(scan)
+    r = rng.standard_normal(sum(ops.block_system(scan[0]).block_sizes))
+    names = _factored_names(monkeypatch)
+    first = None
+    for i, pr in enumerate(scan):
+        pc = build_preconditioner(ops.norm_blocks(pr), ops.block_system(pr))
+        first = pc.apply(r) if first is None else first
+        memo = ops._factors
+        (lu_U,) = memo["displacement"].values()
+        kept = list(memo["flux"])
+        assert kept == shapes[i + 1 - len(kept):i + 1]
+        assert sum(lu.nnz for lu in memo["flux"].values()) <= lu_U.nnz
+    assert names == ["displacement"] + ["flux"] * len(scan)
+    assert 1 < len(kept) < len(scan)
+    del names[:]
+    pc = build_preconditioner(ops.norm_blocks(scan[0]),
+                              ops.block_system(scan[0]))
+    assert names == ["flux"]
+    assert np.array_equal(pc.apply(r), first)
 
 
 def test_natural_flux_factored_once_over_the_grid(monkeypatch):

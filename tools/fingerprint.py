@@ -20,6 +20,10 @@ The fixed set, which takes about 2 s on a 2-vCPU Xeon:
 - at each of the 40 acceptance grid points on structured n = 4, the
   direct solution and multiplier of the manufactured problem, its
   `error_norms` and the paper-norm inf-sup constant;
+- at the same points, visited lambda-major through one `FormOperators`
+  so that the preconditioner reuses its kept factors, the MINRES
+  iteration count, residual history and iterate of the manufactured
+  problem;
 - the `timestep` workload's step records and final state (n = 16,
   8 steps);
 - the bytes of every file written by the README's command lines and by a
@@ -89,6 +93,24 @@ def grid_points(n: int, points) -> dict:
             for name, values in rows.items()}
 
 
+def minres_points(n: int, points) -> dict:
+    """MINRES iteration counts, residual histories (concatenated) and
+    iterates of the manufactured problem at each of `points` on
+    structured n, solved in order through one `FormOperators`."""
+    ops = bf.FormOperators(bf.structured_mesh(n))
+    rows = {"iterations": [], "residual_history": [], "x": []}
+    for pr in points:
+        case = bf.manufactured_case(pr)
+        system = ops.block_system(pr, f=case.f, g=case.g)
+        x, report = bf.minres_solve(
+            system, bf.build_preconditioner(ops.norm_blocks(pr), system))
+        rows["iterations"].append(report.iterations)
+        rows["residual_history"].extend(report.residual_history)
+        rows["x"].append(x)
+    return {f"minres.structured{n}.{name}": np.array(values)
+            for name, values in rows.items()}
+
+
 def timestep(cfg) -> dict:
     """`cli.timestep_drive`'s step records, one array per key, and its
     final state."""
@@ -147,9 +169,11 @@ def fixed_set() -> dict:
         out.update(grams(f"structured{n}", bf.structured_mesh(n)))
     out.update(grams("perturbed8", meshing.from_arrays(
         *workloads.perturbed_mesh_arrays(8, 1, 0))))
-    out.update(grid_points(4, [
-        bf.ReducedParams(lam, rp, ap) for lam in workloads.LAM_GRID
-        for rp in workloads.RP_GRID for ap in workloads.AP_GRID]))
+    # lambda-major, as `analysis.minres_sweep` visits the grid
+    points = [bf.ReducedParams(lam, rp, ap) for lam in workloads.LAM_GRID
+              for rp in workloads.RP_GRID for ap in workloads.AP_GRID]
+    out.update(grid_points(4, points))
+    out.update(minres_points(4, points))
     out.update(timestep(workloads.TimeStep(workloads.TimeStep.FULL,
                                            seed=1).cfg))
     out.update(artifacts(ARTIFACT_RUNS))
